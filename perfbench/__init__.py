@@ -1,0 +1,5 @@
+"""The repository benchmark: workloads ``tune``, ``serve`` and ``solve``.
+
+Run one workload with ``python3 perfbench/run.py --workload <name>
+--seed <n> --seconds <s> --trace <0|1>``; see ``perfbench/README.md``.
+"""
