@@ -26,7 +26,7 @@ Entry points
 """
 
 from . import backends, fault, formats, gpu, kernels, matrices, obs, scan, serve, solvers, tuning
-from .backends import ExecutionBackend, available_backends, get_backend
+from .backends import ExecutionBackend, get_backend
 from .core import (
     BaselineResult,
     PreparedMatrix,
@@ -81,7 +81,6 @@ __all__ = [
     "Observer",
     "obs_scope",
     "ExecutionBackend",
-    "available_backends",
     "get_backend",
     "BaselineResult",
     "PreparedMatrix",

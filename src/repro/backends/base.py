@@ -1,4 +1,4 @@
-"""Execution-backend protocol and registry.
+"""Execution-backend protocol.
 
 A *backend* decides **how** a prepared format is executed; the format,
 the launch configuration and the cost model stay identical across
@@ -8,52 +8,33 @@ backends, and so -- bit for bit -- does the output vector:
   paper describes them (the correctness anchor);
 * ``fast`` vectorizes across all workgroups at once (batched segmented
   sums over the bit-flag arrays, no per-workgroup Python) and is pinned
-  bit-identical to ``faithful``;
-* ``auto`` runs ``fast`` and falls back to ``faithful`` on any validator
-  mismatch -- the speculative-with-exact-check discipline of Liu &
-  Vinter's segmented sum.
+  bit-identical to ``faithful``.
 
-Backends register by name, mirroring the kernel registry:
-``resolve_backend`` is the single coercion point every API surface
-(:class:`~repro.core.engine.SpMVEngine`, the serve layer, the tuner, the
-CLI ``--backend`` flag) funnels through.
+The two instances live in a fixed table behind
+:func:`repro.backends.get_backend`.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
-from ..errors import BackendError
 from ..gpu.device import DeviceSpec
 from ..kernels.base import KernelResult
 
-__all__ = [
-    "ExecutionBackend",
-    "register_backend",
-    "get_backend",
-    "available_backends",
-    "resolve_backend",
-    "DEFAULT_BACKEND",
-]
-
-#: The backend an engine uses when none is requested.
-DEFAULT_BACKEND = "faithful"
+__all__ = ["ExecutionBackend"]
 
 
 class ExecutionBackend(abc.ABC):
     """How SpMV launches execute; output is backend-invariant.
 
     ``execute``/``execute_multi`` take the same ``(fmt, x/X, device,
-    config)`` quadruple as the kernel run protocol.  ``reference`` is an
-    optional CSR matrix (or zero-argument callable producing one) a
-    self-checking backend (``auto``) may verify against; the others
-    ignore it.
+    config)`` quadruple as the kernel run protocol.
     """
 
-    #: Registry key, e.g. ``"fast"``.
+    #: Table key, e.g. ``"fast"``.
     name: ClassVar[str] = ""
 
     @abc.abstractmethod
@@ -63,8 +44,6 @@ class ExecutionBackend(abc.ABC):
         x: np.ndarray,
         device: DeviceSpec,
         config=None,
-        *,
-        reference=None,
     ) -> KernelResult:
         """Run ``y = A @ x`` on ``fmt``; exact result + cost profile."""
 
@@ -75,8 +54,6 @@ class ExecutionBackend(abc.ABC):
         X: np.ndarray,
         device: DeviceSpec,
         config=None,
-        *,
-        reference=None,
     ) -> KernelResult:
         """Run ``Y = A @ X`` for ``X`` of shape ``(ncols, k)``."""
 
@@ -94,64 +71,7 @@ class ExecutionBackend(abc.ABC):
 
     def capabilities(self) -> dict:
         """Introspection record for :meth:`SpMVEngine.capabilities`."""
-        return {
-            "name": self.name,
-            "bit_identical": True,
-            "self_checking": False,
-        }
+        return {"name": self.name, "bit_identical": True}
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
-
-
-_REGISTRY: dict[str, ExecutionBackend] = {}
-
-
-def _ensure_builtins() -> None:
-    """Import the built-in backend modules so their ``@register_backend``
-    decorators have run -- callers that reach the registry through
-    ``get_backend`` alone (tuner workers, bare ``repro.tuning`` imports)
-    must not depend on package-``__init__`` import order."""
-    if "faithful" not in _REGISTRY:
-        from . import auto, faithful, fast  # noqa: F401
-
-
-def register_backend(cls: type[ExecutionBackend]) -> type[ExecutionBackend]:
-    """Class decorator: instantiate and register the backend."""
-    if not cls.name:
-        raise ValueError(f"{cls.__name__} must define a non-empty 'name'")
-    if cls.name in _REGISTRY:
-        raise ValueError(f"duplicate backend name {cls.name!r}")
-    _REGISTRY[cls.name] = cls()
-    return cls
-
-
-def get_backend(name: str) -> ExecutionBackend:
-    """Look up a registered backend instance by name."""
-    _ensure_builtins()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise BackendError(
-            f"unknown backend {name!r}; available: {sorted(_REGISTRY)}"
-        ) from None
-
-
-def available_backends() -> dict[str, ExecutionBackend]:
-    """Read-only view of the backend registry."""
-    _ensure_builtins()
-    return dict(_REGISTRY)
-
-
-def resolve_backend(spec: Any | None) -> ExecutionBackend:
-    """Coerce a ``backend=`` spec -- ``None`` (default), a name, or an
-    :class:`ExecutionBackend` instance -- to a backend instance."""
-    if spec is None:
-        return get_backend(DEFAULT_BACKEND)
-    if isinstance(spec, ExecutionBackend):
-        return spec
-    if isinstance(spec, str):
-        return get_backend(spec)
-    raise BackendError(
-        f"backend must be a name or ExecutionBackend, got {type(spec).__name__}"
-    )

@@ -21,12 +21,11 @@ from ..kernels.base import KernelResult
 from ..kernels.merge_path import MergePathKernel
 from ..kernels.row_grouped import RowGroupedKernel
 from ..kernels.yaspmv import YaSpMMKernel, YaSpMVKernel
-from .base import ExecutionBackend, register_backend
+from .base import ExecutionBackend
 
 __all__ = ["FaithfulBackend"]
 
 
-@register_backend
 class FaithfulBackend(ExecutionBackend):
     """Workgroup-by-workgroup interpretation (the paper's dataflow)."""
 
@@ -44,8 +43,6 @@ class FaithfulBackend(ExecutionBackend):
         x: np.ndarray,
         device: DeviceSpec,
         config=None,
-        *,
-        reference=None,
     ) -> KernelResult:
         if isinstance(fmt, MergeCSRMatrix):
             return self._merge.run(fmt, x, device, config=config)
@@ -59,8 +56,6 @@ class FaithfulBackend(ExecutionBackend):
         X: np.ndarray,
         device: DeviceSpec,
         config=None,
-        *,
-        reference=None,
     ) -> KernelResult:
         if isinstance(fmt, MergeCSRMatrix):
             return self._merge.run_multi(fmt, X, device, config=config)

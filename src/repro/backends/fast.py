@@ -61,7 +61,7 @@ from ..kernels.yaspmv import YaSpMMKernel, YaSpMVKernel
 from ..kernels.yaspmv_common import prepare
 from ..obs import active_observer
 from ..scan.batched import SegmentPlan, batched_segment_sums
-from .base import ExecutionBackend, register_backend
+from .base import ExecutionBackend
 from .faithful import FaithfulBackend
 
 __all__ = ["FastBackend", "FastPlan", "MergePlan", "RowGroupPlan"]
@@ -114,6 +114,11 @@ class FastPlan:
     Everything here is what the faithful kernel recomputes per call:
     the padded arrays, the gather map, the flag segment structure, the
     scatter row map, and (lazily) the cost profile.
+
+    A plan holds no reference to its format: the backend caches it under
+    a weak reference to the format, which a strong one would pin for the
+    life of the process.  ``padded.fmt`` is therefore ``None``, and the
+    cost-profile methods take the format from the caller.
     """
 
     __slots__ = (
@@ -131,7 +136,7 @@ class FastPlan:
     )
 
     def __init__(self, fmt: BCCOOMatrix, cfg, kernel: YaSpMVKernel):
-        padded = prepare(fmt, cfg)
+        padded = replace(prepare(fmt, cfg), fmt=None)
         w = fmt.block_width
         base = padded.cols * w
         gather = base[:, None] + np.arange(w, dtype=np.int64)[None, :]
@@ -185,7 +190,7 @@ class FastPlan:
         clone = object.__new__(FastPlan)
         values = np.zeros_like(self.padded.values)
         values[: new_fmt.nblocks_padded] = new_fmt.values
-        clone.padded = replace(self.padded, values=values, fmt=new_fmt)
+        clone.padded = replace(self.padded, values=values)
         clone.safe = self.safe
         clone.invalid = self.invalid
         clone.gather_flat = self.gather_flat
@@ -209,21 +214,26 @@ class FastPlan:
         clone._lock = threading.Lock()
         return clone
 
-    def stats(self, kernel: YaSpMVKernel, device: DeviceSpec):
+    def stats(self, kernel: YaSpMVKernel, device: DeviceSpec, fmt: BCCOOMatrix):
         """The (x-independent) cost profile, computed once, copied out."""
         if self._stats is None:
             with self._lock:
                 if self._stats is None:
                     self._stats = kernel._stats(
-                        self.padded, self.gather_flat, device, self.padded.config
+                        replace(self.padded, fmt=fmt),
+                        self.gather_flat,
+                        device,
+                        self.padded.config,
                     )
         return replace(self._stats)
 
-    def multi_stats(self, kernel: YaSpMVKernel, device: DeviceSpec, k: int):
+    def multi_stats(
+        self, kernel: YaSpMVKernel, device: DeviceSpec, fmt: BCCOOMatrix, k: int
+    ):
         """SpMM cost profile for batch width ``k`` (cached per ``k``)."""
         cached = self._multi_stats.get(k)
         if cached is None:
-            single = self.stats(kernel, device)
+            single = self.stats(kernel, device, fmt)
             cfg = self.padded.config
             vec_dram, vec_cached = vector_read_traffic(
                 self.gather_flat,
@@ -240,7 +250,7 @@ class FastPlan:
                 use_cache=cfg.use_texture,
             )
             n_stops = int(self.padded.stops.sum())
-            h = self.padded.fmt.block_height
+            h = fmt.block_height
             write_delta = (k - 1) * stream_bytes(
                 n_stops * h, cfg.value_bytes, device.transaction_bytes
             )
@@ -354,7 +364,6 @@ class RowGroupPlan:
         return replace(cached)
 
 
-@register_backend
 class FastBackend(ExecutionBackend):
     """All-workgroups-at-once vectorized execution."""
 
@@ -486,13 +495,11 @@ class FastBackend(ExecutionBackend):
         x: np.ndarray,
         device: DeviceSpec,
         config=None,
-        *,
-        reference=None,
     ) -> KernelResult:
         # A fault plan perturbs the decoded per-launch state -- invisible
         # to a cached plan, so route through the faithful interpreter.
         if active_plan() is not None:
-            return self._faithful.execute(fmt, x, device, config, reference=reference)
+            return self._faithful.execute(fmt, x, device, config)
         kern = self._kernel_for(fmt)
         cfg = kern._coerce_config(config)
         obs = active_observer()
@@ -551,7 +558,7 @@ class FastBackend(ExecutionBackend):
         if per_stop.shape[0]:
             y_full.reshape(-1, h)[plan.rows] = per_stop
         y = y_full[: fmt.nrows]
-        return KernelResult(y=y, stats=plan.stats(self._kernel, device))
+        return KernelResult(y=y, stats=plan.stats(self._kernel, device, fmt))
 
     def _check_vector(self, fmt, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64).ravel()
@@ -623,13 +630,9 @@ class FastBackend(ExecutionBackend):
         X: np.ndarray,
         device: DeviceSpec,
         config=None,
-        *,
-        reference=None,
     ) -> KernelResult:
         if active_plan() is not None:
-            return self._faithful.execute_multi(
-                fmt, X, device, config, reference=reference
-            )
+            return self._faithful.execute_multi(fmt, X, device, config)
         kern = self._kernel_for(fmt)
         cfg = kern._coerce_config(config)
         obs = active_observer()
@@ -683,7 +686,7 @@ class FastBackend(ExecutionBackend):
             )
         # SpMM shared memory scales with k; surface the violation before
         # doing the arithmetic, exactly like the faithful kernel.
-        stats = plan.multi_stats(self._kernel, device, k)
+        stats = plan.multi_stats(self._kernel, device, fmt, k)
 
         h = fmt.block_height
         if plan.fused is not None:

@@ -36,11 +36,12 @@ Gives the library's main workflows a shell entry point:
 ``profile`` and ``verify`` accept ``--fault SPEC`` (e.g.
 ``stale_grp_sum:p=0.5,seed=7``) to run under an injected fault plan.
 
-Every command that constructs an engine accepts ``--backend
-{faithful,fast,auto}`` (see :mod:`repro.backends`): ``faithful``
-interprets workgroups exactly like the paper's kernels, ``fast`` is the
-bit-identical vectorized path, ``auto`` runs fast with a differential
-fallback.
+``multiply``, ``profile``, ``serve`` and ``verify`` build their own
+engine and accept ``--backend {faithful,fast}`` (see
+:mod:`repro.backends`): ``faithful`` interprets workgroups exactly like
+the paper's kernels, ``fast`` is the bit-identical vectorized path.
+``tune`` always ranks on ``faithful``; ``chaos`` and ``solve`` use the
+fabric's and :func:`repro.solve`'s defaults.
 """
 
 from __future__ import annotations
@@ -129,7 +130,6 @@ def _cmd_tune(args) -> int:
         deadline=args.deadline if args.deadline > 0 else None,
         checkpoint=checkpoint,
         retry=retry,
-        backend=args.backend,
         share_operand=args.share_operand,
     )
     if plan_scope is not None:
@@ -280,7 +280,6 @@ def _cmd_chaos(args) -> int:
         slows=args.slows,
         corrupt_shards=args.corrupt,
         device=args.device,
-        backend=args.backend,
         processes=args.processes,
         worker_hangs=args.worker_hangs,
         reply_timeout_s=args.reply_timeout,
@@ -324,7 +323,7 @@ def _cmd_solve(args) -> int:
     )
     direct = None
     if args.shards == 0 or args.compare_direct:
-        direct = solve(A, b, backend=args.backend, **common)
+        direct = solve(A, b, **common)
         print(f"{name} direct : {direct.summary()}")
 
     served = None
@@ -337,10 +336,7 @@ def _cmd_solve(args) -> int:
             plan_scope = fault_scope(FaultPlan.parse(args.fault))
         # Threadless fabric: deterministic scheduling, so a seeded fault
         # plan injects the same failovers on every run.
-        fabric = ServeFabric(
-            args.shards, device=args.device, backend=args.backend,
-            start=False,
-        )
+        fabric = ServeFabric(args.shards, device=args.device, start=False)
         try:
             if plan_scope is not None:
                 with plan_scope:
@@ -501,17 +497,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Shared by every subcommand that constructs an engine/tuner --
+    # Shared by every subcommand that constructs its own engine --
     # ``parents=[backend_parent]`` keeps the flag's name, choices and
     # help text identical everywhere.
     backend_parent = argparse.ArgumentParser(add_help=False)
     backend_parent.add_argument(
-        "--backend", default="faithful",
-        choices=["faithful", "fast", "auto"],
+        "--backend", default="faithful", choices=["faithful", "fast"],
         help="execution backend: 'faithful' interprets workgroups like "
              "the paper's kernels, 'fast' is the bit-identical "
-             "vectorized path, 'auto' is fast with differential "
-             "fallback (see docs/backends.md)")
+             "vectorized path (see docs/backends.md)")
 
     sub.add_parser("info", help="list devices, formats, kernels, suite")
 
@@ -523,9 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--store", default="",
                        help="JSON tuning store: reuse/persist tuned configs")
 
-    p_tune = sub.add_parser(
-        "tune", help="auto-tune a matrix", parents=[backend_parent]
-    )
+    p_tune = sub.add_parser("tune", help="auto-tune a matrix")
     matrix_args(p_tune)
     p_tune.add_argument("--mode", default="pruned", choices=["pruned", "exhaustive"])
     p_tune.add_argument("--workers", type=int, default=1,
@@ -615,7 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="differential chaos drill: faulted fabric vs one pristine "
              "server, bit-identical or non-zero exit",
-        parents=[backend_parent],
     )
     p_chaos.add_argument("--shards", type=int, default=3,
                          help="fabric shard count")
@@ -654,7 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="iterative solve (cg/bicgstab/gmres/jacobi); --shards N "
              "streams every iteration through the sharded fabric and "
              "--compare-direct diffs it against the in-process solve",
-        parents=[backend_parent],
     )
     matrix_args(p_solve)
     p_solve.add_argument("--method", default="bicgstab",

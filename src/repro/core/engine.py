@@ -23,11 +23,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..backends.base import (
-    ExecutionBackend,
-    available_backends,
-    resolve_backend,
-)
+from ..backends import ExecutionBackend, get_backend
 from ..errors import FaultInjectedError, ReproError, ValidationError
 from ..fault.injection import FaultPlan, fault_scope
 from ..fault.resilience import AttemptRecord, FailureReport
@@ -495,11 +491,11 @@ class SpMVEngine:
         Rows sampled by the per-multiply reference check (``None`` =
         every row).
     backend:
-        Execution backend name (``"faithful"``, ``"fast"``, ``"auto"``)
-        or :class:`repro.backends.ExecutionBackend` instance; the
-        default is ``"faithful"``.  Every ``multiply``/``multiply_many``
-        runs on it unless overridden per call; all backends are
-        bit-identical, so the choice only moves the wall clock.
+        ``"faithful"`` (default, the workgroup interpreter) or
+        ``"fast"`` (the vectorized path).  Every ``multiply`` and
+        ``multiply_many`` runs on it; the two are bit-identical, so the
+        choice only moves the wall clock.  Tuning always ranks
+        candidates on ``faithful`` (see ``docs/backends.md``).
     """
 
     _POLICIES = ("strict", "permissive")
@@ -523,7 +519,7 @@ class SpMVEngine:
         validation_rtol: float = 1e-9,
         validation_atol: float = 1e-12,
         observer=None,
-        backend: str | ExecutionBackend | None = None,
+        backend: str = "faithful",
     ):
         if policy not in self._POLICIES:
             raise ValidationError(
@@ -562,7 +558,7 @@ class SpMVEngine:
         self.validation_samples = validation_samples
         self.validation_rtol = validation_rtol
         self.validation_atol = validation_atol
-        self.backend = resolve_backend(backend)
+        self._backend = get_backend(backend)
         self._kernel = YaSpMVKernel()
         self._kernel_multi = YaSpMMKernel()
         self._timing = TimingModel(self.device)
@@ -571,14 +567,8 @@ class SpMVEngine:
 
     @property
     def backend(self) -> ExecutionBackend:
-        """The engine-default execution backend (see ``backend=``)."""
+        """The execution backend chosen at construction (read-only)."""
         return self._backend
-
-    @backend.setter
-    def backend(self, spec) -> None:
-        # Accepts a name, an instance, or None (the registry default) so
-        # callers can install a backend the way they install observers.
-        self._backend = resolve_backend(spec)
 
     @property
     def _resilient(self) -> bool:
@@ -589,8 +579,6 @@ class SpMVEngine:
         # has to short-circuit clean runs too, and the half-open probe
         # only closes if its success is observed and recorded.
         breaking = self.breaker is not None and self.policy == "permissive"
-        if self.validate is False:
-            return self.fault_plan is not None or breaking
         return self.fault_plan is not None or breaking
 
     # ------------------------------------------------------------------ #
@@ -668,7 +656,6 @@ class SpMVEngine:
                     deadline=deadline,
                     checkpoint=checkpoint,
                     retry=self.retry_policy,
-                    backend=self.backend.name,
                     share_operand=share,
                     **self.tuning_kwargs,
                 )
@@ -712,8 +699,6 @@ class SpMVEngine:
         self,
         prepared: PreparedMatrix | object,
         x: np.ndarray,
-        *,
-        backend: str | ExecutionBackend | None = None,
     ) -> SpMVResult:
         """Execute one SpMV: ``y = A @ x``.
 
@@ -723,9 +708,6 @@ class SpMVEngine:
         -- it is prepared (auto-tuned, warm-started from ``plan_store``
         when set) and multiplied in one call.
 
-        ``backend`` overrides the engine's backend for this call only
-        (same bit-identical output, different execution strategy).
-
         With no fault plan and validation off (the default), this is the
         plain tuned execution.  Otherwise the multiply runs through the
         resilience layer: injection scope, output validation, and --
@@ -734,21 +716,16 @@ class SpMVEngine:
         """
         if not isinstance(prepared, PreparedMatrix):
             prepared = self.prepare(prepared)
-        bk = self._backend if backend is None else resolve_backend(backend)
         obs = self.observer
         with obs_scope(obs), obs.span(
             "engine.multiply",
             nnz=prepared.nnz,
             resilient=self._resilient,
-            backend=bk.name,
+            backend=self._backend.name,
         ) as sp:
             if not self._resilient:
-                result = bk.execute(
-                    prepared.fmt,
-                    x,
-                    self.device,
-                    prepared.config,
-                    reference=prepared.reference_csr,
+                result = self._backend.execute(
+                    prepared.fmt, x, self.device, prepared.config
                 )
                 breakdown = self._timing.estimate(result.stats)
                 out = SpMVResult(
@@ -758,8 +735,8 @@ class SpMVEngine:
                     nnz=prepared.nnz,
                 )
             else:
-                out = self._multiply_resilient(prepared, x, bk)
-            self._observe_result(sp, out, bk)
+                out = self._multiply_resilient(prepared, x)
+            self._observe_result(sp, out)
             return out
 
     # ------------------------------------------------------------------ #
@@ -767,15 +744,15 @@ class SpMVEngine:
     # ------------------------------------------------------------------ #
 
     def _multiply_resilient(
-        self, prepared: PreparedMatrix, x: np.ndarray, backend: ExecutionBackend
+        self, prepared: PreparedMatrix, x: np.ndarray
     ) -> SpMVResult:
         """Validating multiply with bounded retry and fallback chain.
 
         Handles both the vector (1-D ``x``) and the multi-RHS (2-D ``x``)
         cases; the fallback stages and validation are shared.  The tuned
-        stages run on ``backend``; the deep fallbacks (untuned rebuild,
-        CSR reference) always run on the faithful interpreter -- the
-        degraded path optimizes for trust, not speed.
+        stages run on the engine's backend; the deep fallbacks (untuned
+        rebuild, CSR reference) always run on the faithful interpreter --
+        the degraded path optimizes for trust, not speed.
         """
         plan = self.fault_plan
         csr = prepared.reference_csr()
@@ -855,7 +832,7 @@ class SpMVEngine:
                         self._sleep(delay)
             with obs.span("fallback.attempt", stage=stage, depth=depth) as stage_span:
                 result, record = self._attempt(
-                    stage, fmt, config, with_plan, prepared, csr, x, plan, backend
+                    stage, fmt, config, with_plan, prepared, csr, x, plan
                 )
                 stage_span.set(ok=record.ok, injected=len(record.injected))
                 if record.error:
@@ -918,7 +895,6 @@ class SpMVEngine:
         csr,
         x: np.ndarray,
         plan: FaultPlan | None,
-        backend: ExecutionBackend,
     ):
         """Run one fallback stage; returns ``(KernelResult | None, record)``."""
         active = plan if with_plan else None
@@ -943,14 +919,11 @@ class SpMVEngine:
                             rebuilt, x, self.device, config=config
                         )
                 elif multi:
-                    # The engine's own verify_output below is the arbiter,
-                    # so no reference is passed down (an auto backend
-                    # would only validate twice).
-                    kernel_result = backend.execute_multi(
+                    kernel_result = self._backend.execute_multi(
                         fmt, x, self.device, config
                     )
                 else:
-                    kernel_result = backend.execute(
+                    kernel_result = self._backend.execute(
                         fmt, x, self.device, config
                     )
         except ReproError as exc:
@@ -1060,8 +1033,6 @@ class SpMVEngine:
         self,
         prepared: PreparedMatrix | object,
         X: np.ndarray,
-        *,
-        backend: str | ExecutionBackend | None = None,
     ) -> SpMVResult:
         """SpMM extension: ``Y = A @ X`` for ``X`` of shape ``(ncols, k)``.
 
@@ -1085,22 +1056,17 @@ class SpMVEngine:
         if not isinstance(prepared, PreparedMatrix):
             prepared = self.prepare(prepared)
         X = self._coerce_rhs(X)
-        bk = self._backend if backend is None else resolve_backend(backend)
         obs = self.observer
         with obs_scope(obs), obs.span(
             "engine.multiply_many",
             nnz=prepared.nnz,
             n_rhs=int(np.asarray(X).shape[1]) if np.asarray(X).ndim == 2 else 1,
             resilient=self._resilient,
-            backend=bk.name,
+            backend=self._backend.name,
         ) as sp:
             if not self._resilient:
-                result = bk.execute_multi(
-                    prepared.fmt,
-                    X,
-                    self.device,
-                    prepared.config,
-                    reference=prepared.reference_csr,
+                result = self._backend.execute_multi(
+                    prepared.fmt, X, self.device, prepared.config
                 )
                 breakdown = self._timing.estimate(result.stats)
                 out = SpMVResult(
@@ -1110,8 +1076,8 @@ class SpMVEngine:
                     nnz=prepared.nnz * int(np.asarray(X).shape[1]),
                 )
             else:
-                out = self._multiply_resilient(prepared, X, bk)
-            self._observe_result(sp, out, bk)
+                out = self._multiply_resilient(prepared, X)
+            self._observe_result(sp, out)
             return out
 
     def update_values(
@@ -1152,7 +1118,7 @@ class SpMVEngine:
     def capabilities(self, prepared: PreparedMatrix | None = None) -> dict:
         """One JSON-able dict describing what this engine can do.
 
-        Covers the available/selected backends, the SpMM batch bound
+        Covers both backends and the selected one, the SpMM batch bound
         (for ``prepared`` when given, else the default-config estimate),
         and the active resilience configuration (policy, validation,
         retry, breaker, fault plan) -- the introspection protocol's
@@ -1178,8 +1144,8 @@ class SpMVEngine:
             "device": self.device.name,
             "backend": self._backend.name,
             "backends": {
-                name: bk.capabilities()
-                for name, bk in sorted(available_backends().items())
+                name: get_backend(name).capabilities()
+                for name in ("faithful", "fast")
             },
             "max_batch_width": int(batch_width),
             "policy": self.policy,
@@ -1229,9 +1195,7 @@ class SpMVEngine:
             kernel = self._kernel_multi
         return kernel.max_batch_width(fmt, self.device, prepared.config)
 
-    def _observe_result(
-        self, sp, result: SpMVResult, backend: ExecutionBackend
-    ) -> None:
+    def _observe_result(self, sp, result: SpMVResult) -> None:
         """Feed one multiply's profile to the observer (span + metrics)."""
         obs = self.observer
         br = result.breakdown
@@ -1247,7 +1211,7 @@ class SpMVEngine:
         )
         obs.counter(
             "engine.multiplies", "multiply()/multiply_many() calls"
-        ).inc(backend=backend.name)
+        ).inc(backend=self._backend.name)
         obs.histogram(
             "engine.sim_time_s", "simulated execution time per multiply"
         ).observe(br.t_total)
@@ -1274,8 +1238,6 @@ class SpMVEngine:
         return BCCOOMatrix.from_scipy(csr, **kwargs)
 
 
-def yaspmv(
-    matrix, x, device: str | DeviceSpec = "gtx680", backend=None
-) -> np.ndarray:
+def yaspmv(matrix, x, device: str | DeviceSpec = "gtx680") -> np.ndarray:
     """One-shot convenience: auto-tuned SpMV, returns ``y = A @ x``."""
-    return SpMVEngine(device=device, backend=backend).multiply(matrix, x).y
+    return SpMVEngine(device=device).multiply(matrix, x).y

@@ -43,9 +43,9 @@ class KernelConfigError(ReproError):
 class BackendError(ReproError):
     """An execution backend was requested that does not exist.
 
-    Raised by :func:`repro.backends.resolve_backend` when a ``backend=``
-    spec names no registered backend; the message lists the available
-    names so callers can self-correct.
+    Raised by :func:`repro.backends.get_backend` (and so by
+    ``SpMVEngine(backend=...)``) for a name other than ``"faithful"`` or
+    ``"fast"``; the message lists the available names.
     """
 
 

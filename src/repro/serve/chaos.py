@@ -277,7 +277,6 @@ def run_chaos_drill(
     device: str = "gtx680",
     require_failover: bool | None = None,
     observer=None,
-    backend: str | None = None,
     processes: bool = False,
     worker_hangs: int = 0,
     autoscale: bool | None = None,
@@ -290,10 +289,9 @@ def run_chaos_drill(
     detected-corrupt from the start.  ``require_failover`` defaults to
     "a kill or corruption was planned and more than one shard exists"
     -- the configurations in which a vacuous pass must be rejected.
-    ``backend`` selects the fabric shards' execution backend; the
-    pristine golden server always runs ``faithful``, so a drill under
-    ``backend="fast"`` doubles as a bit-identity check on the
-    vectorized path.
+    The fabric shards run the serve layer's default ``fast`` backend
+    while the pristine golden server runs ``faithful``, so every drill
+    doubles as a bit-identity check on the vectorized path.
 
     ``processes=True`` runs every shard as a forked worker process and
     re-targets the ``kills`` budget at **real SIGKILLs**
@@ -339,13 +337,8 @@ def run_chaos_drill(
     corrupt = {shards - 1 - c for c in range(min(corrupt_shards, shards))}
 
     def factory(index: int) -> SpMVEngine:
-        if index in corrupt:
-            engine = _CorruptEngine(device=device)
-        else:
-            engine = SpMVEngine(device=device)
-        if backend is not None:
-            engine.backend = backend
-        return engine
+        cls = _CorruptEngine if index in corrupt else SpMVEngine
+        return cls(device=device, backend="fast")
 
     if processes:
         # Real SIGKILLs instead of permanent shard crashes: the fleet
@@ -400,8 +393,6 @@ def run_chaos_drill(
             # segments instead of re-tuning, and supervisor restarts
             # re-warm from the same handles.
             prep_engine = SpMVEngine(device=device)
-            if backend is not None:
-                prep_engine.backend = backend
             seen: set[int] = set()
             for A, _, _ in work:
                 if id(A) in seen:

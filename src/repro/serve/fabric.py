@@ -281,8 +281,8 @@ class ServeFabric:
         shards special engines (the chaos drill builds one *corrupted*
         shard this way).  Default builds
         ``SpMVEngine(device=device, backend="fast")`` per shard (the
-        bit-identical vectorized path; pass a factory or ``backend=``
-        to choose differently).
+        bit-identical vectorized path; pass a factory to choose
+        differently).
     serve_config:
         Per-shard :class:`ServeConfig` (shards always run threadless
         under the fabric's pump; ``batch_window_s`` is forced to 0).
@@ -300,11 +300,6 @@ class ServeFabric:
         replays when ``base_delay_s > 0``).
     observer:
         Receives ``fabric.*`` and all shard-level ``serve.*`` telemetry.
-    backend:
-        Optional :mod:`repro.backends` selection (name or instance)
-        installed on every shard engine -- including engines a custom
-        ``engine_factory`` built, so one flag switches the whole
-        fabric's execution path.  ``None`` leaves the engines untouched.
     start:
         ``True`` starts the pump thread; ``False`` runs threadless --
         callers drive with :meth:`drain` (the deterministic drill mode).
@@ -340,7 +335,6 @@ class ServeFabric:
         default_tenant: TenantPolicy | None = None,
         retry_policy: RetryPolicy | None = None,
         observer=None,
-        backend=None,
         start: bool = True,
         clock=time.monotonic,
         processes: bool = False,
@@ -377,7 +371,6 @@ class ServeFabric:
                 lambda i: SpMVEngine(device=device, backend="fast")
             )
         self._engine_factory = engine_factory
-        self._backend = backend
         self._observer = observer
         self._processes = processes
         self._worker_config = worker_config
@@ -444,8 +437,6 @@ class ServeFabric:
     def _spawn_shard(self, index: int) -> _Shard:
         """Build one shard (in-process or worker-process, per config)."""
         engine = self._engine_factory(index)
-        if self._backend is not None:
-            engine.backend = self._backend
         name = f"shard-{index}"
         if self._processes:
             server = ProcessShard(

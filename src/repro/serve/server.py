@@ -259,12 +259,6 @@ class SpMVServer:
         to the engine's observer; when given explicitly it is also
         installed on the engine so serve- and engine-level telemetry
         land in one tracer.
-    backend:
-        Optional :mod:`repro.backends` selection (name or instance)
-        installed on the engine -- the serve-layer spelling of
-        ``SpMVEngine(backend=...)``, so callers who only hold a server
-        can still pick the execution path.  ``None`` leaves the
-        engine's backend untouched.
     start:
         ``True`` (default) starts the background dispatcher thread.
         ``False`` runs threadless: callers submit and then invoke
@@ -282,17 +276,12 @@ class SpMVServer:
         retry_policy: RetryPolicy | None = None,
         breaker: CircuitBreaker | None = None,
         observer=None,
-        backend=None,
         start: bool = True,
         clock=time.monotonic,
     ):
         self.engine = (
             engine if engine is not None else SpMVEngine(backend="fast")
         )
-        if backend is not None:
-            # Same install pattern as the observer: the engine is the
-            # single execution authority, the server just configures it.
-            self.engine.backend = backend
         self.config = config if config is not None else ServeConfig()
         if retry_policy is not None and not isinstance(retry_policy, RetryPolicy):
             raise ValidationError(

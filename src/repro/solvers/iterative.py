@@ -8,12 +8,11 @@ behind **one surface**:
     solve(A, b, method="cg" | "bicgstab" | "gmres" | "jacobi", ...)
 
 with keyword-only options mirroring :class:`~repro.SpMVEngine`
-(``backend=``, ``observer=``, ``fault_plan=``, ``retry_policy=``,
-``deadline=``) plus ``server=`` to stream every iteration's multiply
-through an :class:`~repro.serve.SpMVServer` or
-:class:`~repro.serve.ServeFabric` (admission control, quotas, failover
-and the value-aware cache all apply; see
-:class:`~repro.solvers.SolverSession`).  The per-method functions
+(``observer=``, ``fault_plan=``, ``retry_policy=``, ``deadline=``) plus
+``server=`` to stream every iteration's multiply through an
+:class:`~repro.serve.SpMVServer` or :class:`~repro.serve.ServeFabric`
+(admission control, quotas, failover and the value-aware cache all
+apply; see :class:`~repro.solvers.SolverSession`).  The per-method functions
 (:func:`conjugate_gradient`, :func:`bicgstab`, :func:`gmres`,
 :func:`jacobi`) are thin wrappers delegating to :func:`solve`.
 
@@ -154,7 +153,6 @@ def solve(
     max_iter: int = 10_000,
     restart: int = 30,
     engine: SpMVEngine | None = None,
-    backend=None,
     observer=None,
     fault_plan=None,
     retry_policy=None,
@@ -179,13 +177,14 @@ def solve(
         (diagonally dominant).
     restart:
         GMRES restart length ``m`` (ignored by the other methods).
-    engine, backend, observer, fault_plan, retry_policy:
+    engine, observer, fault_plan, retry_policy:
         Execution options mirroring :class:`~repro.SpMVEngine`.  With no
-        ``engine``/``server``, a permissive engine is built from them
-        (the solver's default degrades gracefully through the fallback
-        chain; pass your own engine for strict semantics).  With an
-        explicit engine or server, any option given here is installed on
-        that engine -- the serve layer's install pattern.
+        ``engine``/``server``, a permissive engine on the default
+        backend is built from them (the solver's default degrades
+        gracefully through the fallback chain; pass your own engine for
+        strict semantics or the ``fast`` backend).  With an explicit
+        engine or server, any option given here is installed on that
+        engine -- the serve layer's install pattern.
     deadline:
         Wall-clock budget in seconds (or a :class:`~repro.fault.
         Deadline`); on expiry the best-so-far ``x`` is returned with
@@ -212,7 +211,6 @@ def solve(
         if not isinstance(A, PreparedMatrix):
             engine = SpMVEngine(
                 policy="permissive",
-                backend=backend,
                 observer=observer,
                 fault_plan=fault_plan,
                 retry_policy=retry_policy,
@@ -225,8 +223,6 @@ def solve(
                 if hasattr(server, "engine")
                 else server.shards[0].engine
             )
-        if backend is not None:
-            target.backend = backend
         if observer is not None:
             target.observer = observer
         if fault_plan is not None:

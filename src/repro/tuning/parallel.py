@@ -53,6 +53,7 @@ import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+from ..backends import get_backend
 from ..errors import ReproError, TuningError, WorkerCrashError
 from ..fault.injection import active_plan
 from ..fault.retry import Deadline, RetryPolicy
@@ -187,7 +188,6 @@ def evaluate_candidates(
     crash_after: int | None = None,
     parent_pid: int | None = None,
     on_outcome=None,
-    backend: str = "faithful",
 ) -> list[CandidateOutcome]:
     """Evaluate candidates in order, mirroring the serial tuner loop.
 
@@ -198,18 +198,19 @@ def evaluate_candidates(
     the result partial).  ``crash_after`` is the ``tuner.worker_crash``
     injection point: the worker dies after that many candidates, losing
     its chunk.  ``on_outcome`` fires per completed candidate (the
-    serial checkpoint-journaling hook).  ``backend`` names the
-    :mod:`repro.backends` execution backend candidates are timed on --
-    the one they will serve on, so the speed ranking and the production
-    path agree.
+    serial checkpoint-journaling hook).
+
+    Candidates always run on the ``faithful`` interpreter: the ranking
+    reads only the simulated cost profile, which is identical on every
+    backend, and the interpreter keeps no per-format plan cache for
+    the losing candidates to fill.
     """
     # Imported here: repro.tuning.tuner imports this module at top
     # level; the deferred import breaks the cycle (and re-runs cheaply
     # in spawned workers).
-    from ..backends.base import get_backend
     from .tuner import Evaluation
 
-    exec_backend = get_backend(backend)
+    interpreter = get_backend("faithful")
     timing = TimingModel(device)
     nnz = int(csr.nnz)
     outcomes: list[CandidateOutcome] = []
@@ -241,7 +242,7 @@ def evaluate_candidates(
             continue
         plan_cache.get(point)  # compile (or reuse) the plan
         try:
-            result = exec_backend.execute(fmt, x, device, config=point.kernel)
+            result = interpreter.execute(fmt, x, device, config=point.kernel)
         except ReproError as exc:
             emit(
                 CandidateOutcome(
@@ -273,26 +274,23 @@ def evaluate_candidates(
 def _evaluate_chunk(payload) -> ChunkResult:
     """Worker entry point: evaluate one chunk with worker-local caches.
 
-    ``payload`` is ``(csr, x, device, items, compile_cost)`` optionally
-    followed by ``(deadline_s, crash_after, parent_pid, backend,
-    shared)`` -- the parent serializes the deadline as remaining seconds
-    (a ticking clock does not pickle) and the worker rebuilds it
+    ``payload`` is always ``(csr, x, device, items, compile_cost,
+    deadline_s, crash_after, parent_pid, shared)``.  The parent
+    serializes the deadline as remaining seconds (a ticking clock does
+    not pickle; ``None`` is unlimited) and the worker rebuilds it
     locally.  When ``shared`` is set, ``csr`` is ``None`` and the worker
     maps the operand out of the parent's :class:`SharedArena` instead of
     unpickling a private copy (zero-copy; the rebuilt CSR's buffers
     point straight at the shared pages).
     """
-    csr, x, device, items, compile_cost = payload[:5]
-    extras = payload[5:]
-    deadline_s = extras[0] if len(extras) > 0 else None
-    crash_after = extras[1] if len(extras) > 1 else None
-    parent_pid = extras[2] if len(extras) > 2 else None
-    backend = extras[3] if len(extras) > 3 else "faithful"
-    shared = extras[4] if len(extras) > 4 else None
+    (
+        csr, x, device, items, compile_cost,
+        deadline_s, crash_after, parent_pid, shared,
+    ) = payload
 
     arena = None
     attaches = 0
-    if csr is None and shared is not None:
+    if shared is not None:
         import scipy.sparse as sp
 
         from ..core.shm import SharedArena
@@ -319,7 +317,6 @@ def _evaluate_chunk(payload) -> ChunkResult:
             deadline=deadline,
             crash_after=crash_after,
             parent_pid=parent_pid,
-            backend=backend,
         )
         return ChunkResult(
             outcomes=outcomes,
@@ -362,7 +359,6 @@ def run_parallel(
     retry: RetryPolicy | None = None,
     on_chunk=None,
     report: ParallelReport | None = None,
-    backend: str = "faithful",
     share_operand: bool = False,
 ) -> list[CandidateOutcome]:
     """Fan chunks out over a pool; return outcomes in enumeration order.
@@ -374,8 +370,7 @@ def run_parallel(
     budget is spent the stragglers are evaluated serially in-process.
     ``on_chunk(ChunkResult)`` fires as each chunk completes (the
     checkpoint-journaling hook); ``report`` is filled in place with the
-    containment bookkeeping.  ``backend`` picks the execution backend
-    candidates are timed on; ``share_operand=True`` publishes the CSR's
+    containment bookkeeping.  ``share_operand=True`` publishes the CSR's
     buffers once in a :class:`~repro.core.shm.SharedArena` so every
     chunk payload carries a tiny descriptor instead of a pickled matrix
     copy -- workers map the same physical pages.
@@ -423,7 +418,6 @@ def run_parallel(
             deadline_s,
             crash_after,
             parent_pid,
-            backend,
             shared,
         )
 

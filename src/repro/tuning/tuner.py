@@ -3,7 +3,9 @@
 Mirrors the paper's framework (section 4): enumerate a (pruned or
 exhaustive) space of :class:`TuningPoint` candidates, "compile" each
 kernel through the plan cache, execute it on the simulated device, and
-rank by estimated execution time.  The tuner reports wall-clock spent,
+rank by estimated execution time.  Candidates always execute on the
+``faithful`` interpreter: the ranking reads only the cost profile, which
+every backend computes identically.  The tuner reports wall-clock spent,
 simulated compile time, cache statistics and the full evaluation history
 so the benchmark can reproduce the section 4 numbers (pruned-vs-optimal
 quality gap, tuning cost).
@@ -22,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..backends.base import get_backend
 from ..errors import DeadlineExceeded, ReproError, TuningError
 from ..fault.retry import Deadline, RetryPolicy
 from ..gpu.device import DeviceSpec
@@ -248,12 +249,6 @@ class AutoTuner:
         :class:`~repro.fault.RetryPolicy` governing pool rebuilds after
         worker crashes (parallel runs only); ``None`` uses the default
         (two rebuilds, then serial fallback).
-    backend:
-        Name of the :mod:`repro.backends` execution backend candidates
-        are timed on (default ``"faithful"``).  Tune on the backend the
-        prepared matrix will serve on, so the ranking and production
-        agree; the name (not the instance) crosses into worker
-        processes, which resolve it from their own registry.
     share_operand:
         Publish the CSR operand's buffers once in a
         :class:`~repro.core.shm.SharedArena` when fanning out
@@ -276,7 +271,6 @@ class AutoTuner:
         deadline: "Deadline | float | None" = None,
         checkpoint: "TuningCheckpoint | str | None" = None,
         retry: RetryPolicy | None = None,
-        backend: str = "faithful",
         share_operand: bool = False,
     ):
         if mode not in ("pruned", "exhaustive"):
@@ -305,13 +299,6 @@ class AutoTuner:
                 f"retry must be a RetryPolicy or None, got {type(retry).__name__}"
             )
         self.retry = retry
-        if not isinstance(backend, str):
-            raise TuningError(
-                "backend must be a backend *name* (it crosses process "
-                f"boundaries), got {type(backend).__name__}"
-            )
-        get_backend(backend)  # fail fast on unknown names
-        self.backend = backend
         self.share_operand = bool(share_operand)
 
     def tune(self, matrix, x: np.ndarray | None = None) -> TuningResult:
@@ -326,7 +313,6 @@ class AutoTuner:
             mode=self.mode,
             workers=self.workers,
             device=self.device.name,
-            backend=self.backend,
         ) as tune_span:
             csr = as_csr(matrix)
             if x is None:
@@ -379,7 +365,6 @@ class AutoTuner:
                             FormatCache(csr),
                             self.plan_cache,
                             deadline=deadline,
-                            backend=self.backend,
                         )
                 elif self.workers == 1:
                     # Serial with a checkpoint: evaluate against a
@@ -401,7 +386,6 @@ class AutoTuner:
                             local,
                             deadline=deadline,
                             on_outcome=checkpoint.append,
-                            backend=self.backend,
                         )
                     outcomes = sorted(
                         list(restored.values()) + new, key=lambda o: o.index
@@ -428,7 +412,6 @@ class AutoTuner:
                             retry=self.retry,
                             on_chunk=on_chunk,
                             report=report,
-                            backend=self.backend,
                             share_operand=self.share_operand,
                         )
                     # Workers compiled against throwaway caches; replay the

@@ -6,9 +6,6 @@ workgroup interpreter, so the sweep below covers formats x configs x
 matrix shapes x fault sites and compares with zero tolerance.  The cost
 model is part of the contract too: :class:`~repro.gpu.counters.
 KernelStats` is compared field by field.
-
-The ``auto`` backend's fallback discipline is tested by sabotaging the
-fast path and watching the ``backend.auto_fallbacks`` counter.
 """
 
 from __future__ import annotations
@@ -19,14 +16,12 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro import Observer, SpMVEngine, obs_scope
-from repro.backends import available_backends, get_backend
-from repro.backends.auto import AutoBackend
-from repro.errors import ReproError, TuningError
+from repro import SpMVEngine
+from repro.backends import FaithfulBackend, FastBackend, get_backend
+from repro.errors import ReproError
 from repro.fault import FaultPlan
 from repro.fault.injection import fault_scope
 from repro.gpu import get_device
-from repro.kernels.base import KernelResult
 from repro.tuning import TuningPoint
 
 DEVICE = get_device("gtx680")
@@ -172,83 +167,23 @@ class TestFaultDelegation:
             assert np.array_equal(ref, fast, equal_nan=True), site
 
 
-class TestAutoBackend:
-    def test_clean_run_uses_fast(self, random_matrix, rng):
-        A = random_matrix(nrows=90, ncols=90, seed=17)
-        engine = SpMVEngine(device=DEVICE, backend="auto")
-        prepared = engine.prepare(A, point=TuningPoint())
-        x = rng.standard_normal(90)
-        obs = Observer()
-        with obs_scope(obs):
-            res = engine.multiply(prepared, x)
-        np.testing.assert_allclose(res.y, A @ x, atol=1e-9)
-        # A clean run never touches the fallback counter.
-        assert obs.metrics.get("backend.auto_fallbacks") is None
-
-    def test_fallback_on_fast_error(self, random_matrix, rng, monkeypatch):
-        A = random_matrix(nrows=90, ncols=90, seed=18)
-        engine = SpMVEngine(device=DEVICE)
-        prepared = engine.prepare(A, point=TuningPoint())
-        x = rng.standard_normal(90)
-        auto = AutoBackend()
-        golden = get_backend("faithful").execute(
-            prepared.fmt, x, DEVICE, prepared.config
-        ).y
-
-        def boom(*args, **kwargs):
-            raise TuningError("sabotaged fast path")
-
-        monkeypatch.setattr(auto._fast, "execute", boom)
-        obs = Observer()
-        with obs_scope(obs):
-            res = auto.execute(prepared.fmt, x, DEVICE, prepared.config)
-        assert np.array_equal(res.y, golden)
-        counter = obs.metrics.get("backend.auto_fallbacks")
-        assert counter is not None
-        assert counter.value(reason="TuningError") == 1
-
-    def test_fallback_on_validator_mismatch(self, random_matrix, rng, monkeypatch):
-        A = random_matrix(nrows=90, ncols=90, seed=19)
-        engine = SpMVEngine(device=DEVICE)
-        prepared = engine.prepare(A, point=TuningPoint())
-        x = rng.standard_normal(90)
-        auto = AutoBackend()
-        faithful = get_backend("faithful")
-        golden = faithful.execute(prepared.fmt, x, DEVICE, prepared.config)
-
-        def corrupt(*args, **kwargs):
-            bad = golden.y.copy()
-            bad[0] += 1.0
-            return KernelResult(y=bad, stats=golden.stats)
-
-        monkeypatch.setattr(auto._fast, "execute", corrupt)
-        obs = Observer()
-        with obs_scope(obs):
-            res = auto.execute(
-                prepared.fmt, x, DEVICE, prepared.config,
-                reference=prepared.reference_csr(),
-            )
-        assert np.array_equal(res.y, golden.y)
-        assert obs.metrics.get("backend.auto_fallbacks").value(
-            reason="validator_mismatch"
-        ) == 1
-
-
 class TestRegistry:
-    def test_three_builtins(self):
-        names = set(available_backends())
-        assert {"faithful", "fast", "auto"} <= names
+    def test_two_builtins(self):
+        assert isinstance(get_backend("faithful"), FaithfulBackend)
+        assert isinstance(get_backend("fast"), FastBackend)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ReproError):
-            get_backend("warp_speed")
+        for name in ("warp_speed", "auto"):
+            with pytest.raises(ReproError):
+                get_backend(name)
 
-    def test_engine_per_call_override(self, random_matrix, rng):
+    def test_engine_backends_agree(self, random_matrix, rng):
         A = random_matrix(nrows=70, ncols=70, seed=23)
-        engine = SpMVEngine(device=DEVICE, backend="faithful")
-        prepared = engine.prepare(A, point=TuningPoint())
+        faithful = SpMVEngine(device=DEVICE, backend="faithful")
+        fast = SpMVEngine(device=DEVICE, backend="fast")
+        prepared = faithful.prepare(A, point=TuningPoint())
         x = rng.standard_normal(70)
-        base = engine.multiply(prepared, x)
-        fast = engine.multiply(prepared, x, backend="fast")
-        assert np.array_equal(base.y, fast.y)
-        assert engine.backend.name == "faithful"
+        base = faithful.multiply(prepared, x)
+        other = fast.multiply(prepared, x)
+        assert np.array_equal(base.y, other.y)
+        _assert_stats_equal(base.stats, other.stats)

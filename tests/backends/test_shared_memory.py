@@ -177,10 +177,9 @@ class TestTunerSharedOperand:
         obs = Observer()
         reset_shm_stats()
         parallel = AutoTuner(
-            DEVICE, workers=2, backend="fast", share_operand=True,
-            observer=obs,
+            DEVICE, workers=2, share_operand=True, observer=obs,
         ).tune(A)
-        serial = AutoTuner(DEVICE, backend="fast").tune(A)
+        serial = AutoTuner(DEVICE).tune(A)
 
         assert parallel.best.point == serial.best.point
         assert parallel.best.time_s == serial.best.time_s

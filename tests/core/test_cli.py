@@ -170,22 +170,29 @@ class TestServeCommand:
 
 
 class TestBackendFlag:
-    """--backend: shared across every engine-constructing subcommand."""
+    """--backend: only on the subcommands that build their own engine."""
 
-    @pytest.mark.parametrize(
-        "cmd", ["tune", "multiply", "profile", "verify", "serve", "chaos"]
-    )
+    @pytest.mark.parametrize("cmd", ["multiply", "profile", "verify", "serve"])
     def test_flag_exists_with_faithful_default(self, cmd):
         argv = {
             "serve": ["serve", "--requests", "x.jsonl"],
-            "chaos": ["chaos"],
         }.get(cmd, [cmd, "QCD"])
         args = build_parser().parse_args(argv)
         assert args.backend == "faithful"
 
-    def test_rejects_unknown_backend(self):
+    @pytest.mark.parametrize("cmd", ["tune", "chaos", "solve"])
+    def test_flag_absent_where_defaults_decide(self, cmd):
+        # tune ranks on the interpreter; chaos and solve use the
+        # fabric's and solve()'s defaults.
+        argv = {"chaos": ["chaos"]}.get(cmd, [cmd, "QCD"])
+        assert not hasattr(build_parser().parse_args(argv), "backend")
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["multiply", "QCD", "--backend", "warp"])
+            build_parser().parse_args(argv + ["--backend", "fast"])
+
+    def test_rejects_unknown_backend(self):
+        for name in ("warp", "auto"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["multiply", "QCD", "--backend", name])
 
     def test_multiply_fast_backend(self, capsys):
         assert main(

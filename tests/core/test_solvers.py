@@ -176,9 +176,10 @@ class TestSolveAPI:
         assert via_wrapper.method == via_solve.method == "cg"
 
     def test_backend_option_mirrors_engine(self):
+        # The backend is an engine option: pass an engine to choose it.
         A, b = spd_system()
-        res_fast = solve(A, b, backend="fast")
-        res_faithful = solve(A, b, backend="faithful")
+        res_fast = solve(A, b, engine=SpMVEngine(backend="fast"))
+        res_faithful = solve(A, b)
         assert np.array_equal(res_fast.x, res_faithful.x)
 
     def test_keep_iterates(self):
@@ -219,9 +220,9 @@ class TestRetryAccounting:
 
     def test_transient_fault_not_double_billed(self):
         A, b = spd_system()
-        clean = solve(A, b, method="cg", backend="faithful")
+        clean = solve(A, b, method="cg")
         faulted = solve(
-            A, b, method="cg", backend="faithful",
+            A, b, method="cg",
             fault_plan=FaultPlan.single("kernel.nan_partial", seed=1, count=1),
         )
         assert faulted.spmv_retries == 1
@@ -235,7 +236,7 @@ class TestRetryAccounting:
     def test_retries_surface_in_summary(self):
         A, b = spd_system()
         faulted = solve(
-            A, b, method="cg", backend="faithful",
+            A, b, method="cg",
             fault_plan=FaultPlan.single("kernel.nan_partial", seed=1, count=1),
         )
         assert "1 retries" in faulted.summary()

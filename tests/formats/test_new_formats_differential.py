@@ -1,7 +1,7 @@
 """Differential harness pinning the two new formats to the CSR fold.
 
 Merge-path CSR and RG-CSR join the cocktail under the same contract
-BCCOO ships with: every backend (``faithful``, ``fast``, ``auto``) must
+BCCOO ships with: both backends (``faithful`` and ``fast``) must
 produce output *bit-identical* (``np.array_equal``, zero tolerance) to
 the strict sequential per-row CSR fold, and therefore to BCCOO run on
 the same operand.  The sweep below covers
@@ -11,9 +11,9 @@ the same operand.  The sweep below covers
 where the matrix classes are scaled-down versions of the benchmark
 families (band, uniform dense rows, blocked band) plus the adversarial
 shapes from the backend corpus (hub row, empty rows, single column).
-Under an injected fault, fast and auto both delegate to the faithful
-interpreter, so all three backends must fail -- or corrupt -- the same
-way; that delegation is re-proven here for the new kernels' hook sites.
+Under an injected fault, fast delegates to the faithful interpreter, so
+both backends must fail -- or corrupt -- the same way; that delegation
+is re-proven here for the new kernels' hook sites.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.gpu import get_device
 from repro.kernels.config import YaSpMVConfig
 
 DEVICE = get_device("gtx680")
-BACKENDS = ["faithful", "fast", "auto"]
+BACKENDS = ["faithful", "fast"]
 FORMATS = [MergeCSRMatrix, RGCSRMatrix]
 
 #: Fault sites wired into the merge-path and row-grouped kernels:
@@ -213,15 +213,13 @@ class TestFaultDelegation:
                 except ReproError as exc:
                     return type(exc).__name__
 
-        ref = run("faithful")
-        for other in ("fast", "auto"):
-            got = run(other)
-            if isinstance(ref, str):
-                assert got == ref, f"{other} error mismatch on {site}"
-            else:
-                assert np.array_equal(ref, got, equal_nan=True), (
-                    f"{other} drifted under {site}"
-                )
+        ref, got = run("faithful"), run("fast")
+        if isinstance(ref, str):
+            assert got == ref, f"fast error mismatch on {site}"
+        else:
+            assert np.array_equal(ref, got, equal_nan=True), (
+                f"fast drifted under {site}"
+            )
 
     @pytest.mark.parametrize("fmt_cls", FORMATS, ids=lambda c: c.__name__)
     @pytest.mark.parametrize("site", FAULT_SITES)

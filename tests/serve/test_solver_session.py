@@ -45,7 +45,7 @@ class TestServedBitIdentity:
     )
     def test_server_matches_direct(self, backend, method, system):
         A, b = system()
-        direct = solve(A, b, method=method, backend=backend,
+        direct = solve(A, b, method=method, engine=SpMVEngine(backend=backend),
                        keep_iterates=True)
         server = SpMVServer(SpMVEngine(backend=backend), start=False)
         try:
@@ -107,9 +107,10 @@ class TestMidSolveFailover:
 
     def test_cg_under_crash_and_fast_backend(self):
         A, b = spd_system()
-        direct = solve(A, b, method="cg", backend="fast", keep_iterates=True)
+        direct = solve(A, b, method="cg", engine=SpMVEngine(backend="fast"),
+                       keep_iterates=True)
         plan = FaultPlan.parse("serve.shard_crash:p=0.5,count=1,seed=11")
-        fabric = ServeFabric(3, backend="fast", start=False)
+        fabric = ServeFabric(3, start=False)  # fast shards by default
         try:
             with fault_scope(plan):
                 served = solve(A, b, method="cg", server=fabric,
@@ -206,7 +207,8 @@ class TestSessionValueRefresh:
         A2 = (A * 2.0).tocsr()
         sess.update_values(A2)
         refreshed = sess.solve(b, method="cg", keep_iterates=True)
-        fresh = solve(A2, b, method="cg", backend="fast", keep_iterates=True)
+        fresh = solve(A2, b, method="cg", engine=SpMVEngine(backend="fast"),
+                      keep_iterates=True)
         assert_bit_identical(fresh, refreshed)
 
 
