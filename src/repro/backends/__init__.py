@@ -1,7 +1,9 @@
 """Execution backends: how a prepared format runs, never what it computes.
 
-``faithful`` interprets workgroup-by-workgroup (the paper's dataflow and
-every fault site); ``fast`` vectorizes across all workgroups at once.
+Both backends run the format's kernel launch; they differ only in the
+plan and summation core they hand it.  ``faithful`` builds its plan per
+call and sums like the interpreter (the paper's dataflow and every
+fault site); ``fast`` caches its plan and sums with vectorized cores.
 Both produce bit-identical output and identical cost profiles.  An
 engine picks one at construction (``SpMVEngine(backend=...)``); the
 auto-tuner always ranks candidates on ``faithful``.

@@ -10,8 +10,10 @@ backends, and so -- bit for bit -- does the output vector:
   sums over the bit-flag arrays, no per-workgroup Python) and is pinned
   bit-identical to ``faithful``.
 
-The two instances live in a fixed table behind
-:func:`repro.backends.get_backend`.
+Both run each format's launch through the same kernel, found in one
+format->kernel table (:func:`kernel_for`); a backend supplies only the
+launch plan and the summation core.  The two instances live in a fixed
+table behind :func:`repro.backends.get_backend`.
 """
 
 from __future__ import annotations
@@ -21,10 +23,35 @@ from typing import ClassVar
 
 import numpy as np
 
+from ..errors import KernelConfigError
+from ..formats.bccoo import BCCOOMatrix
+from ..formats.bccoo_plus import BCCOOPlusMatrix
+from ..formats.merge_csr import MergeCSRMatrix
+from ..formats.rgcsr import RGCSRMatrix
 from ..gpu.device import DeviceSpec
-from ..kernels.base import KernelResult
+from ..kernels.base import KernelResult, SpMVKernel, get_kernel
 
-__all__ = ["ExecutionBackend"]
+__all__ = ["ExecutionBackend", "kernel_for"]
+
+#: The kernel that runs each executable format; BCCOO+ runs on the BCCOO
+#: kernel, which folds its slices.
+_KERNELS: dict[type, SpMVKernel] = {
+    BCCOOMatrix: get_kernel("yaspmv"),
+    BCCOOPlusMatrix: get_kernel("yaspmv"),
+    MergeCSRMatrix: get_kernel("merge_csr"),
+    RGCSRMatrix: get_kernel("rgcsr"),
+}
+
+
+def kernel_for(fmt) -> SpMVKernel:
+    """The kernel whose launch executes ``fmt``."""
+    try:
+        return _KERNELS[type(fmt)]
+    except KeyError:
+        raise KernelConfigError(
+            f"no kernel executes {type(fmt).__name__}; executable formats: "
+            f"{', '.join(cls.__name__ for cls in _KERNELS)}"
+        ) from None
 
 
 class ExecutionBackend(abc.ABC):

@@ -1,19 +1,25 @@
-"""The fast backend: fully vectorized execution, bit-identical by design.
+"""The fast backend: a plan cache and vectorized summation cores.
 
-Instead of interpreting workgroup-by-workgroup, this backend runs the
-whole launch as a handful of NumPy array passes:
+Every launch runs in the format's kernel (``YaSpMVKernel``,
+``MergePathKernel``, ``RowGroupedKernel``) -- checks, decoding, BCCOO+
+slice fold, ``y`` scatter and cost profile are the same code
+``faithful`` runs.  This backend supplies the two inputs that make it
+fast:
 
-* launch-time state (the padded BCCOO arrays, the vector-gather index
-  map, the segment structure of the bit flags, the x-independent cost
-  profile) is built **once** per ``(format, config, device)`` and cached
-  on the format instance's lifetime (weak-keyed, so dropping the format
-  drops the plan);
-* per multiply, only the x-dependent work runs: one gather, one
-  ``einsum`` (the *same* call on the *same* cached arrays the faithful
-  kernel uses -- hence identical products), and one batched segmented
-  sum (:func:`repro.scan.batched_segment_sums`, whose ``np.bincount``
-  core adds the same weights into the same bins in the same element
-  order as the reference ``np.add.at`` -- hence identical sums).
+* a plan cache: each kernel's x-independent launch state (for BCCOO the
+  padded arrays, the vector-gather map, the segment structure of the bit
+  flags; for the stream formats the decoded rows / lane order) and its
+  cost profile are built **once** per ``(format, config)`` and cached on
+  the format instance's lifetime (weak-keyed, so dropping the format
+  drops the plan; a value refresh migrates it, see
+  :meth:`FastBackend.refresh_values`);
+* summation cores that replace the interpreter's per-workgroup loops: one
+  gather, one ``einsum`` (the *same* call on the *same* arrays the
+  faithful core uses -- hence identical products), and one batched
+  segmented sum (:func:`repro.scan.batched_segment_sums`, whose
+  ``np.bincount`` core adds the same weights into the same bins in the
+  same element order as the reference ``np.add.at`` -- hence identical
+  sums).
 
 For 1x1 blocks (the default point and the most common tuned winner) the
 gather/multiply/segment-sum pipeline collapses further into a single
@@ -42,29 +48,25 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
-from ..errors import KernelConfigError, ValidationError
 from ..fault.injection import active_plan
-from ..formats.bccoo import BCCOOMatrix
 from ..formats.bccoo_plus import BCCOOPlusMatrix
-from ..formats.merge_csr import MergeCSRMatrix
-from ..formats.rgcsr import RGCSRMatrix
-from ..gpu.caches import vector_read_traffic
+# Unused here; kept because perfbench/tracing.py patches this module's copy.
+from ..gpu.caches import vector_read_traffic  # noqa: F401
 from ..gpu.device import DeviceSpec
-from ..gpu.memory import stream_bytes
-from ..kernels.base import KernelResult
-from ..kernels.merge_path import MergePathKernel, merge_path_stats
-from ..kernels.row_grouped import RowGroupedKernel, row_grouped_stats
-from ..kernels.yaspmv import YaSpMMKernel, YaSpMVKernel
-from ..kernels.yaspmv_common import prepare
+from ..kernels.base import KernelResult, SpMVKernel
+from ..kernels.merge_path import MergePlan
+from ..kernels.row_grouped import RowGroupPlan
+from ..kernels.yaspmv import LaunchPlan, block_products
 from ..obs import active_observer
 from ..scan.batched import SegmentPlan, batched_segment_sums
-from .base import ExecutionBackend
+from .base import ExecutionBackend, kernel_for
 from .faithful import FaithfulBackend
 
-__all__ = ["FastBackend", "FastPlan", "MergePlan", "RowGroupPlan"]
+__all__ = ["FastBackend", "FastPlan", "FastMergePlan", "FastRowGroupPlan"]
 
 #: One-time probe result: does this SciPy build's CSR matvec reproduce
 #: the reference accumulation bit for bit?  ``None`` until probed.
@@ -108,84 +110,71 @@ def _fused_matvec_exact() -> bool:
     return _FUSED_EXACT
 
 
-class FastPlan:
-    """Cached x-independent launch state for one (format, config, device).
+class _Memo:
+    """Cost profiles memoized per plan, keyed by device (and batch width
+    for SpMM): they depend only on structure, the configuration and the
+    device, so they are computed once and carried over by value
+    refreshes.  Threads racing on a miss compute equal profiles;
+    ``setdefault`` keeps one."""
 
-    Everything here is what the faithful kernel recomputes per call:
-    the padded arrays, the gather map, the flag segment structure, the
-    scatter row map, and (lazily) the cost profile.
+    __slots__ = ()
+
+    def stats(self, fmt, device: DeviceSpec):
+        profile = self._profiles.get(device.name)
+        if profile is None:
+            profile = self._profiles.setdefault(
+                device.name, super().stats(fmt, device)
+            )
+        return replace(profile)
+
+
+class FastPlan(_Memo, LaunchPlan):
+    """A cached :class:`~repro.kernels.yaspmv.LaunchPlan` for one
+    (format, config), with the segment structure of its flags and, for
+    1x1 blocks, the fused CSR of its segments.
 
     A plan holds no reference to its format: the backend caches it under
     a weak reference to the format, which a strong one would pin for the
-    life of the process.  ``padded.fmt`` is therefore ``None``, and the
-    cost-profile methods take the format from the caller.
+    life of the process.  ``padded.fmt`` is therefore ``None``.
     """
 
-    __slots__ = (
-        "padded",
-        "safe",
-        "invalid",
-        "gather_flat",
-        "segplan",
-        "rows",
-        "row_stop_mismatch",
-        "fused",
-        "_stats",
-        "_multi_stats",
-        "_lock",
-    )
+    __slots__ = ("segplan", "fused", "_profiles")
 
-    def __init__(self, fmt: BCCOOMatrix, cfg, kernel: YaSpMVKernel):
-        padded = replace(prepare(fmt, cfg), fmt=None)
-        w = fmt.block_width
-        base = padded.cols * w
-        gather = base[:, None] + np.arange(w, dtype=np.int64)[None, :]
-        valid = gather < fmt.ncols
-        self.padded = padded
-        self.safe = np.where(valid, gather, 0)
-        # Edge/padding blocks multiply zero values; when every gather is
-        # in range (the common 1-wide-block case) skip the mask entirely.
-        self.invalid = None if valid.all() else ~valid
-        self.gather_flat = self.safe.ravel()
-        self.segplan = SegmentPlan(padded.stops)
-        n_closed = self.segplan.n_closed
-        self.rows = fmt.nonempty_block_rows[:n_closed]
-        self.row_stop_mismatch = n_closed != fmt.nonempty_block_rows.shape[0]
+    def __init__(self, fmt, cfg):
+        super().__init__(fmt, cfg)
+        self.padded = replace(self.padded, fmt=None)
+        self.segplan = SegmentPlan(self.padded.stops)
         # 1x1 blocks: fold gather+multiply+segment-sum into one CSR
         # matvec over a segment-rowed remap (see module docstring).
         self.fused = None
-        if (
-            fmt.block_height == 1
-            and fmt.block_width == 1
-            and _fused_matvec_exact()
-        ):
+        if fmt.block_height == 1 and fmt.block_width == 1 and _fused_matvec_exact():
             import scipy.sparse as sp
 
-            data = np.ascontiguousarray(padded.values[:, 0, 0])
-            if self.invalid is not None:
-                # The faithful path multiplies these lanes by a zeroed
-                # gather; zeroing the data keeps the products zero here.
-                data = np.where(self.invalid.ravel(), 0.0, data)
             indptr = np.searchsorted(
                 self.segplan.ids, np.arange(self.segplan.n_segments + 1)
             )
             self.fused = sp.csr_matrix(
-                (data, self.gather_flat, indptr),
+                (self._fused_data(), self.gather_flat, indptr),
                 shape=(self.segplan.n_segments, fmt.ncols),
             )
-        self._stats = None
-        self._multi_stats: dict[int, object] = {}
-        self._lock = threading.Lock()
+        self._profiles = {}
 
-    def derive(self, new_fmt: BCCOOMatrix) -> "FastPlan":
+    def _fused_data(self) -> np.ndarray:
+        data = np.ascontiguousarray(self.padded.values[:, 0, 0])
+        if self.invalid is not None:
+            # The faithful path multiplies these lanes by a zeroed
+            # gather; zeroing the data keeps the products zero here.
+            data = np.where(self.invalid.ravel(), 0.0, data)
+        return data
+
+    def derive(self, new_fmt) -> "FastPlan":
         """Plan for a value-only rebuild of this plan's format.
 
         ``new_fmt`` shares the structural arrays (flags, columns, row
-        map) with the original, so the gather map, segment plan, scatter
-        rows and the x-independent cost profile all carry over by
-        identity; only the padded value payload (and the fused CSR's
-        data vector) is rebuilt -- the whole point of the incremental
-        re-prepare path.
+        map) with the original, so the gather map, segment plan and the
+        cost profiles all carry over by identity; only the padded value
+        payload (and the fused CSR's data vector) is rebuilt -- the
+        whole point of the incremental re-prepare path.
         """
         clone = object.__new__(FastPlan)
         values = np.zeros_like(self.padded.values)
@@ -195,123 +184,52 @@ class FastPlan:
         clone.invalid = self.invalid
         clone.gather_flat = self.gather_flat
         clone.segplan = self.segplan
-        clone.rows = self.rows
-        clone.row_stop_mismatch = self.row_stop_mismatch
         clone.fused = None
         if self.fused is not None:
             import scipy.sparse as sp
 
-            data = np.ascontiguousarray(values[:, 0, 0])
-            if self.invalid is not None:
-                data = np.where(self.invalid.ravel(), 0.0, data)
             clone.fused = sp.csr_matrix(
-                (data, self.fused.indices, self.fused.indptr),
+                (clone._fused_data(), self.fused.indices, self.fused.indptr),
                 shape=self.fused.shape,
             )
-        # Cost profiles depend only on structure -- share them.
-        clone._stats = self._stats
-        clone._multi_stats = dict(self._multi_stats)
-        clone._lock = threading.Lock()
+        clone._profiles = dict(self._profiles)
         return clone
 
-    def stats(self, kernel: YaSpMVKernel, device: DeviceSpec, fmt: BCCOOMatrix):
-        """The (x-independent) cost profile, computed once, copied out."""
-        if self._stats is None:
-            with self._lock:
-                if self._stats is None:
-                    self._stats = kernel._stats(
-                        replace(self.padded, fmt=fmt),
-                        self.gather_flat,
-                        device,
-                        self.padded.config,
-                    )
-        return replace(self._stats)
-
-    def multi_stats(
-        self, kernel: YaSpMVKernel, device: DeviceSpec, fmt: BCCOOMatrix, k: int
-    ):
-        """SpMM cost profile for batch width ``k`` (cached per ``k``)."""
-        cached = self._multi_stats.get(k)
-        if cached is None:
-            single = self.stats(kernel, device, fmt)
-            cfg = self.padded.config
-            vec_dram, vec_cached = vector_read_traffic(
-                self.gather_flat,
-                cfg.value_bytes * k,
-                cache_bytes=device.tex_cache_bytes,
-                line_bytes=device.tex_line_bytes,
-                use_cache=cfg.use_texture,
+    def multi_stats(self, fmt, device: DeviceSpec, k: int):
+        key = (device.name, k)
+        profile = self._profiles.get(key)
+        if profile is None:
+            profile = self._profiles.setdefault(
+                key, super().multi_stats(fmt, device, k)
             )
-            base_vec_dram, base_vec_cached = vector_read_traffic(
-                self.gather_flat,
-                cfg.value_bytes,
-                cache_bytes=device.tex_cache_bytes,
-                line_bytes=device.tex_line_bytes,
-                use_cache=cfg.use_texture,
-            )
-            n_stops = int(self.padded.stops.sum())
-            h = fmt.block_height
-            write_delta = (k - 1) * stream_bytes(
-                n_stops * h, cfg.value_bytes, device.transaction_bytes
-            )
-            single.dram_read_bytes += vec_dram - base_vec_dram
-            single.cached_read_bytes += vec_cached - base_vec_cached
-            single.dram_write_bytes += write_delta
-            single.flops *= k
-            single.shared_mem_per_workgroup *= k
-            if single.shared_mem_per_workgroup > device.max_shared_mem_per_workgroup:
-                raise KernelConfigError(
-                    f"k={k} needs {single.shared_mem_per_workgroup} B shared "
-                    f"memory per workgroup; {device.name} allows "
-                    f"{device.max_shared_mem_per_workgroup}"
-                )
-            with self._lock:
-                self._multi_stats[k] = single
-            cached = single
-        return replace(cached)
+        return replace(profile)
 
 
-class MergePlan:
-    """Cached x-independent launch state for one merge-path CSR format.
+class FastMergePlan(_Memo, MergePlan):
+    """A cached :class:`~repro.kernels.merge_path.MergePlan`.
 
-    The per-element row ids are the only derived array the faithful
-    kernel recomputes per call; ``np.bincount`` over them adds the same
-    products into the same rows in the same stream order as the team
-    loop's ``np.add.at`` (both are strictly sequential), so the fused
-    single pass is bit-identical by construction.
+    ``np.bincount`` over its decoded rows adds the products into the
+    same rows in the same stream order as the team loop's
+    ``np.add.at`` (both are strictly sequential, carries included), so
+    the fused single pass is bit-identical by construction.
     """
 
-    __slots__ = ("rows", "_stats", "_lock")
+    __slots__ = ("_profiles",)
 
-    def __init__(self, fmt: MergeCSRMatrix):
-        self.rows = np.repeat(
-            np.arange(fmt.nrows, dtype=np.int64), np.diff(fmt.row_ptr)
-        )
-        self._stats = {}
-        self._lock = threading.Lock()
+    def __init__(self, fmt, cfg):
+        super().__init__(fmt, cfg)
+        self._profiles = {}
 
-    def derive(self, new_fmt: MergeCSRMatrix) -> "MergePlan":
+    def derive(self, new_fmt) -> "FastMergePlan":
         """Plan for a value-only rebuild: everything carries over."""
-        clone = object.__new__(MergePlan)
-        clone.rows = self.rows
-        clone._stats = dict(self._stats)
-        clone._lock = threading.Lock()
+        clone = object.__new__(FastMergePlan)
+        clone.cfg, clone.cols, clone.rows = self.cfg, self.cols, self.rows
+        clone._profiles = dict(self._profiles)
         return clone
 
-    def stats(self, fmt: MergeCSRMatrix, device: DeviceSpec, cfg):
-        key = (cfg, device.name)
-        cached = self._stats.get(key)
-        if cached is None:
-            with self._lock:
-                cached = self._stats.get(key)
-                if cached is None:
-                    cached = merge_path_stats(fmt, device, cfg)
-                    self._stats[key] = cached
-        return replace(cached)
 
-
-class RowGroupPlan:
-    """Cached x-independent launch state for one RG-CSR format.
+class FastRowGroupPlan(_Memo, RowGroupPlan):
+    """A cached :class:`~repro.kernels.row_grouped.RowGroupPlan`.
 
     ``order`` lists the valid lane slots in CSR element order (row by
     row, lane ascending); ``row_ids`` repeats each packed row's original
@@ -320,9 +238,10 @@ class RowGroupPlan:
     sequence of the faithful kernel's per-group lane loop.
     """
 
-    __slots__ = ("order", "row_ids", "_stats", "_lock")
+    __slots__ = ("order", "row_ids", "_profiles")
 
-    def __init__(self, fmt: RGCSRMatrix):
+    def __init__(self, fmt, cfg):
+        super().__init__(fmt, cfg)
         chunks = []
         for g in range(fmt.n_groups):
             r0 = int(fmt.group_row_offsets[g])
@@ -340,28 +259,40 @@ class RowGroupPlan:
             np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
         )
         self.row_ids = np.repeat(fmt.row_perm, fmt.row_lengths)
-        self._stats = {}
-        self._lock = threading.Lock()
+        self._profiles = {}
 
-    def derive(self, new_fmt: RGCSRMatrix) -> "RowGroupPlan":
+    def derive(self, new_fmt) -> "FastRowGroupPlan":
         """Plan for a value-only rebuild: everything carries over."""
-        clone = object.__new__(RowGroupPlan)
-        clone.order = self.order
-        clone.row_ids = self.row_ids
-        clone._stats = dict(self._stats)
-        clone._lock = threading.Lock()
+        clone = object.__new__(FastRowGroupPlan)
+        clone.cfg, clone.cols, clone.mask = self.cfg, self.cols, self.mask
+        clone.order, clone.row_ids = self.order, self.row_ids
+        clone._profiles = dict(self._profiles)
         return clone
 
-    def stats(self, fmt: RGCSRMatrix, device: DeviceSpec, cfg):
-        key = (cfg, device.name)
-        cached = self._stats.get(key)
-        if cached is None:
-            with self._lock:
-                cached = self._stats.get(key)
-                if cached is None:
-                    cached = row_grouped_stats(fmt, device, cfg)
-                    self._stats[key] = cached
-        return replace(cached)
+
+def _segment_sums(plan: FastPlan, X: np.ndarray) -> np.ndarray:
+    """Per-row-stop sums: the probe-gated fused CSR product for 1x1
+    blocks, else block products plus bincount segmented sums."""
+    if plan.fused is not None:
+        return (plan.fused @ X)[: plan.segplan.n_closed]
+    contribs = block_products(plan, X)
+    return batched_segment_sums(
+        contribs.reshape(plan.padded.nb_padded, -1), plan.segplan
+    )
+
+
+def _merge_sums(plan: FastMergePlan, fmt, x: np.ndarray) -> np.ndarray:
+    """Merge-path CSR as one pass: the team loop's products, added in
+    stream order."""
+    prods = fmt.values * x[plan.cols]
+    return np.bincount(plan.rows, weights=prods, minlength=fmt.nrows)
+
+
+def _lane_sums(plan: FastRowGroupPlan, fmt, x: np.ndarray) -> np.ndarray:
+    """RG-CSR as one pass over the CSR-ordered lane stream."""
+    slots = plan.order
+    prods = fmt.values[slots] * x[plan.cols[slots]]
+    return np.bincount(plan.row_ids, weights=prods, minlength=fmt.nrows)
 
 
 class FastBackend(ExecutionBackend):
@@ -370,16 +301,17 @@ class FastBackend(ExecutionBackend):
     name = "fast"
 
     def __init__(self):
-        self._kernel = YaSpMVKernel()
-        self._kernel_multi = YaSpMMKernel()
-        self._merge = MergePathKernel()
-        self._rg = RowGroupedKernel()
         self._faithful = FaithfulBackend()
-        # fmt instance -> {(config, device.name): FastPlan}; weak-keyed
-        # so plans die with their format.
+        #: What this backend hands each kernel's launch, by kernel name:
+        #: a provider of its cached plan and its summation core.
+        self._cores = {
+            "yaspmv": (partial(self._plan_for, FastPlan), _segment_sums),
+            "merge_csr": (partial(self._plan_for, FastMergePlan), _merge_sums),
+            "rgcsr": (partial(self._plan_for, FastRowGroupPlan), _lane_sums),
+        }
+        # fmt instance -> {config: plan}; weak-keyed so plans die with
+        # their format.
         self._plans = weakref.WeakKeyDictionary()
-        # fmt instance -> MergePlan / RowGroupPlan (config-independent).
-        self._stream_plans = weakref.WeakKeyDictionary()
         self._plans_lock = threading.Lock()
         #: Plans migrated through :meth:`refresh_values` (value swaps
         #: that reused a gather/segment plan instead of re-deriving it).
@@ -389,90 +321,36 @@ class FastBackend(ExecutionBackend):
     # Plan cache
     # ------------------------------------------------------------------ #
 
-    def _plan_for(self, fmt: BCCOOMatrix, cfg, device: DeviceSpec) -> FastPlan:
-        key = (cfg, device.name)
-        try:
-            per_fmt = self._plans.get(fmt)
-        except TypeError:  # non-weakrefable format: build transient plan
-            return FastPlan(fmt, cfg, self._kernel)
-        if per_fmt is not None:
-            plan = per_fmt.get(key)
-            if plan is not None:
-                return plan
-        with self._plans_lock:
-            per_fmt = self._plans.setdefault(fmt, {})
-            plan = per_fmt.get(key)
-            if plan is None:
-                plan = FastPlan(fmt, cfg, self._kernel)
-                per_fmt[key] = plan
+    def _plan_for(self, cls, fmt, cfg):
+        per_fmt = self._plans.get(fmt)
+        plan = None if per_fmt is None else per_fmt.get(cfg)
+        if plan is None:
+            with self._plans_lock:
+                per_fmt = self._plans.setdefault(fmt, {})
+                plan = per_fmt.get(cfg)
+                if plan is None:
+                    plan = per_fmt[cfg] = cls(fmt, cfg)
         return plan
-
-    def _stream_plan_for(self, fmt):
-        try:
-            plan = self._stream_plans.get(fmt)
-        except TypeError:  # non-weakrefable: transient plan
-            plan = None
-            if isinstance(fmt, MergeCSRMatrix):
-                return MergePlan(fmt)
-            return RowGroupPlan(fmt)
-        if plan is not None:
-            return plan
-        with self._plans_lock:
-            plan = self._stream_plans.get(fmt)
-            if plan is None:
-                plan = (
-                    MergePlan(fmt)
-                    if isinstance(fmt, MergeCSRMatrix)
-                    else RowGroupPlan(fmt)
-                )
-                self._stream_plans[fmt] = plan
-        return plan
-
-    def _kernel_for(self, fmt):
-        """The interpreter kernel whose protocol this format speaks."""
-        if isinstance(fmt, MergeCSRMatrix):
-            return self._merge
-        if isinstance(fmt, RGCSRMatrix):
-            return self._rg
-        return self._kernel
 
     def plan_count(self) -> int:
         """Live cached plans (introspection/tests)."""
         with self._plans_lock:
-            return sum(len(d) for d in self._plans.values()) + len(
-                self._stream_plans
-            )
+            return sum(len(d) for d in self._plans.values())
 
     def refresh_values(self, old_fmt, new_fmt) -> int:
         """Migrate cached plans from ``old_fmt`` to its value-swapped twin.
 
-        Every plan cached for ``old_fmt`` is :meth:`FastPlan.derive`-d
-        onto ``new_fmt`` -- the gather map, segment plan and cost
-        profile carry over by identity, only the value payload is
-        re-padded.  The next multiply on ``new_fmt`` then hits the plan
-        cache instead of re-deriving the launch state.
+        Every plan cached for ``old_fmt`` is ``derive``-d onto
+        ``new_fmt`` -- the gather map, segment plan and cost profile
+        carry over by identity, only the value payload is re-padded.
+        The next multiply on ``new_fmt`` then hits the plan cache
+        instead of re-deriving the launch state.
         """
         if isinstance(old_fmt, BCCOOPlusMatrix) and isinstance(
             new_fmt, BCCOOPlusMatrix
         ):
             return self.refresh_values(old_fmt.stacked, new_fmt.stacked)
-        if isinstance(old_fmt, (MergeCSRMatrix, RGCSRMatrix)):
-            try:
-                plan = self._stream_plans.get(old_fmt)
-            except TypeError:
-                return 0
-            if plan is None:
-                return 0
-            with self._plans_lock:
-                if new_fmt not in self._stream_plans:
-                    self._stream_plans[new_fmt] = plan.derive(new_fmt)
-                    self.n_value_refreshes += 1
-                    return 1
-            return 0
-        try:
-            per_fmt = self._plans.get(old_fmt)
-        except TypeError:  # non-weakrefable format: nothing cached
-            return 0
+        per_fmt = self._plans.get(old_fmt)
         if not per_fmt:
             return 0
         migrated = 0
@@ -486,7 +364,7 @@ class FastBackend(ExecutionBackend):
         return migrated
 
     # ------------------------------------------------------------------ #
-    # SpMV
+    # Execution
     # ------------------------------------------------------------------ #
 
     def execute(
@@ -500,129 +378,8 @@ class FastBackend(ExecutionBackend):
         # to a cached plan, so route through the faithful interpreter.
         if active_plan() is not None:
             return self._faithful.execute(fmt, x, device, config)
-        kern = self._kernel_for(fmt)
-        cfg = kern._coerce_config(config)
-        obs = active_observer()
-        if not obs.enabled:
-            return self._execute(fmt, x, device, cfg)
-        with obs.span(
-            "backend.fast", format=type(fmt).__name__, workgroup_size=cfg.workgroup_size
-        ) as sp:
-            result = self._execute(fmt, x, device, cfg)
-            kern._observe(obs, sp, kern.name, result.stats)
-        return result
-
-    def _execute(self, fmt, x, device, cfg) -> KernelResult:
-        if isinstance(fmt, MergeCSRMatrix):
-            return self._execute_merge(fmt, x, device, cfg)
-        if isinstance(fmt, RGCSRMatrix):
-            return self._execute_rg(fmt, x, device, cfg)
-        if isinstance(fmt, BCCOOPlusMatrix):
-            inner = self._execute(fmt.stacked, x, device, cfg)
-            stride = fmt.padded_rows_per_slice
-            y_stacked = np.zeros(fmt.slice_count * stride, dtype=np.float64)
-            y_stacked[: inner.y.shape[0]] = inner.y
-            y = fmt.combine(y_stacked)
-            combine = self._kernel._combine_stats(fmt, device)
-            return KernelResult(y=y, stats=inner.stats.sequential(combine))
-        if not isinstance(fmt, BCCOOMatrix):
-            raise KernelConfigError(
-                f"yaspmv kernel needs a BCCOO/BCCOO+ matrix, got {type(fmt).__name__}"
-            )
-        self._kernel._check_workgroup(cfg.workgroup_size, device)
-        self._kernel._check_resources(fmt, device, cfg)
         x = np.asarray(x, dtype=np.float64).ravel()
-        if x.shape[0] != fmt.ncols:
-            raise KernelConfigError(
-                f"vector length {x.shape[0]} != matrix columns {fmt.ncols}"
-            )
-        plan = self._plan_for(fmt, cfg, device)
-        if plan.row_stop_mismatch:
-            raise ValidationError(
-                f"bit flags encode {plan.segplan.n_closed} row stops but the "
-                f"row map holds {fmt.nonempty_block_rows.shape[0]}",
-                check="row_stop_count",
-            )
-
-        if plan.fused is not None:
-            per_stop = (plan.fused @ x)[: plan.segplan.n_closed].reshape(-1, 1)
-        else:
-            xg = x[plan.safe]
-            if plan.invalid is not None:
-                xg[plan.invalid] = 0.0
-            contribs = np.einsum("bhw,bw->bh", plan.padded.values, xg)
-            per_stop = batched_segment_sums(contribs, plan.segplan)
-
-        h = fmt.block_height
-        y_full = np.zeros(fmt.n_block_rows * h, dtype=np.float64)
-        if per_stop.shape[0]:
-            y_full.reshape(-1, h)[plan.rows] = per_stop
-        y = y_full[: fmt.nrows]
-        return KernelResult(y=y, stats=plan.stats(self._kernel, device, fmt))
-
-    def _check_vector(self, fmt, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64).ravel()
-        if x.shape[0] != fmt.ncols:
-            raise KernelConfigError(
-                f"vector length {x.shape[0]} != matrix columns {fmt.ncols}"
-            )
-        return x
-
-    def _execute_merge(self, fmt, x, device, cfg) -> KernelResult:
-        """Merge-path CSR as one fused pass.
-
-        ``prods`` is the identical elementwise expression the faithful
-        team loop evaluates, and ``np.bincount`` adds those products in
-        stream order -- the same addition sequence as the team-ordered
-        ``np.add.at`` (carries included), hence bit-identical output.
-        """
-        self._merge._check_workgroup(cfg.workgroup_size, device)
-        x = self._check_vector(fmt, x)
-        plan = self._stream_plan_for(fmt)
-        prods = fmt.values * x[fmt.col_index]
-        y = np.bincount(plan.rows, weights=prods, minlength=fmt.nrows)
-        return KernelResult(y=y, stats=plan.stats(fmt, device, cfg))
-
-    def _execute_rg(self, fmt, x, device, cfg) -> KernelResult:
-        """RG-CSR as one fused pass over the CSR-ordered lane stream.
-
-        ``plan.order`` visits each row's valid lanes in ascending lane
-        order, so the bincount folds every row exactly as the faithful
-        kernel's per-group lane loop does.
-        """
-        self._rg._check_workgroup(cfg.workgroup_size, device)
-        x = self._check_vector(fmt, x)
-        plan = self._stream_plan_for(fmt)
-        slots = plan.order
-        prods = fmt.values[slots] * x[fmt.col_index[slots]]
-        y = np.bincount(plan.row_ids, weights=prods, minlength=fmt.nrows)
-        return KernelResult(y=y, stats=plan.stats(fmt, device, cfg))
-
-    def _execute_stream_multi(self, fmt, X, device, cfg) -> KernelResult:
-        """SpMM for the stream formats: one fused pass per column,
-        stats chained exactly like the faithful ``run_multi`` loop."""
-        kern = self._kernel_for(fmt)
-        if X.shape[0] != fmt.ncols:
-            raise KernelConfigError(
-                f"X must have shape ({fmt.ncols}, k), got {X.shape}"
-            )
-        k = X.shape[1]
-        limit = kern.max_batch_width(fmt, device, cfg)
-        if k > limit:
-            raise KernelConfigError(
-                f"batch width {k} exceeds device limit {limit}"
-            )
-        Y = np.empty((fmt.nrows, k), dtype=np.float64)
-        stats = None
-        for j in range(k):
-            res = self._execute(fmt, X[:, j], device, cfg)
-            Y[:, j] = res.y
-            stats = res.stats if stats is None else stats.sequential(res.stats)
-        return KernelResult(y=Y, stats=stats)
-
-    # ------------------------------------------------------------------ #
-    # SpMM
-    # ------------------------------------------------------------------ #
+        return self._dispatch(fmt, x, device, config, "backend.fast")
 
     def execute_multi(
         self,
@@ -633,78 +390,24 @@ class FastBackend(ExecutionBackend):
     ) -> KernelResult:
         if active_plan() is not None:
             return self._faithful.execute_multi(fmt, X, device, config)
-        kern = self._kernel_for(fmt)
+        X = SpMVKernel._check_block(X)
+        return self._dispatch(fmt, X, device, config, "backend.fast_multi")
+
+    def _dispatch(self, fmt, X, device, config, span: str) -> KernelResult:
+        """Run the format's kernel launch on a cached plan and a fast core."""
+        kern = kernel_for(fmt)
         cfg = kern._coerce_config(config)
+        plan_for, sums = self._cores[kern.name]
         obs = active_observer()
         if not obs.enabled:
-            return self._execute_multi(fmt, X, device, cfg)
-        with obs.span("backend.fast_multi", format=type(fmt).__name__) as sp:
-            result = self._execute_multi(fmt, X, device, cfg)
-            label = "yaspmm" if kern is self._kernel else kern.name
+            return kern._launch(fmt, X, device, cfg, plan_for, sums)
+        label = "yaspmm" if X.ndim == 2 and kern.name == "yaspmv" else kern.name
+        with obs.span(
+            span, format=type(fmt).__name__, workgroup_size=cfg.workgroup_size
+        ) as sp:
+            result = kern._launch(fmt, X, device, cfg, plan_for, sums)
             kern._observe(obs, sp, label, result.stats)
         return result
-
-    def _execute_multi(self, fmt, X, device, cfg) -> KernelResult:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise KernelConfigError(
-                f"X must be 2-D (ncols, k), got shape {X.shape}"
-            )
-        k = X.shape[1]
-        if k < 1:
-            raise KernelConfigError("X needs at least one column")
-        if isinstance(fmt, (MergeCSRMatrix, RGCSRMatrix)):
-            return self._execute_stream_multi(fmt, X, device, cfg)
-        if isinstance(fmt, BCCOOPlusMatrix):
-            inner = self._execute_multi(fmt.stacked, X, device, cfg)
-            stride = fmt.padded_rows_per_slice
-            buf = np.zeros((fmt.slice_count * stride, k), dtype=np.float64)
-            buf[: inner.y.shape[0]] = inner.y
-            folded = buf.reshape(fmt.slice_count, stride, k).sum(axis=0)
-            y = folded[: fmt.nrows]
-            combine = self._kernel._combine_stats(fmt, device)
-            combine.dram_read_bytes *= k
-            combine.dram_write_bytes *= k
-            combine.flops *= k
-            return KernelResult(y=y, stats=inner.stats.sequential(combine))
-        if not isinstance(fmt, BCCOOMatrix):
-            raise KernelConfigError(
-                f"yaspmm kernel needs a BCCOO/BCCOO+ matrix, got {type(fmt).__name__}"
-            )
-        if X.shape[0] != fmt.ncols:
-            raise KernelConfigError(
-                f"X has {X.shape[0]} rows, matrix has {fmt.ncols} columns"
-            )
-        self._kernel._check_workgroup(cfg.workgroup_size, device)
-        self._kernel._check_resources(fmt, device, cfg)
-        plan = self._plan_for(fmt, cfg, device)
-        if plan.row_stop_mismatch:
-            raise ValidationError(
-                f"bit flags encode {plan.segplan.n_closed} row stops but the "
-                f"row map holds {fmt.nonempty_block_rows.shape[0]}",
-                check="row_stop_count",
-            )
-        # SpMM shared memory scales with k; surface the violation before
-        # doing the arithmetic, exactly like the faithful kernel.
-        stats = plan.multi_stats(self._kernel, device, fmt, k)
-
-        h = fmt.block_height
-        if plan.fused is not None:
-            per_stop = (plan.fused @ X)[: plan.segplan.n_closed]
-        else:
-            Xg = X[plan.safe]  # (nb, w, k)
-            if plan.invalid is not None:
-                Xg[plan.invalid] = 0.0
-            contribs = np.einsum("bhw,bwk->bhk", plan.padded.values, Xg)
-            nb_p = plan.padded.nb_padded
-            per_stop = batched_segment_sums(
-                contribs.reshape(nb_p, h * k), plan.segplan
-            )
-        Y_full = np.zeros((fmt.n_block_rows * h, k), dtype=np.float64)
-        if per_stop.shape[0]:
-            Y_full.reshape(-1, h, k)[plan.rows] = per_stop.reshape(-1, h, k)
-        y = Y_full[: fmt.nrows]
-        return KernelResult(y=y, stats=stats)
 
     def capabilities(self) -> dict:
         caps = super().capabilities()

@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ..backends import ExecutionBackend, get_backend
+from ..backends.base import kernel_for
 from ..errors import FaultInjectedError, ReproError, ValidationError
 from ..fault.injection import FaultPlan, fault_scope
 from ..fault.resilience import AttemptRecord, FailureReport
@@ -39,7 +40,6 @@ from ..gpu.device import DeviceSpec, get_device
 from ..gpu.timing import TimingBreakdown, TimingModel
 from ..kernels.base import get_kernel
 from ..kernels.config import YaSpMVConfig
-from ..kernels.yaspmv import YaSpMMKernel, YaSpMVKernel
 from ..obs import NULL_OBSERVER, obs_scope
 from ..tuning.cache import KernelPlanCache
 from ..tuning.persistence import TuningStore
@@ -164,54 +164,21 @@ class PreparedMatrix:
         from .shm import SharedArena
 
         csr = self.reference_csr()
-        if hasattr(self.fmt, "share_arrays"):
-            # Formats speaking the generic protocol (merge-path CSR,
-            # RG-CSR) name their own buffers.
-            arrays = dict(self.fmt.share_arrays())
-        else:
-            inner = (
-                self.fmt.stacked
-                if isinstance(self.fmt, BCCOOPlusMatrix)
-                else self.fmt
-            )
-            arrays = {
-                "flags.words": inner.flags.words,
-                "col_block": inner.col_block,
-                "values": inner.values,
-                "row_map": inner.nonempty_block_rows,
-            }
-            if inner.delta is not None:
-                arrays["delta.deltas"] = inner.delta.deltas
-                arrays["delta.start_cols"] = inner.delta.start_cols
-                arrays["delta.fallback"] = inner.delta.fallback
+        arrays = dict(self.fmt.share_arrays())
         arrays["csr.data"] = csr.data
         arrays["csr.indices"] = csr.indices
         arrays["csr.indptr"] = csr.indptr
-        arena = SharedArena.create(arrays)
-        self._adopt_views(arena, csr.shape)
+        self._adopt(SharedArena.create(arrays), self.fmt.shm_meta(), csr.shape)
         return self
 
-    def _adopt_views(self, arena, csr_shape) -> None:
-        """Point fmt/csr at the arena's zero-copy views."""
+    def _adopt(self, arena, fmt_meta: dict, csr_shape) -> None:
+        """Rebuild fmt and csr around the arena's zero-copy views."""
         from scipy import sparse as _sp
 
-        if hasattr(self.fmt, "from_shared"):
-            views = {k: arena.view(k) for k in self.fmt.share_arrays()}
-            self.fmt = type(self.fmt).from_shared(self.fmt.shm_meta(), views)
-        else:
-            inner = (
-                self.fmt.stacked
-                if isinstance(self.fmt, BCCOOPlusMatrix)
-                else self.fmt
-            )
-            inner.flags.words = arena.view("flags.words")
-            inner.col_block = arena.view("col_block")
-            inner.values = arena.view("values")
-            inner.nonempty_block_rows = arena.view("row_map")
-            if inner.delta is not None:
-                inner.delta.deltas = arena.view("delta.deltas")
-                inner.delta.start_cols = arena.view("delta.start_cols")
-                inner.delta.fallback = arena.view("delta.fallback")
+        from ..formats import get_format
+
+        views = {k: arena.view(k) for k in arena.keys() if not k.startswith("csr.")}
+        self.fmt = get_format(fmt_meta["format"]).from_shared(fmt_meta, views)
         self.csr = _sp.csr_matrix(
             (
                 arena.view("csr.data"),
@@ -247,31 +214,7 @@ class PreparedMatrix:
             return state
         state["arena_descriptor"] = self.arena.descriptor()
         state["csr_shape"] = tuple(self.csr.shape)
-        if hasattr(self.fmt, "shm_meta"):
-            # Generic-protocol formats carry their own scalar metadata
-            # (including a "format" discriminator for __setstate__).
-            state["fmt_meta"] = self.fmt.shm_meta()
-            return state
-        inner = self.fmt.stacked if isinstance(self.fmt, BCCOOPlusMatrix) else self.fmt
-        meta = {
-            "shape": tuple(inner.shape),
-            "block_height": inner.block_height,
-            "block_width": inner.block_width,
-            "col_storage": inner.col_storage,
-            "nnz": inner.nnz,
-            "flags_nbits": inner.flags.nbits,
-            "flags_n_valid": inner.flags.n_valid,
-            "delta_tile_size": (
-                inner.delta.tile_size if inner.delta is not None else None
-            ),
-        }
-        if isinstance(self.fmt, BCCOOPlusMatrix):
-            meta["plus"] = {
-                "shape": tuple(self.fmt.shape),
-                "slice_count": self.fmt.slice_count,
-                "slice_width": self.fmt.slice_width,
-            }
-        state["fmt_meta"] = meta
+        state["fmt_meta"] = self.fmt.shm_meta()
         return state
 
     def __setstate__(self, state):
@@ -284,53 +227,10 @@ class PreparedMatrix:
             self.fmt = state["fmt"]
             self.csr = state["csr"]
             return
-        from ..formats.bitflags import BitFlagArray
-        from ..formats.delta import DeltaColumns
         from .shm import SharedArena
 
         arena = SharedArena.attach(state["arena_descriptor"])
-        meta = state["fmt_meta"]
-        if "format" in meta:
-            from ..formats import get_format
-
-            cls = get_format(meta["format"])
-            views = {k: arena.view(k) for k in arena.keys() if not k.startswith("csr.")}
-            self.fmt = cls.from_shared(meta, views)
-            self._adopt_views(arena, state["csr_shape"])
-            return
-        flags = BitFlagArray(
-            words=arena.view("flags.words"),
-            nbits=meta["flags_nbits"],
-            n_valid=meta["flags_n_valid"],
-        )
-        delta = None
-        if meta["delta_tile_size"] is not None:
-            delta = DeltaColumns(
-                deltas=arena.view("delta.deltas"),
-                start_cols=arena.view("delta.start_cols"),
-                fallback=arena.view("delta.fallback"),
-                tile_size=meta["delta_tile_size"],
-            )
-        inner = BCCOOMatrix(
-            meta["shape"],
-            meta["block_height"],
-            meta["block_width"],
-            flags,
-            arena.view("col_block"),
-            arena.view("values"),
-            arena.view("row_map"),
-            meta["col_storage"],
-            delta,
-            meta["nnz"],
-        )
-        plus = meta.get("plus")
-        if plus is not None:
-            self.fmt = BCCOOPlusMatrix(
-                plus["shape"], inner, plus["slice_count"], plus["slice_width"]
-            )
-        else:
-            self.fmt = inner
-        self._adopt_views(arena, state["csr_shape"])
+        self._adopt(arena, state["fmt_meta"], state["csr_shape"])
 
     # -- the shared result protocol (see SpMVResult / TuningResult) ---- #
 
@@ -559,8 +459,6 @@ class SpMVEngine:
         self.validation_rtol = validation_rtol
         self.validation_atol = validation_atol
         self._backend = get_backend(backend)
-        self._kernel = YaSpMVKernel()
-        self._kernel_multi = YaSpMMKernel()
         self._timing = TimingModel(self.device)
         #: Backoff sleep between tuned retries; tests inject a recorder.
         self._sleep = time.sleep
@@ -905,27 +803,17 @@ class SpMVEngine:
                     # Trusted last resort: host-side CSR kernel, fault
                     # injection explicitly disabled.
                     kernel_result = self._csr_reference(csr, x)
-                elif fmt is None:
-                    # Untuned default point, rebuilt from the CSR source;
-                    # always faithful -- the degraded path stays on the
-                    # interpreter the fault model instruments.
-                    rebuilt = BCCOOMatrix.from_scipy(csr)
-                    if multi:
-                        kernel_result = self._kernel_multi.run_multi(
-                            rebuilt, x, self.device, config=config
-                        )
-                    else:
-                        kernel_result = self._kernel.run(
-                            rebuilt, x, self.device, config=config
-                        )
-                elif multi:
-                    kernel_result = self._backend.execute_multi(
-                        fmt, x, self.device, config
-                    )
                 else:
-                    kernel_result = self._backend.execute(
-                        fmt, x, self.device, config
-                    )
+                    backend = self._backend
+                    if fmt is None:
+                        # Untuned default point, rebuilt from the CSR
+                        # source; always faithful -- the degraded path
+                        # stays on the interpreter the fault model
+                        # instruments.
+                        fmt = BCCOOMatrix.from_scipy(csr)
+                        backend = get_backend("faithful")
+                    run = backend.execute_multi if multi else backend.execute
+                    kernel_result = run(fmt, x, self.device, config)
         except ReproError as exc:
             injected = active.drain_events() if active is not None else []
             return None, AttemptRecord(
@@ -1128,14 +1016,10 @@ class SpMVEngine:
         if prepared is not None:
             batch_width = self.max_batch_width(prepared)
         else:
-            # Default-config estimate: the SpMM shared-memory formula
-            # needs only the block height (1 for the default point).
-            import types
-
-            shim = types.SimpleNamespace(block_height=1)
-            shm_one = self._kernel._shared_mem(shim, YaSpMVConfig())
+            # Default-point estimate: 1-high blocks, default config.
+            shm_one = get_kernel("yaspmv")._shared_mem(1, YaSpMVConfig())
             batch_width = max(
-                1, self.device.max_shared_mem_per_workgroup // max(shm_one, 1)
+                1, self.device.max_shared_mem_per_workgroup // shm_one
             )
         retry = self.retry_policy
         breaker = self.breaker
@@ -1177,9 +1061,9 @@ class SpMVEngine:
     def max_batch_width(self, prepared: PreparedMatrix) -> int:
         """Widest multi-RHS block :meth:`multiply_many` runs as one SpMM.
 
-        Delegates to the engine's own SpMM kernel instance (the one
-        every :meth:`multiply_many` dispatch uses) so the bound always
-        matches real execution on this engine's device.
+        Asks the kernel whose launch runs the prepared format (the one
+        every :meth:`multiply_many` dispatch uses, on either backend) so
+        the bound always matches real execution on this engine's device.
         """
         if not isinstance(prepared, PreparedMatrix):
             raise ValidationError(
@@ -1187,13 +1071,7 @@ class SpMVEngine:
                 f"got {type(prepared).__name__}"
             )
         fmt = prepared.fmt
-        if isinstance(fmt, MergeCSRMatrix):
-            kernel = get_kernel("merge_csr")
-        elif isinstance(fmt, RGCSRMatrix):
-            kernel = get_kernel("rgcsr")
-        else:
-            kernel = self._kernel_multi
-        return kernel.max_batch_width(fmt, self.device, prepared.config)
+        return kernel_for(fmt).max_batch_width(fmt, self.device, prepared.config)
 
     def _observe_result(self, sp, result: SpMVResult) -> None:
         """Feed one multiply's profile to the observer (span + metrics)."""

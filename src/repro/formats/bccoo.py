@@ -469,6 +469,69 @@ class BCCOOMatrix(SparseFormat):
         return y[: self.nrows]
 
     # ------------------------------------------------------------------ #
+    # Shared-memory export (serve process mode)
+    # ------------------------------------------------------------------ #
+
+    def share_arrays(self) -> dict[str, np.ndarray]:
+        """Structural + value arrays for a :class:`SharedArena` export."""
+        arrays = {
+            "bccoo.flags": self.flags.words,
+            "bccoo.col_block": self.col_block,
+            "bccoo.values": self.values,
+            "bccoo.row_map": self.nonempty_block_rows,
+        }
+        if self.delta is not None:
+            arrays["bccoo.delta.deltas"] = self.delta.deltas
+            arrays["bccoo.delta.start_cols"] = self.delta.start_cols
+            arrays["bccoo.delta.fallback"] = self.delta.fallback
+        return arrays
+
+    def shm_meta(self) -> dict:
+        """Scalar metadata reconstructing the instance around shared arrays."""
+        return {
+            "format": self.name,
+            "shape": self.shape,
+            "block_height": self.block_height,
+            "block_width": self.block_width,
+            "col_storage": self.col_storage,
+            "nnz": self.nnz,
+            "flags_nbits": self.flags.nbits,
+            "flags_n_valid": self.flags.n_valid,
+            "delta_tile_size": (
+                None if self.delta is None else self.delta.tile_size
+            ),
+        }
+
+    @classmethod
+    def from_shared(cls, meta: dict, arrays: dict) -> "BCCOOMatrix":
+        """Rebuild from :meth:`shm_meta` + adopted arena views."""
+        delta = None
+        if meta["delta_tile_size"] is not None:
+            delta = DeltaColumns(
+                deltas=arrays["bccoo.delta.deltas"],
+                start_cols=arrays["bccoo.delta.start_cols"],
+                fallback=arrays["bccoo.delta.fallback"],
+                tile_size=meta["delta_tile_size"],
+            )
+        flags = BitFlagArray(
+            words=arrays["bccoo.flags"],
+            nbits=meta["flags_nbits"],
+            n_valid=meta["flags_n_valid"],
+        )
+        return cls(
+            tuple(meta["shape"]),
+            meta["block_height"],
+            meta["block_width"],
+            flags,
+            arrays["bccoo.col_block"],
+            arrays["bccoo.values"],
+            arrays["bccoo.row_map"],
+            meta["col_storage"],
+            delta,
+            meta["nnz"],
+        )
+
+    # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
 

@@ -214,14 +214,20 @@ class BCCOOPlusMatrix(SparseFormat):
         return self.slice_count * self.padded_rows_per_slice
 
     def combine(self, y_stacked: np.ndarray) -> np.ndarray:
-        """Host reference of the combine kernel: sum slice partials (Figure 5)."""
+        """Host reference of the combine kernel: sum slice partials (Figure 5).
+
+        ``y_stacked`` holds one value per stacked row, or a row of ``k``
+        values for a multi-vector product.
+        """
         stride = self.padded_rows_per_slice
         if y_stacked.shape[0] != self.slice_count * stride:
             raise FormatError(
                 f"stacked result length {y_stacked.shape[0]} != "
                 f"{self.slice_count} * {stride}"
             )
-        folded = y_stacked.reshape(self.slice_count, stride).sum(axis=0)
+        folded = y_stacked.reshape(
+            (self.slice_count, stride) + y_stacked.shape[1:]
+        ).sum(axis=0)
         return folded[: self.nrows]
 
     def validate(self):
@@ -259,3 +265,29 @@ class BCCOOPlusMatrix(SparseFormat):
         y_stacked = self.stacked.multiply(x)
         # stacked.multiply returns stacked.nrows values already.
         return self.combine(y_stacked)
+
+    # ------------------------------------------------------------------ #
+    # Shared-memory export (serve process mode)
+    # ------------------------------------------------------------------ #
+
+    def share_arrays(self) -> dict[str, np.ndarray]:
+        """The stacked BCCOO's arrays (the slices carry none of their own)."""
+        return self.stacked.share_arrays()
+
+    def shm_meta(self) -> dict:
+        """Scalar metadata reconstructing the instance around shared arrays."""
+        return {
+            "format": self.name,
+            "shape": self.shape,
+            "slice_count": self.slice_count,
+            "slice_width": self.slice_width,
+            "stacked": self.stacked.shm_meta(),
+        }
+
+    @classmethod
+    def from_shared(cls, meta: dict, arrays: dict) -> "BCCOOPlusMatrix":
+        """Rebuild from :meth:`shm_meta` + adopted arena views."""
+        stacked = BCCOOMatrix.from_shared(meta["stacked"], arrays)
+        return cls(
+            tuple(meta["shape"]), stacked, meta["slice_count"], meta["slice_width"]
+        )

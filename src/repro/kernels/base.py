@@ -167,6 +167,52 @@ class SpMVKernel(abc.ABC):
         return config
 
     @staticmethod
+    def _expect(fmt, cls):
+        """``fmt``, checked to be the format class this kernel executes."""
+        if not isinstance(fmt, cls):
+            raise KernelConfigError(
+                f"kernel expects {cls.__name__}, got {type(fmt).__name__}"
+            )
+        return fmt
+
+    @staticmethod
+    def _check_block(X) -> np.ndarray:
+        """A multi-RHS operand as float64 ``(ncols, k)`` with ``k >= 1``."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2:
+            raise KernelConfigError(
+                f"X must be 2-D (ncols, k), got shape {X.shape}"
+            )
+        if X.shape[1] < 1:
+            raise KernelConfigError("X needs at least one column")
+        return X
+
+    def _launch_columns(
+        self, fmt, X: np.ndarray, device: DeviceSpec, config, plan_for, sums
+    ) -> KernelResult:
+        """SpMM as one ``_launch`` per column, for kernels whose format has
+        no batched dataflow; the cost profiles chain as sequential
+        launches.  ``self`` provides ``_launch`` and ``max_batch_width``.
+        """
+        if X.shape[0] != fmt.ncols:
+            raise KernelConfigError(
+                f"X must have shape ({fmt.ncols}, k), got {X.shape}"
+            )
+        k = X.shape[1]
+        limit = self.max_batch_width(fmt, device, config)
+        if k > limit:
+            raise KernelConfigError(
+                f"batch width {k} exceeds device limit {limit}"
+            )
+        Y = np.empty((fmt.nrows, k), dtype=np.float64)
+        stats = None
+        for j in range(k):
+            res = self._launch(fmt, X[:, j], device, config, plan_for, sums)
+            Y[:, j] = res.y
+            stats = res.stats if stats is None else stats.sequential(res.stats)
+        return KernelResult(y=Y, stats=stats)
+
+    @staticmethod
     def _check_workgroup(workgroup_size: int, device: DeviceSpec) -> None:
         if workgroup_size < device.warp_size:
             raise KernelConfigError(

@@ -26,7 +26,6 @@ import math
 
 import numpy as np
 
-from ..errors import KernelConfigError
 from ..formats.bcsr import BCSRMatrix
 from ..formats.coo import COOMatrix
 from ..formats.csr import CSRMatrix
@@ -57,14 +56,6 @@ _VAL_B = 4
 _IDX_B = 4
 _SECTOR_B = 32
 _SHM_OP_WEIGHT = 2.0
-
-
-def _expect(fmt, cls):
-    if not isinstance(fmt, cls):
-        raise KernelConfigError(
-            f"kernel expects {cls.__name__}, got {type(fmt).__name__}"
-        )
-    return fmt
 
 
 def _vector_traffic(indices, device: DeviceSpec, use_cache: bool = True):
@@ -100,7 +91,7 @@ class CSRScalarKernel(SpMVKernel):
 
     def _execute(self, fmt, x, device, config) -> KernelResult:
         workgroup_size = config.workgroup_size
-        fmt = _expect(fmt, CSRMatrix)
+        fmt = self._expect(fmt, CSRMatrix)
         self._check_workgroup(workgroup_size, device)
         y = fmt.multiply(x)
 
@@ -164,7 +155,7 @@ class CSRVectorKernel(SpMVKernel):
 
     def _execute(self, fmt, x, device, config) -> KernelResult:
         workgroup_size = config.workgroup_size
-        fmt = _expect(fmt, CSRMatrix)
+        fmt = self._expect(fmt, CSRMatrix)
         self._check_workgroup(workgroup_size, device)
         y = fmt.multiply(x)
 
@@ -218,7 +209,7 @@ class ELLKernel(SpMVKernel):
 
     def _execute(self, fmt, x, device, config) -> KernelResult:
         workgroup_size = config.workgroup_size
-        fmt = _expect(fmt, ELLMatrix)
+        fmt = self._expect(fmt, ELLMatrix)
         self._check_workgroup(workgroup_size, device)
         y = fmt.multiply(x)
 
@@ -252,7 +243,7 @@ class DIAKernel(SpMVKernel):
 
     def _execute(self, fmt, x, device, config) -> KernelResult:
         workgroup_size = config.workgroup_size
-        fmt = _expect(fmt, DIAMatrix)
+        fmt = self._expect(fmt, DIAMatrix)
         self._check_workgroup(workgroup_size, device)
         y = fmt.multiply(x)
 
@@ -288,7 +279,7 @@ class HYBKernel(SpMVKernel):
     format_name = "hyb"
 
     def _execute(self, fmt, x, device, config) -> KernelResult:
-        fmt = _expect(fmt, HYBMatrix)
+        fmt = self._expect(fmt, HYBMatrix)
         ell_res = ELLKernel().run(fmt.ell, x, device, config=config)
         coo_res = COOSegmentedKernel().run(fmt.coo, x, device, config=config)
         y = ell_res.y + coo_res.y
@@ -305,7 +296,7 @@ class BCSRKernel(SpMVKernel):
 
     def _execute(self, fmt, x, device, config) -> KernelResult:
         workgroup_size = config.workgroup_size
-        fmt = _expect(fmt, BCSRMatrix)
+        fmt = self._expect(fmt, BCSRMatrix)
         self._check_workgroup(workgroup_size, device)
         y = fmt.multiply(x)
 
@@ -374,7 +365,7 @@ class COOSegmentedKernel(SpMVKernel):
 
     def _execute(self, fmt, x, device, config) -> KernelResult:
         workgroup_size = config.workgroup_size
-        fmt = _expect(fmt, COOMatrix)
+        fmt = self._expect(fmt, COOMatrix)
         self._check_workgroup(workgroup_size, device)
         y = fmt.multiply(x)
 
@@ -428,7 +419,7 @@ class SELLKernel(SpMVKernel):
         workgroup_size = config.workgroup_size
         from ..formats.sell import SELLMatrix
 
-        fmt = _expect(fmt, SELLMatrix)
+        fmt = self._expect(fmt, SELLMatrix)
         self._check_workgroup(workgroup_size, device)
         y = fmt.multiply(x)
 
@@ -474,7 +465,7 @@ class BELLKernel(SpMVKernel):
         workgroup_size = config.workgroup_size
         from ..formats.bell import BELLMatrix
 
-        fmt = _expect(fmt, BELLMatrix)
+        fmt = self._expect(fmt, BELLMatrix)
         self._check_workgroup(workgroup_size, device)
         y = fmt.multiply(x)
 
@@ -529,7 +520,7 @@ class CocktailKernel(SpMVKernel):
         from ..formats.cocktail import CocktailMatrix
         from .base import get_kernel
 
-        fmt = _expect(fmt, CocktailMatrix)
+        fmt = self._expect(fmt, CocktailMatrix)
         y = None
         stats = None
         for label, part in fmt.partitions:

@@ -32,7 +32,7 @@ from ..util import ceil_div
 from .base import KernelResult, SpMVKernel, register_kernel
 from .config import YaSpMVConfig
 
-__all__ = ["MergePathKernel", "merge_path_stats"]
+__all__ = ["MergePathKernel", "MergePlan", "merge_path_stats"]
 
 _VAL_B = 4
 _IDX_B = 4
@@ -40,14 +40,6 @@ _IDX_B = 4
 #: only the predicated row-boundary check divergent (same discipline as
 #: yaSpMV's sequential segmented sum).
 _SIMD_EFF = 0.95
-
-
-def _expect(fmt, cls):
-    if not isinstance(fmt, cls):
-        raise KernelConfigError(
-            f"kernel expects {cls.__name__}, got {type(fmt).__name__}"
-        )
-    return fmt
 
 
 def decode_rows(fmt: MergeCSRMatrix, stops: np.ndarray) -> np.ndarray:
@@ -138,6 +130,53 @@ def shared_mem(fmt: MergeCSRMatrix, cfg: YaSpMVConfig) -> int:
     return wg * cfg.value_bytes + teams_per_wg * 2 * _IDX_B
 
 
+class MergePlan:
+    """The x-independent state of one merge-path launch.
+
+    The column stream and every element's row, decoded from the
+    end-of-row markers under the fault hooks (a fault plan perturbs this
+    launch's decoded copies exactly like corrupted device buffers
+    would), plus the cost profile.
+    """
+
+    __slots__ = ("cfg", "cols", "rows")
+
+    def __init__(self, fmt: MergeCSRMatrix, cfg: YaSpMVConfig):
+        stops = fmt.row_stops()
+        cols = fmt.col_index
+        fault = active_plan()
+        if fault is not None:
+            stops = fault.perturb_stops(stops, n_valid=fmt.nnz)
+            cols = fault.perturb_columns(cols, n_valid=fmt.nnz)
+        self.cfg = cfg
+        self.cols = cols
+        self.rows = decode_rows(fmt, stops)
+
+    def stats(self, fmt: MergeCSRMatrix, device: DeviceSpec) -> KernelStats:
+        return merge_path_stats(fmt, device, self.cfg)
+
+
+def _team_sums(plan: MergePlan, fmt: MergeCSRMatrix, x: np.ndarray) -> np.ndarray:
+    """``faithful``'s summation core: the team loop.
+
+    Teams run in order, accumulating straight into y: a split row's
+    carry is already in place before its successor team's elements, so
+    every row is the strict sequential fold.
+    """
+    prods = fmt.values * x[plan.cols]
+    fault = active_plan()
+    if fault is not None:
+        prods = fault.perturb_partials(prods)
+    y = np.zeros(fmt.nrows, dtype=np.float64)
+    starts = fmt.team_starts()
+    nnz = fmt.nnz
+    for t in range(fmt.n_teams):
+        s = int(starts[t])
+        e = min(s + fmt.team_nnz, nnz)
+        np.add.at(y, plan.rows[s:e], prods[s:e])
+    return y
+
+
 @register_kernel
 class MergePathKernel(SpMVKernel):
     """Load-balanced CSR SpMV over equal-nnz merge-path teams."""
@@ -153,45 +192,8 @@ class MergePathKernel(SpMVKernel):
         device: DeviceSpec,
         cfg: YaSpMVConfig,
     ) -> KernelResult:
-        fmt = _expect(fmt, MergeCSRMatrix)
-        self._check_workgroup(cfg.workgroup_size, device)
-
         x = np.asarray(x, dtype=np.float64).ravel()
-        if x.shape[0] != fmt.ncols:
-            raise KernelConfigError(
-                f"vector length {x.shape[0]} != matrix columns {fmt.ncols}"
-            )
-
-        # Decode the streams a launch reads; the fault plan perturbs the
-        # decoded copies exactly like corrupted device buffers would.
-        stops = fmt.row_stops()
-        cols = fmt.col_index
-        plan = active_plan()
-        if plan is not None:
-            stops = plan.perturb_stops(stops, n_valid=fmt.nnz)
-            cols = plan.perturb_columns(cols, n_valid=fmt.nnz)
-        rows = decode_rows(fmt, stops)
-
-        prods = fmt.values * x[cols]
-        if plan is not None:
-            prods = plan.perturb_partials(prods)
-
-        # Teams run in order, accumulating straight into y: a split row's
-        # carry is already in place before its successor team's elements,
-        # so every row is the strict sequential fold.
-        y = np.zeros(fmt.nrows, dtype=np.float64)
-        starts = fmt.team_starts()
-        nnz = fmt.nnz
-        for t in range(fmt.n_teams):
-            s = int(starts[t])
-            e = min(s + fmt.team_nnz, nnz)
-            np.add.at(y, rows[s:e], prods[s:e])
-
-        return KernelResult(y=y, stats=merge_path_stats(fmt, device, cfg))
-
-    # ------------------------------------------------------------------ #
-    # Multi-RHS
-    # ------------------------------------------------------------------ #
+        return self._launch(fmt, x, device, cfg, MergePlan, _team_sums)
 
     def run_multi(
         self,
@@ -202,32 +204,38 @@ class MergePathKernel(SpMVKernel):
         config=None,
     ) -> KernelResult:
         """SpMM ``Y = A @ X``: one team pass per right-hand side."""
-        fmt = _expect(fmt, MergeCSRMatrix)
         cfg = self._coerce_config(config)
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[0] != fmt.ncols:
-            raise KernelConfigError(
-                f"X must have shape ({fmt.ncols}, k), got {X.shape}"
-            )
-        k = X.shape[1]
-        if k > self.max_batch_width(fmt, device, cfg):
-            raise KernelConfigError(
-                f"batch width {k} exceeds device limit "
-                f"{self.max_batch_width(fmt, device, cfg)}"
-            )
-        Y = np.empty((fmt.nrows, k), dtype=np.float64)
-        stats = None
-        for j in range(k):
-            res = self._execute(fmt, X[:, j], device, cfg)
-            Y[:, j] = res.y
-            stats = res.stats if stats is None else stats.sequential(res.stats)
-        if stats is None:
-            stats = merge_path_stats(fmt, device, cfg)
-        return KernelResult(y=Y, stats=stats)
+        X = self._check_block(X)
+        return self._launch(fmt, X, device, cfg, MergePlan, _team_sums)
 
     def max_batch_width(self, fmt, device: DeviceSpec, config=None) -> int:
         """Columns one batched launch sustains under the shared-mem budget."""
-        fmt = _expect(fmt, MergeCSRMatrix)
+        fmt = self._expect(fmt, MergeCSRMatrix)
         cfg = self._coerce_config(config)
         shm_one = max(shared_mem(fmt, cfg), 1)
         return max(1, device.max_shared_mem_per_workgroup // shm_one)
+
+    def _launch(
+        self,
+        fmt,
+        x: np.ndarray,
+        device: DeviceSpec,
+        cfg: YaSpMVConfig,
+        plan_for,
+        sums,
+    ) -> KernelResult:
+        """One merge-path launch (a 2-D ``x`` runs one per column).
+
+        ``plan_for(fmt, cfg)`` returns the :class:`MergePlan` and
+        ``sums(plan, fmt, x)`` the result vector.
+        """
+        fmt = self._expect(fmt, MergeCSRMatrix)
+        self._check_workgroup(cfg.workgroup_size, device)
+        if x.ndim == 2:
+            return self._launch_columns(fmt, x, device, cfg, plan_for, sums)
+        if x.shape[0] != fmt.ncols:
+            raise KernelConfigError(
+                f"vector length {x.shape[0]} != matrix columns {fmt.ncols}"
+            )
+        plan = plan_for(fmt, cfg)
+        return KernelResult(y=sums(plan, fmt, x), stats=plan.stats(fmt, device))

@@ -31,7 +31,7 @@ from ..util import ceil_div
 from .base import KernelResult, SpMVKernel, register_kernel
 from .config import YaSpMVConfig
 
-__all__ = ["RowGroupedKernel", "row_grouped_stats"]
+__all__ = ["RowGroupPlan", "RowGroupedKernel", "row_grouped_stats"]
 
 _IDX_B = 4
 _SHORT_B = 2
@@ -41,14 +41,6 @@ _SHORT_COL_LIMIT = 1 << 16
 #: Lane-step divergence inside a group: rows differ by at most 2x in
 #: length, so predication idles under 2% of lanes beyond padding.
 _LANE_EFF = 0.98
-
-
-def _expect(fmt, cls):
-    if not isinstance(fmt, cls):
-        raise KernelConfigError(
-            f"kernel expects {cls.__name__}, got {type(fmt).__name__}"
-        )
-    return fmt
 
 
 def _col_bytes(fmt: RGCSRMatrix) -> int:
@@ -125,6 +117,65 @@ def row_grouped_stats(
     )
 
 
+class RowGroupPlan:
+    """The x-independent state of one row-grouped launch.
+
+    The lane validity mask and column stream, decoded under the fault
+    hooks (a fault plan perturbs this launch's decoded copies exactly
+    like corrupted device buffers would), plus the cost profile.
+    """
+
+    __slots__ = ("cfg", "cols", "mask")
+
+    def __init__(self, fmt: RGCSRMatrix, cfg: YaSpMVConfig):
+        mask = fmt.lane_mask()
+        cols = fmt.col_index
+        fault = active_plan()
+        if fault is not None:
+            mask = fault.perturb_stops(mask, n_valid=fmt.padded_slots)
+            cols = fault.perturb_columns(cols, n_valid=fmt.padded_slots)
+        n_valid = int(mask.sum())
+        if n_valid != fmt.nnz:
+            raise ValidationError(
+                f"lane validity mask encodes {n_valid} non-zeros but the "
+                f"row lengths hold {fmt.nnz}",
+                check="lane_mask_count",
+            )
+        self.cfg = cfg
+        self.cols = cols
+        self.mask = mask
+
+    def stats(self, fmt: RGCSRMatrix, device: DeviceSpec) -> KernelStats:
+        return row_grouped_stats(fmt, device, self.cfg)
+
+
+def _lane_sums(plan: RowGroupPlan, fmt: RGCSRMatrix, x: np.ndarray) -> np.ndarray:
+    """``faithful``'s summation core: the thread-per-row lane loop.
+
+    Each row accumulates its elements lane by lane, in order and
+    independent of every other row -- the strict sequential per-row
+    fold.
+    """
+    mask = plan.mask
+    prods = np.where(mask, fmt.values * x[plan.cols], 0.0)
+    fault = active_plan()
+    if fault is not None:
+        prods = fault.perturb_partials(prods)
+    y = np.zeros(fmt.nrows, dtype=np.float64)
+    for g in range(fmt.n_groups):
+        r0 = int(fmt.group_row_offsets[g])
+        r1 = int(fmt.group_row_offsets[g + 1])
+        n, w = r1 - r0, int(fmt.group_widths[g])
+        base = int(fmt.group_data_offsets[g])
+        acc = np.zeros(n, dtype=np.float64)
+        for j in range(w):
+            lane = slice(base + j * n, base + (j + 1) * n)
+            valid = mask[lane]
+            acc[valid] += prods[lane][valid]
+        y[fmt.row_perm[r0:r1]] = acc
+    return y
+
+
 @register_kernel
 class RowGroupedKernel(SpMVKernel):
     """Adaptive row-grouped CSR SpMV: thread-per-row over pow-2 buckets."""
@@ -140,56 +191,8 @@ class RowGroupedKernel(SpMVKernel):
         device: DeviceSpec,
         cfg: YaSpMVConfig,
     ) -> KernelResult:
-        fmt = _expect(fmt, RGCSRMatrix)
-        self._check_workgroup(cfg.workgroup_size, device)
-
         x = np.asarray(x, dtype=np.float64).ravel()
-        if x.shape[0] != fmt.ncols:
-            raise KernelConfigError(
-                f"vector length {x.shape[0]} != matrix columns {fmt.ncols}"
-            )
-
-        # Decode the streams a launch reads; the fault plan perturbs the
-        # decoded copies exactly like corrupted device buffers would.
-        mask = fmt.lane_mask()
-        cols = fmt.col_index
-        plan = active_plan()
-        if plan is not None:
-            mask = plan.perturb_stops(mask, n_valid=fmt.padded_slots)
-            cols = plan.perturb_columns(cols, n_valid=fmt.padded_slots)
-        n_valid = int(mask.sum())
-        if n_valid != fmt.nnz:
-            raise ValidationError(
-                f"lane validity mask encodes {n_valid} non-zeros but the "
-                f"row lengths hold {fmt.nnz}",
-                check="lane_mask_count",
-            )
-
-        prods = np.where(mask, fmt.values * x[cols], 0.0)
-        if plan is not None:
-            prods = plan.perturb_partials(prods)
-
-        # Thread-per-row fold, lane by lane: each row accumulates its
-        # elements in order, independent of every other row -- the
-        # strict sequential per-row fold.
-        y = np.zeros(fmt.nrows, dtype=np.float64)
-        for g in range(fmt.n_groups):
-            r0 = int(fmt.group_row_offsets[g])
-            r1 = int(fmt.group_row_offsets[g + 1])
-            n, w = r1 - r0, int(fmt.group_widths[g])
-            base = int(fmt.group_data_offsets[g])
-            acc = np.zeros(n, dtype=np.float64)
-            for j in range(w):
-                lane = slice(base + j * n, base + (j + 1) * n)
-                valid = mask[lane]
-                acc[valid] += prods[lane][valid]
-            y[fmt.row_perm[r0:r1]] = acc
-
-        return KernelResult(y=y, stats=row_grouped_stats(fmt, device, cfg))
-
-    # ------------------------------------------------------------------ #
-    # Multi-RHS
-    # ------------------------------------------------------------------ #
+        return self._launch(fmt, x, device, cfg, RowGroupPlan, _lane_sums)
 
     def run_multi(
         self,
@@ -200,33 +203,39 @@ class RowGroupedKernel(SpMVKernel):
         config=None,
     ) -> KernelResult:
         """SpMM ``Y = A @ X``: one grouped pass per right-hand side."""
-        fmt = _expect(fmt, RGCSRMatrix)
         cfg = self._coerce_config(config)
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[0] != fmt.ncols:
-            raise KernelConfigError(
-                f"X must have shape ({fmt.ncols}, k), got {X.shape}"
-            )
-        k = X.shape[1]
-        if k > self.max_batch_width(fmt, device, cfg):
-            raise KernelConfigError(
-                f"batch width {k} exceeds device limit "
-                f"{self.max_batch_width(fmt, device, cfg)}"
-            )
-        Y = np.empty((fmt.nrows, k), dtype=np.float64)
-        stats = None
-        for j in range(k):
-            res = self._execute(fmt, X[:, j], device, cfg)
-            Y[:, j] = res.y
-            stats = res.stats if stats is None else stats.sequential(res.stats)
-        if stats is None:
-            stats = row_grouped_stats(fmt, device, cfg)
-        return KernelResult(y=Y, stats=stats)
+        X = self._check_block(X)
+        return self._launch(fmt, X, device, cfg, RowGroupPlan, _lane_sums)
 
     def max_batch_width(self, fmt, device: DeviceSpec, config=None) -> int:
         """Columns one batched launch sustains; accumulators live in
         registers, so the bound is the per-thread register file."""
-        fmt = _expect(fmt, RGCSRMatrix)
+        fmt = self._expect(fmt, RGCSRMatrix)
         cfg = self._coerce_config(config)
         per_col_regs = max(cfg.value_bytes // 4, 1)
         return max(1, device.max_registers_per_thread // (2 * per_col_regs))
+
+    def _launch(
+        self,
+        fmt,
+        x: np.ndarray,
+        device: DeviceSpec,
+        cfg: YaSpMVConfig,
+        plan_for,
+        sums,
+    ) -> KernelResult:
+        """One row-grouped launch (a 2-D ``x`` runs one per column).
+
+        ``plan_for(fmt, cfg)`` returns the :class:`RowGroupPlan` and
+        ``sums(plan, fmt, x)`` the result vector.
+        """
+        fmt = self._expect(fmt, RGCSRMatrix)
+        self._check_workgroup(cfg.workgroup_size, device)
+        if x.ndim == 2:
+            return self._launch_columns(fmt, x, device, cfg, plan_for, sums)
+        if x.shape[0] != fmt.ncols:
+            raise KernelConfigError(
+                f"vector length {x.shape[0]} != matrix columns {fmt.ncols}"
+            )
+        plan = plan_for(fmt, cfg)
+        return KernelResult(y=sums(plan, fmt, x), stats=plan.stats(fmt, device))

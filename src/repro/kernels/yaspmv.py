@@ -1,11 +1,24 @@
 """The yaSpMV kernel: single-launch BCCOO SpMV with matrix-based
-segmented sum/scan (paper section 3).
+segmented sum/scan (paper section 3), and its SpMM extension.
 
-The numerical path computes exactly what the device kernel computes --
-per-block products, per-thread sequential segmented sums, workgroup scan
-of ``last_partial_sums``, adjacent-synchronization carries -- which all
-telescope into per-segment sums over the padded block stream (validated
-against the step-by-step executor in :mod:`repro.kernels.faithful`).
+:meth:`YaSpMVKernel._launch` is the one launch both execution backends
+run: the configuration and resource checks, the row-stop-count
+invariant, the BCCOO+ slice fold (Figure 5), the scatter of per-stop
+sums into ``y`` and the cost profile.  Its caller supplies the two parts
+that differ between backends:
+
+* the *plan* -- a :class:`LaunchPlan`, the x-independent state (padded
+  arrays, vector gather map, cost profile).  ``faithful`` builds one per
+  call, under the fault hooks; ``fast`` caches one per format and
+  configuration;
+* the *summation core* -- the arithmetic that turns block products into
+  per-row-stop sums.  ``faithful``'s core (:func:`_reference_sums`)
+  computes exactly what the device kernel computes -- per-block
+  products, per-thread sequential segmented sums, workgroup scan of
+  ``last_partial_sums``, adjacent-synchronization carries -- which all
+  telescope into per-segment sums over the padded block stream
+  (validated against the step-by-step executor in
+  :mod:`repro.kernels.faithful`).
 
 The cost path charges, per the launch configuration:
 
@@ -45,9 +58,9 @@ from ..scan.reference import segment_sums_by_stops
 from ..util import ceil_div
 from .base import KernelResult, SpMVKernel, register_kernel
 from .config import YaSpMVConfig
-from .yaspmv_common import PaddedBCCOO, block_contributions, prepare
+from .yaspmv_common import PaddedBCCOO, prepare
 
-__all__ = ["YaSpMVKernel"]
+__all__ = ["LaunchPlan", "YaSpMVKernel", "block_products"]
 
 #: Value/index element sizes for bandwidth accounting (fp32 device data).
 _VAL_B = 4
@@ -128,9 +141,118 @@ def _per_stop_via_chain(contribs, padded, cfg, plan):
     return np.concatenate(parts, axis=0)
 
 
+class LaunchPlan:
+    """The x-independent state of one BCCOO launch.
+
+    ``padded`` holds the arrays padded to whole workgroup tiles, decoded
+    under the fault hooks (a fault plan perturbs this launch's copy,
+    never the format).  ``safe`` is the vector gather map with
+    out-of-range slots clamped to 0; ``invalid`` masks those slots, or is
+    ``None`` when every slot is in range (the common 1-wide-block case).
+    The cost-profile methods take the format from the caller, so a plan
+    need not hold one.
+    """
+
+    __slots__ = ("padded", "safe", "invalid", "gather_flat")
+
+    def __init__(self, fmt: BCCOOMatrix, cfg: YaSpMVConfig):
+        padded = prepare(fmt, cfg)
+        w = fmt.block_width
+        gather = padded.cols[:, None] * w + np.arange(w, dtype=np.int64)[None, :]
+        valid = gather < fmt.ncols
+        self.padded = padded
+        self.safe = np.where(valid, gather, 0)
+        self.invalid = None if valid.all() else ~valid
+        self.gather_flat = self.safe.ravel()
+
+    def stats(self, fmt: BCCOOMatrix, device: DeviceSpec) -> KernelStats:
+        """Cost profile of the SpMV launch."""
+        return YaSpMVKernel._stats(fmt, self.padded, self.gather_flat, device)
+
+    def multi_stats(
+        self, fmt: BCCOOMatrix, device: DeviceSpec, k: int
+    ) -> KernelStats:
+        """Cost profile of the SpMM launch over ``k`` right-hand sides.
+
+        The matrix streams are read once; vector reads, result writes,
+        FLOPs and the per-workgroup partial sums scale with ``k``.  Starts
+        from the single-vector profile and adds the k-dependent deltas.
+        """
+        stats = self.stats(fmt, device)
+        cfg = self.padded.config
+        vec_dram, vec_cached = vector_read_traffic(
+            self.gather_flat,
+            cfg.value_bytes * k,  # each touched index pulls a k-row
+            cache_bytes=device.tex_cache_bytes,
+            line_bytes=device.tex_line_bytes,
+            use_cache=cfg.use_texture,
+        )
+        base_vec_dram, base_vec_cached = vector_read_traffic(
+            self.gather_flat,
+            cfg.value_bytes,
+            cache_bytes=device.tex_cache_bytes,
+            line_bytes=device.tex_line_bytes,
+            use_cache=cfg.use_texture,
+        )
+        n_stops = int(self.padded.stops.sum())
+        write_delta = (k - 1) * stream_bytes(
+            n_stops * fmt.block_height, cfg.value_bytes, device.transaction_bytes
+        )
+        stats.dram_read_bytes += vec_dram - base_vec_dram
+        stats.cached_read_bytes += vec_cached - base_vec_cached
+        stats.dram_write_bytes += write_delta
+        stats.flops *= k
+        stats.shared_mem_per_workgroup *= k  # k-wide partial sums
+        if stats.shared_mem_per_workgroup > device.max_shared_mem_per_workgroup:
+            raise KernelConfigError(
+                f"k={k} needs {stats.shared_mem_per_workgroup} B shared "
+                f"memory per workgroup; {device.name} allows "
+                f"{device.max_shared_mem_per_workgroup}"
+            )
+        return stats
+
+
+def block_products(plan: LaunchPlan, X: np.ndarray) -> np.ndarray:
+    """Per-block partial dot products: ``(nb_padded, h)`` for a vector,
+    ``(nb_padded, h, k)`` for a ``(ncols, k)`` block.
+
+    Out-of-range gather slots (right-edge and padding blocks) read a
+    zero, matching a padded device buffer.
+    """
+    xg = X[plan.safe]
+    if plan.invalid is not None:
+        xg[plan.invalid] = 0.0
+    spec = "bhw,bw->bh" if X.ndim == 1 else "bhw,bwk->bhk"
+    return np.einsum(spec, plan.padded.values, xg)
+
+
+def _reference_sums(plan: LaunchPlan, X: np.ndarray) -> np.ndarray:
+    """``faithful``'s summation core: the sums of section 3.2.
+
+    The thread/workgroup/Grp_sum hierarchy computes, for every row stop,
+    the sum of all block contributions since the previous stop -- i.e.
+    per-segment sums over the padded stream.  A single-vector launch
+    reads the kernel fault hooks: partials can be corrupted, and when a
+    fault plan targets the synchronization layer the sums run through
+    the explicit per-workgroup Grp_sum chain, so stale reads and
+    out-of-order dispatch can actually corrupt it.
+    """
+    padded = plan.padded
+    contribs = block_products(plan, X)
+    fault = active_plan()
+    if fault is not None and X.ndim == 1:
+        contribs = fault.perturb_partials(contribs)
+        if fault.targets("sync.") or fault.targets("dispatch."):
+            return _per_stop_via_chain(contribs, padded, padded.config, fault)
+    return segment_sums_by_stops(
+        contribs.reshape(padded.nb_padded, -1), padded.stops
+    )
+
+
 @register_kernel
 class YaSpMVKernel(SpMVKernel):
-    """Single-kernel BCCOO/BCCOO+ SpMV (the paper's contribution)."""
+    """Single-kernel BCCOO/BCCOO+ SpMV (the paper's contribution) and
+    its multi-vector extension (:meth:`run_multi`)."""
 
     name = "yaspmv"
     format_name = "bccoo"
@@ -143,97 +265,130 @@ class YaSpMVKernel(SpMVKernel):
         device: DeviceSpec,
         config: YaSpMVConfig,
     ) -> KernelResult:
+        x = np.asarray(x, dtype=np.float64).ravel()
+        return self._launch(fmt, x, device, config, LaunchPlan, _reference_sums)
+
+    def run_multi(
+        self,
+        fmt,
+        X: np.ndarray,
+        device: DeviceSpec,
+        config: YaSpMVConfig | None = None,
+    ) -> KernelResult:
+        """Execute ``Y = A @ X`` with ``X`` of shape ``(ncols, k)``.
+
+        SpMM amortizes the matrix stream: values, columns and flags are
+        read once while vector traffic, FLOPs and result writes scale
+        with ``k``.  For bandwidth-bound SpMV that makes k simultaneous
+        products much cheaper than k sequential ones -- the block-Krylov
+        / multi-RHS workload a solver library needs.  Not part of the
+        paper's evaluation; the kernel structure is the natural
+        extension of the strategy-2 dataflow with ``k``-wide partial
+        sums.
+        """
+        cfg = self._coerce_config(config)
+        X = self._check_block(X)
+        obs = active_observer()
+        if not obs.enabled:
+            return self._launch(fmt, X, device, cfg, LaunchPlan, _reference_sums)
+        with obs.span(
+            "kernel.yaspmm", kernel="yaspmm", format=type(fmt).__name__
+        ) as sp:
+            result = self._launch(fmt, X, device, cfg, LaunchPlan, _reference_sums)
+            self._observe(obs, sp, "yaspmm", result.stats)
+        return result
+
+    def max_batch_width(
+        self,
+        fmt,
+        device: DeviceSpec,
+        config: YaSpMVConfig | None = None,
+    ) -> int:
+        """Widest ``k`` that :meth:`run_multi` can dispatch on ``device``.
+
+        The SpMM dataflow widens the per-workgroup partial sums by ``k``,
+        so shared memory scales linearly with the batch width; a wider
+        batch would be rejected with :class:`KernelConfigError`.  Callers
+        coalescing requests (the serving layer) chunk to this bound.
+        """
+        shm_one = self._shared_mem(fmt.block_height, self._coerce_config(config))
+        return max(1, device.max_shared_mem_per_workgroup // shm_one)
+
+    # ------------------------------------------------------------------ #
+    # The launch
+    # ------------------------------------------------------------------ #
+
+    def _launch(
+        self,
+        fmt,
+        X: np.ndarray,
+        device: DeviceSpec,
+        cfg: YaSpMVConfig,
+        plan_for,
+        sums,
+    ) -> KernelResult:
+        """One BCCOO/BCCOO+ launch for a vector (1-D ``X``, SpMV) or a
+        ``(ncols, k)`` block (SpMM).
+
+        ``plan_for(fmt, cfg)`` returns the :class:`LaunchPlan` and
+        ``sums(plan, X)`` the per-row-stop sums, ``(n_stops, h)`` or
+        ``(n_stops, h * k)``; every other step happens here.
+        """
         if isinstance(fmt, BCCOOPlusMatrix):
-            return self._run_plus(fmt, x, device, config)
+            inner = self._launch(fmt.stacked, X, device, cfg, plan_for, sums)
+            # inner.y covers the stacked rows; fold slices (Figure 5).
+            k = X.shape[1] if X.ndim == 2 else 1
+            combine = self._combine_stats(fmt, device, k)
+            return KernelResult(
+                y=fmt.combine(inner.y), stats=inner.stats.sequential(combine)
+            )
         if not isinstance(fmt, BCCOOMatrix):
             raise KernelConfigError(
                 f"yaspmv kernel needs a BCCOO/BCCOO+ matrix, got {type(fmt).__name__}"
             )
-        return self._run_bccoo(fmt, x, device, config)
-
-    # ------------------------------------------------------------------ #
-    # BCCOO core
-    # ------------------------------------------------------------------ #
-
-    def _run_bccoo(
-        self,
-        fmt: BCCOOMatrix,
-        x: np.ndarray,
-        device: DeviceSpec,
-        cfg: YaSpMVConfig,
-    ) -> KernelResult:
         self._check_workgroup(cfg.workgroup_size, device)
         self._check_resources(fmt, device, cfg)
-
-        x = np.asarray(x, dtype=np.float64).ravel()
-        if x.shape[0] != fmt.ncols:
+        if X.shape[0] != fmt.ncols:
             raise KernelConfigError(
-                f"vector length {x.shape[0]} != matrix columns {fmt.ncols}"
+                f"vector length {X.shape[0]} != matrix columns {fmt.ncols}"
+                if X.ndim == 1
+                else f"X has {X.shape[0]} rows, matrix has {fmt.ncols} columns"
             )
-
-        padded = prepare(fmt, cfg)
-        contribs, gather = block_contributions(padded, x)
-
-        # Exact numerics: the thread/workgroup/Grp_sum hierarchy of
-        # section 3.2 computes, for every row stop, the sum of all block
-        # contributions since the previous stop -- i.e. per-segment sums
-        # over the padded stream (cross-checked by kernels.faithful).
-        # When a fault plan targets the synchronization layer, route
-        # through the explicit per-workgroup Grp_sum chain instead so
-        # stale reads and out-of-order dispatch can actually corrupt it.
-        plan = active_plan()
-        if plan is not None and (plan.targets("sync.") or plan.targets("dispatch.")):
-            per_stop = _per_stop_via_chain(contribs, padded, cfg, plan)
+        plan = plan_for(fmt, cfg)
+        if X.ndim == 1:
+            stats = plan.stats(fmt, device)
         else:
-            per_stop = segment_sums_by_stops(contribs, padded.stops)
-        h = fmt.block_height
+            stats = plan.multi_stats(fmt, device, X.shape[1])
+        per_stop = sums(plan, X)
         # Runtime invariant: the stop count carried by the bit flags must
         # equal the non-empty-row map -- the compression is unreadable
         # otherwise (a flipped flag word lands here).
-        if per_stop.shape[0] != fmt.nonempty_block_rows.shape[0]:
+        rows = fmt.nonempty_block_rows
+        if per_stop.shape[0] != rows.shape[0]:
             raise ValidationError(
                 f"bit flags encode {per_stop.shape[0]} row stops but the "
-                f"row map holds {fmt.nonempty_block_rows.shape[0]}",
+                f"row map holds {rows.shape[0]}",
                 check="row_stop_count",
             )
-        y_full = np.zeros(fmt.n_block_rows * h, dtype=np.float64)
-        if per_stop.shape[0]:
-            rows = fmt.nonempty_block_rows[: per_stop.shape[0]]
-            y_full.reshape(-1, h)[rows] = per_stop
-        y = y_full[: fmt.nrows]
-
-        stats = self._stats(padded, gather, device, cfg)
-        return KernelResult(y=y, stats=stats)
-
-    def _run_plus(
-        self,
-        fmt: BCCOOPlusMatrix,
-        x: np.ndarray,
-        device: DeviceSpec,
-        cfg: YaSpMVConfig,
-    ) -> KernelResult:
-        inner = self._run_bccoo(fmt.stacked, x, device, cfg)
-        # inner.y covers the stacked rows; fold slices (Figure 5).
-        stride = fmt.padded_rows_per_slice
-        y_stacked = np.zeros(fmt.slice_count * stride, dtype=np.float64)
-        y_stacked[: inner.y.shape[0]] = inner.y
-        y = fmt.combine(y_stacked)
-
-        combine_stats = self._combine_stats(fmt, device)
-        return KernelResult(y=y, stats=inner.stats.sequential(combine_stats))
+        h = fmt.block_height
+        lanes = X.shape[1:]
+        y = np.zeros((fmt.n_block_rows * h,) + lanes, dtype=np.float64)
+        if rows.shape[0]:
+            y.reshape((-1, h) + lanes)[rows] = per_stop.reshape((-1, h) + lanes)
+        return KernelResult(y=y[: fmt.nrows], stats=stats)
 
     # ------------------------------------------------------------------ #
     # Cost model
     # ------------------------------------------------------------------ #
 
+    @staticmethod
     def _stats(
-        self,
+        fmt: BCCOOMatrix,
         padded: PaddedBCCOO,
         gather: np.ndarray,
         device: DeviceSpec,
-        cfg: YaSpMVConfig,
     ) -> KernelStats:
-        fmt = padded.fmt
+        cfg = padded.config
         h, w = fmt.block_height, fmt.block_width
         nb_p = padded.nb_padded
         tile = cfg.effective_tile
@@ -345,8 +500,8 @@ class YaSpMVKernel(SpMVKernel):
             simd_efficiency=simd_eff,
             workgroup_size=wg,
             n_workgroups=padded.n_workgroups,
-            shared_mem_per_workgroup=self._shared_mem(fmt, cfg),
-            registers_per_thread=self._registers(fmt, cfg),
+            shared_mem_per_workgroup=YaSpMVKernel._shared_mem(h, cfg),
+            registers_per_thread=YaSpMVKernel._registers(fmt, cfg),
             workgroup_work=None,  # equal tiles: the design's point
             barriers_per_workgroup=barriers,
             atomics=atomics,
@@ -356,14 +511,20 @@ class YaSpMVKernel(SpMVKernel):
             fp64=(cfg.precision == "fp64"),
         )
 
-    def _combine_stats(self, fmt: BCCOOPlusMatrix, device: DeviceSpec) -> KernelStats:
-        """BCCOO+ slice-combine kernel (Figure 5's reduction)."""
+    @staticmethod
+    def _combine_stats(
+        fmt: BCCOOPlusMatrix, device: DeviceSpec, k: int
+    ) -> KernelStats:
+        """BCCOO+ slice-combine kernel (Figure 5's reduction) over ``k``
+        result columns."""
         stride = fmt.padded_rows_per_slice
         txn = device.transaction_bytes
         return KernelStats(
-            flops=float((fmt.slice_count - 1) * stride),
-            dram_read_bytes=float(stream_bytes(fmt.slice_count * stride, _VAL_B, txn)),
-            dram_write_bytes=float(stream_bytes(fmt.nrows, _VAL_B, txn)),
+            flops=float((fmt.slice_count - 1) * stride) * k,
+            dram_read_bytes=float(
+                stream_bytes(fmt.slice_count * stride, _VAL_B, txn)
+            ) * k,
+            dram_write_bytes=float(stream_bytes(fmt.nrows, _VAL_B, txn)) * k,
             workgroup_size=256,
             n_workgroups=max(ceil_div(stride, 256), 1),
             n_launches=1,
@@ -373,8 +534,9 @@ class YaSpMVKernel(SpMVKernel):
     # Resource checks
     # ------------------------------------------------------------------ #
 
-    def _shared_mem(self, fmt: BCCOOMatrix, cfg: YaSpMVConfig) -> int:
-        h = fmt.block_height
+    @staticmethod
+    def _shared_mem(h: int, cfg: YaSpMVConfig) -> int:
+        """Shared memory per workgroup for ``h``-high blocks."""
         wg = cfg.workgroup_size
         val_b = cfg.value_bytes
         shm = wg * h * val_b  # last_partial_sums
@@ -398,7 +560,7 @@ class YaSpMVKernel(SpMVKernel):
     def _check_resources(
         self, fmt: BCCOOMatrix, device: DeviceSpec, cfg: YaSpMVConfig
     ) -> None:
-        shm = self._shared_mem(fmt, cfg)
+        shm = self._shared_mem(fmt.block_height, cfg)
         if shm > device.max_shared_mem_per_workgroup:
             raise KernelConfigError(
                 f"configuration needs {shm} B shared memory per workgroup; "
@@ -412,152 +574,3 @@ class YaSpMVKernel(SpMVKernel):
                     f"{device.name} allows {device.max_registers_per_thread}"
                 )
 
-
-class YaSpMMKernel(YaSpMVKernel):
-    """Multi-vector extension: Y = A @ X for k right-hand sides.
-
-    SpMM amortizes the matrix stream: values, columns and flags are read
-    once while vector traffic, FLOPs and result writes scale with ``k``.
-    For bandwidth-bound SpMV that makes k simultaneous products much
-    cheaper than k sequential ones -- the block-Krylov / multi-RHS
-    workload a solver library needs.  Not part of the paper's
-    evaluation; the kernel structure is the natural extension of the
-    strategy-2 dataflow with ``k``-wide partial sums.
-    """
-
-    # Not registered: reached through run_multi / SpMVEngine.multiply_many.
-    name = ""
-
-    def max_batch_width(
-        self,
-        fmt,
-        device: DeviceSpec,
-        config: YaSpMVConfig | None = None,
-    ) -> int:
-        """Widest ``k`` that :meth:`run_multi` can dispatch on ``device``.
-
-        The SpMM dataflow widens the per-workgroup partial sums by ``k``,
-        so shared memory scales linearly with the batch width; a wider
-        batch would be rejected with :class:`KernelConfigError`.  Callers
-        coalescing requests (the serving layer) chunk to this bound.
-        """
-        cfg = config if config is not None else YaSpMVConfig()
-        if isinstance(fmt, BCCOOPlusMatrix):
-            fmt = fmt.stacked
-        shm_one = self._shared_mem(fmt, cfg)
-        return max(1, device.max_shared_mem_per_workgroup // max(shm_one, 1))
-
-    def run_multi(
-        self,
-        fmt,
-        X: np.ndarray,
-        device: DeviceSpec,
-        config: YaSpMVConfig | None = None,
-    ) -> KernelResult:
-        """Execute ``Y = A @ X`` with ``X`` of shape ``(ncols, k)``."""
-        cfg = config if config is not None else YaSpMVConfig()
-        obs = active_observer()
-        if not obs.enabled:
-            return self._run_multi(fmt, X, device, cfg)
-        with obs.span(
-            "kernel.yaspmm", kernel="yaspmm", format=type(fmt).__name__
-        ) as sp:
-            result = self._run_multi(fmt, X, device, cfg)
-            self._observe(obs, sp, "yaspmm", result.stats)
-        return result
-
-    def _run_multi(
-        self,
-        fmt,
-        X: np.ndarray,
-        device: DeviceSpec,
-        cfg: YaSpMVConfig,
-    ) -> KernelResult:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise KernelConfigError(
-                f"X must be 2-D (ncols, k), got shape {X.shape}"
-            )
-        k = X.shape[1]
-        if k < 1:
-            raise KernelConfigError("X needs at least one column")
-
-        if isinstance(fmt, BCCOOPlusMatrix):
-            inner = self.run_multi(fmt.stacked, X, device, cfg)
-            stride = fmt.padded_rows_per_slice
-            buf = np.zeros((fmt.slice_count * stride, k), dtype=np.float64)
-            buf[: inner.y.shape[0]] = inner.y
-            folded = buf.reshape(fmt.slice_count, stride, k).sum(axis=0)
-            y = folded[: fmt.nrows]
-            combine = self._combine_stats(fmt, device)
-            combine.dram_read_bytes *= k
-            combine.dram_write_bytes *= k
-            combine.flops *= k
-            return KernelResult(y=y, stats=inner.stats.sequential(combine))
-        if not isinstance(fmt, BCCOOMatrix):
-            raise KernelConfigError(
-                f"yaspmm kernel needs a BCCOO/BCCOO+ matrix, got {type(fmt).__name__}"
-            )
-        if X.shape[0] != fmt.ncols:
-            raise KernelConfigError(
-                f"X has {X.shape[0]} rows, matrix has {fmt.ncols} columns"
-            )
-
-        self._check_workgroup(cfg.workgroup_size, device)
-        self._check_resources(fmt, device, cfg)
-        padded = prepare(fmt, cfg)
-
-        # Numerics: per-block (h, k) contributions, segment sums by stop.
-        w = fmt.block_width
-        base = padded.cols * w
-        gather = base[:, None] + np.arange(w, dtype=np.int64)[None, :]
-        valid = gather < fmt.ncols
-        safe = np.where(valid, gather, 0)
-        Xg = X[safe]                     # (nb, w, k)
-        Xg[~valid] = 0.0
-        contribs = np.einsum("bhw,bwk->bhk", padded.values, Xg)
-        nb_p = padded.nb_padded
-        h = fmt.block_height
-        per_stop = segment_sums_by_stops(
-            contribs.reshape(nb_p, h * k), padded.stops
-        )
-        Y_full = np.zeros((fmt.n_block_rows * h, k), dtype=np.float64)
-        if per_stop.shape[0]:
-            rows = fmt.nonempty_block_rows[: per_stop.shape[0]]
-            Y_full.reshape(-1, h, k)[rows] = per_stop.reshape(-1, h, k)
-        y = Y_full[: fmt.nrows]
-
-        # Cost: matrix streams once; vector/result/compute terms scale
-        # with k.  Start from the single-vector profile and add the
-        # k-dependent deltas.
-        single = self._stats(padded, safe.ravel(), device, cfg)
-        vec_dram, vec_cached = vector_read_traffic(
-            safe.ravel(),
-            cfg.value_bytes * k,   # each touched index pulls a k-row
-            cache_bytes=device.tex_cache_bytes,
-            line_bytes=device.tex_line_bytes,
-            use_cache=cfg.use_texture,
-        )
-        base_vec_dram, base_vec_cached = vector_read_traffic(
-            safe.ravel(),
-            cfg.value_bytes,
-            cache_bytes=device.tex_cache_bytes,
-            line_bytes=device.tex_line_bytes,
-            use_cache=cfg.use_texture,
-        )
-        n_stops = int(padded.stops.sum())
-        write_delta = (k - 1) * stream_bytes(
-            n_stops * h, cfg.value_bytes, device.transaction_bytes
-        )
-        single.dram_read_bytes += vec_dram - base_vec_dram
-        single.cached_read_bytes += vec_cached - base_vec_cached
-        single.dram_write_bytes += write_delta
-        single.flops *= k
-        single.shared_mem_per_workgroup *= k  # k-wide partial sums
-        if single.shared_mem_per_workgroup > device.max_shared_mem_per_workgroup:
-            raise KernelConfigError(
-                f"k={k} needs {single.shared_mem_per_workgroup} B shared "
-                f"memory per workgroup; {device.name} allows "
-                f"{device.max_shared_mem_per_workgroup}"
-            )
-        return KernelResult(y=y, stats=single)

@@ -10,7 +10,7 @@ pieces a production front-end needs:
 
 * **micro-batching** -- concurrent single-vector requests against the
   same matrix are coalesced (time window + max batch) into one
-  :meth:`YaSpMMKernel.run_multi` SpMM dispatch, which reads the matrix
+  :meth:`~repro.SpMVEngine.multiply_many` SpMM dispatch, which reads the matrix
   stream once for the whole batch; requests whose shapes cannot batch
   fall back to per-vector :meth:`~repro.SpMVEngine.multiply`;
 * **prepared-matrix caching** -- an LRU :class:`~repro.serve.cache.

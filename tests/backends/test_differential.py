@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro import SpMVEngine
+from repro import Observer, SpMVEngine
 from repro.backends import FaithfulBackend, FastBackend, get_backend
-from repro.errors import ReproError
+from repro.errors import KernelConfigError, ReproError, ValidationError
 from repro.fault import FaultPlan
 from repro.fault.injection import fault_scope
+from repro.formats import BCCOOMatrix
 from repro.gpu import get_device
 from repro.tuning import TuningPoint
 
@@ -37,6 +38,26 @@ CONFIGS = [
     TuningPoint(bit_word="uint8"),
     TuningPoint(slice_count=4),
     TuningPoint(block_height=2, block_width=2, slice_count=2),
+]
+
+
+def _config_id(p):
+    return (
+        f"{p.block_height}x{p.block_width}-{p.bit_word}"
+        f"{'-nocc' if not p.col_compress else ''}"
+        f"{'-s' + str(p.slice_count) if p.slice_count > 1 else ''}"
+    )
+
+
+#: SpMM cases: every config at k = 1, 3 and 8.  The default point keeps
+#: the bare ``k`` id it had when it was the only config swept.
+SPMM_CASES = [
+    pytest.param(
+        point, k,
+        id=str(k) if point == TuningPoint() else f"{_config_id(point)}-{k}",
+    )
+    for point in CONFIGS
+    for k in (1, 3, 8)
 ]
 
 #: Fault sites that perturb kernel execution.  Under an active plan the
@@ -87,11 +108,7 @@ class TestBitIdentity:
     def corpus(self):
         return _matrices(np.random.default_rng(99))
 
-    @pytest.mark.parametrize("point", CONFIGS, ids=lambda p: (
-        f"{p.block_height}x{p.block_width}-{p.bit_word}"
-        f"{'-nocc' if not p.col_compress else ''}"
-        f"{'-s' + str(p.slice_count) if p.slice_count > 1 else ''}"
-    ))
+    @pytest.mark.parametrize("point", CONFIGS, ids=_config_id)
     def test_spmv_exact(self, corpus, point):
         engine = SpMVEngine(device=DEVICE)
         faithful, fast = get_backend("faithful"), get_backend("fast")
@@ -105,15 +122,23 @@ class TestBitIdentity:
             assert np.array_equal(rf.y, rv.y), name
             _assert_stats_equal(rf.stats, rv.stats)
 
-    @pytest.mark.parametrize("k", [1, 3, 8])
-    def test_spmm_exact(self, corpus, k):
+    @pytest.mark.parametrize("point, k", SPMM_CASES)
+    def test_spmm_exact(self, corpus, point, k):
+        # Blocked, raw-column, uint8-word and BCCOO+ sliced formats: the
+        # batched multi path, the 2-D slice fold and the SpMM cost deltas.
         engine = SpMVEngine(device=DEVICE)
         faithful, fast = get_backend("faithful"), get_backend("fast")
         rng = np.random.default_rng(6)
         for name, A in corpus.items():
-            prepared = engine.prepare(A, point=TuningPoint())
+            prepared = engine.prepare(A, point=point)
             fmt, cfg = prepared.fmt, prepared.config
             X = rng.standard_normal((A.shape[1], k))
+            if k > engine.max_batch_width(prepared):
+                # Past the shared-memory bound both backends refuse.
+                for backend in (faithful, fast):
+                    with pytest.raises(KernelConfigError):
+                        backend.execute_multi(fmt, X, DEVICE, cfg)
+                continue
             rf = faithful.execute_multi(fmt, X, DEVICE, cfg)
             rv = fast.execute_multi(fmt, X, DEVICE, cfg)
             assert np.array_equal(rf.y, rv.y), name
@@ -187,3 +212,85 @@ class TestRegistry:
         other = fast.multiply(prepared, x)
         assert np.array_equal(base.y, other.y)
         _assert_stats_equal(base.stats, other.stats)
+
+
+def _drop_one_row_stop(fmt):
+    """Turn the first row stop of ``fmt``'s bit flags into a continue."""
+    flags = fmt.flags
+    i = int(np.flatnonzero(fmt.stops())[0])
+    bits = flags.bits_per_word
+    flags.words[i // bits] |= flags.word_dtype.type(1 << (i % bits))
+
+
+class TestRowStopCheck:
+    """Flags and row map disagree: every backend and entry point refuses."""
+
+    @pytest.mark.parametrize("multi", [False, True],
+                             ids=["execute", "execute_multi"])
+    @pytest.mark.parametrize("backend_name", ["faithful", "fast"])
+    def test_missing_row_stop_rejected(self, backend_name, multi):
+        A = sparse.random(200, 200, density=0.05, random_state=3, format="csr")
+        fmt = BCCOOMatrix.from_scipy(A)
+        _drop_one_row_stop(fmt)
+        assert fmt.flags.n_row_stops == fmt.nonempty_block_rows.shape[0] - 1
+        rng = np.random.default_rng(8)
+        backend = get_backend(backend_name)
+        with pytest.raises(ValidationError) as info:
+            if multi:
+                backend.execute_multi(
+                    fmt, rng.standard_normal((200, 3)), DEVICE, None
+                )
+            else:
+                backend.execute(fmt, rng.standard_normal(200), DEVICE, None)
+        assert info.value.check == "row_stop_count"
+
+
+#: One point per base format, plus BCCOO+ slicing.
+FORMAT_POINTS = [
+    pytest.param(TuningPoint(), id="bccoo"),
+    pytest.param(TuningPoint(slice_count=2), id="bccoo+"),
+    pytest.param(TuningPoint(base_format="merge_csr"), id="merge_csr"),
+    pytest.param(TuningPoint(base_format="rgcsr"), id="rgcsr"),
+]
+
+
+class TestEmptyBatch:
+    @pytest.mark.parametrize("backend_name", ["faithful", "fast"])
+    @pytest.mark.parametrize("point", FORMAT_POINTS)
+    def test_zero_columns_rejected(self, random_matrix, point, backend_name):
+        A = random_matrix(nrows=60, ncols=50, seed=31)
+        engine = SpMVEngine(device=DEVICE, backend=backend_name)
+        prepared = engine.prepare(A, point=point)
+        with pytest.raises(KernelConfigError, match="at least one column"):
+            engine.multiply_many(prepared, np.zeros((50, 0)))
+
+
+class TestFastObservability:
+    """A fast dispatch reports as one backend span, no kernel span."""
+
+    @pytest.fixture
+    def prepared(self, random_matrix):
+        A = random_matrix(nrows=70, ncols=70, seed=37)
+        return SpMVEngine(device=DEVICE).prepare(A, point=TuningPoint())
+
+    @staticmethod
+    def _kernel_spans(obs):
+        return [s for s in obs.tracer.spans() if s.name.startswith("kernel.")]
+
+    def test_multiply(self, prepared, rng):
+        obs = Observer()
+        engine = SpMVEngine(device=DEVICE, backend="fast", observer=obs)
+        engine.multiply(prepared, rng.standard_normal(70))
+        assert len(obs.tracer.find_all("backend.fast")) == 1
+        assert self._kernel_spans(obs) == []
+        executions = obs.metrics.get("kernel.executions")
+        assert executions.value(kernel="yaspmv") == 1
+
+    def test_multiply_many(self, prepared, rng):
+        obs = Observer()
+        engine = SpMVEngine(device=DEVICE, backend="fast", observer=obs)
+        engine.multiply_many(prepared, rng.standard_normal((70, 3)))
+        assert len(obs.tracer.find_all("backend.fast_multi")) == 1
+        assert self._kernel_spans(obs) == []
+        executions = obs.metrics.get("kernel.executions")
+        assert executions.value(kernel="yaspmm") == 1

@@ -8,10 +8,10 @@ from repro.errors import KernelConfigError
 from repro.formats import BCCOOMatrix, BCCOOPlusMatrix
 from repro.gpu import GTX680, TimingModel
 from repro.kernels import YaSpMVConfig
-from repro.kernels.yaspmv import YaSpMMKernel
+from repro.kernels.yaspmv import YaSpMVKernel
 from repro.tuning import TuningPoint
 
-KERNEL = YaSpMMKernel()
+KERNEL = YaSpMVKernel()
 SMALL = YaSpMVConfig(workgroup_size=32, tile_size=4)
 
 

@@ -104,8 +104,6 @@ class TestSpMMAgreement:
     @given(p=problem(), k=st.integers(1, 5))
     @settings(max_examples=30, deadline=None)
     def test_spmm_equals_column_multiplies(self, p, k):
-        from repro.kernels.yaspmv import YaSpMMKernel
-
         A, x = p
         if A.nnz == 0:
             return
@@ -113,7 +111,7 @@ class TestSpMMAgreement:
         X = rng.standard_normal((A.shape[1], k))
         fmt = BCCOOMatrix.from_scipy(A)
         cfg = YaSpMVConfig(workgroup_size=32, tile_size=4)
-        multi = YaSpMMKernel().run_multi(fmt, X, GTX680, config=cfg)
+        multi = KERNEL.run_multi(fmt, X, GTX680, config=cfg)
         np.testing.assert_allclose(multi.y, A @ X, rtol=1e-8, atol=1e-6)
         for j in range(k):
             single = KERNEL.run(fmt, X[:, j], GTX680, config=cfg).y
