@@ -125,12 +125,10 @@ def _cmd_tune(args) -> int:
         get_device(args.device),
         mode=args.mode,
         workers=args.workers,
-        executor=args.executor,
         observer=observer,
         deadline=args.deadline if args.deadline > 0 else None,
         checkpoint=checkpoint,
         retry=retry,
-        share_operand=args.share_operand,
     )
     if plan_scope is not None:
         with plan_scope:
@@ -521,11 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
     matrix_args(p_tune)
     p_tune.add_argument("--mode", default="pruned", choices=["pruned", "exhaustive"])
     p_tune.add_argument("--workers", type=int, default=1,
-                        help="parallel tuning workers (results are "
+                        help="parallel tuning workers, forked, mapping the "
+                             "matrix from shared memory (results are "
                              "identical to serial; only faster)")
-    p_tune.add_argument("--executor", default="process",
-                        choices=["process", "thread"],
-                        help="pool kind for --workers > 1")
     p_tune.add_argument("--emit-opencl", action="store_true",
                         help="print the generated OpenCL kernel source")
     p_tune.add_argument("--trace", default="",
@@ -546,11 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--fault", default="",
                         help="fault-plan spec, e.g. "
                              "tuner.worker_crash:p=1.0,count=1,seed=3")
-    p_tune.add_argument("--share-operand", action="store_true",
-                        help="with --workers > 1: publish the operand "
-                             "matrix once in POSIX shared memory; workers "
-                             "map it zero-copy instead of unpickling a "
-                             "copy each")
 
     p_mul = sub.add_parser(
         "multiply", help="run one simulated SpMV", parents=[backend_parent]

@@ -25,6 +25,7 @@ import numpy as np
 from ..errors import FormatNotApplicableError, KernelConfigError
 from ..formats.bcsr import BCSRMatrix
 from ..formats.bell import BELLMatrix
+from ..formats.cocktail import _select_rows
 from ..formats.coo import COOMatrix
 from ..formats.csr import CSRMatrix
 from ..formats.dia import DIAMatrix
@@ -205,19 +206,6 @@ def run_clspmv_cocktail(matrix, x, device: DeviceSpec) -> BaselineResult:
                 breakdown=br,
             )
     return best
-
-
-def _select_rows(csr, row_mask: np.ndarray):
-    """Zero out the rows where ``row_mask`` is False, keeping the shape."""
-    import scipy.sparse as _sp
-
-    lengths = np.diff(csr.indptr)
-    keep = np.repeat(row_mask, lengths)
-    new_lengths = np.where(row_mask, lengths, 0)
-    indptr = np.concatenate(([0], np.cumsum(new_lengths)))
-    return _sp.csr_matrix(
-        (csr.data[keep], csr.indices[keep], indptr), shape=csr.shape
-    )
 
 
 def _partition_best(part, x, device, regular: bool) -> BaselineResult | None:

@@ -41,7 +41,7 @@ from ..gpu.timing import TimingBreakdown, TimingModel
 from ..kernels.base import get_kernel
 from ..kernels.config import YaSpMVConfig
 from ..obs import NULL_OBSERVER, obs_scope
-from ..tuning.cache import KernelPlanCache
+from ..tuning.cache import KernelPlanCache, build_format
 from ..tuning.persistence import TuningStore
 from ..tuning.parameters import TuningPoint
 from ..tuning.tuner import AutoTuner, TuningResult
@@ -343,11 +343,8 @@ class SpMVEngine:
         ``evaluated == 0``), and a fresh search result is written back.
     tuning_workers:
         Pool width for the auto-tuner's candidate fan-out (default 1 =
-        serial).  Any value returns bit-identical tuning results; only
-        the wall clock changes.
-    tuning_executor:
-        ``"process"`` (default) or ``"thread"`` -- the pool kind used
-        when ``tuning_workers > 1``.
+        serial; more forks a process pool).  Any value returns
+        bit-identical tuning results; only the wall clock changes.
     policy:
         ``"strict"`` (default) raises a typed error on the first
         validation failure; ``"permissive"`` degrades gracefully down
@@ -407,7 +404,6 @@ class SpMVEngine:
         plan_cache: KernelPlanCache | None = None,
         plan_store: TuningStore | None = None,
         tuning_workers: int = 1,
-        tuning_executor: str = "process",
         tuning_kwargs: dict | None = None,
         policy: str = "strict",
         fault_plan: FaultPlan | str | None = None,
@@ -434,7 +430,6 @@ class SpMVEngine:
         self.plan_cache = plan_cache if plan_cache is not None else KernelPlanCache()
         self.plan_store = plan_store
         self.tuning_workers = tuning_workers
-        self.tuning_executor = tuning_executor
         #: Extra AutoTuner constructor arguments (e.g. ``pruned_kwargs``
         #: to trim the search for time-boxed runs).
         self.tuning_kwargs = tuning_kwargs or {}
@@ -508,10 +503,10 @@ class SpMVEngine:
         candidate so a crashed or expired search resumes where it
         stopped, with a bit-identical final result.
 
-        ``share=True`` moves the resulting buffers (and, when the search
-        fans out, the tuner workers' CSR operand) into
+        ``share=True`` moves the resulting buffers into
         ``multiprocessing.shared_memory`` -- see
-        :meth:`PreparedMatrix.share`.
+        :meth:`PreparedMatrix.share`.  (A search that fans out always
+        maps its operand from shared memory, whatever ``share`` says.)
         """
         obs = self.observer
         with obs_scope(obs), obs.span(
@@ -549,12 +544,10 @@ class SpMVEngine:
                     plan_cache=self.plan_cache,
                     keep_history=keep_history,
                     workers=self.tuning_workers,
-                    executor=self.tuning_executor,
                     observer=obs,
                     deadline=deadline,
                     checkpoint=checkpoint,
                     retry=self.retry_policy,
-                    share_operand=share,
                     **self.tuning_kwargs,
                 )
                 tuning = tuner.tune(csr)
@@ -573,7 +566,7 @@ class SpMVEngine:
             with obs.span(
                 "format.convert", format=point.format_name
             ) as conv_span:
-                fmt = self._build_format(csr, point)
+                fmt = build_format(csr, point)
                 conv_span.set(
                     block=f"{point.block_height}x{point.block_width}",
                     slices=point.slice_count,
@@ -1054,7 +1047,6 @@ class SpMVEngine:
             "tuning": {
                 "mode": self.tuning_mode,
                 "workers": self.tuning_workers,
-                "executor": self.tuning_executor,
             },
         }
 
@@ -1093,27 +1085,6 @@ class SpMVEngine:
         obs.histogram(
             "engine.sim_time_s", "simulated execution time per multiply"
         ).observe(br.t_total)
-
-    # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def _build_format(csr, point: TuningPoint):
-        if point.base_format == "merge_csr":
-            return MergeCSRMatrix.from_scipy(csr)
-        if point.base_format == "rgcsr":
-            return RGCSRMatrix.from_scipy(csr)
-        kwargs = dict(
-            block_height=point.block_height,
-            block_width=point.block_width,
-            bit_word_dtype=point.bit_word_dtype,
-            col_storage="auto" if point.col_compress else "int32",
-            delta_tile_size=point.kernel.effective_tile,
-        )
-        if point.slice_count > 1:
-            return BCCOOPlusMatrix.from_scipy(
-                csr, slice_count=point.slice_count, **kwargs
-            )
-        return BCCOOMatrix.from_scipy(csr, **kwargs)
 
 
 def yaspmv(matrix, x, device: str | DeviceSpec = "gtx680") -> np.ndarray:

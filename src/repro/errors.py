@@ -114,10 +114,12 @@ class CircuitOpenError(ReproError):
 class WorkerCrashError(ReproError):
     """A tuning pool worker died (or simulated dying) mid-chunk.
 
-    Raised in-process by the ``tuner.worker_crash`` fault site when the
-    executor cannot actually be killed (thread pools, serial fallback);
-    real process deaths surface as ``BrokenProcessPool`` instead and are
-    normalized to lost chunks by :func:`repro.tuning.parallel.run_parallel`.
+    Raised by the ``tuner.worker_crash`` fault site inside
+    :func:`repro.tuning.parallel.evaluate_candidates`; a pool worker
+    turns it into a hard process exit, so the death surfaces as
+    ``BrokenProcessPool`` and :func:`repro.tuning.parallel.run_parallel`
+    requeues the lost chunk.  An in-process evaluation sees the error
+    itself.
     """
 
 

@@ -10,8 +10,8 @@ human table.
 
 Every metric stores one value per label combination (an unlabeled metric
 is the empty combination).  All mutation goes through one registry lock:
-cheap enough for the simulated hot path and safe for
-``tuning_workers > 1`` with the thread executor.
+cheap enough for the simulated hot path and safe for the threaded
+server's dispatcher and the fabric's pump thread.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ A :class:`Span` is one timed region of a run -- ``engine.prepare``,
 ``tuner.candidate``, ``kernel.yaspmv`` -- with wall-clock bounds plus
 arbitrary attributes (simulated time, GFLOPS, stage names, fault sites).
 Spans nest: the tracer keeps a per-thread stack, so a span opened while
-another is active becomes its child, and spans opened on worker threads
-(``tuning_workers > 1`` with the thread executor) start fresh roots
+another is active becomes its child, and spans opened on other threads
+(the threaded server's dispatcher, the fabric's pump) start fresh roots
 tagged with their thread id instead of corrupting another thread's tree.
 
 The tracer is deliberately tiny -- no sampling, no clock abstraction

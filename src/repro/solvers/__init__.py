@@ -1,7 +1,7 @@
 """Iterative solvers on top of the SpMV engine and serve layer.
 
-One surface -- :func:`solve` -- with per-method wrappers, plus
-:class:`SolverSession` for prepare-once/solve-many workflows whose
+One surface -- :func:`solve`, whose ``method=`` picks the iteration --
+plus :class:`SolverSession` for prepare-once/solve-many workflows whose
 iterations can stream through a server or fabric and whose values can
 be swapped in place between solves.
 """
@@ -9,10 +9,6 @@ be swapped in place between solves.
 from .iterative import (
     SOLVE_METHODS,
     SolveResult,
-    bicgstab,
-    conjugate_gradient,
-    gmres,
-    jacobi,
     power_method,
     solve,
 )
@@ -22,10 +18,6 @@ __all__ = [
     "SOLVE_METHODS",
     "SolveResult",
     "SolverSession",
-    "bicgstab",
-    "conjugate_gradient",
-    "gmres",
-    "jacobi",
     "power_method",
     "solve",
 ]

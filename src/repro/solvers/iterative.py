@@ -12,9 +12,8 @@ with keyword-only options mirroring :class:`~repro.SpMVEngine`
 ``server=`` to stream every iteration's multiply through an
 :class:`~repro.serve.SpMVServer` or :class:`~repro.serve.ServeFabric`
 (admission control, quotas, failover and the value-aware cache all
-apply; see :class:`~repro.solvers.SolverSession`).  The per-method functions
-(:func:`conjugate_gradient`, :func:`bicgstab`, :func:`gmres`,
-:func:`jacobi`) are thin wrappers delegating to :func:`solve`.
+apply; see :class:`~repro.solvers.SolverSession`).  There are no
+per-method functions: ``method=`` picks the iteration.
 
 Every solver reports a convergence history plus the *simulated device
 time* spent in SpMV -- counting only the successful attempt of each
@@ -41,10 +40,6 @@ from ..fault.retry import Deadline
 __all__ = [
     "SolveResult",
     "solve",
-    "conjugate_gradient",
-    "bicgstab",
-    "gmres",
-    "jacobi",
     "power_method",
 ]
 
@@ -524,76 +519,6 @@ _RUNNERS = {
     "gmres": _run_gmres,
     "jacobi": _run_jacobi,
 }
-
-
-# ---------------------------------------------------------------------- #
-# Per-method wrappers (the pre-redesign surface, now thin delegates)
-# ---------------------------------------------------------------------- #
-
-
-def conjugate_gradient(
-    A,
-    b: np.ndarray,
-    engine: SpMVEngine | None = None,
-    x0: np.ndarray | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-    **options,
-) -> SolveResult:
-    """CG for symmetric positive-definite systems (see :func:`solve`)."""
-    return solve(
-        A, b, method="cg", engine=engine, x0=x0, tol=tol,
-        max_iter=max_iter, **options,
-    )
-
-
-def bicgstab(
-    A,
-    b: np.ndarray,
-    engine: SpMVEngine | None = None,
-    x0: np.ndarray | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-    **options,
-) -> SolveResult:
-    """BiCGSTAB for general systems (see :func:`solve`)."""
-    return solve(
-        A, b, method="bicgstab", engine=engine, x0=x0, tol=tol,
-        max_iter=max_iter, **options,
-    )
-
-
-def gmres(
-    A,
-    b: np.ndarray,
-    engine: SpMVEngine | None = None,
-    x0: np.ndarray | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-    restart: int = 30,
-    **options,
-) -> SolveResult:
-    """Restarted GMRES(``restart``) for general systems (see :func:`solve`)."""
-    return solve(
-        A, b, method="gmres", engine=engine, x0=x0, tol=tol,
-        max_iter=max_iter, restart=restart, **options,
-    )
-
-
-def jacobi(
-    A,
-    b: np.ndarray,
-    engine: SpMVEngine | None = None,
-    x0: np.ndarray | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-    **options,
-) -> SolveResult:
-    """Jacobi iteration for diagonally dominant systems (see :func:`solve`)."""
-    return solve(
-        A, b, method="jacobi", engine=engine, x0=x0, tol=tol,
-        max_iter=max_iter, **options,
-    )
 
 
 def power_method(

@@ -10,14 +10,12 @@
   tuner converts once per block-dimension choice, not once per kernel
   configuration (the paper's GPU-accelerated conversion plays the same
   role: making conversion cost negligible next to kernel evaluation).
+  Its builder, :func:`build_format`, is also the one ``prepare`` uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
-
-import numpy as np
 
 from ..formats.bccoo import BCCOOMatrix
 from ..formats.bccoo_plus import BCCOOPlusMatrix
@@ -25,7 +23,7 @@ from ..formats.merge_csr import MergeCSRMatrix
 from ..formats.rgcsr import RGCSRMatrix
 from .parameters import TuningPoint
 
-__all__ = ["CompiledPlan", "KernelPlanCache", "FormatCache"]
+__all__ = ["CompiledPlan", "KernelPlanCache", "FormatCache", "build_format"]
 
 #: Simulated OpenCL JIT cost per distinct kernel specialization, seconds.
 #: The paper's 12.8 s average tuning time is dominated by compilation;
@@ -79,12 +77,34 @@ class KernelPlanCache:
         return len(self._plans)
 
 
+def build_format(csr, point: TuningPoint):
+    """Convert ``csr`` to the format ``point`` describes -- the one
+    point->format builder (the tuner's :class:`FormatCache` and
+    ``SpMVEngine.prepare`` both call it)."""
+    if point.base_format == "merge_csr":
+        return MergeCSRMatrix.from_scipy(csr)
+    if point.base_format == "rgcsr":
+        return RGCSRMatrix.from_scipy(csr)
+    kwargs = dict(
+        block_height=point.block_height,
+        block_width=point.block_width,
+        bit_word_dtype=point.bit_word_dtype,
+        col_storage="auto" if point.col_compress else "int32",
+        delta_tile_size=point.kernel.effective_tile,
+    )
+    if point.slice_count > 1:
+        return BCCOOPlusMatrix.from_scipy(
+            csr, slice_count=point.slice_count, **kwargs
+        )
+    return BCCOOMatrix.from_scipy(csr, **kwargs)
+
+
 class FormatCache:
-    """Per-matrix memoization of BCCOO/BCCOO+ conversions."""
+    """Per-matrix memoization of :func:`build_format` conversions."""
 
     def __init__(self, matrix):
         self._matrix = matrix
-        self._built: dict[tuple, BCCOOMatrix | BCCOOPlusMatrix] = {}
+        self._built: dict[tuple, object] = {}
         self.conversions = 0
 
     def get(self, point: TuningPoint):
@@ -92,30 +112,7 @@ class FormatCache:
         fmt = self._built.get(key)
         if fmt is not None:
             return fmt
-        fmt = self._build(point)
+        fmt = build_format(self._matrix, point)
         self._built[key] = fmt
         self.conversions += 1
         return fmt
-
-    def _build(self, point: TuningPoint):
-        if point.base_format == "merge_csr":
-            return MergeCSRMatrix.from_scipy(self._matrix)
-        if point.base_format == "rgcsr":
-            return RGCSRMatrix.from_scipy(self._matrix)
-        col_storage = "auto" if point.col_compress else "int32"
-        kwargs = dict(
-            block_height=point.block_height,
-            block_width=point.block_width,
-            bit_word_dtype=np.dtype(point.bit_word),
-            col_storage=col_storage,
-            delta_tile_size=point.kernel.effective_tile,
-        )
-        if point.slice_count > 1:
-            return BCCOOPlusMatrix.from_scipy(
-                self._matrix, slice_count=point.slice_count, **kwargs
-            )
-        return BCCOOMatrix.from_scipy(self._matrix, **kwargs)
-
-
-# Re-exported for tests that want a custom builder.
-FormatBuilder = Callable[[TuningPoint], BCCOOMatrix]

@@ -219,10 +219,6 @@ class TuningCheckpoint:
         """Journal one completed outcome (flushed and fsync'd)."""
         self._write_line(_encode_outcome(outcome))
 
-    def append_many(self, outcomes) -> None:
-        for outcome in outcomes:
-            self.append(outcome)
-
     def close(self) -> None:
         if self._fh is not None:
             self._fh.close()

@@ -6,8 +6,9 @@ kernel (section 4); it cites Choi et al. [7] for the alternative --
 configurations first.  This module provides that extension: a closed-
 form cost predictor needing only cheap per-matrix statistics (no kernel
 execution, no vector gather), and :class:`ModelDrivenTuner`, which
-ranks the pruned space with the predictor and executes only the top
-fraction through the real simulated kernel.
+ranks the pruned space with the predictor and hands only the top
+fraction to the auto-tuner's one evaluation path
+(:func:`~repro.tuning.parallel.evaluate_candidates`).
 
 The predictor mirrors the timing model's dominant terms:
 
@@ -28,18 +29,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..errors import ReproError, TuningError
+from ..errors import TuningError
 from ..formats.blocking import extract_blocks
 from ..gpu.device import DeviceSpec
-from ..gpu.timing import TimingModel
-from ..kernels.yaspmv import YaSpMVKernel
 from ..util import as_csr, ceil_div
-from .cache import FormatCache, KernelPlanCache
+from .cache import KernelPlanCache
+from .parallel import evaluate_candidates
 from .parameters import TuningPoint
 from .space import pruned_space
-from .tuner import Evaluation, TuningResult
+from .tuner import TuningResult, _fold
 
 __all__ = ["MatrixSummary", "CostModel", "ModelDrivenTuner"]
 
@@ -118,11 +116,13 @@ class CostModel:
 
 
 class ModelDrivenTuner:
-    """Rank with :class:`CostModel`, execute only the survivors.
+    """Rank with :class:`CostModel`, evaluate only the survivors.
 
     ``evaluate_fraction`` of the pruned space (at least
-    ``min_evaluations`` points) runs through the real kernel; the rest
-    is trusted to the model.  Typical speedup is 3-5x over the full
+    ``min_evaluations`` points) runs through the same evaluation and
+    fold as :class:`~repro.tuning.AutoTuner`, in enumeration order, so
+    at ``evaluate_fraction=1.0`` the two return the same result; the
+    rest is trusted to the model.  Typical speedup is 3-5x over the full
     pruned search with near-identical winners (asserted in the tests
     and measured in ``benchmarks/bench_autotune.py``).
     """
@@ -142,69 +142,24 @@ class ModelDrivenTuner:
         self.evaluate_fraction = evaluate_fraction
         self.min_evaluations = min_evaluations
         self.plan_cache = plan_cache if plan_cache is not None else KernelPlanCache()
-        self._kernel = YaSpMVKernel()
-        self._timing = TimingModel(device)
 
-    def tune(self, matrix, x: np.ndarray | None = None) -> TuningResult:
+    def tune(self, matrix) -> TuningResult:
         csr = as_csr(matrix)
-        if x is None:
-            x = np.ones(csr.shape[1], dtype=np.float64)
 
-        points = list(pruned_space(csr, self.device))
-        if not points:
+        items = list(enumerate(pruned_space(csr, self.device)))
+        if not items:
             raise TuningError("empty pruned space")
-        dims = sorted({(p.block_height, p.block_width) for p in points})
+        dims = sorted({(p.block_height, p.block_width) for _, p in items})
         summary = MatrixSummary.measure(csr, dims)
         model = CostModel(self.device)
 
         t0 = time.perf_counter()
-        hits0 = self.plan_cache.hits
-        misses0 = self.plan_cache.misses
-        ranked = sorted(points, key=lambda p: model.predict(p, summary))
+        ranked = sorted(items, key=lambda it: model.predict(it[1], summary))
         keep = max(
             int(len(ranked) * self.evaluate_fraction), self.min_evaluations
         )
-        survivors = ranked[:keep]
-
-        fmt_cache = FormatCache(csr)
-        nnz = int(csr.nnz)
-        best: Evaluation | None = None
-        history: list[Evaluation] = []
-        skipped = 0
-        skip_reasons: dict[str, int] = {}
-        for point in survivors:
-            try:
-                fmt = fmt_cache.get(point)
-                self.plan_cache.get(point)
-                result = self._kernel.run(fmt, x, self.device, config=point.kernel)
-            except ReproError as exc:
-                skipped += 1
-                name = type(exc).__name__
-                skip_reasons[name] = skip_reasons.get(name, 0) + 1
-                continue
-            breakdown = self._timing.estimate(result.stats)
-            ev = Evaluation(
-                point=point,
-                time_s=breakdown.t_total,
-                gflops=breakdown.gflops(nnz),
-                breakdown=breakdown,
-            )
-            history.append(ev)
-            if best is None or ev.time_s < best.time_s:
-                best = ev
-
-        if best is None:
-            raise TuningError("no model-selected candidate was evaluable")
-        return TuningResult(
-            best=best,
-            evaluated=len(history),
-            skipped=skipped,
-            wall_seconds=time.perf_counter() - t0,
-            simulated_compile_s=self.plan_cache.simulated_compile_time_s,
-            plan_cache_hits=self.plan_cache.hits,
-            plan_cache_misses=self.plan_cache.misses,
-            cache_hits=self.plan_cache.hits - hits0,
-            cache_misses=self.plan_cache.misses - misses0,
-            history=history,
-            skip_reasons=skip_reasons,
-        )
+        # Survivors run in enumeration order, so ties break exactly as
+        # they do in the full search.
+        survivors = sorted(ranked[:keep], key=lambda it: it[0])
+        outcomes = evaluate_candidates(survivors, csr, self.device)
+        return _fold(outcomes, self.plan_cache, t0)

@@ -10,7 +10,7 @@ simulated compile time, cache statistics and the full evaluation history
 so the benchmark can reproduce the section 4 numbers (pruned-vs-optimal
 quality gap, tuning cost).
 
-The search can fan out over a process (or thread) pool -- see
+The search can fan out over a process pool -- see
 :mod:`repro.tuning.parallel` -- and is guaranteed to return the same
 result as the serial walk: identical ``best_point``, identical
 evaluation set, identical skip-reason counters and identical shared
@@ -22,18 +22,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from ..errors import DeadlineExceeded, ReproError, TuningError
+from ..errors import DeadlineExceeded, TuningError
 from ..fault.retry import Deadline, RetryPolicy
 from ..gpu.device import DeviceSpec
 from ..gpu.timing import TimingBreakdown
 from ..obs import NULL_OBSERVER, obs_scope
 from ..util import as_csr
-from .cache import FormatCache, KernelPlanCache
+from .cache import KernelPlanCache
 from .checkpoint import TuningCheckpoint
 from .parallel import (
-    EXECUTORS,
     CandidateOutcome,
     ParallelReport,
     evaluate_candidates,
@@ -223,11 +220,9 @@ class AutoTuner:
     workers:
         Pool width for the candidate fan-out.  ``1`` (default) runs the
         classic serial walk in-process; ``N > 1`` spreads format-affine
-        candidate chunks over ``N`` workers.  The result is bit-identical
-        either way.
-    executor:
-        ``"process"`` (default, fork-based when available) or
-        ``"thread"``.  Only consulted when ``workers > 1``.
+        candidate chunks over ``N`` forked worker processes, which map
+        the operand from one shared-memory arena.  The result is
+        bit-identical either way.
     observer:
         Optional :class:`repro.obs.Observer`: the search runs under a
         ``tuner.tune`` span with one ``tuner.candidate`` child per
@@ -249,12 +244,6 @@ class AutoTuner:
         :class:`~repro.fault.RetryPolicy` governing pool rebuilds after
         worker crashes (parallel runs only); ``None`` uses the default
         (two rebuilds, then serial fallback).
-    share_operand:
-        Publish the CSR operand's buffers once in a
-        :class:`~repro.core.shm.SharedArena` when fanning out
-        (``workers > 1``); worker payloads then carry a descriptor
-        instead of a pickled matrix copy, and every worker maps the
-        same physical pages.  Serial runs ignore it.
     """
 
     def __init__(
@@ -266,19 +255,15 @@ class AutoTuner:
         exhaustive_kwargs: dict | None = None,
         pruned_kwargs: dict | None = None,
         workers: int = 1,
-        executor: str = "process",
         observer=None,
         deadline: "Deadline | float | None" = None,
         checkpoint: "TuningCheckpoint | str | None" = None,
         retry: RetryPolicy | None = None,
-        share_operand: bool = False,
     ):
         if mode not in ("pruned", "exhaustive"):
             raise TuningError(f"mode must be 'pruned' or 'exhaustive', got {mode!r}")
         if workers < 1:
             raise TuningError(f"workers must be >= 1, got {workers}")
-        if executor not in EXECUTORS:
-            raise TuningError(f"executor must be one of {EXECUTORS}, got {executor!r}")
         self.device = device
         self.mode = mode
         self.plan_cache = plan_cache if plan_cache is not None else KernelPlanCache()
@@ -288,7 +273,6 @@ class AutoTuner:
         #: ``keep_block_dims`` for time-boxed benchmark runs).
         self.pruned_kwargs = pruned_kwargs or {}
         self.workers = workers
-        self.executor = executor
         self.observer = observer if observer is not None else NULL_OBSERVER
         #: Raw deadline spec; coerced per :meth:`tune` call so a numeric
         #: budget restarts for every search.
@@ -299,14 +283,9 @@ class AutoTuner:
                 f"retry must be a RetryPolicy or None, got {type(retry).__name__}"
             )
         self.retry = retry
-        self.share_operand = bool(share_operand)
 
-    def tune(self, matrix, x: np.ndarray | None = None) -> TuningResult:
-        """Search; returns the ranked result.
-
-        ``x`` defaults to an all-ones vector -- only the cost profile
-        depends on it (via gather locality), not the ranking mechanics.
-        """
+    def tune(self, matrix) -> TuningResult:
+        """Search; returns the ranked result."""
         obs = self.observer
         with obs_scope(obs), obs.span(
             "tuner.tune",
@@ -315,8 +294,6 @@ class AutoTuner:
             device=self.device.name,
         ) as tune_span:
             csr = as_csr(matrix)
-            if x is None:
-                x = np.ones(csr.shape[1], dtype=np.float64)
 
             with obs.span("tuner.enumerate", mode=self.mode) as enum_span:
                 if self.mode == "pruned":
@@ -329,12 +306,10 @@ class AutoTuner:
                 enum_span.set(candidates=len(items))
 
             t0 = time.perf_counter()
-            hits0 = self.plan_cache.hits
-            misses0 = self.plan_cache.misses
-
             deadline = Deadline.coerce(self.deadline)
             checkpoint = self.checkpoint
             restored: dict[int, CandidateOutcome] = {}
+            on_outcome = None
             if checkpoint is not None:
                 restored = checkpoint.begin(
                     fingerprint=matrix_fingerprint(csr),
@@ -342,97 +317,41 @@ class AutoTuner:
                     mode=self.mode,
                     n_candidates=len(items),
                 )
+                on_outcome = checkpoint.append
             todo = [it for it in items if it[0] not in restored]
             report = ParallelReport()
-
-            # Candidate evaluation runs under a muted observer: worker
-            # processes cannot share this observer, so letting the serial
-            # (or thread) path emit per-kernel spans would make the trace
-            # depend on the executor.  The merge below records one
-            # ``tuner.candidate`` span per outcome instead -- identical
-            # for every executor.
             try:
-                if self.workers == 1 and checkpoint is None:
-                    # Serial walk straight through the shared plan cache --
-                    # no replay needed, the lookups *are* the canonical
-                    # order.
-                    with obs_scope(NULL_OBSERVER):
-                        outcomes = evaluate_candidates(
-                            items,
-                            csr,
-                            x,
-                            self.device,
-                            FormatCache(csr),
-                            self.plan_cache,
-                            deadline=deadline,
-                        )
-                elif self.workers == 1:
-                    # Serial with a checkpoint: evaluate against a
-                    # throwaway plan cache (like a worker would), journal
-                    # each outcome, and replay the lookups below so the
-                    # shared cache sees the canonical order -- including
-                    # the restored candidates a crashed run already paid
-                    # for.
-                    local = KernelPlanCache(
-                        compile_cost_s=self.plan_cache.compile_cost_s
+                if self.workers == 1:
+                    new = evaluate_candidates(
+                        todo,
+                        csr,
+                        self.device,
+                        deadline=deadline,
+                        on_outcome=on_outcome,
                     )
-                    with obs_scope(NULL_OBSERVER):
-                        new = evaluate_candidates(
-                            todo,
-                            csr,
-                            x,
-                            self.device,
-                            FormatCache(csr),
-                            local,
-                            deadline=deadline,
-                            on_outcome=checkpoint.append,
-                        )
-                    outcomes = sorted(
-                        list(restored.values()) + new, key=lambda o: o.index
-                    )
-                    for outcome in outcomes:
-                        if not outcome.format_skipped:
-                            self.plan_cache.get(outcome.point)
                 else:
-                    on_chunk = (
-                        (lambda cr: checkpoint.append_many(cr.outcomes))
-                        if checkpoint is not None
-                        else None
+                    new = run_parallel(
+                        todo,
+                        csr,
+                        self.device,
+                        self.workers,
+                        deadline=deadline,
+                        retry=self.retry,
+                        on_outcome=on_outcome,
+                        report=report,
                     )
-                    with obs_scope(NULL_OBSERVER):
-                        new = run_parallel(
-                            todo,
-                            csr,
-                            x,
-                            self.device,
-                            workers=self.workers,
-                            executor=self.executor,
-                            compile_cost=self.plan_cache.compile_cost_s,
-                            deadline=deadline,
-                            retry=self.retry,
-                            on_chunk=on_chunk,
-                            report=report,
-                            share_operand=self.share_operand,
-                        )
-                    # Workers compiled against throwaway caches; replay the
-                    # plan lookups here, in enumeration order, so the shared
-                    # cache ends up in the exact state a serial run leaves
-                    # behind.
-                    outcomes = sorted(
-                        list(restored.values()) + new, key=lambda o: o.index
-                    )
-                    for outcome in outcomes:
-                        if not outcome.format_skipped:
-                            self.plan_cache.get(outcome.point)
             finally:
                 if checkpoint is not None:
                     checkpoint.close()
 
-            result = self._merge(
+            outcomes = sorted([*restored.values(), *new], key=lambda o: o.index)
+            result = _fold(
                 outcomes,
+                self.plan_cache,
                 t0,
-                hits0,
-                misses0,
+                observer=obs,
+                keep_history=self.keep_history,
+                workers=self.workers,
                 partial=len(outcomes) < len(items),
                 resumed=len(restored),
             )
@@ -480,78 +399,83 @@ class AutoTuner:
                 ).inc()
             return result
 
-    def _merge(
-        self,
-        outcomes: list[CandidateOutcome],
-        t0: float,
-        hits0: int,
-        misses0: int,
-        partial: bool = False,
-        resumed: int = 0,
-    ) -> TuningResult:
-        """Fold index-ordered outcomes into a :class:`TuningResult`.
 
-        Shared by the serial and parallel paths: walking the outcomes in
-        enumeration order reproduces the serial loop's tie-breaking (the
-        first strictly faster candidate wins) and its skip-reason
-        insertion order.  One ``tuner.candidate`` span is recorded per
-        outcome -- at merge time, so the trace is identical whether the
-        evaluation ran serially, on threads, or in worker processes
-        (which cannot share the observer); the measured per-candidate
-        wall clock rides along as the ``wall_s`` attribute.
-        """
-        obs = self.observer
-        best: Evaluation | None = None
-        history: list[Evaluation] = []
-        evaluated = 0
-        skipped = 0
-        skip_reasons: dict[str, int] = {}
+def _fold(
+    outcomes: list[CandidateOutcome],
+    plan_cache: KernelPlanCache,
+    t0: float,
+    observer=NULL_OBSERVER,
+    keep_history: bool = True,
+    workers: int = 1,
+    partial: bool = False,
+    resumed: int = 0,
+) -> TuningResult:
+    """Fold index-ordered outcomes into a :class:`TuningResult`.
 
-        for outcome in outcomes:
-            candidate = obs.span(
-                "tuner.candidate",
-                index=outcome.index,
-                point=str(outcome.point.format_key()),
-                wall_s=outcome.wall_s,
-            )
-            if outcome.evaluation is None:
-                skipped += 1
-                reason = outcome.skip_reason or "ReproError"
-                skip_reasons[reason] = skip_reasons.get(reason, 0) + 1
-                with candidate as csp:
-                    csp.set(skipped=True, skip_reason=reason)
-                continue
-            ev: Evaluation = outcome.evaluation
-            evaluated += 1
-            if self.keep_history:
-                history.append(ev)
-            if best is None or ev.time_s < best.time_s:
-                best = ev
-            with candidate as csp:
-                csp.set(sim_time_s=ev.time_s, sim_gflops=ev.gflops)
+    Every tuner ends here.  Walking the outcomes in enumeration order
+    fixes the tie-breaking (the first strictly faster candidate wins)
+    and the skip-reason insertion order, wherever the candidates ran.
+    The plan lookups are replayed here, in the same order (a candidate
+    whose format failed to build never reaches its plan), so the shared
+    cache ends in one state -- entries, hits and misses -- for every
+    pool width, checkpoint resume and tuner.  One ``tuner.candidate``
+    span is recorded per outcome, carrying the measured per-candidate
+    wall clock as ``wall_s``.
+    """
+    hits0, misses0 = plan_cache.hits, plan_cache.misses
+    best: Evaluation | None = None
+    history: list[Evaluation] = []
+    evaluated = 0
+    skipped = 0
+    skip_reasons: dict[str, int] = {}
 
-        if best is None:
-            if partial:
-                raise DeadlineExceeded(
-                    "the tuning deadline expired before any candidate "
-                    "finished -- nothing to return, not even a partial best",
-                    label="tuner.tune",
-                )
-            raise TuningError("no tuning candidate was evaluable for this matrix")
-
-        return TuningResult(
-            best=best,
-            evaluated=evaluated,
-            skipped=skipped,
-            wall_seconds=time.perf_counter() - t0,
-            simulated_compile_s=self.plan_cache.simulated_compile_time_s,
-            plan_cache_hits=self.plan_cache.hits,
-            plan_cache_misses=self.plan_cache.misses,
-            cache_hits=self.plan_cache.hits - hits0,
-            cache_misses=self.plan_cache.misses - misses0,
-            workers=self.workers,
-            history=history,
-            skip_reasons=skip_reasons,
-            partial=partial,
-            resumed=resumed,
+    for outcome in outcomes:
+        if not outcome.format_skipped:
+            plan_cache.get(outcome.point)  # compile (or reuse) the plan
+        candidate = observer.span(
+            "tuner.candidate",
+            index=outcome.index,
+            point=str(outcome.point.format_key()),
+            wall_s=outcome.wall_s,
         )
+        if outcome.evaluation is None:
+            skipped += 1
+            reason = outcome.skip_reason or "ReproError"
+            skip_reasons[reason] = skip_reasons.get(reason, 0) + 1
+            with candidate as csp:
+                csp.set(skipped=True, skip_reason=reason)
+            continue
+        ev: Evaluation = outcome.evaluation
+        evaluated += 1
+        if keep_history:
+            history.append(ev)
+        if best is None or ev.time_s < best.time_s:
+            best = ev
+        with candidate as csp:
+            csp.set(sim_time_s=ev.time_s, sim_gflops=ev.gflops)
+
+    if best is None:
+        if partial:
+            raise DeadlineExceeded(
+                "the tuning deadline expired before any candidate "
+                "finished -- nothing to return, not even a partial best",
+                label="tuner.tune",
+            )
+        raise TuningError("no tuning candidate was evaluable for this matrix")
+
+    return TuningResult(
+        best=best,
+        evaluated=evaluated,
+        skipped=skipped,
+        wall_seconds=time.perf_counter() - t0,
+        simulated_compile_s=plan_cache.simulated_compile_time_s,
+        plan_cache_hits=plan_cache.hits,
+        plan_cache_misses=plan_cache.misses,
+        cache_hits=plan_cache.hits - hits0,
+        cache_misses=plan_cache.misses - misses0,
+        workers=workers,
+        history=history,
+        skip_reasons=skip_reasons,
+        partial=partial,
+        resumed=resumed,
+    )

@@ -3,8 +3,8 @@
 Covers the :class:`~repro.core.shm.SharedArena` refcounted-unlink
 contract, the ``prepare(share=True)`` pickle path (a descriptor ships,
 not the arrays -- a child process maps the same pages and multiplies
-bit-identically), the tuner's ``share_operand`` plumbing (workers attach
-the parent's segment instead of unpickling copies), and the serve
+bit-identically), the tuner pool's shared operand (workers attach the
+parent's segment instead of unpickling copies), and the serve
 cache's shared/owned footprint split.
 """
 
@@ -176,9 +176,7 @@ class TestTunerSharedOperand:
         A = random_matrix(nrows=120, ncols=120, density=0.06, seed=31)
         obs = Observer()
         reset_shm_stats()
-        parallel = AutoTuner(
-            DEVICE, workers=2, share_operand=True, observer=obs,
-        ).tune(A)
+        parallel = AutoTuner(DEVICE, workers=2, observer=obs).tune(A)
         serial = AutoTuner(DEVICE).tune(A)
 
         assert parallel.best.point == serial.best.point
@@ -194,6 +192,9 @@ class TestTunerSharedOperand:
         assert stats["unlinks"] == 1, "owner must unlink after the sweep"
 
     def test_share_without_workers_is_plain_serial(self, random_matrix):
+        # A serial search evaluates in-process: no arena is published.
         A = random_matrix(nrows=60, ncols=60, seed=37)
-        res = AutoTuner(DEVICE, share_operand=True).tune(A)
+        reset_shm_stats()
+        res = AutoTuner(DEVICE).tune(A)
         assert res.best is not None
+        assert shm_stats()["segments_created"] == 0

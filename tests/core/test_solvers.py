@@ -8,15 +8,7 @@ from scipy.sparse.linalg import eigsh
 from repro import SpMVEngine
 from repro.errors import ReproError, ValidationError
 from repro.fault import Deadline, FaultPlan
-from repro.solvers import (
-    SolveResult,
-    bicgstab,
-    conjugate_gradient,
-    gmres,
-    jacobi,
-    power_method,
-    solve,
-)
+from repro.solvers import SolveResult, power_method, solve
 from repro.tuning import TuningPoint
 
 
@@ -42,42 +34,42 @@ def engine():
 class TestConjugateGradient:
     def test_solves_spd(self):
         A, b = spd_system()
-        res = conjugate_gradient(A, b, tol=1e-11)
+        res = solve(A, b, method="cg", tol=1e-11)
         assert res.converged
         np.testing.assert_allclose(A @ res.x, b, atol=1e-8)
 
     def test_history_monotonic_tail(self):
         A, b = spd_system()
-        res = conjugate_gradient(A, b)
+        res = solve(A, b, method="cg")
         assert res.history[0] > res.history[-1]
         assert res.residual_norm == res.history[-1]
 
     def test_counts_spmv_time(self):
         A, b = spd_system()
-        res = conjugate_gradient(A, b)
+        res = solve(A, b, method="cg")
         assert res.spmv_count == res.iterations + 1  # +1 initial residual
         assert res.spmv_time_s > 0
 
     def test_prepared_matrix_reuse(self, engine):
         A, b = spd_system()
         prep = engine.prepare(A, point=TuningPoint())
-        res = conjugate_gradient(prep, b, engine=engine)
+        res = solve(prep, b, method="cg", engine=engine)
         assert res.converged
 
     def test_prepared_without_engine_rejected(self, engine):
         A, b = spd_system()
         prep = engine.prepare(A, point=TuningPoint())
         with pytest.raises(ReproError, match="engine"):
-            conjugate_gradient(prep, b)
+            solve(prep, b, method="cg")
 
     def test_rectangular_rejected(self):
         A = sparse.random(10, 20, density=0.3, random_state=0, format="csr")
         with pytest.raises(ReproError, match="square"):
-            conjugate_gradient(A, np.ones(10))
+            solve(A, np.ones(10), method="cg")
 
     def test_max_iter_reported(self):
         A, b = spd_system()
-        res = conjugate_gradient(A, b, tol=1e-30, max_iter=3)
+        res = solve(A, b, method="cg", tol=1e-30, max_iter=3)
         assert not res.converged
         assert res.iterations == 3
 
@@ -85,62 +77,62 @@ class TestConjugateGradient:
 class TestBiCGSTAB:
     def test_solves_nonsymmetric(self):
         A, b = nonsymmetric_system()
-        res = bicgstab(A, b, tol=1e-11)
+        res = solve(A, b, method="bicgstab", tol=1e-11)
         assert res.converged
         np.testing.assert_allclose(A @ res.x, b, atol=1e-7)
 
     def test_agrees_with_cg_on_spd(self):
         A, b = spd_system()
-        x_cg = conjugate_gradient(A, b, tol=1e-12).x
-        x_bi = bicgstab(A, b, tol=1e-12).x
+        x_cg = solve(A, b, method="cg", tol=1e-12).x
+        x_bi = solve(A, b, method="bicgstab", tol=1e-12).x
         np.testing.assert_allclose(x_bi, x_cg, atol=1e-8)
 
 
 class TestJacobi:
     def test_solves_diagonally_dominant(self):
         A, b = nonsymmetric_system()
-        res = jacobi(A, b, tol=1e-11)
+        res = solve(A, b, method="jacobi", tol=1e-11)
         assert res.converged
         np.testing.assert_allclose(A @ res.x, b, atol=1e-7)
 
     def test_zero_diagonal_rejected(self):
         A = sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(ReproError, match="diagonal"):
-            jacobi(A, np.ones(2))
+            solve(A, np.ones(2), method="jacobi")
 
 
 class TestGMRES:
     def test_solves_nonsymmetric(self):
         A, b = nonsymmetric_system()
-        res = gmres(A, b, tol=1e-11)
+        res = solve(A, b, method="gmres", tol=1e-11)
         assert res.converged
         np.testing.assert_allclose(A @ res.x, b, atol=1e-7)
 
     def test_agrees_with_bicgstab(self):
         A, b = nonsymmetric_system()
-        x_gm = gmres(A, b, tol=1e-12).x
-        x_bi = bicgstab(A, b, tol=1e-12).x
+        x_gm = solve(A, b, method="gmres", tol=1e-12).x
+        x_bi = solve(A, b, method="bicgstab", tol=1e-12).x
         np.testing.assert_allclose(x_gm, x_bi, atol=1e-7)
 
     def test_restart_cycles(self):
         # A restart shorter than the iteration count forces several
         # cycles; each costs one extra SpMV for the true residual.
         A, b = nonsymmetric_system()
-        res = gmres(A, b, restart=5, tol=1e-11, max_iter=500)
+        res = solve(A, b, method="gmres", restart=5, tol=1e-11, max_iter=500)
         assert res.converged
         assert res.spmv_count > res.iterations + 1
         np.testing.assert_allclose(A @ res.x, b, atol=1e-7)
 
     def test_residual_history_per_inner_iteration(self):
         A, b = nonsymmetric_system()
-        res = gmres(A, b, tol=1e-11)
+        res = solve(A, b, method="gmres", tol=1e-11)
         assert len(res.history) == res.iterations + 1
         assert res.history[0] > res.history[-1]
 
     def test_solves_spd_too(self):
         A, b = spd_system()
-        x_gm = gmres(A, b, tol=1e-12).x
-        x_cg = conjugate_gradient(A, b, tol=1e-12).x
+        x_gm = solve(A, b, method="gmres", tol=1e-12).x
+        x_cg = solve(A, b, method="cg", tol=1e-12).x
         np.testing.assert_allclose(x_gm, x_cg, atol=1e-8)
 
 
@@ -164,16 +156,6 @@ class TestSolveAPI:
         A, _ = spd_system()
         with pytest.raises(ValidationError, match="length"):
             solve(A, np.ones(7))
-
-    def test_wrappers_delegate(self):
-        # The wrapper and the surface must produce the same object
-        # graph: identical iterates, counters and method tag.
-        A, b = spd_system()
-        via_wrapper = conjugate_gradient(A, b, tol=1e-12)
-        via_solve = solve(A, b, method="cg", tol=1e-12)
-        assert np.array_equal(via_wrapper.x, via_solve.x)
-        assert via_wrapper.history == via_solve.history
-        assert via_wrapper.method == via_solve.method == "cg"
 
     def test_backend_option_mirrors_engine(self):
         # The backend is an engine option: pass an engine to choose it.

@@ -148,7 +148,6 @@ class TestTunerObservability:
             tuner = AutoTuner(
                 GTX680,
                 workers=workers,
-                executor="thread",
                 keep_history=True,
                 observer=obs,
             )
@@ -167,9 +166,7 @@ class TestTunerObservability:
 
     def test_parallel_trace_round_trips(self, matrix, tmp_path):
         obs = Observer()
-        tuner = AutoTuner(
-            GTX680, workers=2, executor="thread", keep_history=True, observer=obs
-        )
+        tuner = AutoTuner(GTX680, workers=2, keep_history=True, observer=obs)
         result = tuner.tune(matrix)
         roots = load_jsonl(dump_jsonl(obs))
         flat = [s for r in roots for s in r.walk()]

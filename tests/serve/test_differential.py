@@ -142,7 +142,6 @@ class TestUnderInjectedFaults:
         engine = SpMVEngine(
             policy="permissive",
             tuning_workers=2,
-            tuning_executor="thread",
             fault_plan=FaultPlan.single("tuner.worker_crash", seed=5, count=1),
         )
         A = make_matrix(23)

@@ -1,20 +1,12 @@
 """Worker-crash recovery in parallel tuning: requeue, rebuild, fall back."""
 
-import os
-
 import pytest
 
 from repro.errors import WorkerCrashError
 from repro.fault import FaultPlan, RetryPolicy
 from repro.fault.injection import fault_scope
 from repro.gpu import GTX680
-from repro.tuning import (
-    AutoTuner,
-    FormatCache,
-    KernelPlanCache,
-    ParallelReport,
-    run_parallel,
-)
+from repro.tuning import AutoTuner, ParallelReport, run_parallel
 from repro.tuning.parallel import evaluate_candidates
 from repro.tuning.space import pruned_space
 
@@ -40,28 +32,18 @@ def assert_identical(a, b):
 
 class TestCrashInjection:
     def test_crash_after_kills_in_process_evaluation(self, A):
+        # In-process the injected crash raises; only a pool worker turns
+        # it into a hard exit.
         items = list(enumerate(pruned_space(A, GTX680)))[:8]
-        import numpy as np
-
-        x = np.ones(A.shape[1])
         with pytest.raises(WorkerCrashError):
-            evaluate_candidates(
-                items,
-                A,
-                x,
-                GTX680,
-                FormatCache(A),
-                KernelPlanCache(),
-                crash_after=2,
-                parent_pid=os.getpid(),  # in-process: must raise, not exit
-            )
+            evaluate_candidates(items, A, GTX680, crash_after=2)
 
     def test_thread_pool_recovers_bit_identically(self, A, serial):
+        # The crash draw happens in the parent, so its event is recorded
+        # on the parent's plan even though a worker process dies.
         plan = FaultPlan.parse("tuner.worker_crash:p=1.0,count=1,seed=3")
         with fault_scope(plan):
-            res = AutoTuner(
-                GTX680, workers=2, executor="thread"
-            ).tune(A)
+            res = AutoTuner(GTX680, workers=2).tune(A)
         assert_identical(res, serial)
         events = plan.drain_events()
         assert any(e.site == "tuner.worker_crash" for e in events)
@@ -71,27 +53,19 @@ class TestCrashInjection:
         # the parent; the chunk is requeued onto a rebuilt pool.
         plan = FaultPlan.parse("tuner.worker_crash:p=1.0,count=1,seed=3")
         with fault_scope(plan):
-            res = AutoTuner(
-                GTX680, workers=2, executor="process"
-            ).tune(A)
+            res = AutoTuner(GTX680, workers=2).tune(A)
         assert_identical(res, serial)
 
     def test_report_counts_lost_chunks_and_rebuilds(self, A):
-        import numpy as np
-
         items = list(enumerate(pruned_space(A, GTX680)))
-        x = np.ones(A.shape[1])
         report = ParallelReport()
         plan = FaultPlan.parse("tuner.worker_crash:p=1.0,count=1,seed=3")
         with fault_scope(plan):
             outcomes = run_parallel(
                 items,
                 A,
-                x,
                 GTX680,
                 workers=2,
-                executor="thread",
-                compile_cost=0.0,
                 report=report,
             )
         assert report.lost_chunks >= 1
@@ -100,25 +74,19 @@ class TestCrashInjection:
         assert [o.index for o in outcomes] == sorted(o.index for o in outcomes)
 
     def test_persistent_crasher_falls_back_to_serial(self, A, serial):
-        # Unlimited crash budget on a thread pool: every pooled attempt
-        # of every chunk dies, so after the rebuild budget the chunks
-        # are evaluated serially in-process (injection disabled there --
-        # the parent must survive) and the result still matches serial.
-        import numpy as np
-
+        # Unlimited crash budget: every pooled attempt of every chunk
+        # dies, so after the rebuild budget the chunks are evaluated
+        # serially in-process (injection disabled there -- the parent
+        # must survive) and the result still matches serial.
         items = list(enumerate(pruned_space(A, GTX680)))
-        x = np.ones(A.shape[1])
         report = ParallelReport()
         plan = FaultPlan.parse("tuner.worker_crash:p=1.0,count=inf,seed=3")
         with fault_scope(plan):
             outcomes = run_parallel(
                 items,
                 A,
-                x,
                 GTX680,
                 workers=2,
-                executor="thread",
-                compile_cost=0.0,
                 retry=RetryPolicy(max_attempts=2, base_delay_s=0.0),
                 report=report,
             )
@@ -135,9 +103,7 @@ class TestCrashInjection:
         obs = Observer()
         plan = FaultPlan.parse("tuner.worker_crash:p=1.0,count=1,seed=3")
         with fault_scope(plan):
-            AutoTuner(
-                GTX680, workers=2, executor="thread", observer=obs
-            ).tune(A)
+            AutoTuner(GTX680, workers=2, observer=obs).tune(A)
         assert obs.metrics.get("tuner.worker_crashes").value() >= 1
         assert obs.metrics.get("retry.attempts").value() >= 1
 

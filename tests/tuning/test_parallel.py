@@ -6,12 +6,15 @@ order, same skip-reason quarantine counters, and the shared plan cache
 ends up in the same state (entries *and* hit/miss counters).
 """
 
+import glob
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro.errors import TuningError
 from repro.gpu import GTX680
+from repro.obs import Observer
 from repro.tuning import (
     AutoTuner,
     KernelPlanCache,
@@ -86,14 +89,26 @@ class TestEquivalence:
         assert parallel.workers == 4
 
     def test_thread_pool_identical(self, A):
+        # Three workers: chunks split unevenly across the pool.
         serial, serial_cache = _tune(A)
-        parallel, parallel_cache = _tune(A, workers=3, executor="thread")
+        parallel, parallel_cache = _tune(A, workers=3)
         _assert_identical(serial, parallel, serial_cache, parallel_cache)
 
     def test_more_workers_than_chunks(self, A):
         serial, serial_cache = _tune(A)
-        parallel, parallel_cache = _tune(A, workers=64, executor="thread")
+        parallel, parallel_cache = _tune(A, workers=64)
         _assert_identical(serial, parallel, serial_cache, parallel_cache)
+
+    def test_pool_maps_operand_from_shared_memory(self, A):
+        # The default pool publishes the operand once in shared memory
+        # (no pickled CSR per chunk) and unlinks it when the sweep ends.
+        before = set(glob.glob("/dev/shm/reproshm-*"))
+        obs = Observer()
+        tuner = AutoTuner(GTX680, workers=2, observer=obs)
+        result = tuner.tune(A)
+        assert result.workers == 2
+        assert obs.metrics.get("tuner.shm.attaches").value() >= 1
+        assert set(glob.glob("/dev/shm/reproshm-*")) <= before
 
     def test_exhaustive_mode_identical(self, A):
         kw = dict(
@@ -103,7 +118,7 @@ class TestEquivalence:
             ),
         )
         serial, serial_cache = _tune(A, **kw)
-        parallel, parallel_cache = _tune(A, workers=2, executor="thread", **kw)
+        parallel, parallel_cache = _tune(A, workers=2, **kw)
         _assert_identical(serial, parallel, serial_cache, parallel_cache)
 
     def test_quarantine_counters_survive_fanout(self):
@@ -112,7 +127,7 @@ class TestEquivalence:
         rng = np.random.default_rng(3)
         A = sp.random(400, 9, density=0.3, random_state=rng, format="csr")
         serial, _ = _tune(A)
-        parallel, _ = _tune(A, workers=4, executor="thread")
+        parallel, _ = _tune(A, workers=4)
         assert serial.skip_reasons == parallel.skip_reasons
         assert serial.best_point == parallel.best_point
 
@@ -121,10 +136,6 @@ class TestValidation:
     def test_workers_must_be_positive(self):
         with pytest.raises(TuningError, match="workers"):
             AutoTuner(GTX680, workers=0)
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(TuningError, match="executor"):
-            AutoTuner(GTX680, executor="rayon")
 
     def test_result_reports_store_defaults(self, A):
         result, _ = _tune(A)
