@@ -1,6 +1,6 @@
 """Beyond the paper: the library's extension features.
 
-Three capabilities the PPoPP'14 evaluation did not cover but a
+Two capabilities the PPoPP'14 evaluation did not cover but a
 downstream user of the framework would want:
 
 1. **double precision** -- the cost model knows fp64 doubles the value
@@ -8,16 +8,13 @@ downstream user of the framework would want:
    yet SpMV stays memory-bound, so the slowdown is the byte ratio;
 2. **model-driven tuning** -- a closed-form cost model (after Choi et
    al., the paper's reference [7]) ranks the pruned space and only the
-   top fraction executes, cutting tuning time several-fold;
-3. **OpenCL code generation** -- the specialized kernel source a real
-   device would compile, rendered from the tuned configuration.
+   top fraction executes, cutting tuning time several-fold.
 
 Run:  python examples/extensions_tour.py
 """
 
 import numpy as np
 
-from repro.codegen import generate_kernel_source, kernel_name
 from repro.formats import BCCOOMatrix
 from repro.gpu import GTX680, TimingModel
 from repro.kernels import YaSpMVConfig, YaSpMVKernel
@@ -53,15 +50,6 @@ def main() -> None:
     print(f"  model-driven (15%) : {fast.evaluated:4d} kernel runs, "
           f"{fast.wall_seconds:5.1f}s -> {fast.best.gflops:.2f} GFLOPS "
           f"({fast.best.time_s / full.best.time_s * 100 - 100:+.1f}% time vs optimum)")
-
-    # --- 3. OpenCL code generation --------------------------------------
-    point = full.best_point
-    source = generate_kernel_source(point)
-    print(f"\ngenerated kernel {kernel_name(point)}: "
-          f"{len(source.splitlines())} lines of OpenCL")
-    for line in source.splitlines()[:14]:
-        print("  " + line)
-    print("  ...")
 
 
 if __name__ == "__main__":

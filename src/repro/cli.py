@@ -4,8 +4,8 @@ Gives the library's main workflows a shell entry point:
 
 * ``info``      -- list devices, formats, kernels and the matrix suite;
 * ``tune``      -- auto-tune a matrix (suite name or ``.mtx`` file) and
-  print the winning configuration, optionally the generated OpenCL;
-  ``--trace out.jsonl`` dumps the tuning trace as JSON lines;
+  print the winning configuration; ``--trace out.jsonl`` dumps the
+  tuning trace as JSON lines;
 * ``multiply``  -- run one simulated SpMV and report the profile;
 * ``profile``   -- run the full prepare/tune/convert/execute pipeline
   under an :class:`~repro.obs.Observer` and print the span tree plus
@@ -82,7 +82,6 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    from .codegen import generate_kernel_source
     from .gpu import get_device
     from .tuning import AutoTuner, TuningResult
 
@@ -97,8 +96,6 @@ def _cmd_tune(args) -> int:
             res = TuningResult.from_store(cached)
             print(f"{name}: warm start from {args.store}")
             print(res.summary())
-            if args.emit_opencl:
-                print("\n" + generate_kernel_source(res.best_point))
             return 0
     observer = None
     if args.trace:
@@ -135,9 +132,8 @@ def _cmd_tune(args) -> int:
             res = tuner.tune(A)
     else:
         res = tuner.tune(A)
-    bp = res.best_point
     if store is not None:
-        store.put(A, args.device, bp)
+        store.put(A, args.device, res.best_point)
         print(f"saved configuration to {args.store}")
     print(f"{name}:")
     print(res.summary())
@@ -146,8 +142,6 @@ def _cmd_tune(args) -> int:
 
         n = write_jsonl(observer, args.trace)
         print(f"wrote {n} spans to {args.trace}")
-    if args.emit_opencl:
-        print("\n" + generate_kernel_source(bp))
     return 0
 
 
@@ -522,8 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="parallel tuning workers, forked, mapping the "
                              "matrix from shared memory (results are "
                              "identical to serial; only faster)")
-    p_tune.add_argument("--emit-opencl", action="store_true",
-                        help="print the generated OpenCL kernel source")
     p_tune.add_argument("--trace", default="",
                         help="write the tuning trace to this JSON-lines file")
     p_tune.add_argument("--deadline", type=float, default=0.0,

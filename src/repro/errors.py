@@ -234,23 +234,6 @@ class RemoteWorkerError(ReproError):
         self.remote_traceback = remote_traceback
 
 
-class WorkerRestartError(ReproError):
-    """A shard worker could not be respawned within the retry budget.
-
-    Raised by :class:`repro.serve.ShardSupervisor` bookkeeping when every
-    restart attempt failed and no degraded in-process fallback was
-    possible; ``shard`` names the worker, ``attempts`` how many respawns
-    were tried.  Survives pickling (the message is the sole positional
-    argument).
-    """
-
-    def __init__(self, message: str = "", *, shard: str | None = None,
-                 attempts: int | None = None):
-        super().__init__(message)
-        self.shard = shard
-        self.attempts = attempts
-
-
 class QuotaExceededError(ReproError):
     """A tenant exceeded its admission quota on the serving fabric.
 

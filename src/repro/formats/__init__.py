@@ -39,7 +39,6 @@ from .footprint import (
     footprint_report,
 )
 from .hyb import HYBMatrix
-from .layout import device_order_indices, from_device_order, to_device_order
 from .merge_csr import MergeCSRMatrix, cal_vectors
 from .rgcsr import RGCSRMatrix
 from .sell import SELLMatrix
@@ -79,7 +78,4 @@ __all__ = [
     "cal_vectors",
     "RGCSRMatrix",
     "SELLMatrix",
-    "device_order_indices",
-    "from_device_order",
-    "to_device_order",
 ]

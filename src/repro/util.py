@@ -7,8 +7,6 @@ simulated kernels.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 from scipy import sparse as _sp
 
@@ -17,12 +15,8 @@ __all__ = [
     "round_up",
     "as_csr",
     "as_coo_sorted",
-    "segment_lengths_from_stops",
     "run_lengths",
-    "first_true_per_segment",
-    "pad_to_multiple",
     "check_1d",
-    "dtype_nbytes",
 ]
 
 
@@ -64,24 +58,6 @@ def as_coo_sorted(matrix) -> _sp.coo_matrix:
     return coo
 
 
-def segment_lengths_from_stops(stops: np.ndarray) -> np.ndarray:
-    """Lengths of segments delimited by ``True`` stop markers.
-
-    ``stops[i]`` is True when element ``i`` is the *last* element of its
-    segment.  A trailing open segment (no final stop) is *not* reported --
-    matching the paper's semantics where padding extends the final segment
-    but never closes it.
-
-    >>> segment_lengths_from_stops(np.array([0, 0, 1, 1, 0, 1], dtype=bool))
-    array([3, 1, 2])
-    """
-    stops = np.asarray(stops, dtype=bool)
-    idx = np.flatnonzero(stops)
-    if idx.size == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.diff(np.concatenate(([-1], idx)))
-
-
 def run_lengths(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Run-length encode ``values`` -> ``(run_values, run_lengths)``.
 
@@ -99,49 +75,9 @@ def run_lengths(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values[starts], lengths
 
 
-def first_true_per_segment(flags: np.ndarray, segment_size: int) -> np.ndarray:
-    """Index of the first True within each fixed-size segment, or -1.
-
-    ``flags`` is reshaped to ``(-1, segment_size)``; for every row the index
-    of its first True element is returned (or -1 when the row has none).
-    Used to find the first row stop of each thread-level tile.
-    """
-    flags = np.asarray(flags, dtype=bool)
-    if flags.size % segment_size != 0:
-        raise ValueError(
-            f"flags length {flags.size} is not a multiple of segment size {segment_size}"
-        )
-    grid = flags.reshape(-1, segment_size)
-    has_any = grid.any(axis=1)
-    first = grid.argmax(axis=1)
-    return np.where(has_any, first, -1)
-
-
-def pad_to_multiple(arr: np.ndarray, multiple: int, fill) -> np.ndarray:
-    """Pad a 1-D array with ``fill`` so its length is a multiple of ``multiple``."""
-    arr = np.asarray(arr)
-    target = round_up(arr.shape[0], multiple) if arr.shape[0] else multiple * 0
-    if target == arr.shape[0]:
-        return arr
-    out = np.full(target, fill, dtype=arr.dtype)
-    out[: arr.shape[0]] = arr
-    return out
-
-
 def check_1d(name: str, arr: np.ndarray) -> np.ndarray:
     """Validate that ``arr`` is one-dimensional; return it as ndarray."""
     arr = np.asarray(arr)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
     return arr
-
-
-def dtype_nbytes(dtype) -> int:
-    """Size in bytes of one element of ``dtype``."""
-    return int(np.dtype(dtype).itemsize)
-
-
-def iter_chunks(n: int, chunk: int) -> Iterable[tuple[int, int]]:
-    """Yield ``(start, stop)`` pairs covering ``range(n)`` in ``chunk`` steps."""
-    for start in range(0, n, chunk):
-        yield start, min(start + chunk, n)

@@ -17,7 +17,6 @@ class TestParser:
         args = build_parser().parse_args(["tune", "QCD"])
         assert args.device == "gtx680"
         assert args.mode == "pruned"
-        assert not args.emit_opencl
 
     def test_rejects_unknown_device(self):
         with pytest.raises(SystemExit):
@@ -39,12 +38,6 @@ class TestCommands:
         assert main(["multiply", "QCD", "--cap", "20000"]) == 0
         out = capsys.readouterr().out
         assert "GFLOPS" in out and "max |y - A@x|" in out
-
-    def test_tune_emits_opencl(self, capsys):
-        assert main(["tune", "Economics", "--cap", "8000", "--emit-opencl"]) == 0
-        out = capsys.readouterr().out
-        assert "best:" in out
-        assert "__kernel void yaspmv" in out
 
     def test_compare(self, capsys):
         assert main(["compare", "Economics", "--cap", "8000"]) == 0

@@ -55,14 +55,6 @@ class TestCanonicalization:
 
 
 class TestSegments:
-    def test_segment_lengths(self):
-        stops = np.array([0, 0, 1, 1, 0, 1], dtype=bool)
-        assert util.segment_lengths_from_stops(stops).tolist() == [3, 1, 2]
-
-    def test_trailing_open_segment_dropped(self):
-        stops = np.array([1, 0, 0], dtype=bool)
-        assert util.segment_lengths_from_stops(stops).tolist() == [1]
-
     def test_run_lengths(self):
         vals, lens = util.run_lengths(np.array([3, 3, 5, 5, 5, 2]))
         assert vals.tolist() == [3, 5, 2]
@@ -72,33 +64,8 @@ class TestSegments:
         vals, lens = util.run_lengths(np.array([]))
         assert vals.size == 0 and lens.size == 0
 
-    def test_first_true_per_segment(self):
-        flags = np.array([0, 0, 1, 0, 0, 0, 0, 1], dtype=bool)
-        assert util.first_true_per_segment(flags, 4).tolist() == [2, 3]
-        none = np.zeros(4, dtype=bool)
-        assert util.first_true_per_segment(none, 4).tolist() == [-1]
-
-    def test_first_true_rejects_ragged(self):
-        with pytest.raises(ValueError, match="multiple"):
-            util.first_true_per_segment(np.zeros(5, dtype=bool), 4)
-
 
 class TestPadding:
-    def test_pad_to_multiple(self):
-        out = util.pad_to_multiple(np.array([1, 2, 3]), 4, fill=9)
-        assert out.tolist() == [1, 2, 3, 9]
-
-    def test_no_pad_needed(self):
-        arr = np.array([1, 2, 3, 4])
-        assert util.pad_to_multiple(arr, 4, 0) is arr
-
     def test_check_1d(self):
         with pytest.raises(ValueError, match="1-D"):
             util.check_1d("x", np.zeros((2, 2)))
-
-    def test_iter_chunks(self):
-        assert list(util.iter_chunks(10, 4)) == [(0, 4), (4, 8), (8, 10)]
-
-    def test_dtype_nbytes(self):
-        assert util.dtype_nbytes(np.float32) == 4
-        assert util.dtype_nbytes(np.uint8) == 1

@@ -1,11 +1,10 @@
-"""Property-based tests on IO and the partitioned/layout machinery."""
+"""Property-based tests on Matrix Market IO and the partitioned cocktail format."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from repro.formats import CocktailMatrix
-from repro.formats.layout import from_device_order, to_device_order
 from repro.matrices import read_matrix_market, write_matrix_market
 
 
@@ -56,24 +55,3 @@ class TestCocktailProperties:
             fmt.multiply(x), A @ x, rtol=1e-9, atol=1e-7
         )
 
-
-class TestLayoutProperties:
-    @given(
-        n_wg=st.integers(1, 4),
-        wg=st.sampled_from([2, 4, 8, 32]),
-        tile=st.integers(1, 8),
-        lanes=st.integers(0, 2),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_device_order_is_involution(self, n_wg, wg, tile, lanes):
-        n = n_wg * wg * tile
-        rng = np.random.default_rng(n)
-        shape = (n,) if lanes == 0 else (n,) + (2,) * lanes
-        blocks = rng.standard_normal(shape)
-        dev = to_device_order(blocks, wg, tile)
-        back = from_device_order(dev, wg, tile)
-        np.testing.assert_array_equal(back, blocks)
-        # The permutation is measure-preserving: same multiset of values.
-        np.testing.assert_allclose(
-            np.sort(dev.ravel()), np.sort(blocks.ravel())
-        )
