@@ -8,7 +8,7 @@ downstream user of the framework would want:
    yet SpMV stays memory-bound, so the slowdown is the byte ratio;
 2. **model-driven tuning** -- a closed-form cost model (after Choi et
    al., the paper's reference [7]) ranks the pruned space and only the
-   top fraction executes, cutting tuning time several-fold.
+   top fraction is profiled, cutting tuning time.
 
 Run:  python examples/extensions_tour.py
 """

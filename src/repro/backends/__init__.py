@@ -6,7 +6,8 @@ call and sums like the interpreter (the paper's dataflow and every
 fault site); ``fast`` caches its plan and sums with vectorized cores.
 Both produce bit-identical output and identical cost profiles.  An
 engine picks one at construction (``SpMVEngine(backend=...)``); the
-auto-tuner always ranks candidates on ``faithful``.
+auto-tuner ranks candidates on profile-only launches and executes only
+its winner, on ``faithful``.
 """
 
 from ..errors import BackendError

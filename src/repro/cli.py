@@ -40,8 +40,9 @@ Gives the library's main workflows a shell entry point:
 engine and accept ``--backend {faithful,fast}`` (see
 :mod:`repro.backends`): ``faithful`` interprets workgroups exactly like
 the paper's kernels, ``fast`` is the bit-identical vectorized path.
-``tune`` always ranks on ``faithful``; ``chaos`` and ``solve`` use the
-fabric's and :func:`repro.solve`'s defaults.
+``tune`` ranks on profile-only launches and checks its winner on
+``faithful``; ``chaos`` and ``solve`` use the fabric's and
+:func:`repro.solve`'s defaults.
 """
 
 from __future__ import annotations

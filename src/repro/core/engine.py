@@ -391,8 +391,11 @@ class SpMVEngine:
         ``"faithful"`` (default, the workgroup interpreter) or
         ``"fast"`` (the vectorized path).  Every ``multiply`` and
         ``multiply_many`` runs on it; the two are bit-identical, so the
-        choice only moves the wall clock.  Tuning always ranks
-        candidates on ``faithful`` (see ``docs/backends.md``).
+        choice only moves the wall clock.  Tuning ranks candidates on
+        profile-only launches whatever the backend, then executes only
+        the winner, on ``faithful``, and checks it against the CSR
+        reference; under a fault plan every candidate runs the full
+        ``faithful`` launch (see ``docs/backends.md``).
     """
 
     _POLICIES = ("strict", "permissive")

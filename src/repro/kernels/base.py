@@ -24,6 +24,10 @@ Every execution reports through the ambient observer (see
 :mod:`repro.obs`): a ``kernel.<name>`` span wrapping :meth:`_execute`
 plus launch counters.  With the default null observer the hooks cost a
 module-global read and nothing else.
+
+The kernels that run a plan-based launch (yaSpMV, merge-path CSR,
+row-grouped CSR) also offer :meth:`SpMVKernel.profile`: the same launch
+without its sums, which is what the auto-tuner ranks candidates on.
 """
 
 from __future__ import annotations
@@ -93,6 +97,9 @@ class SpMVKernel(abc.ABC):
     format_name: ClassVar[str] = ""
     #: Dataclass type of this kernel's launch configuration.
     config_cls: ClassVar[type] = BaselineConfig
+    #: The per-call launch plan of a plan-based kernel (``None`` for the
+    #: comparators, which have no :meth:`profile`).
+    plan_cls: ClassVar[type | None] = None
 
     def run(
         self,
@@ -121,6 +128,28 @@ class SpMVKernel(abc.ABC):
             result = self._execute(fmt, x, device, cfg)
             self._observe(obs, sp, label, result.stats)
         return result
+
+    def profile(
+        self,
+        fmt: SparseFormat,
+        device: DeviceSpec,
+        *,
+        config: Any | None = None,
+    ) -> KernelStats:
+        """The cost profile of one single-vector launch, without its sums.
+
+        Runs the launch :meth:`run` runs -- every configuration, resource
+        and decode check, and a plan built per call under the fault
+        hooks -- but computes no ``y``, so it needs no vector.  The
+        profile equals ``run(...).stats`` field for field, and a
+        configuration that raises raises the same error.
+        """
+        if self.plan_cls is None:
+            raise KernelConfigError(
+                f"{type(self).__name__} has no profile-only launch"
+            )
+        cfg = self._coerce_config(config)
+        return self._launch(fmt, None, device, cfg, self.plan_cls, None).stats
 
     @staticmethod
     def _observe(obs, sp, label: str, stats: KernelStats) -> None:

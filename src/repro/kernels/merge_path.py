@@ -184,6 +184,7 @@ class MergePathKernel(SpMVKernel):
     name = "merge_csr"
     format_name = "merge_csr"
     config_cls = YaSpMVConfig
+    plan_cls = MergePlan
 
     def _execute(
         self,
@@ -227,15 +228,17 @@ class MergePathKernel(SpMVKernel):
         """One merge-path launch (a 2-D ``x`` runs one per column).
 
         ``plan_for(fmt, cfg)`` returns the :class:`MergePlan` and
-        ``sums(plan, fmt, x)`` the result vector.
+        ``sums(plan, fmt, x)`` the result vector; ``sums=None`` and
+        ``x=None`` make the launch profile-only (``y`` is ``None``).
         """
         fmt = self._expect(fmt, MergeCSRMatrix)
         self._check_workgroup(cfg.workgroup_size, device)
-        if x.ndim == 2:
+        if x is not None and x.ndim == 2:
             return self._launch_columns(fmt, x, device, cfg, plan_for, sums)
-        if x.shape[0] != fmt.ncols:
+        if x is not None and x.shape[0] != fmt.ncols:
             raise KernelConfigError(
                 f"vector length {x.shape[0]} != matrix columns {fmt.ncols}"
             )
         plan = plan_for(fmt, cfg)
-        return KernelResult(y=sums(plan, fmt, x), stats=plan.stats(fmt, device))
+        y = None if sums is None else sums(plan, fmt, x)
+        return KernelResult(y=y, stats=plan.stats(fmt, device))

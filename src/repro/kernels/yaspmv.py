@@ -257,6 +257,7 @@ class YaSpMVKernel(SpMVKernel):
     name = "yaspmv"
     format_name = "bccoo"
     config_cls = YaSpMVConfig
+    plan_cls = LaunchPlan
 
     def _execute(
         self,
@@ -332,15 +333,18 @@ class YaSpMVKernel(SpMVKernel):
 
         ``plan_for(fmt, cfg)`` returns the :class:`LaunchPlan` and
         ``sums(plan, X)`` the per-row-stop sums, ``(n_stops, h)`` or
-        ``(n_stops, h * k)``; every other step happens here.
+        ``(n_stops, h * k)``; every other step happens here.  With
+        ``sums=None`` and ``X=None`` the launch is profile-only: every
+        check runs and the plan is built, but ``y`` is ``None``.
         """
         if isinstance(fmt, BCCOOPlusMatrix):
             inner = self._launch(fmt.stacked, X, device, cfg, plan_for, sums)
             # inner.y covers the stacked rows; fold slices (Figure 5).
-            k = X.shape[1] if X.ndim == 2 else 1
+            k = X.shape[1] if X is not None and X.ndim == 2 else 1
             combine = self._combine_stats(fmt, device, k)
             return KernelResult(
-                y=fmt.combine(inner.y), stats=inner.stats.sequential(combine)
+                y=None if sums is None else fmt.combine(inner.y),
+                stats=inner.stats.sequential(combine),
             )
         if not isinstance(fmt, BCCOOMatrix):
             raise KernelConfigError(
@@ -348,28 +352,37 @@ class YaSpMVKernel(SpMVKernel):
             )
         self._check_workgroup(cfg.workgroup_size, device)
         self._check_resources(fmt, device, cfg)
-        if X.shape[0] != fmt.ncols:
+        if X is not None and X.shape[0] != fmt.ncols:
             raise KernelConfigError(
                 f"vector length {X.shape[0]} != matrix columns {fmt.ncols}"
                 if X.ndim == 1
                 else f"X has {X.shape[0]} rows, matrix has {fmt.ncols} columns"
             )
         plan = plan_for(fmt, cfg)
-        if X.ndim == 1:
+        if X is None or X.ndim == 1:
             stats = plan.stats(fmt, device)
         else:
             stats = plan.multi_stats(fmt, device, X.shape[1])
-        per_stop = sums(plan, X)
+        # The sums hold one row per stop flag, so a profile-only launch
+        # counts the flags instead.
+        per_stop = None if sums is None else sums(plan, X)
+        n_stops = (
+            np.count_nonzero(plan.padded.stops)
+            if per_stop is None
+            else per_stop.shape[0]
+        )
         # Runtime invariant: the stop count carried by the bit flags must
         # equal the non-empty-row map -- the compression is unreadable
         # otherwise (a flipped flag word lands here).
         rows = fmt.nonempty_block_rows
-        if per_stop.shape[0] != rows.shape[0]:
+        if n_stops != rows.shape[0]:
             raise ValidationError(
-                f"bit flags encode {per_stop.shape[0]} row stops but the "
+                f"bit flags encode {n_stops} row stops but the "
                 f"row map holds {rows.shape[0]}",
                 check="row_stop_count",
             )
+        if per_stop is None:
+            return KernelResult(y=None, stats=stats)
         h = fmt.block_height
         lanes = X.shape[1:]
         y = np.zeros((fmt.n_block_rows * h,) + lanes, dtype=np.float64)

@@ -162,4 +162,4 @@ class ModelDrivenTuner:
         # they do in the full search.
         survivors = sorted(ranked[:keep], key=lambda it: it[0])
         outcomes = evaluate_candidates(survivors, csr, self.device)
-        return _fold(outcomes, self.plan_cache, t0)
+        return _fold(outcomes, self.plan_cache, t0, csr, self.device)

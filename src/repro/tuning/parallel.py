@@ -6,7 +6,11 @@ Section 4's search is the framework's cost center (the paper reports
 :func:`evaluate_candidates` -- in-process, or on the pool workers that
 :func:`run_parallel` forks -- and folds the index-tagged outcomes into
 one :class:`~repro.tuning.TuningResult` the same way, so ``workers=N``
-is an observable no-op on everything except wall-clock time.
+is an observable no-op on everything except wall-clock time.  An
+evaluation is a profile-only launch -- the full ``faithful`` launch
+under an active fault plan -- because the rank needs only the simulated
+time; the fold then executes and checks the winner alone, in the
+calling process.
 
 Three design rules keep the pool bit-identical to the in-process walk:
 
@@ -56,6 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..backends import get_backend
+from ..backends.base import kernel_for
 from ..errors import ReproError, WorkerCrashError
 from ..fault.injection import active_plan
 from ..fault.retry import Deadline, RetryPolicy
@@ -168,11 +173,15 @@ def evaluate_candidates(
     """Evaluate index-tagged candidates in order: the one evaluation path.
 
     Each candidate's format is converted from ``csr`` (once per format
-    key), executed on the ``faithful`` interpreter against an all-ones
-    vector, and timed by the simulated cost profile.  The ranking reads
-    only that profile, which is identical on every backend, and the
-    interpreter keeps no per-format plan cache for the losing
-    candidates to fill.
+    key) and timed by the simulated cost profile of its launch.  The
+    ranking reads only that profile, so with no fault plan active the
+    launch is profile-only (:meth:`~repro.kernels.SpMVKernel.profile`):
+    every check runs and the plan is built per call, but no sums are
+    computed.  Under an active fault plan each candidate runs the full
+    ``faithful`` launch against an all-ones vector instead, because the
+    plan's kernel and synchronization sites fire inside the sums.  No
+    per-format plan cache is left for the losing candidates to fill,
+    and the tuner's fold executes and checks only the winner.
 
     A failing candidate is quarantined and counted by reason instead of
     aborting; genuine bugs (non-:class:`ReproError`) still propagate.
@@ -193,6 +202,7 @@ def evaluate_candidates(
     from .tuner import Evaluation
 
     interpreter = get_backend("faithful")
+    full_launch = active_plan() is not None
     timing = TimingModel(device)
     fmt_cache = FormatCache(csr)
     x = np.ones(csr.shape[1], dtype=np.float64)
@@ -226,7 +236,12 @@ def evaluate_candidates(
                 )
                 continue
             try:
-                result = interpreter.execute(fmt, x, device, config=point.kernel)
+                if full_launch:
+                    stats = interpreter.execute(
+                        fmt, x, device, config=point.kernel
+                    ).stats
+                else:
+                    stats = kernel_for(fmt).profile(fmt, device, config=point.kernel)
             except ReproError as exc:
                 emit(
                     CandidateOutcome(
@@ -238,7 +253,7 @@ def evaluate_candidates(
                     )
                 )
                 continue
-            breakdown = timing.estimate(result.stats)
+            breakdown = timing.estimate(stats)
             emit(
                 CandidateOutcome(
                     index=index,

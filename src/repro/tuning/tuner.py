@@ -2,13 +2,17 @@
 
 Mirrors the paper's framework (section 4): enumerate a (pruned or
 exhaustive) space of :class:`TuningPoint` candidates, "compile" each
-kernel through the plan cache, execute it on the simulated device, and
-rank by estimated execution time.  Candidates always execute on the
-``faithful`` interpreter: the ranking reads only the cost profile, which
-every backend computes identically.  The tuner reports wall-clock spent,
-simulated compile time, cache statistics and the full evaluation history
-so the benchmark can reproduce the section 4 numbers (pruned-vs-optimal
-quality gap, tuning cost).
+kernel through the plan cache, profile its launch on the simulated
+device, and rank by estimated execution time.  The ranking reads only
+the cost profile, so candidates run profile-only launches -- every
+check and the launch plan, no sums -- unless a fault plan is active, in
+which case each runs the full ``faithful`` launch.  Only the winner is
+then executed, on ``faithful`` against a seeded random vector, and
+checked against the CSR reference (:func:`_check_winner`); a winner
+that fails is quarantined and the runner-up is checked next.  The tuner
+reports wall-clock spent, simulated compile time, cache statistics and
+the full evaluation history so the benchmark can reproduce the section
+4 numbers (pruned-vs-optimal quality gap, tuning cost).
 
 The search can fan out over a process pool -- see
 :mod:`repro.tuning.parallel` -- and is guaranteed to return the same
@@ -22,13 +26,18 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from ..errors import DeadlineExceeded, TuningError
+import numpy as np
+
+from ..backends import get_backend
+from ..errors import DeadlineExceeded, ReproError, TuningError
+from ..fault.injection import fault_scope
 from ..fault.retry import Deadline, RetryPolicy
+from ..fault.validation import verify_output
 from ..gpu.device import DeviceSpec
 from ..gpu.timing import TimingBreakdown
 from ..obs import NULL_OBSERVER, obs_scope
 from ..util import as_csr
-from .cache import KernelPlanCache
+from .cache import KernelPlanCache, build_format
 from .checkpoint import TuningCheckpoint
 from .parallel import (
     CandidateOutcome,
@@ -204,6 +213,11 @@ class TuningResult:
 class AutoTuner:
     """Searches the Table 1 space for one matrix on one device.
 
+    Candidates are ranked on the simulated time of profile-only
+    launches (full ``faithful`` launches under an active fault plan);
+    the winner alone is executed and checked against the CSR reference
+    before :meth:`tune` returns it.
+
     Parameters
     ----------
     device:
@@ -349,6 +363,8 @@ class AutoTuner:
                 outcomes,
                 self.plan_cache,
                 t0,
+                csr,
+                self.device,
                 observer=obs,
                 keep_history=self.keep_history,
                 workers=self.workers,
@@ -400,10 +416,63 @@ class AutoTuner:
             return result
 
 
+def _verify(point: TuningPoint, csr, device: DeviceSpec) -> str | None:
+    """Execute ``point`` in full and check it; ``None`` when it passes.
+
+    Builds the point's format from ``csr`` and runs the full ``faithful``
+    launch against a seeded standard-normal vector (with an all-ones
+    vector a wrong column gather could still give every row the right
+    sum), then compares every row with ``csr @ x`` at the engine's
+    default tolerances.  Runs with no fault plan, so the check consumes
+    no fault draws, and under a muted observer.  A failure returns the
+    error class name -- the skip reason the tuner quarantines it under.
+    """
+    x = np.random.default_rng(0).standard_normal(csr.shape[1])
+    try:
+        with fault_scope(None), obs_scope(NULL_OBSERVER):
+            fmt = build_format(csr, point)
+            y = get_backend("faithful").execute(fmt, x, device, config=point.kernel).y
+        verify_output(csr, x, y, n_samples=None).raise_if_failed()
+    except ReproError as exc:
+        return type(exc).__name__
+    return None
+
+
+def _check_winner(outcomes, csr, device, observer) -> dict[int, str]:
+    """Check the best candidates in rank order until one passes.
+
+    The rank is (simulated time, enumeration index), the order the
+    fold's "first strictly faster wins" walk picks by.  Returns the skip
+    reason of each rejected candidate, by enumeration index.
+    """
+    ranked = sorted(
+        (o for o in outcomes if o.evaluation is not None),
+        key=lambda o: (o.evaluation.time_s, o.index),
+    )
+    rejected: dict[int, str] = {}
+    for outcome in ranked:
+        with observer.span(
+            "tuner.verify",
+            index=outcome.index,
+            point=str(outcome.point.format_key()),
+        ) as vsp:
+            reason = _verify(outcome.point, csr, device)
+            vsp.set(ok=reason is None, reason=reason)
+        if reason is None:
+            break
+        rejected[outcome.index] = reason
+    observer.counter(
+        "tuner.verify_failures", "tuned winners rejected by the winner check"
+    ).inc(len(rejected))
+    return rejected
+
+
 def _fold(
     outcomes: list[CandidateOutcome],
     plan_cache: KernelPlanCache,
     t0: float,
+    csr,
+    device: DeviceSpec,
     observer=NULL_OBSERVER,
     keep_history: bool = True,
     workers: int = 1,
@@ -412,7 +481,10 @@ def _fold(
 ) -> TuningResult:
     """Fold index-ordered outcomes into a :class:`TuningResult`.
 
-    Every tuner ends here.  Walking the outcomes in enumeration order
+    Every tuner ends here.  First the winner is executed and checked
+    (:func:`_check_winner`); a candidate that fails the check is
+    quarantined under its reason like one that raised, and the next in
+    rank is checked.  Walking the outcomes in enumeration order then
     fixes the tie-breaking (the first strictly faster candidate wins)
     and the skip-reason insertion order, wherever the candidates ran.
     The plan lookups are replayed here, in the same order (a candidate
@@ -422,6 +494,7 @@ def _fold(
     span is recorded per outcome, carrying the measured per-candidate
     wall clock as ``wall_s``.
     """
+    rejected = _check_winner(outcomes, csr, device, observer)
     hits0, misses0 = plan_cache.hits, plan_cache.misses
     best: Evaluation | None = None
     history: list[Evaluation] = []
@@ -438,9 +511,9 @@ def _fold(
             point=str(outcome.point.format_key()),
             wall_s=outcome.wall_s,
         )
-        if outcome.evaluation is None:
+        if outcome.evaluation is None or outcome.index in rejected:
             skipped += 1
-            reason = outcome.skip_reason or "ReproError"
+            reason = rejected.get(outcome.index) or outcome.skip_reason or "ReproError"
             skip_reasons[reason] = skip_reasons.get(reason, 0) + 1
             with candidate as csp:
                 csp.set(skipped=True, skip_reason=reason)
@@ -455,6 +528,11 @@ def _fold(
             csp.set(sim_time_s=ev.time_s, sim_gflops=ev.gflops)
 
     if best is None:
+        if rejected:
+            raise TuningError(
+                f"no tuning candidate passed the winner check "
+                f"({len(rejected)} rejected)"
+            )
         if partial:
             raise DeadlineExceeded(
                 "the tuning deadline expired before any candidate "

@@ -175,8 +175,9 @@ class TestBackendFlag:
 
     @pytest.mark.parametrize("cmd", ["tune", "chaos", "solve"])
     def test_flag_absent_where_defaults_decide(self, cmd):
-        # tune ranks on the interpreter; chaos and solve use the
-        # fabric's and solve()'s defaults.
+        # tune ranks on profile-only launches and checks its winner on
+        # the interpreter; chaos and solve use the fabric's and solve()'s
+        # defaults.
         argv = {"chaos": ["chaos"]}.get(cmd, [cmd, "QCD"])
         assert not hasattr(build_parser().parse_args(argv), "backend")
         with pytest.raises(SystemExit):

@@ -300,9 +300,9 @@ class TestBackendAPI:
             SpMVEngine("gtx680", backend="auto")
 
     def test_prepare_leaves_no_candidate_plans(self, rng):
-        # Tuning ranks on the interpreter, so a prepare on a fast engine
-        # caches no plans for losing candidates: only the multiply of
-        # the winner builds one.
+        # Tuning never runs on the fast backend, so a prepare on a fast
+        # engine caches no plans for losing candidates: only the
+        # multiply of the winner builds one.
         spec = get_spec("QCD")
         A = spec.load(scale=spec.scale_for_nnz(3_000), seed=0)
         fast = get_backend("fast")

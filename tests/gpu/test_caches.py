@@ -2,8 +2,41 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.gpu import LRUCache, vector_read_traffic, windowed_miss_estimate
+
+
+def per_window_misses(line_ids, capacity_lines, window=None) -> int:
+    """The estimator's definition, one ``np.unique`` per window."""
+    ids = np.asarray(line_ids, dtype=np.int64).ravel()
+    if ids.size == 0:
+        return 0
+    if capacity_lines <= 0:
+        return int(ids.size)
+    if window is None:
+        window = max(4 * capacity_lines, 1)
+    return sum(
+        int(np.unique(ids[start : start + window]).size)
+        for start in range(0, ids.size, window)
+    )
+
+
+@st.composite
+def line_streams(draw):
+    """``(stream, capacity, window)``: 0 to 5 windows of int64 line ids,
+    the last window either whole or a short tail."""
+    capacity = draw(st.sampled_from([-4, 0, 1, 1536]))
+    window = draw(st.sampled_from([None, 1, 32]))
+    span = window if window is not None else max(4 * capacity, 1)
+    n_windows = draw(st.integers(0, 5))
+    last = draw(st.one_of(st.just(span), st.integers(1, span)))
+    n = (n_windows - 1) * span + last if n_windows else 0
+    low = draw(st.integers(-(2**62), 2**62))
+    spread = draw(st.sampled_from([1, 2, 40, 5000, 2**40]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stream = rng.integers(low, low + spread, size=n, dtype=np.int64)
+    return stream, capacity, window
 
 
 class TestLRUCache:
@@ -59,6 +92,14 @@ class TestWindowedEstimate:
 
     def test_empty(self):
         assert windowed_miss_estimate(np.array([], dtype=np.int64), 16) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(line_streams())
+    def test_equals_per_window_definition(self, case):
+        stream, capacity, window = case
+        assert windowed_miss_estimate(stream, capacity, window) == (
+            per_window_misses(stream, capacity, window)
+        )
 
 
 class TestVectorReadTraffic:
