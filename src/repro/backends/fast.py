@@ -8,11 +8,13 @@ fast:
 
 * a plan cache: each kernel's x-independent launch state (for BCCOO the
   padded arrays, the vector-gather map, the segment structure of the bit
-  flags; for the stream formats the decoded rows / lane order) and its
-  cost profile are built **once** per ``(format, config)`` and cached on
-  the format instance's lifetime (weak-keyed, so dropping the format
-  drops the plan; a value refresh migrates it, see
-  :meth:`FastBackend.refresh_values`);
+  flags; for the stream formats the decoded rows / lane order) is built
+  **once** per ``(format, config)`` and cached on the format instance's
+  lifetime (weak-keyed, so dropping the format drops the plan; a value
+  refresh migrates it, see :meth:`FastBackend.refresh_values`).  The
+  plan also memoizes, per device, its cost profile and the simulated
+  clock computed from it, which the launch result carries to the
+  engine;
 * summation cores that replace the interpreter's per-workgroup loops: one
   gather, one ``einsum`` (the *same* call on the *same* arrays the
   faithful core uses -- hence identical products), and one batched
@@ -57,6 +59,7 @@ from ..formats.bccoo_plus import BCCOOPlusMatrix
 # Unused here; kept because perfbench/tracing.py patches this module's copy.
 from ..gpu.caches import vector_read_traffic  # noqa: F401
 from ..gpu.device import DeviceSpec
+from ..gpu.timing import TimingBreakdown, TimingModel
 from ..kernels.base import KernelResult, SpMVKernel
 from ..kernels.merge_path import MergePlan
 from ..kernels.row_grouped import RowGroupPlan
@@ -111,21 +114,51 @@ def _fused_matvec_exact() -> bool:
 
 
 class _Memo:
-    """Cost profiles memoized per plan, keyed by device (and batch width
-    for SpMM): they depend only on structure, the configuration and the
-    device, so they are computed once and carried over by value
-    refreshes.  Threads racing on a miss compute equal profiles;
-    ``setdefault`` keeps one."""
+    """Cost profiles and their simulated clock, memoized per plan.
+
+    A profile depends only on structure, the configuration and the
+    device, so it is computed once per device (and batch width for SpMM)
+    and carried over by value refreshes; so is the
+    :class:`~repro.gpu.timing.TimingBreakdown` that
+    :meth:`TimingModel.estimate <repro.gpu.timing.TimingModel.estimate>`
+    computes from it the first time.  Keys hold the frozen
+    :class:`DeviceSpec` value, not its name: a ``with_overrides`` copy
+    that keeps the name is another device.  Threads racing on a miss
+    compute equal values; ``setdefault`` keeps one.
+    """
 
     __slots__ = ()
 
+    def _start_memo(self) -> None:
+        self._profiles = {}
+        self._clocks = {}
+
+    def _carry_memo(self, clone) -> None:
+        """Hand this plan's memo to its value-refreshed twin."""
+        clone._profiles = dict(self._profiles)
+        clone._clocks = dict(self._clocks)
+
     def stats(self, fmt, device: DeviceSpec):
-        profile = self._profiles.get(device.name)
+        profile = self._profiles.get(device)
         if profile is None:
             profile = self._profiles.setdefault(
-                device.name, super().stats(fmt, device)
+                device, super().stats(fmt, device)
             )
         return replace(profile)
+
+    def breakdown(
+        self, device: DeviceSpec, k: int | None, stats
+    ) -> TimingBreakdown:
+        """The clock of this plan's launch on ``device`` (SpMV when ``k``
+        is ``None``, else SpMM over ``k`` columns) whose profile is
+        ``stats``."""
+        key = device if k is None else (device, k)
+        clock = self._clocks.get(key)
+        if clock is None:
+            clock = self._clocks.setdefault(
+                key, TimingModel(device).estimate(stats)
+            )
+        return clock
 
 
 class FastPlan(_Memo, LaunchPlan):
@@ -138,7 +171,7 @@ class FastPlan(_Memo, LaunchPlan):
     life of the process.  ``padded.fmt`` is therefore ``None``.
     """
 
-    __slots__ = ("segplan", "fused", "_profiles")
+    __slots__ = ("segplan", "fused", "_profiles", "_clocks")
 
     def __init__(self, fmt, cfg):
         super().__init__(fmt, cfg)
@@ -157,7 +190,7 @@ class FastPlan(_Memo, LaunchPlan):
                 (self._fused_data(), self.gather_flat, indptr),
                 shape=(self.segplan.n_segments, fmt.ncols),
             )
-        self._profiles = {}
+        self._start_memo()
 
     def _fused_data(self) -> np.ndarray:
         data = np.ascontiguousarray(self.padded.values[:, 0, 0])
@@ -171,10 +204,10 @@ class FastPlan(_Memo, LaunchPlan):
         """Plan for a value-only rebuild of this plan's format.
 
         ``new_fmt`` shares the structural arrays (flags, columns, row
-        map) with the original, so the gather map, segment plan and the
-        cost profiles all carry over by identity; only the padded value
-        payload (and the fused CSR's data vector) is rebuilt -- the
-        whole point of the incremental re-prepare path.
+        map) with the original, so the gather map, segment plan, cost
+        profiles and clocks all carry over; only the padded value payload
+        (and the fused CSR's data vector) is rebuilt -- the whole point
+        of the incremental re-prepare path.
         """
         clone = object.__new__(FastPlan)
         values = np.zeros_like(self.padded.values)
@@ -192,11 +225,11 @@ class FastPlan(_Memo, LaunchPlan):
                 (clone._fused_data(), self.fused.indices, self.fused.indptr),
                 shape=self.fused.shape,
             )
-        clone._profiles = dict(self._profiles)
+        self._carry_memo(clone)
         return clone
 
     def multi_stats(self, fmt, device: DeviceSpec, k: int):
-        key = (device.name, k)
+        key = (device, k)
         profile = self._profiles.get(key)
         if profile is None:
             profile = self._profiles.setdefault(
@@ -214,17 +247,17 @@ class FastMergePlan(_Memo, MergePlan):
     the fused single pass is bit-identical by construction.
     """
 
-    __slots__ = ("_profiles",)
+    __slots__ = ("_profiles", "_clocks")
 
     def __init__(self, fmt, cfg):
         super().__init__(fmt, cfg)
-        self._profiles = {}
+        self._start_memo()
 
     def derive(self, new_fmt) -> "FastMergePlan":
         """Plan for a value-only rebuild: everything carries over."""
         clone = object.__new__(FastMergePlan)
         clone.cfg, clone.cols, clone.rows = self.cfg, self.cols, self.rows
-        clone._profiles = dict(self._profiles)
+        self._carry_memo(clone)
         return clone
 
 
@@ -238,7 +271,7 @@ class FastRowGroupPlan(_Memo, RowGroupPlan):
     sequence of the faithful kernel's per-group lane loop.
     """
 
-    __slots__ = ("order", "row_ids", "_profiles")
+    __slots__ = ("order", "row_ids", "_profiles", "_clocks")
 
     def __init__(self, fmt, cfg):
         super().__init__(fmt, cfg)
@@ -259,14 +292,14 @@ class FastRowGroupPlan(_Memo, RowGroupPlan):
             np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
         )
         self.row_ids = np.repeat(fmt.row_perm, fmt.row_lengths)
-        self._profiles = {}
+        self._start_memo()
 
     def derive(self, new_fmt) -> "FastRowGroupPlan":
         """Plan for a value-only rebuild: everything carries over."""
         clone = object.__new__(FastRowGroupPlan)
         clone.cfg, clone.cols, clone.mask = self.cfg, self.cols, self.mask
         clone.order, clone.row_ids = self.order, self.row_ids
-        clone._profiles = dict(self._profiles)
+        self._carry_memo(clone)
         return clone
 
 
@@ -394,19 +427,32 @@ class FastBackend(ExecutionBackend):
         return self._dispatch(fmt, X, device, config, "backend.fast_multi")
 
     def _dispatch(self, fmt, X, device, config, span: str) -> KernelResult:
-        """Run the format's kernel launch on a cached plan and a fast core."""
+        """Run the format's kernel launch on a cached plan and a fast core,
+        and hand the result the plan's memoized clock.
+
+        A BCCOO+ result carries no clock: its launch folds the
+        slice-combine profile into the stacked launch's on every call, so
+        the caller estimates it.
+        """
         kern = kernel_for(fmt)
         cfg = kern._coerce_config(config)
         plan_for, sums = self._cores[kern.name]
         obs = active_observer()
         if not obs.enabled:
-            return kern._launch(fmt, X, device, cfg, plan_for, sums)
-        label = "yaspmm" if X.ndim == 2 and kern.name == "yaspmv" else kern.name
-        with obs.span(
-            span, format=type(fmt).__name__, workgroup_size=cfg.workgroup_size
-        ) as sp:
             result = kern._launch(fmt, X, device, cfg, plan_for, sums)
-            kern._observe(obs, sp, label, result.stats)
+        else:
+            label = (
+                "yaspmm" if X.ndim == 2 and kern.name == "yaspmv" else kern.name
+            )
+            with obs.span(
+                span, format=type(fmt).__name__, workgroup_size=cfg.workgroup_size
+            ) as sp:
+                result = kern._launch(fmt, X, device, cfg, plan_for, sums)
+                kern._observe(obs, sp, label, result.stats)
+        if not isinstance(fmt, BCCOOPlusMatrix):
+            k = None if X.ndim == 1 else X.shape[1]
+            plan = plan_for(fmt, cfg)
+            result.breakdown = plan.breakdown(device, k, result.stats)
         return result
 
     def capabilities(self) -> dict:

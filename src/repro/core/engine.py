@@ -621,7 +621,7 @@ class SpMVEngine:
                 result = self._backend.execute(
                     prepared.fmt, x, self.device, prepared.config
                 )
-                breakdown = self._timing.estimate(result.stats)
+                breakdown = self._clock(result)
                 out = SpMVResult(
                     y=result.y,
                     stats=result.stats,
@@ -760,7 +760,7 @@ class SpMVEngine:
                     "attempts walked before success",
                     buckets=(1, 2, 3, 4, 5),
                 ).observe(len(report.attempts))
-                breakdown = self._timing.estimate(result.stats)
+                breakdown = self._clock(result)
                 return SpMVResult(
                     y=result.y,
                     stats=result.stats,
@@ -952,7 +952,7 @@ class SpMVEngine:
                 result = self._backend.execute_multi(
                     prepared.fmt, X, self.device, prepared.config
                 )
-                breakdown = self._timing.estimate(result.stats)
+                breakdown = self._clock(result)
                 out = SpMVResult(
                     y=result.y,
                     stats=result.stats,
@@ -1067,6 +1067,13 @@ class SpMVEngine:
             )
         fmt = prepared.fmt
         return kernel_for(fmt).max_batch_width(fmt, self.device, prepared.config)
+
+    def _clock(self, result) -> TimingBreakdown:
+        """The simulated clock of one launch: the one its result carries
+        (a ``fast`` plan's memoized breakdown), else estimated here."""
+        if result.breakdown is not None:
+            return result.breakdown
+        return self._timing.estimate(result.stats)
 
     def _observe_result(self, sp, result: SpMVResult) -> None:
         """Feed one multiply's profile to the observer (span + metrics)."""

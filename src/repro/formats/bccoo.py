@@ -24,11 +24,13 @@ every block row is occupied.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 from scipy import sparse as _sp
 
 from ..errors import FormatError, ValidationError
-from ..util import as_coo_sorted, round_up
+from ..util import as_csr, round_up
 from .base import FP32, ByteSizes, Footprint, SparseFormat, register_format
 from .bitflags import (
     BitFlagArray,
@@ -48,6 +50,42 @@ COL_STORAGE_MODES = ("auto", "int32", "ushort", "delta")
 #: Matrices narrower than this use raw unsigned-short column indices
 #: (paper section 4: "if the width of a sparse matrix is less than 65535").
 USHORT_LIMIT = 65535
+
+
+class _SlotMap:
+    """Where each stored entry of one canonical CSR pattern lands in a
+    BCCOO value array: ``values.reshape(-1)[slots] = csr.data``.
+
+    Holds its own copy of the pattern it was computed for, never a
+    format, so it can ride along with every value-refreshed twin.
+    """
+
+    __slots__ = ("indptr", "indices", "slots")
+
+    def __init__(self, csr, slots: np.ndarray):
+        self.indptr = csr.indptr
+        self.indices = csr.indices
+        self.slots = slots
+
+    def data_of(self, matrix, shape) -> np.ndarray | None:
+        """``matrix``'s data vector if it is a ``shape`` CSR with this
+        pattern and no stored zero (so it is already canonical), else
+        ``None``."""
+        if not (
+            _sp.issparse(matrix)
+            and matrix.format == "csr"
+            and matrix.shape == shape
+        ):
+            return None
+        data = matrix.data
+        if (
+            data.shape == self.indices.shape
+            and np.array_equal(matrix.indptr, self.indptr)
+            and np.array_equal(matrix.indices, self.indices)
+            and np.count_nonzero(data) == data.shape[0]
+        ):
+            return data
+        return None
 
 
 @register_format
@@ -83,6 +121,8 @@ class BCCOOMatrix(SparseFormat):
         self.col_storage = col_storage
         self.delta = delta
         self._nnz = int(nnz)
+        #: Entry-to-slot map of the last value refresh (see with_values).
+        self._slot_map: _SlotMap | None = None
         self._validate()
 
     # ------------------------------------------------------------------ #
@@ -236,46 +276,52 @@ class BCCOOMatrix(SparseFormat):
         shape and sparsity pattern; any structural drift (different nnz,
         an entry outside the existing blocks, a value that cancels to an
         explicit zero) raises :class:`~repro.errors.ValidationError`.
-        """
-        coo = as_coo_sorted(matrix)
-        if coo.shape != self.shape:
-            raise ValidationError(
-                f"with_values shape mismatch: format is {self.shape}, "
-                f"new matrix is {coo.shape}"
-            )
-        if int(coo.nnz) != self._nnz:
-            raise ValidationError(
-                f"with_values nnz mismatch: format holds {self._nnz} "
-                f"non-zeros, new matrix has {coo.nnz} (structure must be "
-                f"identical; zeros are eliminated during canonicalization)"
-            )
-        h, w = self.block_height, self.block_width
-        rows = coo.row.astype(np.int64)
-        cols = coo.col.astype(np.int64)
-        keys = (rows // h) * self.n_block_cols + cols // w
-        values = self._scatter_values(keys, rows % h, cols % w, coo.data)
-        return BCCOOMatrix(
-            self.shape,
-            h,
-            w,
-            self.flags,
-            self.col_block,
-            values,
-            self.nonempty_block_rows,
-            self.col_storage,
-            self.delta,
-            self._nnz,
-        )
 
-    def _scatter_values(
-        self,
-        keys: np.ndarray,
-        in_r: np.ndarray,
-        in_c: np.ndarray,
-        data: np.ndarray,
+        The first refresh of a structure maps each entry of the canonical
+        CSR to its value slot and hands that map to the refreshed twin.
+        A refresh of the twin from a CSR with the same pattern and no
+        stored zero then costs a pattern compare and one scatter.
+        """
+        slot_map = self._slot_map
+        data = None if slot_map is None else slot_map.data_of(matrix, self.shape)
+        if data is None:
+            csr = as_csr(matrix)
+            coo = csr.tocoo()
+            if coo.shape != self.shape:
+                raise ValidationError(
+                    f"with_values shape mismatch: format is {self.shape}, "
+                    f"new matrix is {coo.shape}"
+                )
+            if int(coo.nnz) != self._nnz:
+                raise ValidationError(
+                    f"with_values nnz mismatch: format holds {self._nnz} "
+                    f"non-zeros, new matrix has {coo.nnz} (structure must be "
+                    f"identical; zeros are eliminated during canonicalization)"
+                )
+            h, w = self.block_height, self.block_width
+            rows = coo.row.astype(np.int64)
+            cols = coo.col.astype(np.int64)
+            keys = (rows // h) * self.n_block_cols + cols // w
+            slot_map = _SlotMap(csr, self._value_slots(keys, rows % h, cols % w))
+            data = coo.data
+        values = np.zeros_like(self.values)
+        values.reshape(-1)[slot_map.slots] = data
+        return self._twin(values, slot_map)
+
+    def _twin(self, values: np.ndarray, slot_map: _SlotMap | None) -> "BCCOOMatrix":
+        """This format with a new value array of the same shape.  Every
+        structural attribute is shared by identity, and was validated
+        when ``self`` was built."""
+        twin = copy.copy(self)
+        twin.values = values
+        twin._slot_map = slot_map
+        return twin
+
+    def _value_slots(
+        self, keys: np.ndarray, in_r: np.ndarray, in_c: np.ndarray
     ) -> np.ndarray:
-        """Scatter entries keyed by ``brow * n_block_cols + bcol`` into a
-        fresh value array shaped like ``self.values``.
+        """Flat slots in ``self.values`` of entries keyed by
+        ``brow * n_block_cols + bcol``, at ``(in_r, in_c)`` in their block.
 
         Valid blocks are strictly row-major by ``(block_row, block_col)``,
         so the flattened keys are strictly ascending and a searchsorted
@@ -295,10 +341,7 @@ class BCCOOMatrix(SparseFormat):
                 "with_values structure mismatch: the new matrix has an "
                 "entry outside the format's non-zero blocks"
             )
-        values = np.zeros_like(self.values)
-        flat = idx * (h * w) + in_r.astype(np.int64) * w + in_c.astype(np.int64)
-        values.reshape(-1)[flat] = data
-        return values
+        return idx * (h * w) + in_r.astype(np.int64) * w + in_c.astype(np.int64)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -336,6 +379,9 @@ class BCCOOMatrix(SparseFormat):
 
     @property
     def has_empty_block_rows(self) -> bool:
+        """Whether some block row holds no block.  When none is empty the
+        row map (strictly increasing, one entry per block row) is the
+        identity, and a kernel may write its per-stop sums as ``y``."""
         return self.nonempty_block_rows.shape[0] < self.n_block_rows
 
     def stops(self) -> np.ndarray:

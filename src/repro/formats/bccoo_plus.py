@@ -168,19 +168,10 @@ class BCCOOPlusMatrix(SparseFormat):
         s = cols // self.slice_width
         stacked_brow = rows // h + s * pbr
         keys = stacked_brow * self.stacked.n_block_cols + cols // w
-        values = self.stacked._scatter_values(keys, rows % h, cols % w, coo.data)
-        stacked = BCCOOMatrix(
-            self.stacked.shape,
-            h,
-            w,
-            self.stacked.flags,
-            self.stacked.col_block,
-            values,
-            self.stacked.nonempty_block_rows,
-            self.stacked.col_storage,
-            self.stacked.delta,
-            self.stacked.nnz,
-        )
+        slots = self.stacked._value_slots(keys, rows % h, cols % w)
+        values = np.zeros_like(self.stacked.values)
+        values.reshape(-1)[slots] = coo.data
+        stacked = self.stacked._twin(values, None)
         return BCCOOPlusMatrix(self.shape, stacked, self.slice_count, self.slice_width)
 
     # ------------------------------------------------------------------ #

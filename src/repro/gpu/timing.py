@@ -37,13 +37,14 @@ __all__ = ["TimingBreakdown", "TimingModel"]
 _CACHE_BW_MULTIPLIER = 8.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class TimingBreakdown:
     """Estimated execution time of one SpMV, with attribution.
 
     All components are in seconds.  ``imbalance_factor`` already
     multiplies ``t_exec``; the raw balanced time is
-    ``t_exec / imbalance_factor``.
+    ``t_exec / imbalance_factor``.  Frozen: the ``fast`` backend hands
+    one memoized breakdown to every multiply of a plan.
     """
 
     t_total: float

@@ -42,6 +42,7 @@ from ..errors import KernelConfigError
 from ..formats.base import SparseFormat
 from ..gpu.counters import KernelStats
 from ..gpu.device import DeviceSpec
+from ..gpu.timing import TimingBreakdown
 from ..obs import active_observer
 
 __all__ = [
@@ -72,10 +73,16 @@ class BaselineConfig:
 
 @dataclass
 class KernelResult:
-    """Output of one simulated kernel execution."""
+    """Output of one simulated kernel execution.
+
+    ``breakdown`` is the launch's simulated clock when the backend
+    already holds it (a ``fast`` plan memoizes it); ``None`` means the
+    caller estimates it from ``stats``.
+    """
 
     y: np.ndarray
     stats: KernelStats
+    breakdown: TimingBreakdown | None = None
 
     def __iter__(self):
         # Allow ``y, stats = kernel.run(...)``.

@@ -4,8 +4,8 @@ segmented sum/scan (paper section 3), and its SpMM extension.
 :meth:`YaSpMVKernel._launch` is the one launch both execution backends
 run: the configuration and resource checks, the row-stop-count
 invariant, the BCCOO+ slice fold (Figure 5), the scatter of per-stop
-sums into ``y`` and the cost profile.  Its caller supplies the two parts
-that differ between backends:
+sums into ``y`` (none when no block row is empty) and the cost profile.
+Its caller supplies the two parts that differ between backends:
 
 * the *plan* -- a :class:`LaunchPlan`, the x-independent state (padded
   arrays, vector gather map, cost profile).  ``faithful`` builds one per
@@ -385,9 +385,14 @@ class YaSpMVKernel(SpMVKernel):
             return KernelResult(y=None, stats=stats)
         h = fmt.block_height
         lanes = X.shape[1:]
-        y = np.zeros((fmt.n_block_rows * h,) + lanes, dtype=np.float64)
-        if rows.shape[0]:
-            y.reshape((-1, h) + lanes)[rows] = per_stop.reshape((-1, h) + lanes)
+        if not fmt.has_empty_block_rows:
+            # Every block row holds a stop, so the row map is the
+            # identity: the sums are already ``y``, row for row.
+            y = per_stop.reshape((-1,) + lanes)
+        else:
+            y = np.zeros((fmt.n_block_rows * h,) + lanes, dtype=np.float64)
+            if rows.shape[0]:
+                y.reshape((-1, h) + lanes)[rows] = per_stop.reshape((-1, h) + lanes)
         return KernelResult(y=y[: fmt.nrows], stats=stats)
 
     # ------------------------------------------------------------------ #

@@ -22,7 +22,7 @@ from repro.errors import KernelConfigError, ReproError, ValidationError
 from repro.fault import FaultPlan
 from repro.fault.injection import fault_scope
 from repro.formats import BCCOOMatrix
-from repro.gpu import get_device
+from repro.gpu import TimingModel, get_device
 from repro.tuning import TuningPoint
 
 DEVICE = get_device("gtx680")
@@ -294,3 +294,103 @@ class TestFastObservability:
         assert self._kernel_spans(obs) == []
         executions = obs.metrics.get("kernel.executions")
         assert executions.value(kernel="yaspmm") == 1
+
+
+#: One point per fast summation core: the fused 1x1 CSR, the bincount
+#: segmented sum, the merge-path pass and the RG-CSR lane pass.
+CLOCK_POINTS = [
+    pytest.param(TuningPoint(), id="bccoo-1x1"),
+    pytest.param(TuningPoint(block_height=2, block_width=2), id="bccoo-2x2"),
+    pytest.param(TuningPoint(base_format="merge_csr"), id="merge_csr"),
+    pytest.param(TuningPoint(base_format="rgcsr"), id="rgcsr"),
+]
+
+
+@pytest.fixture
+def estimate_calls(monkeypatch):
+    """Every profile ``TimingModel.estimate`` is asked to time, in order."""
+    calls = []
+    estimate = TimingModel.estimate
+
+    def counting(self, stats):
+        calls.append(stats)
+        return estimate(self, stats)
+
+    monkeypatch.setattr(TimingModel, "estimate", counting)
+    return calls
+
+
+class TestMemoizedClock:
+    """A fast plan computes its simulated clock once per device and batch
+    width, and the clock equals the one the engine would estimate."""
+
+    @pytest.mark.parametrize("k", [None, 3], ids=["spmv", "spmm3"])
+    @pytest.mark.parametrize("point", CLOCK_POINTS)
+    def test_clock_estimated_once_per_plan(self, point, k, estimate_calls):
+        A = sparse.random(150, 150, density=0.05, random_state=41, format="csr")
+        fast = SpMVEngine(device=DEVICE, backend="fast")
+        faithful = SpMVEngine(device=DEVICE, backend="faithful")
+        prepared = fast.prepare(A, point=point)
+        rng = np.random.default_rng(43)
+        X = rng.standard_normal(150 if k is None else (150, k))
+
+        def run(engine, prep):
+            if k is None:
+                return engine.multiply(prep, X)
+            return engine.multiply_many(prep, X)
+
+        first = run(fast, prepared)
+        assert first.breakdown == TimingModel(DEVICE).estimate(first.stats)
+        assert first.breakdown == run(faithful, prepared).breakdown
+
+        estimate_calls.clear()
+        assert run(fast, prepared).breakdown == first.breakdown
+        assert estimate_calls == []  # the second multiply of the plan
+        refreshed = fast.update_values(
+            prepared, prepared.reference_csr().data * 2.0
+        )
+        assert run(fast, refreshed).breakdown == first.breakdown
+        assert estimate_calls == []  # the first multiply after a refresh
+
+    def test_bccoo_plus_folds_per_launch(self, estimate_calls):
+        # The slice-combine profile is folded in on every launch, so the
+        # result carries no clock and the engine estimates one.
+        A = sparse.random(150, 150, density=0.05, random_state=41, format="csr")
+        engine = SpMVEngine(device=DEVICE, backend="fast")
+        prepared = engine.prepare(A, point=TuningPoint(slice_count=2))
+        x = np.random.default_rng(43).standard_normal(150)
+        result = get_backend("fast").execute(
+            prepared.fmt, x, DEVICE, prepared.config
+        )
+        assert result.breakdown is None
+        estimate_calls.clear()
+        out = engine.multiply(prepared, x)
+        assert len(estimate_calls) == 1
+        assert out.breakdown == TimingModel(DEVICE).estimate(out.stats)
+
+
+class TestDeviceValueKeys:
+    """Plan memos key on the device's value, not its name."""
+
+    def test_renamed_override_is_another_device(self):
+        A = sparse.random(2000, 2000, density=0.005, random_state=7, format="csr")
+        slow = DEVICE.with_overrides(
+            tex_cache_bytes=1024, dram_bandwidth=DEVICE.dram_bandwidth / 2
+        )
+        assert slow.name == DEVICE.name
+        prepared = SpMVEngine(device=DEVICE).prepare(A, point=TuningPoint())
+        x = np.random.default_rng(3).standard_normal(2000)
+        results = {
+            (backend, dev): SpMVEngine(device=dev, backend=backend).multiply(
+                prepared, x
+            )
+            for backend in ("faithful", "fast")
+            for dev in (DEVICE, slow)  # fast memoizes DEVICE's first
+        }
+        for dev in (DEVICE, slow):
+            base, other = results["faithful", dev], results["fast", dev]
+            _assert_stats_equal(base.stats, other.stats)
+            assert base.breakdown == other.breakdown
+        fast_slow, fast_base = results["fast", slow], results["fast", DEVICE]
+        assert fast_slow.stats.dram_bytes > fast_base.stats.dram_bytes
+        assert fast_slow.breakdown.t_total > fast_base.breakdown.t_total

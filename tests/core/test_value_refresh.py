@@ -38,18 +38,30 @@ def rescaled(A, factor=1.5, seed=9):
 
 
 class TestBCCOOWithValues:
+    #: Value refreshes the format has had before a case runs.  A fresh
+    #: conversion (0) maps entries to slots with a searchsorted lookup;
+    #: :class:`TestRefreshedBCCOOWithValues` reruns every case at 1.
+    generation = 0
+
+    def convert(self, A, **kw):
+        """``A`` as BCCOO, refreshed ``generation`` times from itself."""
+        fmt = BCCOOMatrix.from_scipy(A, **kw)
+        for _ in range(self.generation):
+            fmt = fmt.with_values(A)
+        return fmt
+
     @pytest.mark.parametrize("bh,bw", [(1, 1), (2, 2), (1, 4), (4, 2)])
     def test_matches_fresh_conversion(self, bh, bw):
         A = make_matrix()
         B = rescaled(A)
-        fmt = BCCOOMatrix.from_scipy(A, block_height=bh, block_width=bw)
+        fmt = self.convert(A, block_height=bh, block_width=bw)
         swapped = fmt.with_values(B)
         fresh = BCCOOMatrix.from_scipy(B, block_height=bh, block_width=bw)
         assert np.array_equal(swapped.values, fresh.values)
 
     def test_structural_arrays_shared(self):
         A = make_matrix()
-        fmt = BCCOOMatrix.from_scipy(A, block_height=2, block_width=2)
+        fmt = self.convert(A, block_height=2, block_width=2)
         swapped = fmt.with_values(rescaled(A))
         # The structure is reused by identity, not rebuilt: only the
         # value buffer is new.
@@ -60,20 +72,20 @@ class TestBCCOOWithValues:
     def test_multiply_equals_new_matrix(self):
         A = make_matrix()
         B = rescaled(A)
-        fmt = BCCOOMatrix.from_scipy(A, block_height=2, block_width=2)
+        fmt = self.convert(A, block_height=2, block_width=2)
         x = np.random.default_rng(0).standard_normal(A.shape[1])
         y = fmt.with_values(B).to_scipy() @ x
         np.testing.assert_allclose(y, B @ x, rtol=1e-12, atol=1e-14)
 
     def test_shape_mismatch_rejected(self):
         A = make_matrix(60)
-        fmt = BCCOOMatrix.from_scipy(A)
+        fmt = self.convert(A)
         with pytest.raises(ValidationError, match="shape"):
             fmt.with_values(make_matrix(50))
 
     def test_nnz_mismatch_rejected(self):
         A = make_matrix()
-        fmt = BCCOOMatrix.from_scipy(A)
+        fmt = self.convert(A)
         B = A.copy()
         B.data[0] = 0.0  # canonicalization eliminates explicit zeros
         with pytest.raises(ValidationError, match="nnz"):
@@ -81,7 +93,7 @@ class TestBCCOOWithValues:
 
     def test_structure_mismatch_rejected(self):
         A = make_matrix()
-        fmt = BCCOOMatrix.from_scipy(A, block_height=1, block_width=1)
+        fmt = self.convert(A, block_height=1, block_width=1)
         B = A.tocoo()
         # Same nnz, but one entry moved to a column the format has no
         # block for.
@@ -95,6 +107,28 @@ class TestBCCOOWithValues:
         ).tocsr()
         with pytest.raises(ValidationError, match="structure"):
             fmt.with_values(moved)
+
+
+class TestRefreshedBCCOOWithValues(TestBCCOOWithValues):
+    """Every case again on a once-refreshed format, which carries the
+    entry-to-slot map of its pattern."""
+
+    generation = 1
+
+    @pytest.mark.parametrize("bh,bw", [(1, 1), (2, 2), (1, 4), (4, 2)])
+    def test_same_pattern_skips_the_slot_search(self, bh, bw, monkeypatch):
+        A = make_matrix()
+        fmt = self.convert(A, block_height=bh, block_width=bw)
+        searches = []
+        value_slots = BCCOOMatrix._value_slots
+
+        def counting(*args):
+            searches.append(args)
+            return value_slots(*args)
+
+        monkeypatch.setattr(BCCOOMatrix, "_value_slots", counting)
+        fmt.with_values(rescaled(A))
+        assert searches == []
 
 
 class TestBCCOOPlusWithValues:
@@ -173,6 +207,19 @@ class TestPreparedWithValues:
             engine.multiply(refreshed, x).y, 2.0 * (csr @ x),
             rtol=1e-12, atol=1e-14,
         )
+
+    def test_zero_in_value_vector_rejected(self, engine):
+        # Canonicalization would drop the explicit zero, changing the
+        # structure -- on a fresh and on a refreshed prepared matrix.
+        A = make_matrix(60)
+        prep = engine.prepare(A, point=TuningPoint())
+        data = prep.reference_csr().data
+        refreshed = engine.update_values(prep, data * 2.0)
+        zeroed = data.copy()
+        zeroed[5] = 0.0
+        for source in (prep, refreshed):
+            with pytest.raises(ValidationError, match="nnz"):
+                engine.update_values(source, zeroed)
 
     def test_wrong_value_vector_length_rejected(self, engine):
         A = make_matrix(60)
