@@ -16,11 +16,11 @@ Lifecycle (the refcounted-unlink contract):
   unregisters it from that process's ``resource_tracker`` -- attaching
   must never cause a tracker to unlink a segment the owner still serves
   (the well-known multi-process ``SharedMemory`` footgun).
-* ``close`` drops one reference.  At zero the mapping is closed (a
-  ``BufferError`` from still-live views is tolerated -- the views keep
-  the mapping alive until they are collected) and, in the owning process
-  only, the segment is unlinked.  Unlinking removes the name; processes
-  already attached keep valid mappings until they exit.
+* ``close`` drops one reference.  At zero the descriptor is closed
+  and, in the owning process only, the segment is unlinked.  Every view
+  pins the mapping, so views that outlive the close stay valid and the
+  pages are unmapped when the last of them is collected.  Unlinking
+  removes the name; processes already attached keep valid mappings.
 
 Module counters (:func:`shm_stats`) account segments, bytes, attaches
 and unlinks so tests can assert "one copy, N mappers" instead of
@@ -286,7 +286,13 @@ class SharedArena:
                 f"arena {self.name} holds no array {key!r}; "
                 f"known: {sorted(self._layout)}"
             ) from None
-        return np.ndarray(shape, dtype=np.dtype(dtype), buffer=self._shm.buf, offset=off)
+        dtype = np.dtype(dtype)
+        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        # A memoryview slice pins the mapping (numpy itself holds no
+        # buffer export), so closing the arena cannot unmap it under a
+        # live view: the pages stay mapped until the last view is gone.
+        window = self._shm.buf[off:off + nbytes]
+        return np.frombuffer(window, dtype=dtype).reshape(shape)
 
     def owns(self, arr: np.ndarray) -> bool:
         """Whether ``arr`` is (a view of) memory inside this segment."""
@@ -325,9 +331,13 @@ class SharedArena:
         try:
             self._shm.close()
         except BufferError:
-            # Live views still export the buffer; they keep the mapping
-            # alive and the OS reclaims it when they are collected.
-            pass
+            # Live views pin the mapping, which is unmapped when the last
+            # of them is collected.  The descriptor is not needed for
+            # that: close it now, and drop the pinned mmap so the
+            # SharedMemory finalizer does not retry the close.
+            os.close(self._shm._fd)
+            self._shm._fd = -1
+            self._shm._mmap = None
         if unlink:
             try:
                 self._shm.unlink()

@@ -79,13 +79,14 @@ FAULT_SITES: tuple[str, ...] = (
     # `fraction` seconds of extra simulated latency until the health
     # tracker ejects it.
     "serve.shard_slow",
-    # An out-of-process shard worker is SIGKILL'd for real: the child
-    # process dies, in-flight futures fail, and the supervisor must
-    # detect the exit code and respawn (or degrade) the worker.
+    # A fabric shard's server is killed: a forked child is SIGKILL'd for
+    # real, an in-process loopback drops its server and cache.  In-flight
+    # futures fail, and the supervisor must detect the death and restart
+    # the shard (a degraded shard restarts in-process).
     "serve.worker_kill",
-    # An out-of-process shard worker goes silent: the child stops
-    # reading its pipe, so heartbeats miss and the reply timeout trips;
-    # the supervisor SIGKILLs and restarts it.
+    # A fabric shard's server goes silent: a forked child stops reading
+    # its pipe, a loopback times out every call.  Heartbeats miss and
+    # the reply timeout trips; the supervisor kills and restarts it.
     "serve.worker_hang",
     # The shared-memory arena backing a worker's warm cache keys is
     # unlinked before a restart re-prime: re-attachment fails and the
@@ -431,15 +432,16 @@ class FaultPlan:
         return float(spec.fraction)
 
     def worker_kill(self, n_live: int) -> bool:
-        """Whether an out-of-process shard worker is SIGKILL'd this
-        scheduling round (``serve.worker_kill``).
+        """Whether a shard's server is killed this scheduling round
+        (``serve.worker_kill``): a forked child by SIGKILL, a loopback
+        by dropping its server.
 
         Parent-side draw, same contract as :meth:`shard_crash`: the
-        fabric picks the victim (the busiest live worker) so a seeded
-        drill reliably kills a worker with requests in flight, and never
+        fabric picks the victim (the busiest live shard) so a seeded
+        drill reliably kills a server with requests in flight, and never
         fires with a single live replica left.  Unlike ``shard_crash``
         the shard is *not* marked dead -- the supervisor is expected to
-        detect the exit and respawn it.
+        detect the death and restart it.
         """
         spec = self._fire("serve.worker_kill")
         if spec is None or n_live < 2:
@@ -448,13 +450,13 @@ class FaultPlan:
         return True
 
     def worker_hang(self, n_live: int) -> bool:
-        """Whether an out-of-process shard worker goes silent this round
+        """Whether a shard's server goes silent this round
         (``serve.worker_hang``).
 
-        The victim worker stops reading its request pipe; detection is
-        the parent's job (reply timeout / heartbeat miss budget), after
-        which the supervisor SIGKILLs and restarts it.  Never fires with
-        a single live replica left.
+        The victim stops answering (a forked child stops reading its
+        pipe); detection is the shard's and the supervisor's job (reply
+        timeout / heartbeat miss budget), after which the shard is killed
+        and restarted.  Never fires with a single live replica left.
         """
         spec = self._fire("serve.worker_hang")
         if spec is None or n_live < 2:
@@ -463,13 +465,13 @@ class FaultPlan:
         return True
 
     def arena_lost(self) -> bool:
-        """Whether a restarting worker's shared arena has vanished
+        """Whether a restarting shard's shared arena has vanished
         (``serve.arena_lost``).
 
-        Drawn by the supervisor just before re-priming a respawned
-        worker's warm cache keys: on fire, the arena segment is unlinked
-        first, so the child's attach fails and the CSR-reship fallback
-        path is exercised end to end.
+        Drawn by a restarting shard just before it re-primes its warm
+        cache keys: on fire, one handle's segment is unlinked first, so
+        the attach fails and the CSR-reship fallback path is exercised
+        end to end.
         """
         spec = self._fire("serve.arena_lost")
         if spec is None:

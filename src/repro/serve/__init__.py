@@ -14,7 +14,9 @@ shedding).  See ``docs/serving.md``.
 value-aware serve key across N shard servers with per-shard health
 tracking (:mod:`repro.serve.health`), circuit-breaker ejection and
 readmission, deterministic failover under the retry/deadline budget,
-and per-tenant quotas with weighted-fair dequeue.  The differential
+and per-tenant quotas with weighted-fair dequeue.  Each shard is one
+:class:`Shard` over a forked or in-process transport
+(:mod:`repro.serve.shard`).  The differential
 chaos drill (:mod:`repro.serve.chaos`, ``repro chaos``) pins the
 fabric's outputs bit-identical to a single pristine server while a
 seeded fault plan kills shards mid-flight.
@@ -36,21 +38,14 @@ from .server import (
     SpMVServer,
     serve_key,
 )
-from .supervisor import (
-    Autoscaler,
-    AutoscalePolicy,
-    ShardSupervisor,
-    SupervisorConfig,
-)
-from .workers import ProcessShard, WorkerConfig
+from .shard import Shard
+from .supervisor import Autoscaler, AutoscalePolicy, ShardSupervisor
 
 __all__ = [
     "Autoscaler",
     "AutoscalePolicy",
-    "ProcessShard",
+    "Shard",
     "ShardSupervisor",
-    "SupervisorConfig",
-    "WorkerConfig",
     "CacheEntry",
     "ChaosReport",
     "chaos_plan",

@@ -154,7 +154,7 @@ class PreparedCache:
             entry = CacheEntry(
                 key=key,
                 prepared=prepared,
-                nbytes=split["owned"],
+                nbytes=self._charge(split),
                 shared_nbytes=split["shared"],
             )
             self._entries[key] = entry
@@ -171,6 +171,11 @@ class PreparedCache:
                     self.evictions += 1
                     evicted.append(victim)
         return evicted
+
+    def _charge(self, split: dict) -> int:
+        """What an entry counts against the budget: its owned bytes
+        (shared pages are resident once system-wide, whoever maps them)."""
+        return split["owned"]
 
     def remove(self, key: str) -> bool:
         """Drop ``key`` if resident; returns whether anything was removed.

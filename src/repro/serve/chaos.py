@@ -42,8 +42,7 @@ from ..matrices.suite import get_spec
 from .fabric import ServeFabric
 from .health import HealthPolicy
 from .server import ServeConfig, SpMVServer
-from .supervisor import AutoscalePolicy, SupervisorConfig
-from .workers import WorkerConfig
+from .supervisor import AutoscalePolicy
 
 __all__ = ["ChaosReport", "chaos_plan", "run_chaos_drill"]
 
@@ -82,8 +81,8 @@ def chaos_plan(seed: int, *, kills: int = 1, slows: int = 0,
     """The drill's seeded fault plan (every argument is a budget).
 
     ``kills`` crash whole shards (permanent); ``worker_kills`` and
-    ``worker_hangs`` target out-of-process workers (real SIGKILLs and
-    heartbeat silence -- recoverable through the supervisor).
+    ``worker_hangs`` kill or silence a shard's server (a real SIGKILL
+    for a forked shard) -- recoverable through the supervisor.
     """
     specs = []
     if kills:
@@ -362,16 +361,8 @@ def run_chaos_drill(
         observer=observer,
         start=False,
         processes=processes,
-        worker_config=(
-            WorkerConfig(reply_timeout_s=reply_timeout_s)
-            if processes else None
-        ),
-        supervisor_config=(
-            SupervisorConfig(restart_policy=RetryPolicy(
-                max_attempts=3, base_delay_s=0.0
-            ))
-            if processes else None
-        ),
+        reply_timeout_s=reply_timeout_s,
+        restart_policy=RetryPolicy(max_attempts=3, base_delay_s=0.0),
         autoscale_policy=(
             AutoscalePolicy(
                 min_shards=shards, max_shards=shards + 1,

@@ -19,9 +19,9 @@ Architecture::
                                       │
           ┌──────────────┬────────────┴─┬──────────────┐
        shard-0         shard-1        shard-2        ...
-      SpMVServer      SpMVServer     SpMVServer
+        Shard           Shard          Shard       (admission, failure path)
       own engine      own engine     own engine
-      own device      own device     own device
+      transport       transport      transport     (forked pipe or loopback)
           │               │              │
       ShardHealth     ShardHealth    ShardHealth   (rolling windows)
           └── sick? ──► CircuitBreaker.trip ──► ejected, keys re-routed
@@ -48,10 +48,11 @@ shard would have produced -- the chaos drill (:mod:`repro.serve.chaos`)
 diffs a faulted fabric against a pristine single server and requires
 equality, not closeness.
 
-Shard servers run threadless under the fabric's single pump (either the
-caller's thread via :meth:`drain`, or the fabric's own pump thread with
-``start=True``), so scheduling is deterministic given the submission
-order -- which is what makes seeded chaos drills replayable.
+Shards run under the fabric's single pump (either the caller's thread
+via :meth:`drain`, or the fabric's own pump thread with ``start=True``),
+each one round trip to its threadless server per drain, so scheduling is
+deterministic given the submission order -- which is what makes seeded
+chaos drills replayable.
 """
 
 from __future__ import annotations
@@ -87,14 +88,9 @@ from ..fault.retry import (
 from ..obs import obs_scope
 from ..util import as_csr
 from .health import HealthPolicy, ShardHealth
-from .server import ServeConfig, ServeFuture, SpMVServer, serve_key
-from .supervisor import (
-    Autoscaler,
-    AutoscalePolicy,
-    ShardSupervisor,
-    SupervisorConfig,
-)
-from .workers import ProcessShard, WorkerConfig
+from .server import ServeConfig, ServeFuture, serve_key
+from .shard import HandleCache, Shard
+from .supervisor import Autoscaler, AutoscalePolicy, ShardSupervisor
 
 __all__ = ["TenantPolicy", "FabricConfig", "ShardRouter", "ServeFabric"]
 
@@ -227,24 +223,6 @@ class ShardRouter:
         return counts
 
 
-class _Shard:
-    """One shard: its engine, server, health window and liveness."""
-
-    __slots__ = ("name", "index", "engine", "server", "health", "dead",
-                 "ejected", "retired", "slow_extra_s")
-
-    def __init__(self, name, index, engine, server, health):
-        self.name = name
-        self.index = index
-        self.engine = engine
-        self.server = server
-        self.health = health
-        self.dead = False        # crashed; never readmitted
-        self.ejected = False     # circuit tripped; readmission possible
-        self.retired = False     # scaled down; drained and closed
-        self.slow_extra_s = 0.0  # injected latency (serve.shard_slow)
-
-
 @dataclass
 class _FabricRequest:
     tenant: str
@@ -284,8 +262,9 @@ class ServeFabric:
         bit-identical vectorized path; pass a factory to choose
         differently).
     serve_config:
-        Per-shard :class:`ServeConfig` (shards always run threadless
-        under the fabric's pump; ``batch_window_s`` is forced to 0).
+        Per-shard :class:`ServeConfig` (each shard's server runs
+        threadless under the fabric's pump; ``batch_window_s`` is
+        forced to 0).
     config:
         :class:`FabricConfig`; ``shards=`` argument wins over
         ``config.shards`` when both are given explicitly.
@@ -299,7 +278,8 @@ class ServeFabric:
         ``max_attempts`` shards (the backoff schedule applies between
         replays when ``base_delay_s > 0``).
     observer:
-        Receives ``fabric.*`` and all shard-level ``serve.*`` telemetry.
+        Receives ``fabric.*``, the shards' admission and lifecycle
+        counters, and the ``serve.*`` telemetry of in-process shards.
     start:
         ``True`` starts the pump thread; ``False`` runs threadless --
         callers drive with :meth:`drain` (the deterministic drill mode).
@@ -307,14 +287,17 @@ class ServeFabric:
         Injectable monotonic clock, shared with every shard server and
         the breaker.
     processes:
-        ``True`` runs every shard as an out-of-process worker
-        (:class:`~repro.serve.ProcessShard`): a real forked child that
-        maps shared-memory prepared matrices and can be SIGKILLed for
-        real.  A :class:`~repro.serve.ShardSupervisor` is installed
-        automatically (heartbeats, restart-with-backoff, degrade to
-        in-process) and ticked at the top of every pump round.
-    worker_config / supervisor_config:
-        Pipe-protocol and supervision knobs for process mode.
+        ``True`` serves every :class:`~repro.serve.shard.Shard` from a
+        real forked child that maps shared-memory prepared matrices and
+        can be SIGKILLed for real; ``False`` serves in-process.  Either
+        way a :class:`~repro.serve.ShardSupervisor` heartbeats, restarts
+        and degrades the shards at the top of every pump round.
+    reply_timeout_s:
+        How long a shard waits for its server's reply before declaring
+        it hung and killing it.
+    restart_policy:
+        The supervisor's respawn budget and backoff
+        (:class:`~repro.fault.RetryPolicy`).
     autoscale_policy:
         When given, an :class:`~repro.serve.Autoscaler` grows/shrinks
         the replica set between ``min_shards``/``max_shards`` from the
@@ -338,8 +321,8 @@ class ServeFabric:
         start: bool = True,
         clock=time.monotonic,
         processes: bool = False,
-        worker_config: WorkerConfig | None = None,
-        supervisor_config: SupervisorConfig | None = None,
+        reply_timeout_s: float = 5.0,
+        restart_policy: RetryPolicy | None = None,
         autoscale_policy: AutoscalePolicy | None = None,
     ):
         if config is None:
@@ -347,10 +330,9 @@ class ServeFabric:
         elif shards is not None and shards != config.shards:
             config = replace(config, shards=shards)
         self.config = config
-        base = serve_config if serve_config is not None else ServeConfig()
-        if base.batch_window_s != 0.0:
-            base = replace(base, batch_window_s=0.0)
-        self.serve_config = base
+        self.serve_config = (
+            serve_config if serve_config is not None else ServeConfig()
+        )
         self.health_policy = (
             health_policy if health_policy is not None else HealthPolicy()
         )
@@ -373,11 +355,11 @@ class ServeFabric:
         self._engine_factory = engine_factory
         self._observer = observer
         self._processes = processes
-        self._worker_config = worker_config
-        #: PreparedMatrix handles primed fabric-wide; scale-ups re-warm
-        #: new replicas from this list.
-        self._fabric_primed: list[PreparedMatrix] = []
-        self.shards: list[_Shard] = []
+        self._reply_timeout_s = reply_timeout_s
+        #: Handles primed fabric-wide; scale-ups re-warm new replicas
+        #: from what is resident here.
+        self._handles = HandleCache(self.serve_config.cache_budget_bytes)
+        self.shards: list[Shard] = []
         for i in range(self.config.shards):
             self.shards.append(self._spawn_shard(i))
         self._next_index = self.config.shards
@@ -385,14 +367,9 @@ class ServeFabric:
         self.router = ShardRouter(
             [s.name for s in self.shards], vnodes=self.config.vnodes
         )
-        self.supervisor: ShardSupervisor | None = None
-        if processes:
-            self.supervisor = ShardSupervisor(
-                supervisor_config,
-                degrade_factory=self._degraded_server,
-                observer=observer,
-                clock=clock,
-            )
+        self.supervisor = ShardSupervisor(
+            restart_policy, observer=observer, clock=clock
+        )
         self.autoscaler: Autoscaler | None = None
         if autoscale_policy is not None:
             self.autoscaler = Autoscaler(autoscale_policy, observer=observer)
@@ -401,7 +378,7 @@ class ServeFabric:
             cooldown_s=self.config.breaker_cooldown_s,
             clock=clock,
         )
-        self.obs = observer if observer is not None else self.shards[0].server.obs
+        self.obs = observer if observer is not None else self.shards[0].obs
 
         self._cond = threading.Condition()
         self._closed = False
@@ -434,45 +411,17 @@ class ServeFabric:
     # Shard construction
     # ------------------------------------------------------------------ #
 
-    def _spawn_shard(self, index: int) -> _Shard:
-        """Build one shard (in-process or worker-process, per config)."""
-        engine = self._engine_factory(index)
-        name = f"shard-{index}"
-        if self._processes:
-            server = ProcessShard(
-                engine,
-                self.serve_config,
-                name=name,
-                worker_config=self._worker_config,
-                observer=self._observer,
-                clock=self._clock,
-            )
-        else:
-            server = SpMVServer(
-                engine,
-                self.serve_config,
-                observer=self._observer,
-                start=False,
-                clock=self._clock,
-            )
-        return _Shard(
-            name=name,
-            index=index,
-            engine=engine,
-            server=server,
-            health=ShardHealth(self.health_policy),
-        )
-
-    def _degraded_server(self, shard: _Shard) -> SpMVServer:
-        """In-process fallback the supervisor installs after restart
-        budget exhaustion -- same engine, same serve config, threadless
-        under the same pump, so degraded answers stay bit-identical."""
-        return SpMVServer(
-            shard.engine,
+    def _spawn_shard(self, index: int) -> Shard:
+        return Shard(
+            f"shard-{index}",
+            self._engine_factory(index),
             self.serve_config,
+            index=index,
+            processes=self._processes,
+            health=ShardHealth(self.health_policy),
             observer=self._observer,
-            start=False,
             clock=self._clock,
+            reply_timeout_s=self._reply_timeout_s,
         )
 
     # ------------------------------------------------------------------ #
@@ -599,22 +548,15 @@ class ServeFabric:
     def _run(self) -> None:
         """Pump-thread main loop (threaded mode).
 
-        With a supervisor or autoscaler installed the idle wait is
-        bounded so housekeeping rounds (heartbeats, restarts, scale
-        decisions) still happen while no traffic flows.
+        The idle wait is bounded so housekeeping rounds (heartbeats,
+        restarts, scale decisions) still happen while no traffic flows.
         """
-        housekeeping = (
-            self.supervisor is not None or self.autoscaler is not None
-        )
         while True:
             with self._cond:
-                while not self._has_work():
+                if not self._has_work():
                     if self._closed:
                         return
-                    if housekeeping:
-                        self._cond.wait(0.05)
-                        break  # run an idle housekeeping round
-                    self._cond.wait()
+                    self._cond.wait(0.05)  # then an idle housekeeping round
                 if self._closed and not self._has_work():
                     return
             self.pump_once()
@@ -666,15 +608,14 @@ class ServeFabric:
             self._pumping = True
         try:
             with obs_scope(self.obs):
-                if self.supervisor is not None:
-                    self.supervisor.tick(self.shards)
+                self.supervisor.tick(self.shards)
                 if self.autoscaler is not None:
                     self._autoscale()
                 self._schedule()
                 self._apply_chaos()
                 for shard in self.shards:
                     if not shard.dead and not shard.retired:
-                        shard.server.drain()
+                        shard.drain()
                 self._collect()
         finally:
             with self._cond:
@@ -722,7 +663,7 @@ class ServeFabric:
 
     # -- step 2: seeded chaos ------------------------------------------ #
 
-    def _busiest(self, candidates: list[_Shard]) -> _Shard | None:
+    def _busiest(self, candidates: list[Shard]) -> Shard | None:
         """Most-loaded shard (forwarded + queued), ties by name."""
         if not candidates:
             return None
@@ -731,7 +672,7 @@ class ServeFabric:
             if req.shard in load:
                 load[req.shard] += 1
         for s in candidates:
-            load[s.name] += s.server.queue_depth()
+            load[s.name] += s.queued()
         return min(candidates, key=lambda s: (-load[s.name], s.name))
 
     def _apply_chaos(self) -> None:
@@ -753,10 +694,7 @@ class ServeFabric:
                 self.obs.counter(
                     "fabric.slowed_shards", "shard-slow injections"
                 ).inc(shard=victim.name)
-        workers = [
-            s for s in live
-            if isinstance(s.server, ProcessShard) and s.server.alive
-        ]
+        workers = [s for s in live if s.alive]
         if plan.worker_kill(len(workers)):
             victim = self._busiest(workers)
             if victim is not None:
@@ -764,7 +702,7 @@ class ServeFabric:
                 workers = [s for s in workers if s.name != victim.name]
         if plan.worker_hang(len(workers)):
             victim = self._busiest(workers)
-            if victim is not None and victim.server.inject_hang():
+            if victim is not None and victim.inject_hang():
                 with self._cond:
                     self.n_worker_hangs += 1
                 self.obs.counter(
@@ -772,24 +710,24 @@ class ServeFabric:
                 ).inc(shard=victim.name)
 
     def kill_worker(self, name: str) -> int:
-        """SIGKILL ``name``'s worker process (``serve.worker_kill``).
+        """Kill ``name``'s server (``serve.worker_kill``): a forked
+        child is SIGKILLed, a loopback drops its server and cache.
 
         Unlike :meth:`kill_shard` the shard is *not* marked dead: its
         in-flight futures fail (and replay on ring successors) and the
-        supervisor restarts or degrades the worker on a later tick.
-        Returns the number of requests the kill orphaned; 0 for
-        in-process or already-down shards.
+        supervisor restarts it on a later tick.  Returns the number of
+        requests the kill orphaned; 0 for an already-down shard.
         """
         shard = self._by_name[name]
-        if not isinstance(shard.server, ProcessShard) or not shard.server.alive:
+        if not shard.alive:
             return 0
         with self._cond:
             self.n_worker_kills += 1
         self.obs.counter(
-            "fabric.worker_kills", "shard workers SIGKILLed mid-flight"
+            "fabric.worker_kills", "shard servers killed mid-flight"
         ).inc(shard=name)
-        return shard.server.kill_process(ShardCrashError(
-            f"worker for shard {name} was SIGKILLed with requests in flight",
+        return shard.kill_process(ShardCrashError(
+            f"server of shard {name} was killed with requests in flight",
             shard=name,
         ))
 
@@ -802,13 +740,12 @@ class ServeFabric:
         shard = self._by_name[name]
         if shard.dead:
             return 0
-        shard.dead = True
         with self._cond:
             self.n_shard_crashes += 1
         self.obs.counter(
             "fabric.shard_crashes", "shards killed mid-flight"
         ).inc(shard=name)
-        doomed = shard.server.kill(ShardCrashError(
+        doomed = shard.kill(ShardCrashError(
             f"shard {name} crashed with requests in flight", shard=name
         ))
         self._gauge_live()
@@ -819,22 +756,20 @@ class ServeFabric:
     def prime(self, prepared: PreparedMatrix) -> str:
         """Warm every routable shard's cache with ``prepared``.
 
-        In process mode the matrix is :meth:`~repro.core.engine.
-        PreparedMatrix.share`\\ d first so children map the shared-memory
-        segments instead of re-tuning; the handle is remembered so
-        scale-ups and supervisor restarts re-warm new replicas.  Returns
-        the serve key the fabric will route the matrix under.
+        Each shard keeps the handle for its restarts (a forked shard
+        maps it through shared memory instead of re-tuning), and the
+        fabric keeps it for scale-ups, both within the shard cache
+        budget.  Returns the serve key the fabric routes the matrix
+        under.
         """
         key = serve_key(
             self.shards[0].engine, prepared.reference_csr()
         )
-        if self._processes:
-            prepared.share()
-        self._fabric_primed.append(prepared)
+        self._handles.put(key, prepared)
         for shard in self.shards:
             if shard.dead or shard.retired:
                 continue
-            shard.server.prime(prepared)
+            shard.prime(key, prepared)
         return key
 
     def _rebuild_router(self) -> None:
@@ -874,8 +809,8 @@ class ServeFabric:
     def _scale_up(self) -> None:
         shard = self._spawn_shard(self._next_index)
         self._next_index += 1
-        for prepared in self._fabric_primed:
-            shard.server.prime(prepared)
+        for key in self._handles.keys():
+            shard.prime(key, self._handles.peek(key))
         self.shards.append(shard)
         self._by_name[shard.name] = shard
         self._rebuild_router()
@@ -895,7 +830,7 @@ class ServeFabric:
         victim = max(candidates, key=lambda s: s.index)
         victim.retired = True
         self._rebuild_router()
-        victim.server.close(drain=True)
+        victim.close(drain=True)
         self.obs.counter(
             "fabric.scale_downs", "replicas retired by the autoscaler"
         ).inc(shard=victim.name)
@@ -941,8 +876,8 @@ class ServeFabric:
                 else max(request.deadline.remaining(), 0.0)
             )
             try:
-                shard_future = shard.server.submit(
-                    request.operand, request.x, timeout_s=timeout
+                shard_future = shard.submit(
+                    request.key, request.operand, request.x, timeout_s=timeout
                 )
             except (ServerOverloadedError, ServerClosedError) as exc:
                 if probe:
@@ -985,7 +920,7 @@ class ServeFabric:
             else:
                 self._on_failure(request, shard, error, latency)
 
-    def _on_success(self, request: _FabricRequest, shard: _Shard,
+    def _on_success(self, request: _FabricRequest, shard: Shard,
                     latency: float) -> None:
         if request.probe:
             # Readmit first (resets the window), then record: the fresh
@@ -1004,7 +939,7 @@ class ServeFabric:
         )
         self._complete(request, None, response)
 
-    def _on_failure(self, request: _FabricRequest, shard: _Shard,
+    def _on_failure(self, request: _FabricRequest, shard: Shard,
                     error: BaseException, latency: float) -> None:
         crash = isinstance(error, (ShardCrashError, ServerClosedError))
         if not shard.dead:
@@ -1045,7 +980,7 @@ class ServeFabric:
             self._sleep(delay)
         self._forward(request)
 
-    def _eject(self, shard: _Shard) -> None:
+    def _eject(self, shard: Shard) -> None:
         self.breaker.trip(shard.name)
         shard.ejected = True
         with self._cond:
@@ -1055,7 +990,7 @@ class ServeFabric:
         ).inc(shard=shard.name)
         self._gauge_live()
 
-    def _readmit(self, shard: _Shard) -> None:
+    def _readmit(self, shard: Shard) -> None:
         self.breaker.record_success(shard.name)  # half-open -> closed
         shard.ejected = False
         shard.health.reset()
@@ -1113,7 +1048,8 @@ class ServeFabric:
             self._thread = None
         for shard in self.shards:
             if not shard.dead and not shard.retired:
-                shard.server.close(drain=False)
+                shard.close(drain=False)
+        self._handles.clear()
 
     def __enter__(self) -> "ServeFabric":
         return self
@@ -1156,7 +1092,7 @@ class ServeFabric:
         agg_cache = {"hits": 0, "misses": 0, "evictions": 0, "total_bytes": 0}
         batches = batched = shed = 0
         for s in self.shards:
-            server_snap = s.server.stats()
+            server_snap = s.stats()
             for k in agg_cache:
                 agg_cache[k] += server_snap["cache"].get(k, 0)
             batches += server_snap["batches"]
@@ -1176,8 +1112,7 @@ class ServeFabric:
         snap["batches"] = batches
         snap["batched_requests"] = batched
         snap["shed"] = shed
-        if self.supervisor is not None:
-            snap["supervisor"] = self.supervisor.stats()
+        snap["supervisor"] = self.supervisor.stats()
         if self.autoscaler is not None:
             snap["autoscaler"] = self.autoscaler.stats()
         return snap

@@ -367,19 +367,8 @@ class SpMVServer:
                 f"x has {x.shape[0]} rows, matrix has {ncols} columns"
             )
         csr = as_csr(source)
-        key = serve_key(self.engine, csr)
-        timeout = timeout_s if timeout_s is not None else self.config.default_timeout_s
-        deadline = None if timeout is None else Deadline(timeout, clock=self._clock)
-        future = ServeFuture()
-        request = _Request(
-            key=key,
-            matrix=csr,
-            prepared=prepared,
-            x=x,
-            deadline=deadline,
-            future=future,
-            enqueued_at=self._clock(),
-            batchable=x.ndim == 1,
+        request = self._request(
+            serve_key(self.engine, csr), csr, prepared, x, timeout_s
         )
         with self._cond:
             if self._closed:
@@ -402,7 +391,21 @@ class SpMVServer:
                 len(self._queue)
             )
             self._cond.notify_all()
-        return future
+        return request.future
+
+    def _request(self, key, matrix, prepared, x, timeout_s) -> _Request:
+        """A queue entry for an already keyed and validated request."""
+        timeout = timeout_s if timeout_s is not None else self.config.default_timeout_s
+        return _Request(
+            key=key,
+            matrix=matrix,
+            prepared=prepared,
+            x=x,
+            deadline=None if timeout is None else Deadline(timeout, clock=self._clock),
+            future=ServeFuture(),
+            enqueued_at=self._clock(),
+            batchable=x.ndim == 1,
+        )
 
     def multiply(
         self, matrix, x: np.ndarray, *, timeout_s: float | None = None
@@ -412,17 +415,6 @@ class SpMVServer:
         if self._thread is None:
             self.drain()
         return future.result()
-
-    def queue_depth(self) -> int:
-        """Requests currently queued (admission-side occupancy).
-
-        Public load signal for the fabric's busiest-shard picks and the
-        autoscaler's pressure metric; :class:`~repro.serve.ProcessShard`
-        exposes the same method, so callers never reach into queue
-        internals.
-        """
-        with self._cond:
-            return len(self._queue)
 
     def prime(self, prepared: PreparedMatrix) -> str:
         """Admit a prepared matrix into the cache ahead of traffic.

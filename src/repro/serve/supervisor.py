@@ -1,19 +1,20 @@
-"""Worker-pool supervision and metric-driven replica autoscaling.
+"""Shard supervision and metric-driven replica autoscaling.
 
-The :class:`~repro.serve.ProcessShard` knows how to *die* well (typed
-failures, exit codes, hang SIGKILLs); this module owns coming *back*:
+A :class:`~repro.serve.shard.Shard` knows how to *die* well (typed
+failures, exit codes, hang kills); this module owns coming *back*:
 
 * :class:`ShardSupervisor` -- ticked once per fabric pump round, it
-  heartbeats every live worker against a miss budget, detects exits
-  (SIGKILL shows up as a negative exit code), respawns dead workers
+  heartbeats every live shard against a miss budget, detects deaths
+  (a SIGKILLed child shows a negative exit code), respawns dead shards
   under a :class:`~repro.fault.RetryPolicy` backoff schedule (re-warming
-  the value-aware cache keys each worker owned, with the
+  the value-aware cache keys each shard holds, with the
   ``serve.arena_lost`` CSR-reship fallback), reaps shared-memory
   segments orphaned by the death (:func:`repro.core.shm.reap_orphans`),
-  and -- when a worker exhausts its restart budget -- **degrades** the
-  shard to an in-process :class:`~repro.serve.SpMVServer` on the same
-  engine, so the replica keeps serving bit-identical answers with a
-  logged reason instead of silently shrinking the fleet.
+  and -- when a forked shard exhausts its restart budget -- **degrades**
+  it to in-process serving on the same engine, so the replica keeps
+  serving bit-identical answers with a logged reason instead of
+  silently shrinking the fleet.  Forked and in-process shards go
+  through the same calls.
 * :class:`Autoscaler` -- a deterministic policy loop over the load
   signals the fabric already exports (queue depth, in-flight count,
   breaker state, :meth:`ShardHealth.p99_latency_s`): sustained pressure
@@ -32,89 +33,48 @@ kills, the same restarts and the same scale decisions.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from ..core.shm import reap_orphans
 from ..errors import ValidationError
-from ..fault.injection import active_plan
 from ..fault.retry import RetryPolicy
-from .workers import ProcessShard
 
-__all__ = [
-    "SupervisorConfig",
-    "ShardSupervisor",
-    "AutoscalePolicy",
-    "Autoscaler",
-]
+__all__ = ["ShardSupervisor", "AutoscalePolicy", "Autoscaler"]
 
-
-@dataclass(frozen=True)
-class SupervisorConfig:
-    """Heartbeat and restart knobs of one :class:`ShardSupervisor`.
-
-    Attributes
-    ----------
-    miss_budget:
-        Consecutive supervision ticks a worker may leave a heartbeat
-        unanswered before it is declared hung and SIGKILLed.  A busy
-        worker answers pings between requests, so the budget only
-        penalizes genuine silence.
-    restart_policy:
-        :class:`~repro.fault.RetryPolicy` governing respawns of one
-        worker: ``max_attempts`` failed respawns in a row degrade the
-        shard to in-process, ``delay_s(attempt)`` spaces the attempts
-        (deterministic seeded jitter, like every other backoff in the
-        repo).
-    reap_orphans:
-        Whether a detected worker death also triggers a shared-memory
-        orphan scan (:func:`repro.core.shm.reap_orphans`).
-    """
-
-    miss_budget: int = 3
-    restart_policy: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(
-            max_attempts=3, base_delay_s=0.05, max_delay_s=1.0
-        )
-    )
-    reap_orphans: bool = True
-
-    def __post_init__(self):
-        if self.miss_budget < 1:
-            raise ValidationError(
-                f"miss_budget must be >= 1, got {self.miss_budget}"
-            )
+#: Consecutive unanswered heartbeats before a shard is declared hung
+#: and killed.  A responsive server answers every ping, so the budget
+#: only penalizes genuine silence.
+_MISS_BUDGET = 3
 
 
-class _WorkerState:
-    """Supervision bookkeeping for one worker shard."""
+class _ShardState:
+    """Supervision bookkeeping for one shard."""
 
-    __slots__ = ("misses", "restart_attempts", "next_restart_at",
-                 "degraded")
+    __slots__ = ("misses", "restart_attempts", "next_restart_at")
 
     def __init__(self):
         self.misses = 0
         self.restart_attempts = 0
         self.next_restart_at = 0.0
-        self.degraded = False
 
 
 class ShardSupervisor:
-    """Owns the worker pool's liveness: heartbeats, restarts, degrade.
+    """Owns the shards' liveness: heartbeats, restarts, degrade.
 
     The fabric calls :meth:`tick` at the top of every pump round with
     its current shard list; everything else is driven from there.  The
-    supervisor never *routes* -- it only flips each shard's
-    ``server`` between down / respawned / degraded states and leaves
-    traffic decisions to the fabric's forwarding and breaker logic.
+    supervisor never *routes* -- it only brings shards back up and
+    leaves traffic decisions to the fabric's forwarding and breaker
+    logic.
 
     Parameters
     ----------
-    config:
-        :class:`SupervisorConfig`.
-    degrade_factory:
-        ``f(shard) -> server`` building the in-process fallback server
-        when a worker exhausts its restart budget.  Supplied by the
-        fabric (it knows the serve config and clock); ``None`` disables
-        degraded mode (the shard just stays down).
+    restart_policy:
+        :class:`~repro.fault.RetryPolicy` governing respawns of one
+        shard: ``max_attempts`` failed respawns in a row degrade the
+        shard to in-process serving, ``delay_s(attempt)`` spaces the
+        attempts (deterministic seeded jitter, like every other backoff
+        in the repo).
     observer:
         Receives ``supervisor.*`` counters.
     clock:
@@ -123,17 +83,19 @@ class ShardSupervisor:
 
     def __init__(
         self,
-        config: SupervisorConfig | None = None,
+        restart_policy: RetryPolicy | None = None,
         *,
-        degrade_factory=None,
         observer=None,
         clock=time.monotonic,
     ):
-        self.config = config if config is not None else SupervisorConfig()
-        self.degrade_factory = degrade_factory
+        self.restart_policy = (
+            restart_policy
+            if restart_policy is not None
+            else RetryPolicy(max_attempts=3, base_delay_s=0.05, max_delay_s=1.0)
+        )
         self.obs = observer
         self._clock = clock
-        self._states: dict[str, _WorkerState] = {}
+        self._states: dict[str, _ShardState] = {}
         #: Append-only decision log: dicts with ``action`` in
         #: {"hang_kill", "restart", "restart_failed", "degrade", "reap"}.
         self.decisions: list[dict] = []
@@ -144,10 +106,10 @@ class ShardSupervisor:
         self.n_reaped = 0
         self.n_arena_lost = 0
 
-    def _state(self, name: str) -> _WorkerState:
+    def _state(self, name: str) -> _ShardState:
         state = self._states.get(name)
         if state is None:
-            state = self._states[name] = _WorkerState()
+            state = self._states[name] = _ShardState()
         return state
 
     def _count(self, metric: str, help_text: str, **labels) -> None:
@@ -162,83 +124,67 @@ class ShardSupervisor:
     # ------------------------------------------------------------------ #
 
     def tick(self, shards) -> None:
-        """One supervision round over ``shards`` (fabric ``_Shard`` list).
+        """One supervision round over ``shards``.
 
-        Order: collect replies / heartbeat verdicts for live workers,
-        SIGKILL the ones over the miss budget, then drive dead workers
-        through the restart -> backoff -> degrade ladder.
+        Order: heartbeat the live shards, kill the ones over the miss
+        budget, then drive dead ones through the restart -> backoff ->
+        degrade ladder.  Crashed (``dead``) and retired shards are the
+        fabric's, not ours to heal.
         """
         for shard in shards:
-            worker = shard.server
-            if not isinstance(worker, ProcessShard):
+            if shard.dead or shard.retired:
                 continue
-            if shard.dead or getattr(shard, "retired", False):
-                continue  # fabric-level kill or scale-down; not ours to heal
             state = self._state(shard.name)
-            if worker.alive:
-                self._heartbeat(shard, worker, state)
-            if not worker.alive and not state.degraded:
-                self._heal(shard, worker, state)
+            if shard.alive:
+                self._heartbeat(shard, state)
+            if not shard.alive:
+                self._heal(shard, state)
 
-    def _heartbeat(self, shard, worker: ProcessShard, state: _WorkerState) -> None:
-        worker.pump_replies()
-        if worker.pong_seq >= worker.ping_seq:
+    def _heartbeat(self, shard, state: _ShardState) -> None:
+        if shard.ping():
             state.misses = 0
-        else:
-            state.misses += 1
-            if state.misses > self.config.miss_budget:
-                self.n_hang_kills += 1
-                self._count(
-                    "supervisor.hang_kills",
-                    "workers SIGKILLed after exhausting the heartbeat miss budget",
-                    shard=shard.name,
-                )
-                self._log(
-                    "hang_kill", shard.name,
-                    misses=state.misses,
-                    budget=self.config.miss_budget,
-                )
-                worker.kill_process()
-                state.misses = 0
-                return
-        worker.ping()
+            return
+        state.misses += 1
+        if state.misses > _MISS_BUDGET:
+            self.n_hang_kills += 1
+            self._count(
+                "supervisor.hang_kills",
+                "shards killed after exhausting the heartbeat miss budget",
+                shard=shard.name,
+            )
+            self._log(
+                "hang_kill", shard.name,
+                misses=state.misses,
+                budget=_MISS_BUDGET,
+            )
+            shard.kill_process()
+            state.misses = 0
 
-    def _heal(self, shard, worker: ProcessShard, state: _WorkerState) -> None:
-        policy = self.config.restart_policy
+    def _heal(self, shard, state: _ShardState) -> None:
+        policy = self.restart_policy
         if state.restart_attempts >= policy.max_attempts:
-            self._degrade(shard, worker, state)
+            self._degrade(shard, state)
             return
         now = self._clock()
         if now < state.next_restart_at:
             return  # backoff not yet elapsed; try again next tick
-        if self.config.reap_orphans:
-            self._reap(shard.name)
-        exit_code = worker.last_exit_code
-        plan = active_plan()
-        if plan is not None and worker._primed and plan.arena_lost():
-            # The serve.arena_lost fault site: unlink one warm key's
-            # segment before the re-prime, so the child's attach fails
-            # and the CSR-reship fallback is exercised for real.
-            victim = next(iter(worker._primed.values()))
-            if victim.arena is not None:
-                try:
-                    victim.arena._shm.unlink()
-                except FileNotFoundError:
-                    pass
-                self.n_arena_lost += 1
-                self._count(
-                    "supervisor.arena_lost",
-                    "shared arenas found missing at restart re-prime time",
-                    shard=shard.name,
-                )
+        self._reap(shard.name)
+        exit_code = shard.last_exit_code
+        if shard.lose_arena():
+            self.n_arena_lost += 1
+            self._count(
+                "supervisor.arena_lost",
+                "shared arenas found missing at restart re-prime time",
+                shard=shard.name,
+            )
         try:
             state.restart_attempts += 1
-            mode = worker.respawn()
+            mode = shard.respawn()
         except Exception as exc:
             state.next_restart_at = now + policy.delay_s(state.restart_attempts)
             self._count(
                 "supervisor.restart_failures",
-                "worker respawn attempts that failed",
+                "shard respawn attempts that failed",
                 shard=shard.name,
             )
             self._log(
@@ -248,51 +194,42 @@ class ShardSupervisor:
                 retry_in_s=round(state.next_restart_at - now, 4),
             )
             if state.restart_attempts >= policy.max_attempts:
-                self._degrade(shard, worker, state)
+                self._degrade(shard, state)
             return
         state.restart_attempts = 0
         state.next_restart_at = 0.0
         state.misses = 0
         self.n_restarts += 1
         self._count(
-            "supervisor.restarts", "workers respawned after death",
+            "supervisor.restarts", "shards respawned after death",
             shard=shard.name,
         )
         self._log(
             "restart", shard.name,
             exit_code=exit_code,
             warm_mode=mode,
-            pid=worker.pid,
+            pid=shard.pid,
         )
 
-    def _degrade(self, shard, worker: ProcessShard, state: _WorkerState) -> None:
-        if state.degraded:
-            return
-        state.degraded = True
+    def _degrade(self, shard, state: _ShardState) -> None:
         reason = (
-            f"respawn failed {self.config.restart_policy.max_attempts} "
+            f"respawn failed {self.restart_policy.max_attempts} "
             f"time(s); falling back to an in-process shard"
         )
-        if self.degrade_factory is None:
-            self._log("degrade", shard.name, reason=reason, applied=False)
-            return
-        fallback = self.degrade_factory(shard)
-        # Re-warm the fallback with the worker's parent-side handles so
-        # degraded serving stays cache-hot and bit-identical.
-        for prepared in worker._primed.values():
-            fallback.prime(prepared)
-        shard.server = fallback
+        # Re-warmed from the shard's handles, so degraded serving stays
+        # cache-hot and bit-identical.
+        shard.degrade()
+        state.restart_attempts = 0
+        state.next_restart_at = 0.0
         self.n_degraded += 1
         self._count(
             "supervisor.degraded",
             "shards degraded to in-process after exhausting restarts",
             shard=shard.name,
         )
-        self._log("degrade", shard.name, reason=reason, applied=True)
+        self._log("degrade", shard.name, reason=reason)
 
     def _reap(self, shard_name: str) -> None:
-        from ..core.shm import reap_orphans
-
         reaped = reap_orphans()
         if reaped:
             self.n_reaped += len(reaped)

@@ -4,6 +4,10 @@ Deterministic (threadless) mode throughout unless a test is explicitly
 about the pump thread: fabrics are built with ``start=False`` and
 driven by :meth:`drain`, so routing, failover and scheduling depend
 only on the submission order.
+
+The shard lifecycle suites (failover, close/drain, restart) run over
+both transports: each ``...Processes`` subclass reruns its parent's
+cases with forked shards.
 """
 
 from __future__ import annotations
@@ -70,7 +74,17 @@ class FlakyEngine(SpMVEngine):
 def make_fabric(shards=2, **kwargs):
     kwargs.setdefault("serve_config", ServeConfig(batch_window_s=0.0))
     kwargs.setdefault("start", False)
+    kwargs.setdefault("reply_timeout_s", 30.0)
     return ServeFabric(shards, **kwargs)
+
+
+class OverTransport:
+    """Builds the fabrics of a lifecycle suite on one shard transport."""
+
+    processes = False
+
+    def make(self, shards=2, **kwargs):
+        return make_fabric(shards, processes=self.processes, **kwargs)
 
 
 def matrix_owned_by(fabric, shard_name, n=120):
@@ -273,9 +287,9 @@ class TestQuotas:
             fabric.close()
 
 
-class TestFailover:
+class TestFailover(OverTransport):
     def test_kill_shard_mid_flight_fails_over(self):
-        fabric = make_fabric(2, retry_policy=RetryPolicy(max_attempts=3))
+        fabric = self.make(2, retry_policy=RetryPolicy(max_attempts=3))
         try:
             victim = "shard-0"
             A = matrix_owned_by(fabric, victim)
@@ -303,7 +317,7 @@ class TestFailover:
             fabric.close()
 
     def test_kill_is_idempotent(self):
-        fabric = make_fabric(2)
+        fabric = self.make(2)
         try:
             assert fabric.kill_shard("shard-0") == 0
             assert fabric.kill_shard("shard-0") == 0
@@ -312,7 +326,7 @@ class TestFailover:
             fabric.close()
 
     def test_no_live_shards_fails_typed(self):
-        fabric = make_fabric(2)
+        fabric = self.make(2)
         try:
             fabric.kill_shard("shard-0")
             fabric.kill_shard("shard-1")
@@ -325,7 +339,7 @@ class TestFailover:
             fabric.close(drain=False)
 
     def test_dead_shard_not_routed_after_crash(self):
-        fabric = make_fabric(2)
+        fabric = self.make(2)
         try:
             fabric.kill_shard("shard-0")
             A = matrix_owned_by(fabric, "shard-0")
@@ -426,9 +440,9 @@ class TestEjectionReadmission:
             fabric.close()
 
 
-class TestLifecycle:
+class TestLifecycle(OverTransport):
     def test_close_fails_queued_futures(self):
-        fabric = make_fabric(2)
+        fabric = self.make(2)
         A = make_matrix(1)
         futs = [fabric.submit(A, np.ones(120)) for _ in range(3)]
         fabric.close(drain=False)
@@ -439,7 +453,7 @@ class TestLifecycle:
             fabric.submit(A, np.ones(120))
 
     def test_close_drain_completes_queued(self):
-        fabric = make_fabric(2)
+        fabric = self.make(2)
         A = make_matrix(1)
         futs = [fabric.submit(A, np.ones(120)) for _ in range(3)]
         fabric.close()  # drain=True
@@ -447,13 +461,13 @@ class TestLifecycle:
             assert fut.result(timeout=0).y is not None
 
     def test_context_manager(self):
-        with make_fabric(2) as fabric:
+        with self.make(2) as fabric:
             fut = fabric.submit(make_matrix(1), np.ones(120))
             fabric.drain()
             fut.result(timeout=0)
 
     def test_stats_shape(self):
-        fabric = make_fabric(2)
+        fabric = self.make(2)
         try:
             A = make_matrix(1)
             fabric.submit(A, np.ones(120), tenant="t")
@@ -478,7 +492,7 @@ class TestLifecycle:
         from repro.obs import Observer
 
         obs = Observer()
-        fabric = make_fabric(2, observer=obs)
+        fabric = self.make(2, observer=obs)
         try:
             gauge = obs.metrics.get("fabric.live_shards")
             assert gauge is not None and gauge.value() == 2
@@ -486,3 +500,69 @@ class TestLifecycle:
             assert gauge.value() == 1
         finally:
             fabric.close()
+
+
+class TestShardLifecycle(OverTransport):
+    def primed_fabric(self, **kwargs):
+        fabric = self.make(2, **kwargs)
+        A = make_matrix(7)
+        fabric.prime(fabric.shards[0].engine.prepare(A))
+        return fabric, A
+
+    def test_kill_worker_then_tick_restarts_warm(self):
+        fabric, A = self.primed_fabric()
+        try:
+            x = np.random.default_rng(8).standard_normal(120)
+            before = fabric.multiply(A, x)
+            assert fabric.kill_worker(before.shard) == 0
+            assert not fabric._by_name[before.shard].alive
+            fabric.tick()
+            assert fabric.stats()["supervisor"]["restarts"] == 1
+            after = fabric.multiply(A, x)
+            assert after.shard == before.shard
+            assert after.cache_hit
+            assert np.array_equal(after.y, before.y)
+        finally:
+            fabric.close()
+
+    def test_injected_hang_is_detected_and_restarted(self):
+        fabric, A = self.primed_fabric(reply_timeout_s=1.0)
+        try:
+            rng = np.random.default_rng(9)
+            golden = fabric.multiply(A, rng.standard_normal(120))
+            owner = fabric._by_name[golden.shard]
+            assert owner.inject_hang()
+            x = rng.standard_normal(120)
+            resp = fabric.multiply(A, x)
+            assert resp.shard != owner.name and resp.failovers == 1
+            assert owner.stats()["worker"]["hangs"] == 1
+            fabric.tick()
+            assert owner.alive
+            again = fabric.multiply(A, x)
+            assert again.shard == owner.name and again.cache_hit
+            assert np.array_equal(again.y, resp.y)
+        finally:
+            fabric.close()
+
+    def test_admission_counts_serve_requests_once(self):
+        from repro.obs import Observer
+
+        obs = Observer()
+        fabric = self.make(2, observer=obs)
+        try:
+            fabric.multiply(make_matrix(1), np.ones(120))
+            assert obs.metrics.get("serve.requests").value() == 1
+        finally:
+            fabric.close()
+
+
+class TestFailoverProcesses(TestFailover):
+    processes = True
+
+
+class TestLifecycleProcesses(TestLifecycle):
+    processes = True
+
+
+class TestShardLifecycleProcesses(TestShardLifecycle):
+    processes = True

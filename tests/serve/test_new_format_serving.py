@@ -19,7 +19,6 @@ from repro import ServeFabric, SpMVEngine, SpMVServer
 from repro.fault import FaultPlan
 from repro.fault.injection import fault_scope
 from repro.formats import MergeCSRMatrix, RGCSRMatrix
-from repro.serve import WorkerConfig
 from repro.solvers import SolverSession
 from repro.tuning import TuningPoint
 
@@ -81,7 +80,7 @@ class TestProcessWorkers:
         plan = FaultPlan.parse("serve.worker_kill:p=0.6,count=2,seed=7")
         fabric = ServeFabric(
             3, start=False, processes=True,
-            worker_config=WorkerConfig(reply_timeout_s=30.0),
+            reply_timeout_s=30.0,
         )
         try:
             with fault_scope(plan):
@@ -106,7 +105,7 @@ class TestProcessWorkers:
         expected = [engine.multiply(prepared, x).y for x in xs]
         fabric = ServeFabric(
             2, start=False, processes=True,
-            worker_config=WorkerConfig(reply_timeout_s=30.0),
+            reply_timeout_s=30.0,
         )
         try:
             got = [fabric.multiply(prepared, x).y for x in xs]
@@ -130,7 +129,7 @@ class TestSolverSessions:
         plan = FaultPlan.parse("serve.worker_kill:p=0.6,count=2,seed=7")
         fabric = ServeFabric(
             3, start=False, processes=True,
-            worker_config=WorkerConfig(reply_timeout_s=30.0),
+            reply_timeout_s=30.0,
         )
         try:
             sess = SolverSession(prepared, engine=engine, server=fabric)

@@ -1,7 +1,7 @@
 """Every repro error must survive a pickle round-trip intact.
 
-The out-of-process shard workers (:mod:`repro.serve.workers`) forward
-child-side exceptions to the parent over a multiprocessing pipe, so an
+Forked fabric shards (:mod:`repro.serve.shard`) forward child-side
+exceptions to the parent over a multiprocessing pipe, so an
 unpicklable error class silently turns a *typed* failure into a broken
 pipe.  This sweep constructs every exception class in
 :mod:`repro.errors` -- with all its keyword attributes populated -- and
@@ -20,7 +20,7 @@ import pytest
 
 import repro.errors as errors_mod
 from repro.errors import RemoteWorkerError, ReproError
-from repro.serve.workers import _picklable_error
+from repro.serve.shard import _picklable_error
 
 ERROR_CLASSES = sorted(
     (

@@ -16,7 +16,7 @@ from repro import ServeFabric, SpMVEngine, SpMVServer, solve
 from repro.errors import ReproError
 from repro.fault import FaultPlan
 from repro.fault.injection import fault_scope
-from repro.serve import WorkerConfig, run_chaos_drill
+from repro.serve import run_chaos_drill
 from repro.solvers import SolverSession
 
 
@@ -137,7 +137,7 @@ class TestMidSolveWorkerDeath:
         plan = FaultPlan.parse("serve.worker_kill:p=0.6,count=2,seed=7")
         fabric = ServeFabric(
             3, start=False, processes=True,
-            worker_config=WorkerConfig(reply_timeout_s=30.0),
+            reply_timeout_s=30.0,
         )
         try:
             with fault_scope(plan):
@@ -160,7 +160,7 @@ class TestMidSolveWorkerDeath:
         plan = FaultPlan.parse("serve.worker_kill:p=0.5,count=1,seed=3")
         fabric = ServeFabric(
             2, start=False, processes=True,
-            worker_config=WorkerConfig(reply_timeout_s=30.0),
+            reply_timeout_s=30.0,
         )
         try:
             with fault_scope(plan):

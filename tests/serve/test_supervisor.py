@@ -1,7 +1,7 @@
-"""Tests for worker supervision and autoscaling
+"""Tests for shard supervision and autoscaling
 (:mod:`repro.serve.supervisor`).
 
-The supervisor half runs against real forked workers (restart ladders,
+The supervisor half runs against real forked shards (restart ladders,
 heartbeat miss budgets, orphan reaping are only meaningful against a
 live OS); the autoscaler half is a pure policy state machine and is
 tested as one.
@@ -20,27 +20,18 @@ from scipy import sparse
 from repro import SpMVEngine
 from repro.core.shm import reap_orphans
 from repro.errors import ValidationError
+from repro.fault import FaultPlan
+from repro.fault.injection import fault_scope
 from repro.fault.retry import RetryPolicy
 from repro.serve import (
     Autoscaler,
     AutoscalePolicy,
     ServeConfig,
+    Shard,
     ShardSupervisor,
-    SpMVServer,
-    SupervisorConfig,
-    WorkerConfig,
+    serve_key,
 )
-from repro.serve.workers import ProcessShard
-
-
-class Holder:
-    """Minimal stand-in for the fabric's ``_Shard`` bookkeeping."""
-
-    def __init__(self, name, server):
-        self.name = name
-        self.server = server
-        self.dead = False
-        self.retired = False
+from repro.serve import shard as shard_mod
 
 
 @pytest.fixture(scope="module")
@@ -59,42 +50,39 @@ def system(engine):
     return A, x, golden, prepared
 
 
-def make_worker(engine, prepared, **worker_kwargs):
-    worker_kwargs.setdefault("reply_timeout_s", 30.0)
-    shard = ProcessShard(
+def make_worker(engine, prepared, processes=True):
+    shard = Shard(
+        "sup-test",
         engine,
         ServeConfig(batch_window_s=0.0),
-        name="sup-test",
-        worker_config=WorkerConfig(**worker_kwargs),
+        processes=processes,
+        reply_timeout_s=30.0,
     )
-    shard.prime(prepared)
+    shard.prime(serve_key(engine, prepared.reference_csr()), prepared)
     return shard
 
 
-class TestSupervisorConfig:
-    def test_rejects_bad_miss_budget(self):
-        with pytest.raises(ValidationError):
-            SupervisorConfig(miss_budget=0)
+def multiply(shard, A, x):
+    future = shard.submit(serve_key(shard.engine, A), A, x)
+    shard.drain()
+    return future.result(timeout=0)
 
 
 class TestRestartLadder:
     def test_tick_restarts_a_sigkilled_worker(self, engine, system):
         A, x, golden, prepared = system
         worker = make_worker(engine, prepared)
-        holder = Holder("sup-test", worker)
-        sup = ShardSupervisor(SupervisorConfig(
-            restart_policy=RetryPolicy(max_attempts=3, base_delay_s=0.0)
-        ))
+        sup = ShardSupervisor(RetryPolicy(max_attempts=3, base_delay_s=0.0))
         try:
             worker.kill_process()
             assert not worker.alive
-            sup.tick([holder])
+            sup.tick([worker])
             assert worker.alive
             assert sup.n_restarts == 1
             restart = [d for d in sup.decisions if d["action"] == "restart"]
             assert restart and restart[0]["exit_code"] < 0
             assert restart[0]["warm_mode"] == "shared"
-            resp = worker.multiply(A, x)
+            resp = multiply(worker, A, x)
             assert resp.cache_hit
             assert np.array_equal(resp.y, golden)
         finally:
@@ -103,69 +91,75 @@ class TestRestartLadder:
     def test_dead_and_retired_shards_are_skipped(self, engine, system):
         _, _, _, prepared = system
         worker = make_worker(engine, prepared)
-        holder = Holder("sup-test", worker)
         sup = ShardSupervisor()
         try:
             worker.kill_process()
-            holder.dead = True
-            sup.tick([holder])
+            worker.dead = True
+            sup.tick([worker])
             assert not worker.alive and sup.n_restarts == 0
-            holder.dead = False
-            holder.retired = True
-            sup.tick([holder])
+            worker.dead = False
+            worker.retired = True
+            sup.tick([worker])
             assert not worker.alive and sup.n_restarts == 0
         finally:
             worker.close()
 
-    def test_in_process_servers_are_ignored(self, engine):
-        server = SpMVServer(engine, start=False)
+    def test_in_process_servers_are_ignored(self, engine, system):
+        # A live in-process shard answers every heartbeat: nothing to do.
+        shard = make_worker(engine, system[3], processes=False)
         sup = ShardSupervisor()
-        sup.tick([Holder("plain", server)])
+        sup.tick([shard])
         assert sup.decisions == []
-        server.close()
+        shard.close()
 
-    def test_exhausted_restarts_degrade_to_in_process(self, engine, system):
+    def test_exhausted_restarts_degrade_to_in_process(
+        self, engine, system, monkeypatch
+    ):
         A, x, golden, prepared = system
         worker = make_worker(engine, prepared)
-        holder = Holder("sup-test", worker)
-
-        def degrade_factory(shard):
-            return SpMVServer(
-                engine, ServeConfig(batch_window_s=0.0), start=False
-            )
-
-        sup = ShardSupervisor(
-            SupervisorConfig(restart_policy=RetryPolicy(
-                max_attempts=2, base_delay_s=0.0
-            )),
-            degrade_factory=degrade_factory,
-        )
+        sup = ShardSupervisor(RetryPolicy(max_attempts=2, base_delay_s=0.0))
         try:
             worker.kill_process()
-            worker.spawn = _raise_spawn  # every respawn attempt fails
+            # Every fork fails from now on.
+            monkeypatch.setattr(shard_mod._Pipe, "__init__", _raise_spawn)
             for _ in range(4):
-                sup.tick([holder])
+                sup.tick([worker])
             assert sup.n_degraded == 1
             actions = [d["action"] for d in sup.decisions]
             assert actions.count("restart_failed") == 2
             assert actions[-1] == "degrade"
-            # The fallback is an in-process server, pre-warmed with the
-            # worker's primed handles, still bit-identical.
-            assert isinstance(holder.server, SpMVServer)
-            future = holder.server.submit(A, x)
-            holder.server.drain()
-            resp = future.result(timeout=0)
+            # The fallback serves in-process, pre-warmed with the
+            # shard's primed handles, still bit-identical.
+            assert worker.alive and worker.pid is None
+            resp = multiply(worker, A, x)
             assert resp.cache_hit
             assert np.array_equal(resp.y, golden)
-            # Degraded shards are not healed again.
-            sup.tick([holder])
+            # Degraded shards are not degraded again.
+            sup.tick([worker])
             assert sup.n_degraded == 1
         finally:
             worker.close()
-            holder.server.close()
+
+    def test_arena_lost_restart_reships_csr(self, engine, system):
+        A, x, golden, _ = system
+        prepared = engine.prepare(A)
+        worker = make_worker(engine, prepared)
+        sup = ShardSupervisor(RetryPolicy(max_attempts=3, base_delay_s=0.0))
+        try:
+            worker.kill_process()
+            with fault_scope(FaultPlan.parse("serve.arena_lost:p=1.0,count=1")):
+                sup.tick([worker])
+            assert sup.n_arena_lost == 1
+            restart = [d for d in sup.decisions if d["action"] == "restart"]
+            assert restart[0]["warm_mode"] == "csr"
+            resp = multiply(worker, A, x)
+            assert resp.cache_hit
+            assert np.array_equal(resp.y, golden)
+        finally:
+            worker.close()
 
 
-def _raise_spawn():
+def _raise_spawn(self, shard):
     raise OSError("fork refused for the test")
 
 
@@ -173,41 +167,35 @@ class TestHeartbeat:
     def test_silent_worker_is_killed_after_miss_budget(self, engine, system):
         A, x, golden, prepared = system
         worker = make_worker(engine, prepared)
-        holder = Holder("sup-test", worker)
-        sup = ShardSupervisor(SupervisorConfig(
-            miss_budget=2,
-            restart_policy=RetryPolicy(max_attempts=3, base_delay_s=0.0),
-        ))
+        sup = ShardSupervisor(RetryPolicy(max_attempts=3, base_delay_s=0.0))
         try:
             assert worker.inject_hang()
             ticks = 0
-            # Pace the ticks: a genuinely responsive worker needs a
-            # moment between ping and pump to answer, a hung one never
-            # does -- the budget must single it out.
+            # Pace the ticks: a genuinely responsive worker answers each
+            # ping within the wait, a hung one never does -- the budget
+            # must single it out.
             while sup.n_hang_kills == 0 and ticks < 10:
-                sup.tick([holder])
+                sup.tick([worker])
                 time.sleep(0.02)
                 ticks += 1
             assert sup.n_hang_kills == 1
             assert any(d["action"] == "hang_kill" for d in sup.decisions)
             # Healing follows (same tick or the next one).
-            sup.tick([holder])
+            sup.tick([worker])
             assert worker.alive
             assert sup.n_restarts == 1
-            assert np.array_equal(worker.multiply(A, x).y, golden)
+            assert np.array_equal(multiply(worker, A, x).y, golden)
         finally:
             worker.close()
 
     def test_responsive_worker_is_never_killed(self, engine, system):
         A, x, _, prepared = system
         worker = make_worker(engine, prepared)
-        holder = Holder("sup-test", worker)
-        sup = ShardSupervisor(SupervisorConfig(miss_budget=1))
+        sup = ShardSupervisor()
         try:
             for _ in range(6):
-                sup.tick([holder])
+                sup.tick([worker])
                 time.sleep(0.02)
-                worker.pump_replies()
             assert worker.alive
             assert sup.n_hang_kills == 0
         finally:
@@ -256,13 +244,10 @@ class TestOrphanReaping:
         with open(f"/dev/shm/{name}", "wb") as fh:
             fh.write(b"\x00" * 64)
         worker = make_worker(engine, prepared)
-        holder = Holder("sup-test", worker)
-        sup = ShardSupervisor(SupervisorConfig(
-            restart_policy=RetryPolicy(max_attempts=3, base_delay_s=0.0)
-        ))
+        sup = ShardSupervisor(RetryPolicy(max_attempts=3, base_delay_s=0.0))
         try:
             worker.kill_process()
-            sup.tick([holder])
+            sup.tick([worker])
             assert worker.alive
             assert sup.n_reaped >= 1
             assert not os.path.exists(f"/dev/shm/{name}")

@@ -1,10 +1,11 @@
-"""Tests for out-of-process shard workers (:mod:`repro.serve.workers`).
+"""Tests for forked fabric shards (:mod:`repro.serve.shard`).
 
-A :class:`ProcessShard` is a real forked child behind a duplex pipe:
-these tests exercise the full lifecycle -- spawn, shared-memory prime,
-bit-identical serving, SIGKILL mid-flight, hung-worker detection,
-respawn with cache re-warm (shared and CSR-fallback modes), graceful
-close -- against a live operating system, not mocks.
+A :class:`Shard` with ``processes=True`` serves from a real forked
+child behind a duplex pipe: these tests exercise the full lifecycle --
+spawn, shared-memory prime, bit-identical serving, SIGKILL mid-flight,
+hung-child detection, respawn with cache re-warm (shared and
+CSR-fallback modes), graceful close -- against a live operating system,
+not mocks.
 
 Matrices are prepared once in the module-scoped fixture and primed into
 every worker, so children never run the tuning search and the tests
@@ -21,14 +22,15 @@ import pytest
 from scipy import sparse
 
 from repro import SpMVEngine
+from repro.core.engine import PreparedMatrix
 from repro.errors import (
     ServerClosedError,
     ServerOverloadedError,
     ShardCrashError,
     ValidationError,
 )
-from repro.serve import ServeConfig, WorkerConfig
-from repro.serve.workers import ProcessShard
+from repro.serve import ServeConfig, Shard, serve_key
+from repro.util import as_csr
 
 
 @pytest.fixture(scope="module")
@@ -47,36 +49,44 @@ def system(engine):
     return A, xs, golden, prepared
 
 
-def make_shard(engine, prepared=None, **worker_kwargs):
-    worker_kwargs.setdefault("reply_timeout_s", 30.0)
-    shard = ProcessShard(
+def key_of(engine, matrix):
+    if isinstance(matrix, PreparedMatrix):
+        return serve_key(engine, matrix.reference_csr())
+    return serve_key(engine, as_csr(matrix))
+
+
+def submit(shard, matrix, x):
+    """What the fabric does: key and validate once, then admit."""
+    operand = matrix if isinstance(matrix, PreparedMatrix) else as_csr(matrix)
+    return shard.submit(
+        key_of(shard.engine, matrix), operand, np.asarray(x, dtype=np.float64)
+    )
+
+
+def multiply(shard, matrix, x):
+    future = submit(shard, matrix, x)
+    shard.drain()
+    return future.result(timeout=0)
+
+
+def make_shard(engine, prepared=None, reply_timeout_s=30.0, config=None):
+    shard = Shard(
+        "w-test",
         engine,
-        ServeConfig(batch_window_s=0.0),
-        name="w-test",
-        worker_config=WorkerConfig(**worker_kwargs),
+        config if config is not None else ServeConfig(batch_window_s=0.0),
+        processes=True,
+        reply_timeout_s=reply_timeout_s,
     )
     if prepared is not None:
-        shard.prime(prepared)
+        shard.prime(key_of(engine, prepared), prepared)
     return shard
 
 
-class TestWorkerConfig:
-    def test_defaults_valid(self):
-        cfg = WorkerConfig()
-        assert cfg.max_inflight >= 1
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_inflight": 0},
-            {"reply_timeout_s": 0.0},
-            {"reply_timeout_s": -1.0},
-            {"stop_grace_s": -0.1},
-        ],
-    )
-    def test_rejects_bad_knobs(self, kwargs):
+class TestShardValidation:
+    @pytest.mark.parametrize("reply_timeout_s", [0.0, -1.0])
+    def test_rejects_bad_reply_timeout(self, engine, reply_timeout_s):
         with pytest.raises(ValidationError):
-            WorkerConfig(**kwargs)
+            Shard("bad", engine, reply_timeout_s=reply_timeout_s)
 
 
 class TestRoundTrip:
@@ -84,7 +94,7 @@ class TestRoundTrip:
         A, xs, golden, prepared = system
         shard = make_shard(engine, prepared)
         try:
-            futures = [shard.submit(A, x) for x in xs]
+            futures = [submit(shard, A, x) for x in xs]
             shard.drain()
             for f, g in zip(futures, golden):
                 assert np.array_equal(f.result(timeout=0).y, g)
@@ -95,7 +105,7 @@ class TestRoundTrip:
         A, xs, golden, prepared = system
         shard = make_shard(engine, prepared)
         try:
-            resp = shard.multiply(A, xs[0])
+            resp = multiply(shard, A, xs[0])
             assert resp.cache_hit, "primed key should be a child cache hit"
             assert np.array_equal(resp.y, golden[0])
             assert shard.stats()["worker"]["needop"] == 0
@@ -106,7 +116,7 @@ class TestRoundTrip:
         _, xs, golden, prepared = system
         shard = make_shard(engine)
         try:
-            resp = shard.multiply(prepared, xs[1])
+            resp = multiply(shard, prepared, xs[1])
             assert np.array_equal(resp.y, golden[1])
             # The operand handle is retained for restart re-warming.
             assert shard.stats()["worker"]["primed_keys"] >= 1
@@ -117,12 +127,12 @@ class TestRoundTrip:
         A, xs, _, prepared = system
         shard = make_shard(engine, prepared)
         try:
-            assert shard.queue_depth() == 0
-            shard.submit(A, xs[0])
-            shard.submit(A, xs[1])
-            assert shard.queue_depth() == 2
+            assert shard.queued() == 0
+            submit(shard, A, xs[0])
+            submit(shard, A, xs[1])
+            assert shard.queued() == 2
             shard.drain()
-            assert shard.queue_depth() == 0
+            assert shard.queued() == 0
         finally:
             shard.close()
 
@@ -130,18 +140,15 @@ class TestRoundTrip:
 class TestAdmission:
     def test_overload_sheds_synchronously(self, engine, system):
         A, xs, _, prepared = system
-        shard = ProcessShard(
-            engine,
-            ServeConfig(batch_window_s=0.0, queue_depth=2),
-            name="w-shed",
-            worker_config=WorkerConfig(reply_timeout_s=30.0),
+        shard = make_shard(
+            engine, prepared,
+            config=ServeConfig(batch_window_s=0.0, queue_depth=2),
         )
-        shard.prime(prepared)
         try:
-            shard.submit(A, xs[0])
-            shard.submit(A, xs[1])
+            submit(shard, A, xs[0])
+            submit(shard, A, xs[1])
             with pytest.raises(ServerOverloadedError):
-                shard.submit(A, xs[2])
+                submit(shard, A, xs[2])
             shard.drain()
         finally:
             shard.close()
@@ -151,7 +158,7 @@ class TestAdmission:
         shard = make_shard(engine, prepared)
         shard.close()
         with pytest.raises(ServerClosedError):
-            shard.submit(A, xs[0])
+            submit(shard, A, xs[0])
 
 
 class TestDeathAndRespawn:
@@ -159,7 +166,7 @@ class TestDeathAndRespawn:
         A, xs, _, prepared = system
         shard = make_shard(engine, prepared)
         try:
-            futures = [shard.submit(A, x) for x in xs]
+            futures = [submit(shard, A, x) for x in xs]
             doomed = shard.kill_process()
             assert doomed == len(xs)
             assert not shard.alive
@@ -176,13 +183,13 @@ class TestDeathAndRespawn:
         A, xs, golden, prepared = system
         shard = make_shard(engine, prepared)
         try:
-            shard.multiply(A, xs[0])
+            multiply(shard, A, xs[0])
             old_pid = shard.pid
             shard.kill_process()
             mode = shard.respawn()
             assert mode == "shared"
             assert shard.alive and shard.pid != old_pid
-            resp = shard.multiply(A, xs[1])
+            resp = multiply(shard, A, xs[1])
             assert resp.cache_hit, "respawn should re-warm the primed key"
             assert np.array_equal(resp.y, golden[1])
             worker = shard.stats()["worker"]
@@ -208,7 +215,7 @@ class TestDeathAndRespawn:
             mode = shard.respawn()
             assert mode == "csr"
             assert shard.stats()["worker"]["csr_reprimes"] == 1
-            resp = shard.multiply(A, x)
+            resp = multiply(shard, A, x)
             assert resp.cache_hit
             assert np.array_equal(resp.y, golden)
         finally:
@@ -220,32 +227,32 @@ class TestDeathAndRespawn:
         shard = make_shard(engine, prepared, reply_timeout_s=1.0)
         try:
             assert shard.inject_hang()
-            future = shard.submit(A, xs[0])
+            future = submit(shard, A, xs[0])
             shard.drain()  # reply timeout -> hung -> SIGKILL
             assert not shard.alive
             assert isinstance(future.exception(timeout=0), ShardCrashError)
             assert shard.stats()["worker"]["hangs"] == 1
             assert shard.respawn() == "shared"
-            assert np.array_equal(shard.multiply(A, xs[0]).y, golden[0])
+            assert np.array_equal(multiply(shard, A, xs[0]).y, golden[0])
         finally:
             shard.close()
 
     def test_permanent_kill_closes_shard(self, engine, system):
         A, xs, _, prepared = system
         shard = make_shard(engine, prepared)
-        future = shard.submit(A, xs[0])
+        future = submit(shard, A, xs[0])
         doomed = shard.kill(ShardCrashError("fabric kill", shard="w-test"))
         assert doomed == 1
         assert isinstance(future.exception(timeout=0), ShardCrashError)
         with pytest.raises(ServerClosedError):
-            shard.submit(A, xs[0])
+            submit(shard, A, xs[0])
 
 
 class TestLifecycle:
     def test_graceful_close_exits_zero(self, engine, system):
         A, xs, golden, prepared = system
         shard = make_shard(engine, prepared)
-        future = shard.submit(A, xs[0])
+        future = submit(shard, A, xs[0])
         shard.close(drain=True)
         assert np.array_equal(future.result(timeout=0).y, golden[0])
         assert shard.last_exit_code == 0
@@ -256,10 +263,10 @@ class TestLifecycle:
         before = set(glob.glob("/dev/shm/reproshm-*"))
         prepared = engine.prepare(A)
         shard = make_shard(engine, prepared)
-        shard.multiply(A, xs[0])
+        multiply(shard, A, xs[0])
         shard.kill_process()
         shard.respawn()
-        shard.multiply(A, xs[1])
+        multiply(shard, A, xs[1])
         shard.close()
         prepared.release_shared()
         assert set(glob.glob("/dev/shm/reproshm-*")) <= before
@@ -268,9 +275,8 @@ class TestLifecycle:
         A, xs, _, prepared = system
         shard = make_shard(engine, prepared)
         try:
-            shard.multiply(A, xs[0])
-            shard.ping()
-            shard.pump_replies()
+            multiply(shard, A, xs[0])
+            assert shard.ping()
             snap = shard.stats()
             for key in ("requests", "responses", "shed", "batches",
                         "batched_requests", "cache", "queued"):
