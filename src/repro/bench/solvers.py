@@ -114,7 +114,10 @@ def run_solver_bench(
         server = SpMVServer(eng, ServeConfig(batch_window_s=0.0), start=False)
         try:
             served_sess = SolverSession(prep, engine=eng, server=server)
+            hashed0 = server.stats()["key_hashed"]  # after the prime
             served_row, served = _run_one(served_sess, b, method, tol, max_iter)
+            # Every iteration submits the primed handle: matched, never hashed.
+            served_row["key_hashed"] = server.stats()["key_hashed"] - hashed0
         finally:
             server.close()
 

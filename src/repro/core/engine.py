@@ -109,6 +109,9 @@ class PreparedMatrix:
         Structural drift (different nnz/shape/pattern, or a value of
         exactly ``0.0``, which canonicalization eliminates) raises
         :class:`~repro.errors.ValidationError`.
+
+        The new CSR owns its values: a caller that reuses ``new_values``
+        as a buffer for the next refresh cannot change this instance.
         """
         from scipy import sparse as _sp
 
@@ -126,7 +129,7 @@ class PreparedMatrix:
                 )
             new_csr = _sp.csr_matrix(
                 (
-                    np.asarray(new_values, dtype=np.float64),
+                    np.array(new_values, dtype=np.float64),
                     csr.indices,
                     csr.indptr,
                 ),

@@ -19,6 +19,11 @@ arena (:meth:`PreparedMatrix.share`) are resident once system-wide and
 are therefore *reported* (``stats()["shared_bytes"]``) but not charged
 against the budget -- see :func:`prepared_footprint_split`.
 
+A server finds a resident entry without hashing through :meth:`PreparedCache.match`:
+an index from each entry's CSR signature (shape, stored entries, index
+and value dtypes) to its keys lets a submitted CSR be compared, byte for
+byte, against the few resident matrices it could be.
+
 Thread-safe; hit/miss/eviction counters are kept both on the instance
 (for tests and reports) and mirrored to the ambient observer as
 ``serve.cache.*`` metrics by the server.
@@ -30,6 +35,9 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
+import numpy as np
+from scipy import sparse
+
 from ..core.engine import PreparedMatrix
 
 __all__ = [
@@ -38,6 +46,38 @@ __all__ = [
     "prepared_footprint_split",
     "CacheEntry",
 ]
+
+
+#: Resident entries of one signature a :meth:`PreparedCache.match` compares,
+#: most recently inserted first, before the caller falls back to hashing.
+MATCH_CANDIDATES = 4
+
+
+def _signature(csr) -> tuple:
+    """What two CSRs must share before their arrays are worth comparing."""
+    return (
+        csr.shape,
+        csr.data.shape[0],
+        csr.indptr.dtype,
+        csr.indices.dtype,
+        csr.data.dtype,
+    )
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays of one dtype (equal signatures ensure it) hold
+    the same bytes.
+
+    Identity first; then an exact compare of unsigned-integer views, so
+    NaNs equal themselves and ``-0.0`` differs from ``0.0``, as in a hash
+    of the bytes.
+    """
+    if a is b:
+        return True
+    if a.dtype.itemsize not in (1, 2, 4, 8):
+        return a.tobytes() == b.tobytes()
+    view = f"u{a.dtype.itemsize}"
+    return bool(np.array_equal(a.view(view), b.view(view)))
 
 
 def prepared_footprint_split(prepared: PreparedMatrix) -> dict:
@@ -83,6 +123,9 @@ class CacheEntry:
     nbytes: int
     #: Bytes resident in a shared-memory arena (reported, not charged).
     shared_nbytes: int = 0
+    #: :func:`_signature` of the entry's CSR; ``None`` when the entry has
+    #: no decoded CSR yet and so cannot be matched.
+    signature: tuple | None = None
 
 
 class PreparedCache:
@@ -107,6 +150,8 @@ class PreparedCache:
             )
         self.budget_bytes = budget_bytes
         self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
+        #: Signature -> resident keys, in insertion order.
+        self._index: dict[tuple, list[str]] = {}
         self._lock = threading.Lock()
         self.total_bytes = 0
         self.hits = 0
@@ -138,6 +183,46 @@ class PreparedCache:
             entry = self._entries.get(key)
             return None if entry is None else entry.prepared
 
+    def match(self, csr) -> CacheEntry | None:
+        """The resident entry whose CSR is exactly ``csr``, or ``None``.
+
+        Only a scipy CSR is matched.  Of the resident entries with its
+        :func:`_signature`, at most :data:`MATCH_CANDIDATES` are compared,
+        most recently inserted first: values, then column indices, then
+        row pointers, each by identity and then byte for byte.  Touches
+        neither recency nor the hit/miss counters; an entry evicted while
+        it was being compared is not returned.
+        """
+        if not (sparse.issparse(csr) and csr.format == "csr"):
+            return None
+        signature = _signature(csr)
+        with self._lock:
+            keys = self._index.get(signature)
+            if not keys:
+                return None
+            candidates = [self._entries[k] for k in keys[-MATCH_CANDIDATES:]]
+        for entry in reversed(candidates):
+            resident = entry.prepared.csr
+            if (
+                _same_bits(csr.data, resident.data)
+                and _same_bits(csr.indices, resident.indices)
+                and _same_bits(csr.indptr, resident.indptr)
+            ):
+                with self._lock:
+                    if self._entries.get(entry.key) is entry:
+                        return entry
+                return None
+        return None
+
+    def _unindex(self, entry: CacheEntry) -> None:
+        """Drop ``entry`` from the signature index (lock held)."""
+        if entry.signature is None:
+            return
+        keys = self._index[entry.signature]
+        keys.remove(entry.key)
+        if not keys:
+            del self._index[entry.signature]
+
     def put(self, key: str, prepared: PreparedMatrix) -> list[CacheEntry]:
         """Insert (or replace) ``key``; returns the entries evicted.
 
@@ -146,19 +231,24 @@ class PreparedCache:
         docstring for the single-oversized-entry policy).
         """
         split = prepared_footprint_split(prepared)
+        csr = prepared.csr
         evicted: list[CacheEntry] = []
         with self._lock:
             old = self._entries.pop(key, None)
             if old is not None:
                 self.total_bytes -= old.nbytes
+                self._unindex(old)
             entry = CacheEntry(
                 key=key,
                 prepared=prepared,
                 nbytes=self._charge(split),
                 shared_nbytes=split["shared"],
+                signature=None if csr is None else _signature(csr),
             )
             self._entries[key] = entry
             self.total_bytes += entry.nbytes
+            if entry.signature is not None:
+                self._index.setdefault(entry.signature, []).append(key)
             if self.budget_bytes is not None:
                 while self.total_bytes > self.budget_bytes and len(self._entries) > 1:
                     victim_key = next(iter(self._entries))
@@ -168,6 +258,7 @@ class PreparedCache:
                         break
                     victim = self._entries.pop(victim_key)
                     self.total_bytes -= victim.nbytes
+                    self._unindex(victim)
                     self.evictions += 1
                     evicted.append(victim)
         return evicted
@@ -189,6 +280,7 @@ class PreparedCache:
             if entry is None:
                 return False
             self.total_bytes -= entry.nbytes
+            self._unindex(entry)
             return True
 
     def keys(self) -> list[str]:
@@ -199,6 +291,7 @@ class PreparedCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._index.clear()
             self.total_bytes = 0
 
     def stats(self) -> dict:

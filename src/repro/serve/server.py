@@ -9,13 +9,16 @@ requests, not repaid per call.  :class:`SpMVServer` adds the three
 pieces a production front-end needs:
 
 * **micro-batching** -- concurrent single-vector requests against the
-  same matrix are coalesced (time window + max batch) into one
+  same matrix are coalesced (max batch, plus a time window held only
+  while nothing else is queued) into one
   :meth:`~repro.SpMVEngine.multiply_many` SpMM dispatch, which reads the matrix
   stream once for the whole batch; requests whose shapes cannot batch
   fall back to per-vector :meth:`~repro.SpMVEngine.multiply`;
 * **prepared-matrix caching** -- an LRU :class:`~repro.serve.cache.
   PreparedCache` bounded by a byte budget (footprints from the format
-  layer's own accounting), so a hot matrix is tuned and converted once;
+  layer's own accounting), so a hot matrix is tuned and converted once,
+  and a submit of a resident matrix is keyed by an exact compare
+  instead of a hash;
 * **admission control** -- a bounded queue that sheds with a typed
   :class:`~repro.errors.ServerOverloadedError`, a per-request
   :class:`~repro.fault.Deadline`, and optional
@@ -52,8 +55,8 @@ from ..errors import (
 )
 from ..fault.retry import CircuitBreaker, Deadline, RetryPolicy
 from ..obs import obs_scope
-from ..tuning.persistence import matrix_fingerprint
-from ..util import as_csr
+from ..tuning.persistence import canonical_fingerprint
+from ..util import as_csr, canonical_csr
 from .cache import PreparedCache
 
 __all__ = [
@@ -75,7 +78,7 @@ def _values_digest(csr) -> str:
     never share a cache entry or a coalesced batch.
     """
     data = np.ascontiguousarray(csr.data, dtype=np.float64)
-    return hashlib.sha256(data.tobytes()).hexdigest()[:16]
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def serve_key(engine: SpMVEngine, csr) -> str:
@@ -85,11 +88,15 @@ def serve_key(engine: SpMVEngine, csr) -> str:
     the server's cache and batch coalescing use, and the key the fabric
     consistent-hashes to pick a shard.  Every shard of a fabric runs the
     same device model and tuning mode, so the fabric-level key matches
-    the one each shard computes for itself.
+    the one each shard computes for itself.  Both halves hash the
+    canonical form (:func:`~repro.util.as_csr`), so a matrix with stored
+    zeros, duplicates or unsorted columns keys like its canonical twin;
+    a canonical CSR is hashed in place, without a copy.
     """
+    csr = canonical_csr(csr)
     return (
         f"{engine.device.name}:{engine.tuning_mode}:"
-        f"{matrix_fingerprint(csr)}:{_values_digest(csr)}"
+        f"{canonical_fingerprint(csr)}:{_values_digest(csr)}"
     )
 
 
@@ -104,18 +111,20 @@ class ServeConfig:
         dispatch.
     batch_window_s:
         After the first request of a batch is picked up, how long the
-        dispatcher keeps the batch open for same-matrix arrivals.  ``0``
-        coalesces only what is already queued (deterministic; what the
-        tests use).
+        dispatcher may keep the batch open for same-matrix arrivals.  It
+        holds the window only while nothing else is queued: once a
+        request for another matrix (or a 2-D block) waits, the batch
+        dispatches at once.  ``0`` coalesces only what is already queued
+        (deterministic; what the tests use).
     queue_depth:
         Bounded-queue admission limit; a submit beyond it raises
         :class:`~repro.errors.ServerOverloadedError` (load shedding).
     cache_budget_bytes:
         Byte budget of the prepared-matrix LRU cache (``None`` =
-        unbounded).
+        unbounded, else ``>= 0``).
     default_timeout_s:
         Deadline applied to requests that don't carry their own
-        (``None`` = no deadline).
+        (``None`` = no deadline, else ``>= 0``).
     """
 
     max_batch: int = 32
@@ -134,6 +143,16 @@ class ServeConfig:
         if self.queue_depth < 1:
             raise ValidationError(
                 f"queue_depth must be >= 1, got {self.queue_depth}"
+            )
+        if self.cache_budget_bytes is not None and self.cache_budget_bytes < 0:
+            raise ValidationError(
+                f"cache_budget_bytes must be >= 0 or None, "
+                f"got {self.cache_budget_bytes}"
+            )
+        if self.default_timeout_s is not None and self.default_timeout_s < 0:
+            raise ValidationError(
+                f"default_timeout_s must be >= 0 or None, "
+                f"got {self.default_timeout_s}"
             )
 
 
@@ -221,7 +240,10 @@ class ServeFuture:
 @dataclass
 class _Request:
     key: str
+    #: The canonical CSR copy a miss prepares from; ``None`` when
+    #: ``prepared`` is set.
     matrix: object
+    #: The entry to serve from (or re-admit, if evicted before dispatch).
     prepared: PreparedMatrix | None
     x: np.ndarray
     deadline: Deadline | None
@@ -318,6 +340,8 @@ class SpMVServer:
         self.n_deadline_expired = 0
         self.n_breaker_rejections = 0
         self.n_internal_errors = 0
+        self.n_key_matched = 0
+        self.n_key_hashed = 0
         self._thread: threading.Thread | None = None
         if start:
             self._thread = threading.Thread(
@@ -345,18 +369,21 @@ class SpMVServer:
         cache as-is).  ``x`` is a single vector (coalescible) or a 2-D
         ``(ncols, k)`` block (dispatched solo through ``multiply_many``).
 
+        The key comes from an exact match on a resident matrix when
+        there is one (:meth:`PreparedCache.match`); the request then
+        carries that entry and the caller's matrix is never read again.
+        Otherwise the matrix is canonicalized once (a private copy, so
+        later edits by the caller cannot reach the request) and hashed
+        by :func:`serve_key`.
+
         Raises :class:`~repro.errors.ServerOverloadedError` when the
         bounded queue is full and :class:`~repro.errors.ServerClosedError`
         after :meth:`close`.
         """
-        prepared: PreparedMatrix | None = None
         if isinstance(matrix, PreparedMatrix):
-            prepared = matrix
-            ncols = prepared.fmt.ncols
-            source = prepared.reference_csr()
+            prepared, ncols = matrix, matrix.fmt.ncols
         else:
-            ncols = matrix.shape[1]
-            source = matrix
+            prepared, ncols = None, matrix.shape[1]
         x = np.asarray(x, dtype=np.float64)
         if x.ndim not in (1, 2):
             raise ValidationError(
@@ -366,10 +393,11 @@ class SpMVServer:
             raise ValidationError(
                 f"x has {x.shape[0]} rows, matrix has {ncols} columns"
             )
-        csr = as_csr(source)
-        request = self._request(
-            serve_key(self.engine, csr), csr, prepared, x, timeout_s
-        )
+        source = matrix if prepared is None else prepared.reference_csr()
+        key, entry, csr = self._key_for(source, copy=prepared is None)
+        if entry is not None:
+            prepared = entry.prepared
+        request = self._request(key, csr, prepared, x, timeout_s)
         with self._cond:
             if self._closed:
                 raise ServerClosedError("server is closed; request refused")
@@ -392,6 +420,39 @@ class SpMVServer:
             )
             self._cond.notify_all()
         return request.future
+
+    def _key_for(self, source, copy: bool = False):
+        """Key the CSR ``source``: an exact resident match, else a hash.
+
+        Returns ``(key, entry, csr)``: ``entry`` is the matched resident
+        :class:`~repro.serve.cache.CacheEntry`, or ``None`` on a miss.
+        A miss hashes ``source`` with :func:`serve_key` -- with ``copy``,
+        its canonical private copy (:func:`~repro.util.as_csr`) instead,
+        returned as ``csr`` (else ``None``) so the caller's later edits
+        cannot reach what is prepared.  Counts the outcome as
+        ``serve.key.matched`` or ``serve.key.hashed``.
+        """
+        entry = self.cache.match(source)
+        csr = None
+        if entry is not None:
+            key = entry.key
+        else:
+            if copy:
+                source = csr = as_csr(source)
+            key = serve_key(self.engine, source)
+        with self._cond:
+            if entry is not None:
+                self.n_key_matched += 1
+                self.obs.counter(
+                    "serve.key.matched",
+                    "keys taken from an exact match on a resident matrix",
+                ).inc()
+            else:
+                self.n_key_hashed += 1
+                self.obs.counter(
+                    "serve.key.hashed", "keys computed by hashing (serve_key)"
+                ).inc()
+        return key, entry, csr
 
     def _request(self, key, matrix, prepared, x, timeout_s) -> _Request:
         """A queue entry for an already keyed and validated request."""
@@ -419,20 +480,22 @@ class SpMVServer:
     def prime(self, prepared: PreparedMatrix) -> str:
         """Admit a prepared matrix into the cache ahead of traffic.
 
-        Computes the value-aware serve key and installs ``prepared``
-        under it unless an entry is already resident (a later submit of
-        the same matrix is then a cache hit from the first request).
-        Returns the key.  This is the solver sessions' value-refresh
-        hook: an :meth:`SpMVEngine.update_values` result gets a *new*
-        key (its value digest changed), so priming never clobbers the
-        previous values' entry.
+        Returns the key of the resident entry that exactly matches
+        ``prepared``'s matrix, if there is one; otherwise computes the
+        value-aware serve key and installs ``prepared`` under it unless
+        an entry is already resident (a later submit of the same matrix
+        is then a cache hit from the first request).  This is the
+        solver sessions' value-refresh hook: an
+        :meth:`SpMVEngine.update_values` result gets a *new* key (its
+        value digest changed), so priming never clobbers the previous
+        values' entry.
         """
         if not isinstance(prepared, PreparedMatrix):
             raise ValidationError(
                 f"prime needs a PreparedMatrix, got {type(prepared).__name__}"
             )
-        key = serve_key(self.engine, prepared.reference_csr())
-        if self.cache.peek(key) is None:
+        key, entry, _ = self._key_for(prepared.reference_csr())
+        if entry is None and self.cache.peek(key) is None:
             self.cache.put(key, prepared)
         return key
 
@@ -473,6 +536,11 @@ class SpMVServer:
     def _next_batch(self, wait: bool) -> list[_Request] | None:
         """Pop the next micro-batch: same-key 1-D requests coalesced.
 
+        The batch window is work-conserving: it is held only while the
+        queue is otherwise empty.  A request for another key (or a 2-D
+        block) waiting behind the batch gains nothing from an idle
+        dispatcher, and its own backlog coalesces when its turn comes.
+
         Returns ``None`` when the server is closed and the queue empty
         (or, with ``wait=False``, when the queue is simply empty).
         """
@@ -500,7 +568,7 @@ class SpMVServer:
                     if len(batch) >= cfg.max_batch:
                         break
                     remaining = window_end - self._clock()
-                    if remaining <= 0 or self._closed or not wait:
+                    if remaining <= 0 or self._closed or not wait or self._queue:
                         break
                     self._cond.wait(remaining)
             self.obs.gauge("serve.queue.depth", "queued requests").set(
@@ -824,6 +892,8 @@ class SpMVServer:
                 "deadline_expiries": self.n_deadline_expired,
                 "breaker_rejections": self.n_breaker_rejections,
                 "internal_errors": self.n_internal_errors,
+                "key_matched": self.n_key_matched,
+                "key_hashed": self.n_key_hashed,
                 "queued": len(self._queue),
             }
         snap["cache"] = self.cache.stats()

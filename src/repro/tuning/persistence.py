@@ -84,12 +84,22 @@ def _locked(path: Path):
 
 def matrix_fingerprint(matrix) -> str:
     """Structural hash of a sparse matrix (values excluded)."""
-    csr = as_csr(matrix)
+    return canonical_fingerprint(as_csr(matrix))
+
+
+def canonical_fingerprint(csr) -> str:
+    """:func:`matrix_fingerprint` of a CSR that is already canonical.
+
+    Hashes the buffers in place, with no canonicalizing copy.  The index
+    arrays are hashed at int64 width whatever their dtype, so the value
+    (and every stored entry keyed by it) does not depend on scipy's
+    choice of index dtype.
+    """
     h = hashlib.sha256()
-    h.update(np.asarray(csr.shape, dtype=np.int64).tobytes())
-    h.update(np.int64(csr.nnz).tobytes())
-    h.update(np.ascontiguousarray(csr.indptr, dtype=np.int64).tobytes())
-    h.update(np.ascontiguousarray(csr.indices, dtype=np.int64).tobytes())
+    h.update(np.asarray(csr.shape, dtype=np.int64))
+    h.update(np.int64(csr.nnz))
+    h.update(np.ascontiguousarray(csr.indptr, dtype=np.int64))
+    h.update(np.ascontiguousarray(csr.indices, dtype=np.int64))
     return h.hexdigest()[:24]
 
 

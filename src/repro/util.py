@@ -14,6 +14,7 @@ __all__ = [
     "ceil_div",
     "round_up",
     "as_csr",
+    "canonical_csr",
     "as_coo_sorted",
     "run_lengths",
     "check_1d",
@@ -49,6 +50,37 @@ def as_csr(matrix) -> _sp.csr_matrix:
     csr.eliminate_zeros()
     csr.sort_indices()
     return csr
+
+
+def canonical_csr(matrix) -> _sp.csr_matrix:
+    """``matrix`` itself when it already is the CSR :func:`as_csr` returns,
+    else ``as_csr(matrix)``.
+
+    The check reads the arrays rather than trusting scipy's cached
+    ``has_canonical_format`` flag, which goes stale when a caller edits
+    the arrays in place; only a non-canonical input is copied.
+    """
+    if _sp.issparse(matrix) and matrix.format == "csr" and _is_canonical(matrix):
+        return matrix
+    return as_csr(matrix)
+
+
+def _is_canonical(csr) -> bool:
+    """Sorted, duplicate-free columns in every row, no stored zero, and
+    no storage past ``indptr[-1]``."""
+    indptr, indices, data = csr.indptr, csr.indices, csr.data
+    nnz = int(indptr[-1])
+    if indptr[0] != 0 or indices.shape[0] != nnz or data.shape[0] != nnz:
+        return False
+    if not data.all():
+        return False
+    if nnz < 2:
+        return True
+    rising = indices[1:] > indices[:-1]
+    # The column index may fall (or repeat) only where a new row starts.
+    starts = indptr[1:-1]
+    rising[starts[(starts > 0) & (starts < nnz)] - 1] = True
+    return bool(rising.all())
 
 
 def as_coo_sorted(matrix) -> _sp.coo_matrix:

@@ -208,6 +208,18 @@ class TestPreparedWithValues:
             rtol=1e-12, atol=1e-14,
         )
 
+    def test_raw_value_vector_is_copied(self, engine):
+        # A caller may reuse one buffer for every refresh: rewriting it
+        # must not reach a matrix already refreshed from it.
+        A = make_matrix(60)
+        prep = engine.prepare(A, point=TuningPoint())
+        buf = prep.reference_csr().data * 2.0
+        refreshed = engine.update_values(prep, buf)
+        kept = refreshed.csr.data.copy()
+        buf *= 3.0
+        assert not np.shares_memory(refreshed.csr.data, buf)
+        assert np.array_equal(refreshed.csr.data, kept)
+
     def test_zero_in_value_vector_rejected(self, engine):
         # Canonicalization would drop the explicit zero, changing the
         # structure -- on a fresh and on a refreshed prepared matrix.

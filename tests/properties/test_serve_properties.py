@@ -6,7 +6,8 @@ interleavings of requests across matrices, micro-batched serving returns
 ``engine.multiply`` would, for BCCOO and BCCOO+ under both scan
 strategies.  This is the serving layer's differential invariant driven
 by generated inputs instead of the fixed grid in
-``tests/serve/test_differential.py``.
+``tests/serve/test_differential.py``.  It also pins the key path: however
+a caller builds its CSR, a submit keys and serves the canonical form.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from repro import ServeConfig, SpMVEngine, SpMVServer
+from repro.serve.server import serve_key
 from repro.tuning import TuningPoint
+from repro.util import as_csr
 
 
 @st.composite
@@ -117,4 +120,64 @@ def test_served_answers_match_scipy(problem):
         assert np.allclose(
             fut.result().y, mats[m] @ x, rtol=1e-9, atol=1e-9
         )
+    srv.close()
+
+
+@st.composite
+def raw_csrs(draw):
+    """A CSR as a caller may build it: explicit zeros, duplicate and
+    unsorted columns and NaN values allowed, int32 or int64 indices."""
+    nrows = draw(st.integers(1, 12))
+    ncols = draw(st.integers(1, 12))
+    value = st.one_of(
+        st.sampled_from([0.0, -0.0, float("nan")]),
+        st.floats(-50, 50, allow_nan=False),
+    )
+    rows = draw(
+        st.lists(
+            st.lists(st.tuples(st.integers(0, ncols - 1), value), max_size=6),
+            min_size=nrows,
+            max_size=nrows,
+        )
+    )
+    A = sparse.csr_matrix(
+        (
+            np.array([v for row in rows for _, v in row], dtype=np.float64),
+            np.array([c for row in rows for c, _ in row], dtype=np.int64),
+            np.cumsum([0] + [len(row) for row in rows]),
+        ),
+        shape=(nrows, ncols),
+    )
+    if draw(st.booleans()):
+        # scipy narrows index arrays on construction; widen them again.
+        A.indices = A.indices.astype(np.int64)
+        A.indptr = A.indptr.astype(np.int64)
+    return A
+
+
+@given(A=raw_csrs(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_submit_keys_and_serves_the_canonical_form(A, seed):
+    """Hashed before the matrix is resident, matched or hashed after: a
+    submit always uses ``serve_key(engine, as_csr(A))`` and serves the
+    product of that canonical matrix."""
+    engine = SpMVEngine()
+    canonical = as_csr(A)
+    key = serve_key(engine, canonical)
+    x = np.random.default_rng(seed).standard_normal(A.shape[1])
+    srv = SpMVServer(engine, ServeConfig(batch_window_s=0.0), start=False)
+    futs = [srv.submit(A, x)]
+    assert srv._queue[-1].key == key
+    # A fixed point: NaN values fail the tuner's winner check.
+    point = TuningPoint().with_kernel(workgroup_size=64)
+    prepared = engine.prepare(canonical, point=point)
+    assert srv.prime(prepared) == key
+    futs.append(srv.submit(A, x))
+    assert srv._queue[-1].key == key
+    srv.drain()
+    direct = engine.multiply(prepared, x).y
+    for fut in futs:
+        assert fut.result().cache_hit
+        assert np.array_equal(fut.result().y, direct, equal_nan=True)
+    assert srv.stats()["key_hashed"] >= 2
     srv.close()

@@ -71,6 +71,13 @@ class TestSubmitValidation:
         with pytest.raises(ValidationError):
             ServeConfig(queue_depth=0)
 
+    def test_negative_timeout_and_budget_rejected_at_config(self):
+        with pytest.raises(ValidationError, match="default_timeout_s"):
+            ServeConfig(default_timeout_s=-1.0)
+        with pytest.raises(ValidationError, match="cache_budget_bytes"):
+            ServeConfig(cache_budget_bytes=-5)
+        ServeConfig(default_timeout_s=0.0, cache_budget_bytes=0)
+
 
 class TestBatching:
     def test_same_matrix_requests_coalesce(self, server, matrix):

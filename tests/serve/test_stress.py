@@ -14,6 +14,7 @@ Invariants pinned here:
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -21,6 +22,7 @@ import pytest
 from scipy import sparse
 
 from repro import Observer, ServeConfig, ServerOverloadedError, SpMVEngine, SpMVServer
+from repro.tuning import TuningStore
 
 N = 100
 N_THREADS = 8
@@ -123,6 +125,43 @@ class TestStress:
                 == total
             )
         finally:
+            server.close()
+
+    def test_resident_matches_race_evictions(self, matrices, tmp_path):
+        """Clients key by exact match while a one-entry budget evicts
+        under them: every answer is still its own request's, no key count
+        is lost, and the match index ends consistent with the entries."""
+        engine = SpMVEngine(
+            backend="fast", plan_store=TuningStore(tmp_path / "plans.json")
+        )
+        # Warm the store: a miss after an eviction re-converts, never re-tunes.
+        prepared = [engine.prepare(A) for A in matrices]
+        server = SpMVServer(
+            engine,
+            ServeConfig(
+                max_batch=8, batch_window_s=0.0005, queue_depth=4096,
+                cache_budget_bytes=1,
+            ),
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for p in prepared:
+                server.prime(p)
+            results, shed = run_stress(server, matrices)
+            total = N_THREADS * REQUESTS_PER_THREAD
+            assert shed == 0 and len(results) == total
+            for m, x, fut in results:
+                r = fut.result(timeout=120)
+                assert np.array_equal(r.y, engine.multiply(prepared[m], x).y)
+            assert server.n_key_matched + server.n_key_hashed == total + len(matrices)
+            assert server.cache.evictions >= len(matrices) - 1
+            cache = server.cache
+            with cache._lock:
+                indexed = sorted(k for keys in cache._index.values() for k in keys)
+                assert indexed == sorted(cache._entries)
+        finally:
+            sys.setswitchinterval(interval)
             server.close()
 
     def test_backpressure_under_tiny_queue(self, matrices):
