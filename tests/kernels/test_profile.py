@@ -26,7 +26,10 @@ from repro.tuning import FormatCache, pruned_space
 
 CAP_NNZ = 4_000
 SEED = 0
-MATRICES = ["LP", "FEM/Harbor", "QCD", "webbase", "Circuit", "tridiagonal"]
+#: The suite matrices all store ushort columns; "wide" (100k columns)
+#: adds delta, int32 and ushort columns and bit words that change a
+#: profile.
+MATRICES = ["LP", "FEM/Harbor", "QCD", "webbase", "Circuit", "tridiagonal", "wide"]
 DEVICES = [pytest.param(GTX680, id="gtx680"), pytest.param(GTX480, id="gtx480")]
 
 
@@ -38,6 +41,10 @@ def _tridiagonal(n: int = 15_000):
     )
 
 
+def _wide():
+    return sparse.random(2000, 100_000, density=3e-5, random_state=1, format="csr")
+
+
 @pytest.fixture(scope="module")
 def conversions():
     """Matrix and format cache per name, shared by both devices."""
@@ -47,6 +54,8 @@ def conversions():
         if name not in cache:
             if name == "tridiagonal":
                 A = _tridiagonal()
+            elif name == "wide":
+                A = _wide()
             else:
                 spec = get_spec(name)
                 A = spec.load(scale=spec.scale_for_nnz(CAP_NNZ), seed=SEED)
@@ -82,9 +91,13 @@ def test_profile_equals_full_launch(name, device, conversions):
     x = np.ones(A.shape[1])
     faithful = get_backend("faithful")
     seen: set[str] = set()
+    col_modes: set[str] = set()
     mismatches = []
     for point in pruned_space(A, device):
         fmt = formats.get(point)
+        bccoo = getattr(fmt, "stacked", fmt)
+        if isinstance(bccoo, BCCOOMatrix):
+            col_modes.add(bccoo.col_storage)
         profile, p_err = _outcome(
             lambda: kernel_for(fmt).profile(fmt, device, config=point.kernel)
         )
@@ -104,6 +117,8 @@ def test_profile_equals_full_launch(name, device, conversions):
     assert {"BCCOOMatrix", "MergeCSRMatrix", "RGCSRMatrix", "raises"} <= seen
     if name == "tridiagonal":
         assert "BCCOOPlusMatrix" in seen
+    if name == "wide":
+        assert {"delta", "int32", "ushort"} <= col_modes
 
 
 def test_profile_checks_the_row_stop_count():

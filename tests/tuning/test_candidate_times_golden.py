@@ -1,0 +1,116 @@
+"""Golden pin of every candidate's simulated time.
+
+``tests/tuning/golden/candidate_times.json`` holds, per (matrix,
+device), a sha256 over the auto-tuner's full history in enumeration
+order -- each evaluated point with its ``time_s.hex()`` -- and the
+skip-reason counts.  The matrices are those of
+``tests/kernels/test_profile.py``: five suite stand-ins at 4k nnz, a
+15k-row tridiagonal and a wide random matrix whose columns are stored
+as delta, int32 and ushort across its candidates.
+
+``test_profile.py`` checks that a candidate's profile-only launch
+equals its full launch; a change to cost code both launches share
+would pass it and still move the ranking.  This file catches that:
+every candidate must keep its exact simulated time, through the serial
+walk and through a two-worker pool.
+
+To regenerate after an *intentional* change to the cost model or the
+search space, run this file as a script:
+``PYTHONPATH=src python tests/tuning/test_candidate_times_golden.py``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from dataclasses import asdict
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy import sparse
+
+from repro.gpu import GTX480, GTX680
+from repro.matrices import get_spec
+from repro.tuning import AutoTuner
+
+GOLDEN_PATH = Path(__file__).parent / "golden" / "candidate_times.json"
+CAP_NNZ = 4_000
+SEED = 0
+MATRICES = ["LP", "FEM/Harbor", "QCD", "webbase", "Circuit", "tridiagonal", "wide"]
+DEVICES = {"gtx680": GTX680, "gtx480": GTX480}
+
+
+def load(name: str):
+    if name == "tridiagonal":
+        n = 15_000
+        return sparse.diags(
+            [np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)],
+            [-1, 0, 1],
+            format="csr",
+        )
+    if name == "wide":
+        return sparse.random(2000, 100_000, density=3e-5, random_state=1, format="csr")
+    spec = get_spec(name)
+    return spec.load(scale=spec.scale_for_nnz(CAP_NNZ), seed=SEED)
+
+
+def compute_entry(A, device, workers: int = 1) -> dict:
+    result = AutoTuner(device, workers=workers).tune(A)
+    digest = hashlib.sha256()
+    for ev in result.history:
+        digest.update(json.dumps(asdict(ev.point), sort_keys=True).encode())
+        digest.update(ev.time_s.hex().encode())
+    skip_reasons = list(result.skip_reasons.items())
+    digest.update(json.dumps(skip_reasons).encode())
+    return {
+        "history_sha256": digest.hexdigest(),
+        "evaluated": result.evaluated,
+        "skip_reasons": dict(skip_reasons),
+    }
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with GOLDEN_PATH.open() as f:
+        return json.load(f)
+
+
+@pytest.fixture(scope="module")
+def matrices():
+    cache: dict[str, object] = {}
+
+    def get(name: str):
+        if name not in cache:
+            cache[name] = load(name)
+        return cache[name]
+
+    return get
+
+
+def test_golden_covers_every_pair(golden):
+    assert sorted(golden) == sorted(f"{m}@{d}" for m in MATRICES for d in DEVICES)
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+@pytest.mark.parametrize("device", sorted(DEVICES))
+@pytest.mark.parametrize("name", MATRICES)
+def test_candidate_times_match_golden(name, device, workers, golden, matrices):
+    entry = compute_entry(matrices(name), DEVICES[device], workers=workers)
+    assert entry == golden[f"{name}@{device}"], (
+        f"candidate times of {name!r} on {device} moved; if the change is "
+        f"intentional, regenerate with `PYTHONPATH=src python "
+        f"{Path(__file__).name}` from the repo root"
+    )
+
+
+if __name__ == "__main__":  # golden regeneration entry point
+    data = {
+        f"{name}@{device}": compute_entry(load(name), DEVICES[device])
+        for name in MATRICES
+        for device in DEVICES
+    }
+    with GOLDEN_PATH.open("w") as f:
+        json.dump(data, f, indent=2, sort_keys=True)
+        f.write("\n")
+    print(f"wrote {GOLDEN_PATH}")
