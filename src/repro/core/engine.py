@@ -41,6 +41,7 @@ from ..gpu.timing import TimingBreakdown, TimingModel
 from ..kernels.base import get_kernel
 from ..kernels.config import YaSpMVConfig
 from ..obs import NULL_OBSERVER, obs_scope
+from ..obs.stages import StageClock, stage, stage_scope
 from ..tuning.cache import KernelPlanCache, build_format
 from ..tuning.persistence import TuningStore
 from ..tuning.parameters import TuningPoint
@@ -515,7 +516,8 @@ class SpMVEngine:
         maps its operand from shared memory, whatever ``share`` says.)
         """
         obs = self.observer
-        with obs_scope(obs), obs.span(
+        clock = StageClock() if obs.enabled else None
+        with obs_scope(obs), stage_scope(clock), obs.span(
             "engine.prepare", device=self.device.name
         ) as prep_span:
             csr = as_csr(matrix)
@@ -527,7 +529,7 @@ class SpMVEngine:
             if point is None and store is not None:
                 store_checked = True
                 t0 = time.perf_counter()
-                with obs.span("store.lookup") as store_span:
+                with obs.span("store.lookup") as store_span, stage("store"):
                     cached = store.get(csr, self.device)
                     store_span.set(hit=cached is not None)
                 obs.counter(
@@ -559,7 +561,8 @@ class SpMVEngine:
                 tuning = tuner.tune(csr)
                 point = tuning.best_point
                 if store is not None:
-                    store.put(csr, self.device, point)
+                    with stage("store"):
+                        store.put(csr, self.device, point)
                 tuning.store_checked = store_checked
                 if store is not None:
                     tuning.store_invalidations = store.invalidations - invalidations0
@@ -590,6 +593,12 @@ class SpMVEngine:
                 obs.counter(
                     "engine.shared_prepares", "prepare(share=True) calls"
                 ).inc()
+            if clock is not None:
+                stage_seconds = obs.counter(
+                    "prepare.stage_seconds", "prepare wall seconds, by stage"
+                )
+                for name, seconds in clock.seconds.items():
+                    stage_seconds.inc(seconds, stage=name)
             return prepared
 
     def multiply(

@@ -206,7 +206,9 @@ class BCCOOMatrix(SparseFormat):
         values = np.zeros((nb_padded, h, w), dtype=np.float64)
         values[:nb] = layout.values
 
-        nonempty = np.unique(layout.block_row).astype(np.int64)
+        # Blocks are row-major, so each block row's last block (its stop)
+        # lists the non-empty block rows in order.
+        nonempty = layout.block_row[stops].astype(np.int64)
 
         logical_shape = layout.shape if shape is None else shape
         n_block_cols_limit = round_up(logical_shape[1], w) // w

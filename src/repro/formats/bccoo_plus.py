@@ -16,6 +16,8 @@ single matrix, LP).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy import sparse as _sp
 
@@ -25,7 +27,20 @@ from .base import FP32, ByteSizes, Footprint, SparseFormat, register_format
 from .bccoo import BCCOOMatrix
 from .blocking import BlockLayout, extract_blocks
 
-__all__ = ["BCCOOPlusMatrix"]
+__all__ = ["BCCOOPlusMatrix", "StackedLayout"]
+
+
+@dataclass(frozen=True)
+class StackedLayout:
+    """The block layout of BCCOO+'s stacked matrix: the stacked blocks,
+    their column indices in the original matrix, and the slicing."""
+
+    blocks: BlockLayout
+    col_override: np.ndarray
+    #: The original matrix's shape.
+    shape: tuple[int, int]
+    slice_count: int
+    slice_width: int
 
 
 @register_format
@@ -70,6 +85,21 @@ class BCCOOPlusMatrix(SparseFormat):
         delta_tile_size: int = 16,
         **params,
     ) -> "BCCOOPlusMatrix":
+        layout = cls.stacked_layout(matrix, slice_count, block_height, block_width)
+        return cls.from_stacked_layout(
+            layout,
+            bit_word_dtype=bit_word_dtype,
+            pad_multiple=pad_multiple,
+            col_storage=col_storage,
+            delta_tile_size=delta_tile_size,
+        )
+
+    @staticmethod
+    def stacked_layout(
+        matrix, slice_count: int, block_height: int, block_width: int
+    ) -> "StackedLayout":
+        """Slice ``matrix``, extract each slice's blocks and stack them:
+        the block layout every BCCOO+ build of these dimensions shares."""
         csr = as_csr(matrix)
         nrows, ncols = csr.shape
         if slice_count < 1:
@@ -126,17 +156,29 @@ class BCCOOPlusMatrix(SparseFormat):
                 values=np.empty((0, block_height, block_width), dtype=np.float64),
             )
             override = np.empty(0, dtype=np.int32)
+        return StackedLayout(merged, override, (nrows, ncols), slice_count, slice_width)
 
+    @classmethod
+    def from_stacked_layout(
+        cls,
+        layout: "StackedLayout",
+        bit_word_dtype=np.uint32,
+        pad_multiple: int = 1,
+        col_storage: str = "auto",
+        delta_tile_size: int = 16,
+    ) -> "BCCOOPlusMatrix":
+        """Build BCCOO+ from a :meth:`stacked_layout`."""
+        ncols = layout.shape[1]
         stacked = BCCOOMatrix.from_block_layout(
-            merged,
+            layout.blocks,
             bit_word_dtype=bit_word_dtype,
             pad_multiple=pad_multiple,
             col_storage=col_storage,
             delta_tile_size=delta_tile_size,
-            shape=(merged.shape[0], ncols),
-            col_override=override,
+            shape=(layout.blocks.shape[0], ncols),
+            col_override=layout.col_override,
         )
-        return cls((nrows, ncols), stacked, slice_count, slice_width)
+        return cls(layout.shape, stacked, layout.slice_count, layout.slice_width)
 
     # ------------------------------------------------------------------ #
     # Incremental value refresh

@@ -10,7 +10,9 @@ Its caller supplies the two parts that differ between backends:
 * the *plan* -- a :class:`LaunchPlan`, the x-independent state (padded
   arrays, vector gather map, cost profile).  ``faithful`` builds one per
   call, under the fault hooks; ``fast`` caches one per format and
-  configuration;
+  configuration.  A profile-only launch with no fault plan active needs
+  no arrays: its :class:`ProfilePlan` holds scalars and reads the
+  format's :class:`~repro.kernels.yaspmv_common.FormatProfile`;
 * the *summation core* -- the arithmetic that turns block products into
   per-row-stop sums.  ``faithful``'s core (:func:`_reference_sums`)
   computes exactly what the device kernel computes -- per-block
@@ -54,13 +56,14 @@ from ..gpu.counters import KernelStats
 from ..gpu.device import DeviceSpec
 from ..gpu.memory import stream_bytes
 from ..obs import active_observer
+from ..obs.stages import stage
 from ..scan.reference import segment_sums_by_stops
-from ..util import ceil_div
+from ..util import ceil_div, round_up
 from .base import KernelResult, SpMVKernel, register_kernel
 from .config import YaSpMVConfig
-from .yaspmv_common import PaddedBCCOO, prepare
+from .yaspmv_common import FormatProfile, gather_map, prepare
 
-__all__ = ["LaunchPlan", "YaSpMVKernel", "block_products"]
+__all__ = ["LaunchPlan", "ProfilePlan", "YaSpMVKernel", "block_products"]
 
 #: Value/index element sizes for bandwidth accounting (fp32 device data).
 _VAL_B = 4
@@ -151,23 +154,67 @@ class LaunchPlan:
     ``None`` when every slot is in range (the common 1-wide-block case).
     The cost-profile methods take the format from the caller, so a plan
     need not hold one.
+
+    The launch geometry and stop counts the cost profile reads are the
+    same members :class:`ProfilePlan` computes without arrays; here they
+    are read off the padded copy.
     """
 
     __slots__ = ("padded", "safe", "invalid", "gather_flat")
 
     def __init__(self, fmt: BCCOOMatrix, cfg: YaSpMVConfig):
         padded = prepare(fmt, cfg)
-        w = fmt.block_width
-        gather = padded.cols[:, None] * w + np.arange(w, dtype=np.int64)[None, :]
-        valid = gather < fmt.ncols
+        safe, valid = gather_map(padded.cols, fmt.block_width, fmt.ncols)
         self.padded = padded
-        self.safe = np.where(valid, gather, 0)
+        self.safe = safe
         self.invalid = None if valid.all() else ~valid
         self.gather_flat = self.safe.ravel()
 
+    @property
+    def config(self) -> YaSpMVConfig:
+        return self.padded.config
+
+    @property
+    def nb_padded(self) -> int:
+        return self.padded.nb_padded
+
+    @property
+    def n_workgroups(self) -> int:
+        return self.padded.n_workgroups
+
+    @property
+    def n_threads_total(self) -> int:
+        return self.padded.n_threads_total
+
+    @property
+    def n_stops(self) -> int:
+        return int(np.count_nonzero(self.padded.stops))
+
+    def workgroup_stops(self) -> np.ndarray:
+        """Row stops per workgroup."""
+        return self.padded.workgroup_stops().sum(axis=1)
+
+    def full_workgroups(self) -> int:
+        """Workgroups in which every thread's tile holds a row stop."""
+        tile_has_stop = self.padded.thread_stops().any(axis=1)
+        return int(
+            np.count_nonzero(tile_has_stop.reshape(self.n_workgroups, -1).all(axis=1))
+        )
+
+    def vector_traffic(self, device: DeviceSpec) -> tuple[int, int]:
+        """``(dram_bytes, cached_bytes)`` of the launch's vector reads."""
+        cfg = self.config
+        return vector_read_traffic(
+            self.gather_flat,
+            cfg.value_bytes,
+            cache_bytes=device.tex_cache_bytes,
+            line_bytes=device.tex_line_bytes,
+            use_cache=cfg.use_texture,
+        )
+
     def stats(self, fmt: BCCOOMatrix, device: DeviceSpec) -> KernelStats:
         """Cost profile of the SpMV launch."""
-        return YaSpMVKernel._stats(fmt, self.padded, self.gather_flat, device)
+        return YaSpMVKernel._stats(fmt, self, device)
 
     def multi_stats(
         self, fmt: BCCOOMatrix, device: DeviceSpec, k: int
@@ -194,7 +241,7 @@ class LaunchPlan:
             line_bytes=device.tex_line_bytes,
             use_cache=cfg.use_texture,
         )
-        n_stops = int(self.padded.stops.sum())
+        n_stops = self.n_stops
         write_delta = (k - 1) * stream_bytes(
             n_stops * fmt.block_height, cfg.value_bytes, device.transaction_bytes
         )
@@ -210,6 +257,71 @@ class LaunchPlan:
                 f"{device.max_shared_mem_per_workgroup}"
             )
         return stats
+
+
+class ProfilePlan:
+    """The plan of a profile-only launch: scalars and row-stop counts.
+
+    Built per candidate from the format's
+    :class:`~repro.kernels.yaspmv_common.FormatProfile`, it allocates no
+    padded value, column or gather array: padding to whole workgroup
+    tiles only appends blocks with no stop that read column 0, so the
+    padded length is arithmetic, stop counts per thread and per
+    workgroup come from the stop positions, and vector traffic from the
+    cache model's closed form.  Its members are the ones the cost
+    profile reads of a :class:`LaunchPlan`, with equal values.
+
+    Used only with no fault plan active: a fault plan perturbs a decoded
+    per-launch copy, which only a :class:`LaunchPlan` builds.
+    """
+
+    __slots__ = (
+        "config",
+        "nb_padded",
+        "n_workgroups",
+        "n_threads_total",
+        "n_stops",
+        "_profile",
+        "_block_width",
+    )
+
+    def __init__(self, fmt: BCCOOMatrix, cfg: YaSpMVConfig):
+        profile = FormatProfile.of(fmt)
+        self.config = cfg
+        self.nb_padded = round_up(max(profile.nblocks_padded, 1), cfg.workgroup_work)
+        self.n_workgroups = self.nb_padded // cfg.workgroup_work
+        self.n_threads_total = self.nb_padded // cfg.effective_tile
+        self.n_stops = int(profile.stop_pos.shape[0])
+        self._profile = profile
+        self._block_width = fmt.block_width
+
+    def workgroup_stops(self) -> np.ndarray:
+        """Row stops per workgroup."""
+        return self._profile.workgroup_stops(
+            self.config.workgroup_work, self.n_workgroups
+        )
+
+    def full_workgroups(self) -> int:
+        """Workgroups in which every thread's tile holds a row stop."""
+        cfg = self.config
+        threads = self._profile.threads_with_stops(cfg.effective_tile)
+        per_wg = np.bincount(threads // cfg.workgroup_size)
+        return int(np.count_nonzero(per_wg == cfg.workgroup_size))
+
+    def vector_traffic(self, device: DeviceSpec) -> tuple[int, int]:
+        """``(dram_bytes, cached_bytes)`` of the launch's vector reads."""
+        cfg = self.config
+        return self._profile.reads.traffic(
+            self.nb_padded * self._block_width,
+            cfg.value_bytes,
+            cache_bytes=device.tex_cache_bytes,
+            line_bytes=device.tex_line_bytes,
+            use_cache=cfg.use_texture,
+        )
+
+    def stats(self, fmt: BCCOOMatrix, device: DeviceSpec) -> KernelStats:
+        """Cost profile of the SpMV launch."""
+        return YaSpMVKernel._stats(fmt, self, device)
 
 
 def block_products(plan: LaunchPlan, X: np.ndarray) -> np.ndarray:
@@ -299,6 +411,11 @@ class YaSpMVKernel(SpMVKernel):
             self._observe(obs, sp, "yaspmm", result.stats)
         return result
 
+    def _profile_plan(self):
+        # A fault plan perturbs a decoded per-launch copy, which only a
+        # LaunchPlan builds.
+        return LaunchPlan if active_plan() is not None else ProfilePlan
+
     def max_batch_width(
         self,
         fmt,
@@ -366,11 +483,7 @@ class YaSpMVKernel(SpMVKernel):
         # The sums hold one row per stop flag, so a profile-only launch
         # counts the flags instead.
         per_stop = None if sums is None else sums(plan, X)
-        n_stops = (
-            np.count_nonzero(plan.padded.stops)
-            if per_stop is None
-            else per_stop.shape[0]
-        )
+        n_stops = plan.n_stops if per_stop is None else per_stop.shape[0]
         # Runtime invariant: the stop count carried by the bit flags must
         # equal the non-empty-row map -- the compression is unreadable
         # otherwise (a flipped flag word lands here).
@@ -400,15 +513,13 @@ class YaSpMVKernel(SpMVKernel):
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def _stats(
-        fmt: BCCOOMatrix,
-        padded: PaddedBCCOO,
-        gather: np.ndarray,
-        device: DeviceSpec,
-    ) -> KernelStats:
-        cfg = padded.config
+    def _stats(fmt: BCCOOMatrix, plan, device: DeviceSpec) -> KernelStats:
+        """Cost profile of one SpMV launch of ``fmt`` planned by ``plan``
+        (a :class:`LaunchPlan` or a :class:`ProfilePlan`)."""
+        cfg = plan.config
         h, w = fmt.block_height, fmt.block_width
-        nb_p = padded.nb_padded
+        nb_p = plan.nb_padded
+        n_wg = plan.n_workgroups
         tile = cfg.effective_tile
         txn = device.transaction_bytes
         val_b = cfg.value_bytes
@@ -431,22 +542,15 @@ class YaSpMVKernel(SpMVKernel):
                 touched = 1.0 - (1.0 - min(p, 1.0)) ** 32
                 read += touched * stream_bytes(nb_p, _IDX_B, txn)
         read += stream_bytes(ceil_div(nb_p, 8), 1, txn)  # bit flags
-        read += stream_bytes(padded.n_threads_total, _IDX_B, txn)  # §2.4 aux
+        read += stream_bytes(plan.n_threads_total, _IDX_B, txn)  # §2.4 aux
 
         # ---- multiplied vector through the texture path.
-        vec_dram, vec_cached = vector_read_traffic(
-            gather,
-            val_b,
-            cache_bytes=device.tex_cache_bytes,
-            line_bytes=device.tex_line_bytes,
-            use_cache=cfg.use_texture,
-        )
+        with stage("cache_model"):
+            vec_dram, vec_cached = plan.vector_traffic(device)
         read += vec_dram
 
         # ---- result writes.
-        thread_stops = padded.thread_stops()
-        n_stops = int(padded.stops.sum())
-        write = stream_bytes(n_stops * h, val_b, txn)
+        write = stream_bytes(plan.n_stops * h, val_b, txn)
         if cfg.strategy == 1:
             # Per-thread scattered stores retire in smaller bursts than
             # the coalesced result-cache flush of strategy 2.
@@ -456,8 +560,7 @@ class YaSpMVKernel(SpMVKernel):
         spill_bytes = 0
         if cfg.strategy == 2:
             entries = cfg.result_cache_multiple * cfg.workgroup_size
-            wg_stop_counts = padded.workgroup_stops().sum(axis=1)
-            spilled = np.maximum(wg_stop_counts - entries, 0).sum()
+            spilled = np.maximum(plan.workgroup_stops() - entries, 0).sum()
             if spilled:
                 # Spilled segment sums take a global round trip and are
                 # re-read by the write-back phase (section 3.2.2).
@@ -471,9 +574,9 @@ class YaSpMVKernel(SpMVKernel):
         wg = cfg.workgroup_size
         log_wg = max(int(math.ceil(math.log2(max(wg, 2)))), 1)
 
-        tile_has_stop = thread_stops.any(axis=1)
-        wg_all_tiles_stop = tile_has_stop.reshape(padded.n_workgroups, -1).all(axis=1)
-        skip_frac = float(wg_all_tiles_stop.mean()) if cfg.fine_grain else 0.0
+        # The early check skips the scan of a workgroup whose every
+        # thread tile holds a stop.
+        skip_frac = plan.full_workgroups() / n_wg if cfg.fine_grain else 0.0
 
         if cfg.scan_mode == "tree":
             # Lockstep tree scan replaces the sequential phase: every
@@ -483,32 +586,31 @@ class YaSpMVKernel(SpMVKernel):
             barriers = float(tile * log_wg)
         else:
             # Small parallel scan over wg last partials, skippable.
-            flops += (1.0 - skip_frac) * padded.n_workgroups * wg * log_wg * h
+            flops += (1.0 - skip_frac) * n_wg * wg * log_wg * h
             simd_eff = _MATRIX_SIMD_EFF
             barriers = 2.0 + (1.0 - skip_frac) * log_wg
         if cfg.transpose == "online":
             barriers += tile  # one staging round trip per tile pass
 
         # ---- cross-workgroup accumulation.
-        wg_has_stop = padded.workgroup_stops().any(axis=1)
         n_launches = 1
         chains = np.empty(0, dtype=np.int64)
         if cfg.cross_wg == "adjacent":
-            chains = chain_segments(wg_has_stop)
+            chains = chain_segments(plan.workgroup_stops() > 0)
             # Grp_sum array traffic: one write + (up to) one read per wg.
-            grp_bytes = padded.n_workgroups * h * val_b
+            grp_bytes = n_wg * h * val_b
             read += grp_bytes
             write += grp_bytes
         else:
             # Two-kernel variant: last partials spill to global memory,
             # a second launch scans them and patches first results.
             n_launches = 2
-            round_trip = padded.n_workgroups * h * val_b
+            round_trip = n_wg * h * val_b
             write += 2 * round_trip
             read += 2 * round_trip
             extra_latency += device.dram_latency_s
 
-        atomics = padded.n_workgroups if cfg.workgroup_ids == "atomic" else 0
+        atomics = n_wg if cfg.workgroup_ids == "atomic" else 0
 
         return KernelStats(
             flops=flops,
@@ -517,7 +619,7 @@ class YaSpMVKernel(SpMVKernel):
             cached_read_bytes=float(vec_cached),
             simd_efficiency=simd_eff,
             workgroup_size=wg,
-            n_workgroups=padded.n_workgroups,
+            n_workgroups=n_wg,
             shared_mem_per_workgroup=YaSpMVKernel._shared_mem(h, cfg),
             registers_per_thread=YaSpMVKernel._registers(fmt, cfg),
             workgroup_work=None,  # equal tiles: the design's point

@@ -51,20 +51,24 @@ def _assert_identical(serial, parallel, serial_cache, parallel_cache):
 
 
 class TestChunking:
-    def test_groups_by_format_affinity(self, A):
+    def test_groups_by_block_layout(self, A):
         items = list(enumerate(pruned_space(A, GTX680)))
         chunks = chunk_candidates(items)
         keys = [
-            {
-                (p.base_format, p.block_height, p.block_width, p.bit_word)
-                for _, p in chunk
-            }
+            {(p.base_format, p.block_height, p.block_width) for _, p in chunk}
             for chunk in chunks
         ]
-        # One format-affinity key per chunk, no key in two chunks.
+        # One block-size key per chunk, no key in two chunks: every bit
+        # word and slice count of a block size (so every layout and every
+        # format built on it) belongs to one chunk.
         assert all(len(k) == 1 for k in keys)
         flat = [next(iter(k)) for k in keys]
         assert len(flat) == len(set(flat))
+        words = {p.bit_word for _, p in items}
+        assert len(words) == 3
+        for chunk in chunks:
+            if chunk[0][1].base_format == "bccoo":
+                assert {p.bit_word for _, p in chunk} == words
 
     def test_preserves_enumeration_order(self, A):
         items = list(enumerate(pruned_space(A, GTX680)))
