@@ -62,3 +62,66 @@ class TestFormatCache:
         fc = FormatCache(random_matrix(ncols=100))
         raw = fc.get(TuningPoint(col_compress=False))
         assert raw.col_storage == "int32"
+
+
+def _wide_banded():
+    """100 x 70_000: more block columns than ushort holds, and small
+    in-tile column gaps, so ``auto`` storage delta-compresses."""
+    import numpy as np
+    from scipy import sparse
+
+    rows = np.repeat(np.arange(100), 10)
+    cols = rows * 600 + np.tile(np.arange(10), 100)
+    return sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(100, 70_000))
+
+
+class TestFormatCacheLayouts:
+    def test_each_layout_is_extracted_once(self, random_matrix):
+        fc = FormatCache(random_matrix(ncols=200))
+        for word in ("uint8", "uint16", "uint32"):
+            for slices in (1, 2):
+                for tile in (8, 16):
+                    fc.get(
+                        TuningPoint(
+                            bit_word=word,
+                            slice_count=slices,
+                            kernel=YaSpMVConfig(tile_size=tile),
+                        )
+                    )
+        assert fc.layouts == 2
+
+    def test_ushort_format_serves_every_tile(self, random_matrix):
+        fc = FormatCache(random_matrix())
+        a = fc.get(TuningPoint(kernel=YaSpMVConfig(tile_size=8)))
+        b = fc.get(TuningPoint(kernel=YaSpMVConfig(tile_size=32)))
+        assert a.col_storage == "ushort"
+        assert a is b and fc.conversions == 1
+
+    def test_delta_formats_are_built_per_tile(self):
+        fc = FormatCache(_wide_banded())
+        a = fc.get(TuningPoint(kernel=YaSpMVConfig(tile_size=8)))
+        b = fc.get(TuningPoint(kernel=YaSpMVConfig(tile_size=32)))
+        assert a.col_storage == b.col_storage == "delta"
+        assert a.delta.tile_size == 8 and b.delta.tile_size == 32
+        assert fc.conversions == 2 and fc.layouts == 1
+
+    def test_formats_equal_fresh_builds(self, random_matrix):
+        import numpy as np
+
+        from repro.tuning.cache import build_format
+
+        A = random_matrix(ncols=200)
+        fc = FormatCache(A)
+        for point in (
+            TuningPoint(bit_word="uint8", block_height=2),
+            TuningPoint(bit_word="uint32", block_height=2),
+            TuningPoint(slice_count=4, block_width=2),
+        ):
+            cached, fresh = fc.get(point), build_format(A, point)
+            assert type(cached) is type(fresh)
+            cached = getattr(cached, "stacked", cached)
+            fresh = getattr(fresh, "stacked", fresh)
+            assert np.array_equal(cached.flags.words, fresh.flags.words)
+            assert np.array_equal(cached.columns(), fresh.columns())
+            assert np.array_equal(cached.values, fresh.values)
+            assert np.array_equal(cached.nonempty_block_rows, fresh.nonempty_block_rows)
