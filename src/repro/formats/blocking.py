@@ -8,8 +8,9 @@ exactly fill-in (more value bytes) against index compression (one
 row/column index per block instead of per non-zero).
 
 The extractor is fully vectorized: one pass of integer arithmetic over the
-COO triplets, one ``np.unique`` for block discovery, and one scatter for
-the dense payload.
+COO triplets, one stable sort of the block keys for block discovery (none
+for one-row blocks, whose keys a row-major COO already orders), and one
+scatter for the dense payload.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import FormatError
-from ..util import as_coo_sorted, ceil_div
+from ..util import canonical_csr, ceil_div
 
 __all__ = ["BlockLayout", "extract_blocks", "blocks_to_coo_arrays"]
 
@@ -105,7 +106,7 @@ def extract_blocks(matrix, block_height: int, block_width: int) -> BlockLayout:
     Parameters
     ----------
     matrix:
-        Anything :func:`repro.util.as_coo_sorted` accepts.
+        Anything :func:`repro.util.as_csr` accepts.
     block_height, block_width:
         Tile dimensions; must be positive.
 
@@ -118,7 +119,9 @@ def extract_blocks(matrix, block_height: int, block_width: int) -> BlockLayout:
         raise FormatError(
             f"block dimensions must be >= 1, got {block_height}x{block_width}"
         )
-    coo = as_coo_sorted(matrix)
+    # Canonical CSR (no duplicates, no stored zeros) read in row-major
+    # order: every (block, in-block position) below is written once.
+    coo = canonical_csr(matrix).tocoo()
     rows = coo.row.astype(np.int64)
     cols = coo.col.astype(np.int64)
     data = coo.data.astype(np.float64)
@@ -129,15 +132,22 @@ def extract_blocks(matrix, block_height: int, block_width: int) -> BlockLayout:
     bcol = cols // block_width
     key = brow * n_block_cols + bcol
 
-    unique_keys, inverse = np.unique(key, return_inverse=True)
+    # Row-major order already sorts the keys of one-row blocks.
+    order = None if block_height == 1 else np.argsort(key, kind="stable")
+    sorted_key = key if order is None else key[order]
+    first = np.ones(sorted_key.shape, dtype=bool)
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
+    unique_keys = sorted_key[first]
     nblocks = unique_keys.shape[0]
+    block_of = np.cumsum(first) - 1
+    if order is not None:
+        inverse = np.empty_like(block_of)
+        inverse[order] = block_of
+        block_of = inverse
 
     values = np.zeros((nblocks, block_height, block_width), dtype=np.float64)
-    in_r = (rows % block_height).astype(np.intp)
-    in_c = (cols % block_width).astype(np.intp)
-    # Duplicates were already merged by as_coo_sorted; plain assignment works,
-    # but np.add.at keeps the function safe if callers bypass canonicalization.
-    np.add.at(values, (inverse.astype(np.intp), in_r, in_c), data)
+    slot = (block_of * block_height + rows % block_height) * block_width
+    values.reshape(-1)[slot + cols % block_width] = data
 
     layout = BlockLayout(
         shape=(int(coo.shape[0]), int(coo.shape[1])),

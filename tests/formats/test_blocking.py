@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from repro.errors import FormatError
@@ -105,3 +106,42 @@ class TestBlockLayoutValidate:
     def test_out_of_range_block_col(self):
         with pytest.raises(FormatError, match="block_col"):
             self._layout(block_col=np.array([0, 9], dtype=np.int32)).validate()
+
+
+def _reference_blocks(matrix, h, w):
+    """The extractor's definition: ``np.unique`` over block keys and an
+    accumulating scatter."""
+    from repro.util import as_csr
+
+    coo = as_csr(matrix).tocoo()
+    rows, cols = coo.row.astype(np.int64), coo.col.astype(np.int64)
+    nbc = -(-coo.shape[1] // w)
+    keys, inverse = np.unique((rows // h) * nbc + cols // w, return_inverse=True)
+    values = np.zeros((keys.shape[0], h, w))
+    np.add.at(values, (inverse, rows % h, cols % w), coo.data)
+    return keys // nbc, keys % nbc, values
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 60),
+    st.integers(1, 60),
+    st.integers(0, 400),
+    st.integers(1, 4),
+    st.sampled_from([1, 2, 4]),
+    st.integers(0, 2**32 - 1),
+)
+def test_extraction_equals_unique_definition(nrows, ncols, n, h, w, seed):
+    # Duplicates, explicit zeros and unsorted entries included.
+    rng = np.random.default_rng(seed)
+    data = rng.choice([0.0, 1.5, -2.0, 3.25], size=n)
+    A = sparse.coo_matrix(
+        (data, (rng.integers(0, nrows, n), rng.integers(0, ncols, n))),
+        shape=(nrows, ncols),
+    )
+    layout = extract_blocks(A, h, w)
+    brow, bcol, values = _reference_blocks(A, h, w)
+    assert np.array_equal(layout.block_row, brow)
+    assert np.array_equal(layout.block_col, bcol)
+    assert np.array_equal(layout.values, values)
+    assert layout.block_row.dtype == layout.block_col.dtype == np.int32
