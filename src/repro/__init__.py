@@ -56,7 +56,6 @@ from .errors import (
     ShardCrashError,
     TuningError,
     ValidationError,
-    WorkerCrashError,
 )
 from .fault import CircuitBreaker, Deadline, FaultPlan, FaultSpec, RetryPolicy
 from .obs import NullObserver, Observer, obs_scope
@@ -101,7 +100,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "RetryPolicy",
-    "WorkerCrashError",
     "FormatError",
     "FormatNotApplicableError",
     "KernelConfigError",

@@ -83,6 +83,16 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_tune(args) -> int:
+    from .fault import FaultPlan
+    from .fault.injection import fault_scope
+
+    # The plan is active from the store lookup on, so that
+    # ``store.corruption`` fires on the store's read.
+    with fault_scope(FaultPlan.parse(args.fault) if args.fault else None):
+        return _tune(args)
+
+
+def _tune(args) -> int:
     from .gpu import get_device
     from .tuning import AutoTuner, TuningResult
 
@@ -103,36 +113,18 @@ def _cmd_tune(args) -> int:
         from .obs import Observer
 
         observer = Observer()
-    retry = None
-    if args.max_retries is not None:
-        from .fault import RetryPolicy
-
-        retry = RetryPolicy(max_attempts=args.max_retries + 1)
     checkpoint = None
     if args.checkpoint:
         from .tuning import TuningCheckpoint
 
         checkpoint = TuningCheckpoint(args.checkpoint, resume=args.resume)
-    plan_scope = None
-    if args.fault:
-        from .fault import FaultPlan
-        from .fault.injection import fault_scope
-
-        plan_scope = fault_scope(FaultPlan.parse(args.fault))
-    tuner = AutoTuner(
+    res = AutoTuner(
         get_device(args.device),
         mode=args.mode,
-        workers=args.workers,
         observer=observer,
         deadline=args.deadline if args.deadline > 0 else None,
         checkpoint=checkpoint,
-        retry=retry,
-    )
-    if plan_scope is not None:
-        with plan_scope:
-            res = tuner.tune(A)
-    else:
-        res = tuner.tune(A)
+    ).tune(A)
     if store is not None:
         store.put(A, args.device, res.best_point)
         print(f"saved configuration to {args.store}")
@@ -513,19 +505,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune = sub.add_parser("tune", help="auto-tune a matrix")
     matrix_args(p_tune)
     p_tune.add_argument("--mode", default="pruned", choices=["pruned", "exhaustive"])
-    p_tune.add_argument("--workers", type=int, default=1,
-                        help="parallel tuning workers, forked, mapping the "
-                             "matrix from shared memory (results are "
-                             "identical to serial; only faster)")
     p_tune.add_argument("--trace", default="",
                         help="write the tuning trace to this JSON-lines file")
     p_tune.add_argument("--deadline", type=float, default=0.0,
                         help="wall-clock budget in seconds (0 = unlimited); "
                              "on expiry the best-so-far wins and the result "
                              "is marked partial")
-    p_tune.add_argument("--max-retries", type=int, default=None,
-                        help="pool rebuilds after a worker crash before "
-                             "falling back to serial evaluation")
     p_tune.add_argument("--checkpoint", default="",
                         help="crash-safe journal: completed candidates are "
                              "appended here as they finish")
@@ -534,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "journaled by a previous matching run")
     p_tune.add_argument("--fault", default="",
                         help="fault-plan spec, e.g. "
-                             "tuner.worker_crash:p=1.0,count=1,seed=3")
+                             "store.corruption:p=1.0,count=1,seed=5")
 
     p_mul = sub.add_parser(
         "multiply", help="run one simulated SpMV", parents=[backend_parent]

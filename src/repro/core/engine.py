@@ -345,10 +345,6 @@ class SpMVEngine:
         structure and device skips the search entirely (the returned
         ``PreparedMatrix.tuning`` has ``store_hit=True`` and
         ``evaluated == 0``), and a fresh search result is written back.
-    tuning_workers:
-        Pool width for the auto-tuner's candidate fan-out (default 1 =
-        serial; more forks a process pool).  Any value returns
-        bit-identical tuning results; only the wall clock changes.
     policy:
         ``"strict"`` (default) raises a typed error on the first
         validation failure; ``"permissive"`` degrades gracefully down
@@ -410,7 +406,6 @@ class SpMVEngine:
         tuning_mode: str = "pruned",
         plan_cache: KernelPlanCache | None = None,
         plan_store: TuningStore | None = None,
-        tuning_workers: int = 1,
         tuning_kwargs: dict | None = None,
         policy: str = "strict",
         fault_plan: FaultPlan | str | None = None,
@@ -436,7 +431,6 @@ class SpMVEngine:
         self.tuning_mode = tuning_mode
         self.plan_cache = plan_cache if plan_cache is not None else KernelPlanCache()
         self.plan_store = plan_store
-        self.tuning_workers = tuning_workers
         #: Extra AutoTuner constructor arguments (e.g. ``pruned_kwargs``
         #: to trim the search for time-boxed runs).
         self.tuning_kwargs = tuning_kwargs or {}
@@ -512,8 +506,7 @@ class SpMVEngine:
 
         ``share=True`` moves the resulting buffers into
         ``multiprocessing.shared_memory`` -- see
-        :meth:`PreparedMatrix.share`.  (A search that fans out always
-        maps its operand from shared memory, whatever ``share`` says.)
+        :meth:`PreparedMatrix.share`.
         """
         obs = self.observer
         clock = StageClock() if obs.enabled else None
@@ -551,11 +544,9 @@ class SpMVEngine:
                     mode=self.tuning_mode,
                     plan_cache=self.plan_cache,
                     keep_history=keep_history,
-                    workers=self.tuning_workers,
                     observer=obs,
                     deadline=deadline,
                     checkpoint=checkpoint,
-                    retry=self.retry_policy,
                     **self.tuning_kwargs,
                 )
                 tuning = tuner.tune(csr)
@@ -1061,7 +1052,6 @@ class SpMVEngine:
             },
             "tuning": {
                 "mode": self.tuning_mode,
-                "workers": self.tuning_workers,
             },
         }
 

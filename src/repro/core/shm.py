@@ -4,8 +4,8 @@ A :class:`SharedArena` packs a set of named ndarrays into **one**
 shared-memory segment.  The owning process creates it; any process can
 :meth:`attach` from the picklable :meth:`descriptor` and map the same
 physical pages as zero-copy ndarray views -- the point being that
-parallel tuner workers and out-of-process serve shards read one copy of
-a prepared matrix instead of each deserializing its own.
+out-of-process serve shards read one copy of a prepared matrix instead
+of each deserializing its own.
 
 Lifecycle (the refcounted-unlink contract):
 

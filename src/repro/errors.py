@@ -111,18 +111,6 @@ class CircuitOpenError(ReproError):
         self.family = family
 
 
-class WorkerCrashError(ReproError):
-    """A tuning pool worker died (or simulated dying) mid-chunk.
-
-    Raised by the ``tuner.worker_crash`` fault site inside
-    :func:`repro.tuning.parallel.evaluate_candidates`; a pool worker
-    turns it into a hard process exit, so the death surfaces as
-    ``BrokenProcessPool`` and :func:`repro.tuning.parallel.run_parallel`
-    requeues the lost chunk.  An in-process evaluation sees the error
-    itself.
-    """
-
-
 class CheckpointError(ReproError):
     """A tuning checkpoint file could not be used (wrong run, bad schema)."""
 
@@ -202,8 +190,9 @@ class ShardCrashError(ReproError):
     """A serving-fabric shard died with requests in flight.
 
     Raised into the futures of every request queued on the crashed
-    shard (the ``serve.shard_crash`` fault site, the serving analogue of
-    ``tuner.worker_crash``); the fabric catches it and replays the
+    shard -- by the ``serve.shard_crash`` and ``serve.worker_kill``
+    fault sites, or when a shard's transport dies or goes silent; the
+    fabric catches it and replays the
     request on the successor shard under the retry/deadline budget.
     ``shard`` names the dead shard.  Survives pickling (the message is
     the sole positional argument).

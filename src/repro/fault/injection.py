@@ -66,14 +66,11 @@ FAULT_SITES: tuple[str, ...] = (
     # Tile partial sums are corrupted with NaN / Inf.
     "kernel.nan_partial",
     "kernel.inf_partial",
-    # A parallel-tuning pool worker dies mid-chunk (SIGKILL'd container,
-    # OOM-killed process); the parent sees a broken pool / lost chunk.
-    "tuner.worker_crash",
     # The persistent tuning store's JSON file is truncated/garbled on
     # disk (torn write by another process, bit rot).
     "store.corruption",
-    # A serving-fabric shard dies with requests in flight (the serving
-    # analogue of tuner.worker_crash: decided parent-side, budgeted).
+    # A serving-fabric shard dies with requests in flight (decided in
+    # the fabric's pump loop, budgeted).
     "serve.shard_crash",
     # A serving-fabric shard turns slow: every dispatch on it carries
     # `fraction` seconds of extra simulated latency until the health
@@ -378,33 +375,12 @@ class FaultPlan:
         self._record("dispatch.out_of_order", n_workgroups=n_workgroups)
         return order
 
-    def worker_crash(self, n_candidates: int) -> int | None:
-        """Candidate count after which a pool worker dies mid-chunk
-        (``tuner.worker_crash``), or ``None`` when quiet.
-
-        Decided in the *parent* process at chunk-dispatch time so the
-        draw is deterministic regardless of worker scheduling; the
-        returned position is ``fraction`` of the way through the chunk
-        (at least 1 candidate survives, so the crash is genuinely
-        mid-chunk and the lost work is observable).
-        """
-        spec = self._fire("tuner.worker_crash")
-        if spec is None or n_candidates < 1:
-            return None
-        after = int(round(n_candidates * spec.fraction))
-        after = min(max(after, 1), n_candidates)
-        self._record(
-            "tuner.worker_crash", after=after, n_candidates=n_candidates
-        )
-        return after
-
     def shard_crash(self, n_live: int) -> bool:
         """Whether a serving shard dies this scheduling round
         (``serve.shard_crash``).
 
-        Like :meth:`worker_crash`, the draw happens in the *parent* (the
-        fabric's pump loop) so it is deterministic regardless of shard
-        scheduling.  The fabric picks the victim itself -- the busiest
+        The draw happens in the *parent* (the fabric's pump loop) so it
+        is deterministic regardless of shard scheduling.  The fabric picks the victim itself -- the busiest
         live shard -- so a seeded drill reliably kills a shard with
         requests in flight; this hook only decides *when*.  Never fires
         with a single live shard left (killing the last replica would

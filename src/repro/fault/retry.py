@@ -12,7 +12,7 @@ tuner thread through their hot paths:
   same delay schedule, so tests and distributed replicas stay
   reproducible while still decorrelating against each other via seeds);
 * :class:`Deadline` -- a wall-clock budget created once and threaded
-  down through tuner -> chunk -> candidate; expiry is a typed
+  down through tuner -> candidate; expiry is a typed
   :class:`~repro.errors.DeadlineExceeded` (or a cooperative early stop
   where partial progress is the better outcome);
 * :class:`CircuitBreaker` -- per-key (kernel-family) failure circuit:

@@ -21,11 +21,6 @@ and each one is charged its *exclusive* seconds, so the stages add up
 to at most the prepare's wall time.  With no clock installed --
 whenever the observer is disabled -- :func:`stage` reads one
 thread-local attribute and makes no clock call.
-
-Candidates evaluated on the tuning pool run in other processes: each
-worker clocks its chunks and the parent adds the workers' seconds
-(:meth:`StageClock.merge`), so on a pool the candidate stages sum the
-workers' time, not the parent's wait.
 """
 
 from __future__ import annotations
@@ -53,13 +48,6 @@ class StageClock:
 
     def count(self, name: str, n: int = 1) -> None:
         self.counts[name] = self.counts.get(name, 0) + n
-
-    def merge(self, other: "StageClock") -> None:
-        """Add another clock's totals (a pool worker's) to this one."""
-        for name, s in other.seconds.items():
-            self.seconds[name] = self.seconds.get(name, 0.0) + s
-        for name, n in other.counts.items():
-            self.count(name, n)
 
     @contextlib.contextmanager
     def stage(self, name: str) -> Iterator[None]:

@@ -2,14 +2,8 @@
 
 from .cache import CompiledPlan, FormatCache, KernelPlanCache
 from .checkpoint import TuningCheckpoint
+from .evaluate import CandidateOutcome
 from .model import CostModel, MatrixSummary, ModelDrivenTuner
-from .parallel import (
-    CandidateOutcome,
-    ChunkResult,
-    ParallelReport,
-    chunk_candidates,
-    run_parallel,
-)
 from .persistence import TuningStore, matrix_fingerprint
 from .parameters import (
     BASE_FORMATS,
@@ -48,10 +42,6 @@ __all__ = [
     "pruned_space",
     "AutoTuner",
     "CandidateOutcome",
-    "ChunkResult",
-    "ParallelReport",
-    "chunk_candidates",
-    "run_parallel",
     "Evaluation",
     "TuningCheckpoint",
     "TuningResult",

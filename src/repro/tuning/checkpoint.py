@@ -4,10 +4,10 @@ The auto-tuner's search is restartable state (clSpMV's cocktail tuner
 and SMAT both persist their search the same way): every evaluated
 candidate is independent, tagged with its enumeration index, and
 deterministic.  This module journals each completed
-:class:`~repro.tuning.parallel.CandidateOutcome` to an append-only
-JSON-lines file as it finishes, so a run killed mid-search -- worker
-crash, SIGKILL, deadline expiry -- resumes by *skipping* the journaled
-candidates and evaluating only the remainder.  Because the tuner merges
+:class:`~repro.tuning.evaluate.CandidateOutcome` to an append-only
+JSON-lines file as it finishes, so a run killed mid-search -- SIGKILL,
+deadline expiry -- resumes by *skipping* the journaled candidates and
+evaluating only the remainder.  Because the tuner merges
 outcomes in enumeration order regardless of where they came from, a
 resumed run's final :class:`~repro.tuning.TuningResult` (best point,
 history, skip reasons) is bit-identical to an uninterrupted run.
@@ -37,7 +37,7 @@ from pathlib import Path
 
 from ..errors import CheckpointError
 from ..gpu.timing import TimingBreakdown
-from .parallel import CandidateOutcome
+from .evaluate import CandidateOutcome, Evaluation
 from .persistence import _decode, _encode
 
 __all__ = ["TuningCheckpoint"]
@@ -66,10 +66,6 @@ def _encode_outcome(outcome: CandidateOutcome) -> dict:
 
 def _decode_outcome(blob: dict) -> CandidateOutcome | None:
     """Rebuild one journaled outcome; ``None`` when undecodable."""
-    # Deferred: repro.tuning.tuner imports this package's parallel module
-    # at top level; importing Evaluation lazily breaks the cycle.
-    from .tuner import Evaluation
-
     point = _decode(blob.get("point") or {})
     if point is None or not isinstance(blob.get("index"), int):
         return None

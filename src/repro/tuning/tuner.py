@@ -14,11 +14,9 @@ reports wall-clock spent, simulated compile time, cache statistics and
 the full evaluation history so the benchmark can reproduce the section
 4 numbers (pruned-vs-optimal quality gap, tuning cost).
 
-The search can fan out over a process pool -- see
-:mod:`repro.tuning.parallel` -- and is guaranteed to return the same
-result as the serial walk: identical ``best_point``, identical
-evaluation set, identical skip-reason counters and identical shared
-plan-cache state.  ``workers`` only changes the wall clock.
+The search is one in-process walk over the enumerated candidates
+(:func:`~repro.tuning.evaluate.evaluate_candidates`), which a
+:class:`TuningCheckpoint` can journal and resume.
 """
 
 from __future__ import annotations
@@ -31,36 +29,20 @@ import numpy as np
 from ..backends import get_backend
 from ..errors import DeadlineExceeded, ReproError, TuningError
 from ..fault.injection import fault_scope
-from ..fault.retry import Deadline, RetryPolicy
+from ..fault.retry import Deadline
 from ..fault.validation import verify_output
 from ..gpu.device import DeviceSpec
-from ..gpu.timing import TimingBreakdown
 from ..obs import NULL_OBSERVER, obs_scope
 from ..obs.stages import StageClock, active_stages, stage, stage_scope
 from ..util import as_csr
 from .cache import KernelPlanCache, build_format
 from .checkpoint import TuningCheckpoint
-from .parallel import (
-    CandidateOutcome,
-    ParallelReport,
-    evaluate_candidates,
-    run_parallel,
-)
+from .evaluate import CandidateOutcome, Evaluation, evaluate_candidates
 from .parameters import TuningPoint
 from .persistence import matrix_fingerprint
 from .space import exhaustive_space, pruned_space
 
 __all__ = ["Evaluation", "TuningResult", "AutoTuner"]
-
-
-@dataclass(frozen=True)
-class Evaluation:
-    """One evaluated candidate."""
-
-    point: TuningPoint
-    time_s: float
-    gflops: float
-    breakdown: TimingBreakdown
 
 
 @dataclass
@@ -86,8 +68,6 @@ class TuningResult:
     #: they stay meaningful when one cache is shared across matrices).
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Pool width the search ran with (1 == serial).
-    workers: int = 1
     #: Persistent-store bookkeeping: was a store consulted, did it serve
     #: the point, and how many stale entries were invalidated.
     store_checked: bool = False
@@ -146,7 +126,6 @@ class TuningResult:
             "skipped": self.skipped,
             "wall_seconds": self.wall_seconds,
             "simulated_compile_s": self.simulated_compile_s,
-            "workers": self.workers,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "store_checked": self.store_checked,
@@ -191,11 +170,10 @@ class TuningResult:
                 "warm start from tuning store (0 configurations evaluated)\n"
                 f"best: {self.describe_point()}"
             )
-        workers = f", {self.workers} workers" if self.workers > 1 else ""
         resumed = f", {self.resumed} resumed" if self.resumed else ""
         lines = [
             f"evaluated {self.evaluated} configurations in "
-            f"{self.wall_seconds:.1f}s ({self.skipped} skipped{workers}{resumed})",
+            f"{self.wall_seconds:.1f}s ({self.skipped} skipped{resumed})",
             f"best: {self.describe_point()}",
         ]
         if self.partial:
@@ -232,12 +210,6 @@ class AutoTuner:
     keep_history:
         Retain every evaluation (needed by the tuning benchmarks;
         disable to save memory on huge spaces).
-    workers:
-        Pool width for the candidate fan-out.  ``1`` (default) runs the
-        classic serial walk in-process; ``N > 1`` spreads candidate
-        chunks, one per block size, over ``N`` forked worker processes,
-        which map the operand from one shared-memory arena.  The result
-        is bit-identical either way.
     observer:
         Optional :class:`repro.obs.Observer`: the search runs under a
         ``tuner.tune`` span with one ``tuner.candidate`` child per
@@ -255,10 +227,6 @@ class AutoTuner:
         and skipped on the next :meth:`tune` against the same (matrix,
         device, mode, space); the resumed result is bit-identical to an
         uninterrupted run.
-    retry:
-        :class:`~repro.fault.RetryPolicy` governing pool rebuilds after
-        worker crashes (parallel runs only); ``None`` uses the default
-        (two rebuilds, then serial fallback).
     """
 
     def __init__(
@@ -269,16 +237,12 @@ class AutoTuner:
         keep_history: bool = True,
         exhaustive_kwargs: dict | None = None,
         pruned_kwargs: dict | None = None,
-        workers: int = 1,
         observer=None,
         deadline: "Deadline | float | None" = None,
         checkpoint: "TuningCheckpoint | str | None" = None,
-        retry: RetryPolicy | None = None,
     ):
         if mode not in ("pruned", "exhaustive"):
             raise TuningError(f"mode must be 'pruned' or 'exhaustive', got {mode!r}")
-        if workers < 1:
-            raise TuningError(f"workers must be >= 1, got {workers}")
         self.device = device
         self.mode = mode
         self.plan_cache = plan_cache if plan_cache is not None else KernelPlanCache()
@@ -287,17 +251,11 @@ class AutoTuner:
         #: Extra arguments for :func:`pruned_space` (e.g. a smaller
         #: ``keep_block_dims`` for time-boxed benchmark runs).
         self.pruned_kwargs = pruned_kwargs or {}
-        self.workers = workers
         self.observer = observer if observer is not None else NULL_OBSERVER
         #: Raw deadline spec; coerced per :meth:`tune` call so a numeric
         #: budget restarts for every search.
         self.deadline = deadline
         self.checkpoint = TuningCheckpoint.coerce(checkpoint)
-        if retry is not None and not isinstance(retry, RetryPolicy):
-            raise TuningError(
-                f"retry must be a RetryPolicy or None, got {type(retry).__name__}"
-            )
-        self.retry = retry
 
     def tune(self, matrix) -> TuningResult:
         """Search; returns the ranked result."""
@@ -310,7 +268,6 @@ class AutoTuner:
         with obs_scope(obs), stage_scope(own_clock) as clock, obs.span(
             "tuner.tune",
             mode=self.mode,
-            workers=self.workers,
             device=self.device.name,
         ) as tune_span:
             layouts0 = clock.counts.get("layouts", 0) if clock is not None else 0
@@ -342,27 +299,14 @@ class AutoTuner:
                 )
                 on_outcome = checkpoint.append
             todo = [it for it in items if it[0] not in restored]
-            report = ParallelReport()
             try:
-                if self.workers == 1:
-                    new = evaluate_candidates(
-                        todo,
-                        csr,
-                        self.device,
-                        deadline=deadline,
-                        on_outcome=on_outcome,
-                    )
-                else:
-                    new = run_parallel(
-                        todo,
-                        csr,
-                        self.device,
-                        self.workers,
-                        deadline=deadline,
-                        retry=self.retry,
-                        on_outcome=on_outcome,
-                        report=report,
-                    )
+                new = evaluate_candidates(
+                    todo,
+                    csr,
+                    self.device,
+                    deadline=deadline,
+                    on_outcome=on_outcome,
+                )
             finally:
                 if checkpoint is not None:
                     checkpoint.close()
@@ -379,7 +323,6 @@ class AutoTuner:
                     self.device,
                     observer=obs,
                     keep_history=self.keep_history,
-                    workers=self.workers,
                     partial=len(outcomes) < len(items),
                     resumed=len(restored),
                 )
@@ -408,18 +351,6 @@ class AutoTuner:
                     "tuner.resumed_candidates",
                     "candidates restored from a checkpoint instead of re-run",
                 ).inc(result.resumed)
-            if report.shm_attaches:
-                obs.counter(
-                    "tuner.shm.attaches",
-                    "worker attaches to the shared operand arena",
-                ).inc(report.shm_attaches)
-            if report.lost_chunks or report.pool_rebuilds:
-                obs.counter(
-                    "tuner.worker_crashes", "tuning chunks lost to dead workers"
-                ).inc(report.lost_chunks)
-                obs.counter(
-                    "retry.attempts", "retry attempts (pool rebuilds included)"
-                ).inc(report.pool_rebuilds)
             if result.partial:
                 obs.counter(
                     "tuner.deadline_expiries",
@@ -491,7 +422,6 @@ def _fold(
     device: DeviceSpec,
     observer=NULL_OBSERVER,
     keep_history: bool = True,
-    workers: int = 1,
     partial: bool = False,
     resumed: int = 0,
 ) -> TuningResult:
@@ -502,11 +432,12 @@ def _fold(
     quarantined under its reason like one that raised, and the next in
     rank is checked.  Walking the outcomes in enumeration order then
     fixes the tie-breaking (the first strictly faster candidate wins)
-    and the skip-reason insertion order, wherever the candidates ran.
+    and the skip-reason insertion order, whichever candidates were
+    restored from a checkpoint.
     The plan lookups are replayed here, in the same order (a candidate
     whose format failed to build never reaches its plan), so the shared
     cache ends in one state -- entries, hits and misses -- for every
-    pool width, checkpoint resume and tuner.  One ``tuner.candidate``
+    checkpoint resume and tuner.  One ``tuner.candidate``
     span is recorded per outcome, carrying the measured per-candidate
     wall clock as ``wall_s``.
     """
@@ -567,7 +498,6 @@ def _fold(
         plan_cache_misses=plan_cache.misses,
         cache_hits=plan_cache.hits - hits0,
         cache_misses=plan_cache.misses - misses0,
-        workers=workers,
         history=history,
         skip_reasons=skip_reasons,
         partial=partial,

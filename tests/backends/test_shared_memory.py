@@ -3,9 +3,8 @@
 Covers the :class:`~repro.core.shm.SharedArena` refcounted-unlink
 contract, the ``prepare(share=True)`` pickle path (a descriptor ships,
 not the arrays -- a child process maps the same pages and multiplies
-bit-identically), the tuner pool's shared operand (workers attach the
-parent's segment instead of unpickling copies), and the serve
-cache's shared/owned footprint split.
+bit-identically), the tuner's in-process walk (it publishes no arena),
+and the serve cache's shared/owned footprint split.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
-from repro import Observer, SpMVEngine
+from repro import SpMVEngine
 from repro.core.shm import SharedArena, reset_shm_stats, shm_stats
 from repro.errors import ReproError
 from repro.gpu import get_device
@@ -172,27 +171,8 @@ class TestFootprintSplit:
 
 
 class TestTunerSharedOperand:
-    def test_workers_attach_one_segment(self, random_matrix):
-        A = random_matrix(nrows=120, ncols=120, density=0.06, seed=31)
-        obs = Observer()
-        reset_shm_stats()
-        parallel = AutoTuner(DEVICE, workers=2, observer=obs).tune(A)
-        serial = AutoTuner(DEVICE).tune(A)
-
-        assert parallel.best.point == serial.best.point
-        assert parallel.best.time_s == serial.best.time_s
-        assert parallel.evaluated == serial.evaluated
-        assert parallel.skip_reasons == serial.skip_reasons
-
-        counter = obs.metrics.get("tuner.shm.attaches")
-        assert counter is not None
-        assert counter.value() >= 2, "both workers should map the segment"
-        stats = shm_stats()
-        assert stats["segments_created"] == 1
-        assert stats["unlinks"] == 1, "owner must unlink after the sweep"
-
     def test_share_without_workers_is_plain_serial(self, random_matrix):
-        # A serial search evaluates in-process: no arena is published.
+        # The search evaluates in-process: no arena is published.
         A = random_matrix(nrows=60, ncols=60, seed=37)
         reset_shm_stats()
         res = AutoTuner(DEVICE).tune(A)

@@ -107,8 +107,7 @@ class TestCommands:
         trace = tmp_path / "tune.jsonl"
         assert main(
             [
-                "tune", "Economics", "--cap", "8000",
-                "--workers", "2", "--trace", str(trace),
+                "tune", "Economics", "--cap", "8000", "--trace", str(trace),
             ]
         ) == 0
         out = capsys.readouterr().out
@@ -132,6 +131,24 @@ class TestCommands:
         assert main(
             ["multiply", "Economics", "--cap", "8000", "--store", str(store)]
         ) == 0
+
+    def test_tune_fault_reaches_the_store(self, tmp_path, capsys):
+        store = tmp_path / "store.json"
+        tune = ["tune", "Economics", "--cap", "8000", "--store", str(store)]
+        assert main(tune) == 0
+        first = capsys.readouterr().out
+        fault = ["--fault", "store.corruption:p=1.0,count=1,seed=5"]
+        assert main(tune + fault) == 0
+        out = capsys.readouterr().out
+        # The garbled store is quarantined and the matrix tuned again,
+        # to the same winner.
+        assert (tmp_path / "store.json.corrupt").exists()
+        assert "warm start" not in out
+
+        def best(text):
+            return [line for line in text.splitlines() if line.startswith("best:")]
+
+        assert best(out) == best(first) != []
 
 
 class TestServeCommand:

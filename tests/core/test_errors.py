@@ -1,6 +1,6 @@
 """Tests for the exception hierarchy: structure and picklability.
 
-Errors cross process boundaries (multiprocessing tuning sweeps, pytest
+Errors cross process boundaries (forked serve shards, pytest
 workers), so every ``ReproError`` subclass must survive a pickle
 round-trip with its args and structured context intact.
 """

@@ -69,16 +69,6 @@ class TestStageClock:
             t.join()
         assert seen == [None]
 
-    def test_merge_adds_seconds_and_counts(self):
-        clock, worker = StageClock(), StageClock()
-        clock.count("layouts", 2)
-        clock.seconds["plan_build"] = 0.5
-        worker.count("layouts", 3)
-        worker.seconds["plan_build"] = 1.5
-        clock.merge(worker)
-        assert clock.seconds == {"plan_build": 2.0}
-        assert clock.counts == {"layouts": 5}
-
 
 class TestObservedPrepare:
     def test_exports_every_stage(self, tmp_path):
@@ -100,11 +90,10 @@ class TestObservedPrepare:
         assert root.name == "engine.prepare"
         assert sum(seconds.values()) <= root.duration_s
 
-    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
-    def test_layouts_counted_once_each(self, workers):
+    def test_layouts_counted_once_each(self):
         A = _matrix()
         obs = Observer()
-        AutoTuner(GTX680, observer=obs, workers=workers).tune(A)
+        AutoTuner(GTX680, observer=obs).tune(A)
         assert obs.metrics.counter("tuner.layouts").value() == _layouts(A)
 
     def test_walk_extracts_each_layout_once(self, monkeypatch):
@@ -139,15 +128,3 @@ class TestObservedPrepare:
         assert prepared.tuning.evaluated > 0
         with pytest.raises(AssertionError, match="clocked"):
             SpMVEngine("gtx680", observer=Observer()).prepare(_matrix())
-
-
-def test_pool_stage_seconds_reach_the_parent():
-    A = _matrix()
-    obs = Observer()
-    SpMVEngine("gtx680", observer=obs, tuning_workers=2).prepare(A)
-    stages = {
-        dict(key)["stage"]
-        for key, _ in obs.metrics.counter("prepare.stage_seconds").items()
-    }
-    assert {"plan_build", "blocking", "convert", "cache_model"} <= stages
-    assert obs.metrics.counter("tuner.layouts").value() == _layouts(A)

@@ -136,20 +136,6 @@ class TestUnderInjectedFaults:
             assert np.allclose(y, A @ x, rtol=1e-9, atol=1e-12)
         srv.close()
 
-    def test_worker_crash_during_tuning(self):
-        """A tuner worker crash mid-prepare (parallel search) still
-        yields a servable prepared matrix with bit-identical batching."""
-        engine = SpMVEngine(
-            policy="permissive",
-            tuning_workers=2,
-            fault_plan=FaultPlan.single("tuner.worker_crash", seed=5, count=1),
-        )
-        A = make_matrix(23)
-        prepared = engine.prepare(A)  # crash absorbed by the tuner
-        rng = np.random.default_rng(5)
-        xs = [rng.standard_normal(N) for _ in range(4)]
-        batch_vs_sequential(engine, prepared, xs)
-
     def test_fault_plus_explicit_point(self):
         """Faults and a pinned BCCOO+ configuration compose."""
         engine = SpMVEngine(

@@ -1,8 +1,13 @@
 """Tests for the kernel-plan and format caches."""
 
+import weakref
+
+from scipy import sparse
+
 from repro.formats import BCCOOMatrix, BCCOOPlusMatrix
+from repro.gpu import GTX680
 from repro.kernels import YaSpMVConfig
-from repro.tuning import FormatCache, KernelPlanCache, TuningPoint
+from repro.tuning import FormatCache, KernelPlanCache, TuningPoint, pruned_space
 
 
 class TestKernelPlanCache:
@@ -125,3 +130,25 @@ class TestFormatCacheLayouts:
             assert np.array_equal(cached.columns(), fresh.columns())
             assert np.array_equal(cached.values, fresh.values)
             assert np.array_equal(cached.nonempty_block_rows, fresh.nonempty_block_rows)
+
+    def test_walk_keeps_one_block_size_alive(self):
+        # 20k columns overflow the texture cache, so every block size
+        # also has a sliced layout.
+        A = sparse.random(300, 20_000, density=0.002, random_state=0, format="csr")
+        points = list(pruned_space(A, GTX680))
+        fc = FormatCache(A)
+        earlier, current, block = [], [], None
+        for point in points:
+            key = (point.base_format, point.block_height, point.block_width)
+            if key != block:
+                earlier, current, block = earlier + current, [], key
+            current.append(weakref.ref(fc.get(point)))
+            # The formats of every block size the walk has left are gone.
+            assert all(ref() is None for ref in earlier)
+        layouts = {
+            (p.block_height, p.block_width, p.slice_count)
+            for p in points
+            if p.base_format == "bccoo"
+        }
+        assert {s for _, _, s in layouts} == {1, 2}
+        assert fc.layouts == len(layouts)

@@ -11,8 +11,7 @@ as delta, int32 and ushort across its candidates.
 ``test_profile.py`` checks that a candidate's profile-only launch
 equals its full launch; a change to cost code both launches share
 would pass it and still move the ranking.  This file catches that:
-every candidate must keep its exact simulated time, through the serial
-walk and through a two-worker pool.
+every candidate must keep its exact simulated time.
 
 To regenerate after an *intentional* change to the cost model or the
 search space, run this file as a script:
@@ -55,8 +54,8 @@ def load(name: str):
     return spec.load(scale=spec.scale_for_nnz(CAP_NNZ), seed=SEED)
 
 
-def compute_entry(A, device, workers: int = 1) -> dict:
-    result = AutoTuner(device, workers=workers).tune(A)
+def compute_entry(A, device) -> dict:
+    result = AutoTuner(device).tune(A)
     digest = hashlib.sha256()
     for ev in result.history:
         digest.update(json.dumps(asdict(ev.point), sort_keys=True).encode())
@@ -92,11 +91,10 @@ def test_golden_covers_every_pair(golden):
     assert sorted(golden) == sorted(f"{m}@{d}" for m in MATRICES for d in DEVICES)
 
 
-@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
 @pytest.mark.parametrize("device", sorted(DEVICES))
 @pytest.mark.parametrize("name", MATRICES)
-def test_candidate_times_match_golden(name, device, workers, golden, matrices):
-    entry = compute_entry(matrices(name), DEVICES[device], workers=workers)
+def test_candidate_times_match_golden(name, device, golden, matrices):
+    entry = compute_entry(matrices(name), DEVICES[device])
     assert entry == golden[f"{name}@{device}"], (
         f"candidate times of {name!r} on {device} moved; if the change is "
         f"intentional, regenerate with `PYTHONPATH=src python "

@@ -4,10 +4,9 @@ Three contracts:
 
 * The pruned space *enumerates* the new formats -- one candidate per
   (format, workgroup size) next to the BCCOO/BCCOO+ sub-space.
-* The search stays **bit-identical** between the serial walk and the
-  process pool and across a checkpoint/resume cycle with the new
-  candidates in play (``base_format`` must survive the worker payload
-  and the journal byte-for-byte).
+* The search stays **bit-identical** across a checkpoint/resume cycle
+  with the new candidates in play (``base_format`` must survive the
+  journal byte-for-byte).
 * Each new format actually *wins* a structural family end-to-end: the
   far-diagonal band goes to merge-path CSR (equal-work teams, no
   blocking to exploit), the uniform dense-row family goes to RG-CSR
@@ -128,14 +127,6 @@ class TestExecutorIdentity:
         # actually be in the compared history.
         formats = {e.point.base_format for e in serial.history}
         assert {"merge_csr", "rgcsr"} <= formats
-
-    # The one pool kind there is: the forked process pool.
-    @pytest.mark.parametrize("pool", ["process"])
-    def test_pool_identical_to_serial(self, A, serial, pool):
-        parallel = AutoTuner(
-            GTX680, plan_cache=KernelPlanCache(), workers=3
-        ).tune(A)
-        _assert_identical(serial, parallel)
 
 
 class TestCheckpointResume:

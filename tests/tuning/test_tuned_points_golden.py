@@ -8,10 +8,9 @@ of the simulated cost model alone, so any change to the search, the
 candidate evaluation or the execution path candidates run on must
 leave every entry untouched.
 
-Three tuners are held to the same file: the serial ``AutoTuner``, a
-two-worker ``AutoTuner`` pool, and ``ModelDrivenTuner`` at
-``evaluate_fraction=1.0``, which evaluates the whole pruned space
-through the same evaluation path and fold.
+Two tuners are held to the same file: ``AutoTuner`` and
+``ModelDrivenTuner`` at ``evaluate_fraction=1.0``, which evaluates the
+whole pruned space through the same evaluation path and fold.
 
 The golden was recorded with candidates evaluated on the ``fast``
 backend; the tuner now evaluates them on the interpreter, and this file
@@ -41,7 +40,6 @@ NAMES = [spec.name for spec in SUITE]
 #: The tuners every golden entry must hold for.
 TUNERS = {
     "serial": lambda: AutoTuner(GTX680, keep_history=False),
-    "pool": lambda: AutoTuner(GTX680, keep_history=False, workers=2),
     "model": lambda: ModelDrivenTuner(GTX680, evaluate_fraction=1.0),
 }
 
@@ -87,11 +85,6 @@ def check_against_golden(name: str, tuner: str, golden: dict) -> None:
 @pytest.mark.parametrize("name", NAMES)
 def test_tuned_point_matches_golden(name, golden):
     check_against_golden(name, "serial", golden)
-
-
-@pytest.mark.parametrize("name", NAMES)
-def test_pool_matches_golden(name, golden):
-    check_against_golden(name, "pool", golden)
 
 
 @pytest.mark.parametrize("name", NAMES)

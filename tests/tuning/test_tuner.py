@@ -110,3 +110,31 @@ class TestResultProtocol:
         assert "warm start" in text
         assert "0 configurations evaluated" in text
         assert warm.to_dict()["store_hit"] is True
+
+
+class TestStoreResult:
+    def test_result_reports_store_defaults(self, small):
+        result = AutoTuner(GTX680).tune(small)
+        assert result.store_checked is False
+        assert result.store_hit is False
+        assert result.store_invalidations == 0
+        assert result.point is None
+        assert result.best_point == result.best.point
+
+    def test_from_store_round_trip(self):
+        from repro.tuning import TuningPoint
+        from repro.tuning.tuner import TuningResult
+
+        point = TuningPoint(block_height=2)
+        res = TuningResult.from_store(point, invalidations=1)
+        assert res.best is None
+        assert res.evaluated == 0
+        assert res.store_hit and res.store_checked
+        assert res.store_invalidations == 1
+        assert res.best_point == point
+
+    def test_empty_result_has_no_point(self):
+        from repro.tuning.tuner import TuningResult
+
+        with pytest.raises(TuningError, match="neither"):
+            TuningResult().best_point

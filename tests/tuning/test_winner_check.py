@@ -78,13 +78,12 @@ def _fail_launches(monkeypatch, n_failures, how):
         ("swapped_rows", "ValidationError"),
     ],
 )
-@pytest.mark.parametrize("workers", [1, 2])
 def test_failed_winner_falls_to_the_runner_up(
-    circuit, clean, monkeypatch, workers, how, reason
+    circuit, clean, monkeypatch, how, reason
 ):
     calls = _fail_launches(monkeypatch, 1, how)
     obs = Observer()
-    result = AutoTuner(GTX680, workers=workers, observer=obs).tune(circuit)
+    result = AutoTuner(GTX680, observer=obs).tune(circuit)
 
     runner_up = _runner_up(clean)
     assert len(calls) == 2
@@ -111,18 +110,6 @@ def test_failed_winner_falls_to_the_runner_up(
         if c.attrs.get("skip_reason") == reason and "sim_time_s" not in c.attrs
     ]
     assert len(rejected) == want[reason]
-
-
-def test_serial_and_pool_reject_alike(circuit, monkeypatch):
-    def run(workers):
-        _fail_launches(monkeypatch, 1, "wrong_y")
-        return AutoTuner(GTX680, workers=workers).tune(circuit).to_dict()
-
-    serial, pool = run(1), run(2)
-    for result in (serial, pool):
-        result.pop("wall_seconds")
-        result.pop("workers")
-    assert serial == pool
 
 
 def test_no_winner_passes(circuit, monkeypatch):
