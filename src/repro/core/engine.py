@@ -566,7 +566,12 @@ class SpMVEngine:
             with obs.span(
                 "format.convert", format=point.format_name
             ) as conv_span:
-                fmt = build_format(csr, point)
+                # A tune hands over the format its winner check built.
+                fmt = tuning.checked_format if tuning is not None else None
+                if fmt is None:
+                    fmt = build_format(csr, point)
+                else:
+                    tuning.checked_format = None
                 conv_span.set(
                     block=f"{point.block_height}x{point.block_width}",
                     slices=point.slice_count,

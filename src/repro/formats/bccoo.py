@@ -30,7 +30,7 @@ import numpy as np
 from scipy import sparse as _sp
 
 from ..errors import FormatError, ValidationError
-from ..util import as_csr, round_up
+from ..util import as_csr, ceil_div, round_up
 from .base import FP32, ByteSizes, Footprint, SparseFormat, register_format
 from .bitflags import (
     BitFlagArray,
@@ -42,7 +42,7 @@ from .bitflags import (
 from .blocking import BlockLayout, blocks_to_coo_arrays, extract_blocks
 from .delta import DeltaColumns, compress_columns, decompress_columns
 
-__all__ = ["BCCOOMatrix", "COL_STORAGE_MODES"]
+__all__ = ["BCCOOMatrix", "COL_STORAGE_MODES", "counted_footprint"]
 
 #: Valid column-index storage modes.
 COL_STORAGE_MODES = ("auto", "int32", "ushort", "delta")
@@ -50,6 +50,105 @@ COL_STORAGE_MODES = ("auto", "int32", "ushort", "delta")
 #: Matrices narrower than this use raw unsigned-short column indices
 #: (paper section 4: "if the width of a sparse matrix is less than 65535").
 USHORT_LIMIT = 65535
+#: :meth:`BCCOOMatrix.from_scipy`'s delta segment length.
+_DELTA_TILE = 16
+
+
+def _auto_col_storage(
+    n_block_cols: int, cols: np.ndarray, delta_tile_size: int
+) -> str:
+    """The ``"auto"`` column storage of blocks whose row-major block
+    columns are ``cols``: ``ushort`` up to :data:`USHORT_LIMIT` block
+    columns; past it, ``delta`` only when delta compression actually
+    compresses (Table 1's "Col_index compress" decision), else ``int32``
+    for scattered columns."""
+    if n_block_cols <= USHORT_LIMIT:
+        return "ushort"
+    tile = max(delta_tile_size, 1)
+    nb = cols.shape[0]
+    probe = np.zeros(round_up(max(nb, 1), tile), dtype=np.int64)
+    probe[:nb] = cols
+    # Break-even: streaming shorts (2 B) plus the touched fraction of
+    # the int32 fallback array must undercut streaming raw int32 (4 B).
+    # A 128 B transaction holds 32 indices, so the touched fraction is
+    # 1 - (1-p)^32 and delta wins only for p below ~2%.
+    p = compress_columns(probe, tile).fallback_fraction
+    touched = 1.0 - (1.0 - min(p, 1.0)) ** 32
+    return "delta" if 2.0 + 4.0 * touched < 4.0 else "int32"
+
+
+def _delta_tile(nblocks_padded: int, delta_tile_size: int) -> int:
+    """The delta segment length: ``delta_tile_size``, or the largest
+    divisor of the padded block count below it, since compression
+    segments must tile the padded array exactly."""
+    tile = delta_tile_size
+    while nblocks_padded % tile != 0:
+        tile -= 1
+    return tile
+
+
+def _footprint(
+    sizes: ByteSizes,
+    nblocks_padded: int,
+    block_area: int,
+    col_storage: str,
+    delta_tiles: int | None,
+    flag_bytes: int,
+    row_map_entries: int | None,
+) -> Footprint:
+    """The BCCOO byte formula (see :meth:`BCCOOMatrix.footprint`);
+    ``row_map_entries`` is ``None`` when the row map is the identity and
+    is not stored."""
+    fp = Footprint()
+    fp.add("values", nblocks_padded * block_area * sizes.value)
+    if col_storage == "int32":
+        fp.add("col_index", nblocks_padded * sizes.index)
+    else:
+        fp.add("col_index", nblocks_padded * sizes.short)
+        if col_storage == "delta":
+            fp.add("tile_start_cols", delta_tiles * sizes.index)
+    fp.add("bit_flags", flag_bytes)
+    if row_map_entries is not None:
+        fp.add("row_map", row_map_entries * sizes.index)
+    return fp
+
+
+def counted_footprint(
+    keys: np.ndarray,
+    shape: tuple[int, int],
+    block_height: int,
+    block_width: int,
+    sizes: ByteSizes = FP32,
+) -> Footprint:
+    """``BCCOOMatrix.from_scipy(A, block_height, block_width).footprint(sizes)``
+    from ``A``'s distinct block keys alone, building no format.
+
+    ``keys`` are the ascending ``block_row * n_block_cols + block_col``
+    keys of ``A``'s non-zero blocks (:func:`~repro.formats.blocking.block_keys`).
+    At :meth:`~BCCOOMatrix.from_scipy`'s defaults -- ``uint32`` words,
+    no extra padding, ``auto`` column storage, delta tile 16 -- the
+    footprint reads only the block count, the non-empty block-row count
+    and, past :data:`USHORT_LIMIT` block columns, the column storage
+    that :func:`_auto_col_storage` probes from the block columns.
+    """
+    nb = keys.shape[0]
+    n_block_cols = ceil_div(shape[1], block_width)
+    # One bit per block, padded to whole uint32 words.
+    nblocks_padded = round_up(max(nb, 1), 32)
+    mode = "ushort"
+    if n_block_cols > USHORT_LIMIT:
+        mode = _auto_col_storage(n_block_cols, keys % n_block_cols, _DELTA_TILE)
+    block_rows = keys // n_block_cols
+    nonempty = int(np.count_nonzero(np.diff(block_rows))) + 1 if nb else 0
+    return _footprint(
+        sizes,
+        nblocks_padded,
+        block_height * block_width,
+        mode,
+        nblocks_padded // _delta_tile(nblocks_padded, _DELTA_TILE),
+        nblocks_padded // 8,
+        nonempty if nonempty < ceil_div(shape[0], block_height) else None,
+    )
 
 
 class _SlotMap:
@@ -138,7 +237,7 @@ class BCCOOMatrix(SparseFormat):
         bit_word_dtype=np.uint32,
         pad_multiple: int = 1,
         col_storage: str = "auto",
-        delta_tile_size: int = 16,
+        delta_tile_size: int = _DELTA_TILE,
         **params,
     ) -> "BCCOOMatrix":
         """Convert any matrix to BCCOO.
@@ -214,25 +313,9 @@ class BCCOOMatrix(SparseFormat):
         n_block_cols_limit = round_up(logical_shape[1], w) // w
         mode = col_storage
         if mode == "auto":
-            if n_block_cols_limit <= USHORT_LIMIT:
-                mode = "ushort"
-            else:
-                # Wide matrix: delta-compress only when it actually
-                # compresses (Table 1's "Col_index compress" decision);
-                # scattered columns fall back to raw indices.
-                tile = max(delta_tile_size, 1)
-                probe_pad = round_up(max(nb, 1), tile)
-                probe = np.zeros(probe_pad, dtype=np.int64)
-                probe[:nb] = source_cols
-                trial = compress_columns(probe, tile)
-                # Break-even: streaming shorts (2 B) plus the touched
-                # fraction of the int32 fallback array must undercut
-                # streaming raw int32 (4 B).  A 128 B transaction holds
-                # 32 indices, so the touched fraction is
-                # 1 - (1-p)^32 and delta wins only for p below ~2%.
-                p = trial.fallback_fraction
-                touched = 1.0 - (1.0 - min(p, 1.0)) ** 32
-                mode = "delta" if 2.0 + 4.0 * touched < 4.0 else "int32"
+            mode = _auto_col_storage(
+                n_block_cols_limit, source_cols, delta_tile_size
+            )
         if mode == "ushort" and n_block_cols_limit > USHORT_LIMIT:
             raise FormatError(
                 f"ushort column storage needs <= {USHORT_LIMIT} block columns, "
@@ -244,12 +327,7 @@ class BCCOOMatrix(SparseFormat):
                 raise FormatError(
                     f"delta_tile_size must be >= 1, got {delta_tile_size}"
                 )
-            tile = delta_tile_size
-            if nb_padded % tile != 0:
-                # Compression segments must tile the padded array exactly;
-                # fall back to a divisor of the padded length.
-                while nb_padded % tile != 0:
-                    tile -= 1
+            tile = _delta_tile(nb_padded, delta_tile_size)
             delta = compress_columns(col_block, tile)
 
         return cls(
@@ -472,19 +550,19 @@ class BCCOOMatrix(SparseFormat):
         sentinel positions, so it contributes bandwidth, not footprint,
         exactly as the paper accounts it.)
         """
-        fp = Footprint()
-        fp.add("values", self.stored_values * sizes.value)
-        if self.col_storage == "int32":
-            fp.add("col_index", self.nblocks_padded * sizes.index)
-        else:
-            fp.add("col_index", self.nblocks_padded * sizes.short)
-            if self.col_storage == "delta" and self.delta is not None:
-                fp.add("tile_start_cols", self.delta.n_tiles * sizes.index)
-        fp.add("bit_flags", self.flags.nbytes)
-        if self.has_empty_block_rows:
-            fp.add(
-                "row_map", self.nonempty_block_rows.shape[0] * sizes.index
-            )
+        fp = _footprint(
+            sizes,
+            self.nblocks_padded,
+            self.block_height * self.block_width,
+            self.col_storage,
+            None if self.delta is None else self.delta.n_tiles,
+            self.flags.nbytes,
+            (
+                self.nonempty_block_rows.shape[0]
+                if self.has_empty_block_rows
+                else None
+            ),
+        )
         if tile_size is not None:
             aux = self.auxiliary(tile_size)
             fp.add(

@@ -10,7 +10,8 @@ row/column index per block instead of per non-zero).
 The extractor is fully vectorized: one pass of integer arithmetic over the
 COO triplets, one stable sort of the block keys for block discovery (none
 for one-row blocks, whose keys a row-major COO already orders), and one
-scatter for the dense payload.
+scatter for the dense payload.  The key pass alone (:func:`block_keys`)
+counts the blocks without building their payload.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from ..errors import FormatError
 from ..util import canonical_csr, ceil_div
 
-__all__ = ["BlockLayout", "extract_blocks", "blocks_to_coo_arrays"]
+__all__ = ["BlockLayout", "block_keys", "extract_blocks", "blocks_to_coo_arrays"]
 
 
 @dataclass
@@ -100,6 +101,31 @@ class BlockLayout:
                 raise FormatError("block_col out of range")
 
 
+def block_keys(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    n_block_cols: int,
+    block_height: int,
+    block_width: int,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """The key pass of :func:`extract_blocks`: which aligned block each
+    entry falls in, keyed ``block_row * n_block_cols + block_col``.
+
+    ``rows`` and ``cols`` are the ``int64`` coordinates of a canonical
+    CSR's entries in row-major order.  Returns ``(keys, order, first)``:
+    the ascending distinct keys, one per non-zero block; the stable
+    permutation that sorts the entries' keys (``None`` for one-row
+    blocks, whose keys row-major order already sorts); and the mask of
+    each block's first entry in that sorted order.
+    """
+    key = (rows // block_height) * n_block_cols + cols // block_width
+    order = None if block_height == 1 else np.argsort(key, kind="stable")
+    sorted_key = key if order is None else key[order]
+    first = np.ones(sorted_key.shape, dtype=bool)
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
+    return sorted_key[first], order, first
+
+
 def extract_blocks(matrix, block_height: int, block_width: int) -> BlockLayout:
     """Extract the aligned ``h x w`` non-zero blocks of ``matrix``.
 
@@ -127,17 +153,9 @@ def extract_blocks(matrix, block_height: int, block_width: int) -> BlockLayout:
     data = coo.data.astype(np.float64)
 
     n_block_cols = ceil_div(coo.shape[1], block_width)
-
-    brow = rows // block_height
-    bcol = cols // block_width
-    key = brow * n_block_cols + bcol
-
-    # Row-major order already sorts the keys of one-row blocks.
-    order = None if block_height == 1 else np.argsort(key, kind="stable")
-    sorted_key = key if order is None else key[order]
-    first = np.ones(sorted_key.shape, dtype=bool)
-    np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
-    unique_keys = sorted_key[first]
+    unique_keys, order, first = block_keys(
+        rows, cols, n_block_cols, block_height, block_width
+    )
     nblocks = unique_keys.shape[0]
     block_of = np.cumsum(first) - 1
     if order is not None:

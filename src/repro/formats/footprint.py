@@ -26,9 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import FormatNotApplicableError
-from ..util import as_csr
+from ..util import as_csr, canonical_csr, ceil_div
 from .base import FP32, ByteSizes
-from .bccoo import BCCOOMatrix
+from .bccoo import counted_footprint
+from .blocking import block_keys
 from .bcsr import BCSRMatrix
 from .bell import BELLMatrix
 from .coo import COOMatrix
@@ -157,14 +158,19 @@ def bccoo_block_candidates(
 
     This is the paper's pruning heuristic: "select the block dimensions
     corresponding to the 4 smallest memory footprints" (section 4).
+    Each (h, w) is scored as ``BCCOOMatrix.from_scipy(matrix, h, w)``
+    would be, from one pass over the block keys
+    (:func:`~repro.formats.bccoo.counted_footprint`): no format is built.
+    Ties keep (h, w) order.
     """
-    csr = as_csr(matrix)
+    coo = canonical_csr(matrix).tocoo()
+    rows = coo.row.astype(np.int64)
+    cols = coo.col.astype(np.int64)
     scored: list[tuple[int, int, int]] = []
     for h in BLOCK_HEIGHTS:
         for w in BLOCK_WIDTHS:
-            nbytes = BCCOOMatrix.from_scipy(
-                csr, block_height=h, block_width=w
-            ).footprint_bytes(sizes)
+            keys, _, _ = block_keys(rows, cols, ceil_div(coo.shape[1], w), h, w)
+            nbytes = counted_footprint(keys, coo.shape, h, w, sizes).total
             scored.append((h, w, nbytes))
     scored.sort(key=lambda t: t[2])
     return scored[:keep]

@@ -8,9 +8,9 @@ work wraps each phase in :func:`stage`:
 * ``enumerate`` -- the tuner's search-space enumeration;
 * ``blocking`` -- extracting block layouts;
 * ``convert`` -- building formats from layouts;
-* ``plan_build`` -- each candidate's profile-only launch and its clock,
-  and the fold that ranks the candidates and replays their kernel-plan
-  lookups;
+* ``plan_build`` -- each profile-only launch (one per group of
+  profile-equal candidates) and its clock, and the fold that ranks the
+  candidates and replays their kernel-plan lookups;
 * ``cache_model`` -- the BCCOO launches' vector-read cache model,
   wherever it runs;
 * ``verify`` -- executing and checking the tuned winner;
@@ -37,7 +37,8 @@ class StageClock:
     """Exclusive wall seconds per stage, plus event counts.
 
     ``counts`` carries what the stages did (``layouts``: block layouts
-    the tuner's candidate walk extracted).
+    the tuner's candidate walk extracted; ``profiles``: the profile-only
+    launches it ran).
     """
 
     def __init__(self):

@@ -29,6 +29,12 @@ all bit words, slice counts and kernel configurations of one
 ``(base_format, block_height, block_width)`` before the next, and the
 :class:`~repro.tuning.FormatCache` keeps only the current block size's
 layouts and formats alive.
+
+Candidates whose formats fall in one profile class of the format cache
+(bit words that decode to the same launch profile) share one
+profile-only launch per kernel configuration.  Each still gets its own
+outcome, so the fold, the checkpoint journal and the tie-break see the
+same stream as when every candidate launched.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from ..gpu.device import DeviceSpec
 from ..gpu.timing import TimingBreakdown, TimingModel
 from ..obs import NULL_OBSERVER, obs_scope
 from ..obs.stages import active_stages, stage
+from ..util import round_up
 from .cache import FormatCache
 from .parameters import TuningPoint
 
@@ -96,11 +103,15 @@ def evaluate_candidates(
     ranking reads only that profile, so with no fault plan active the
     launch is profile-only (:meth:`~repro.kernels.SpMVKernel.profile`):
     every check runs and the plan is built per call, but no sums are
-    computed.  Under an active fault plan each candidate runs the full
-    ``faithful`` launch against an all-ones vector instead, because the
-    plan's kernel and synchronization sites fire inside the sums.  No
-    per-format plan cache is left for the losing candidates to fill,
-    and the tuner's fold executes and checks only the winner.
+    computed.  Candidates with the same profile class
+    (:meth:`~repro.tuning.FormatCache.profile_class`), kernel
+    configuration and launch-padded block count share one such launch
+    and one timing estimate, or one skip reason.  Under an active fault
+    plan each candidate runs its own full ``faithful`` launch against
+    an all-ones vector instead, because the plan's kernel and
+    synchronization sites fire inside the sums and every launch draws
+    from it.  No per-format plan cache is left for the losing candidates
+    to fill, and the tuner's fold executes and checks only the winner.
 
     ``items`` must reach each block size in one run, as every search
     space enumerates them: the format cache drops a block size's layouts
@@ -118,9 +129,10 @@ def evaluate_candidates(
     ``tuner.candidate`` span per outcome when it folds them, so a
     resumed walk traces the same as a fresh one.  An active
     :class:`~repro.obs.stages.StageClock` (the engine installs one when
-    it is observed) is charged the ``plan_build`` of each candidate and
-    counts the block ``layouts`` the walk extracted; the format cache
-    and the kernel charge ``blocking``, ``convert`` and ``cache_model``
+    it is observed) is charged the ``plan_build`` of each launch and
+    counts the block ``layouts`` the walk extracted and the
+    profile-only launches (``profiles``) it ran; the format cache and
+    the kernel charge ``blocking``, ``convert`` and ``cache_model``
     themselves.
     """
     interpreter = get_backend("faithful")
@@ -130,11 +142,29 @@ def evaluate_candidates(
     x = np.ones(csr.shape[1], dtype=np.float64)
     nnz = int(csr.nnz)
     outcomes: list[CandidateOutcome] = []
+    profiles = 0
 
     def emit(outcome: CandidateOutcome) -> None:
         outcomes.append(outcome)
         if on_outcome is not None:
             on_outcome(outcome)
+
+    def launch(fmt, point: TuningPoint):
+        """The candidate's timing breakdown, or its skip reason."""
+        try:
+            with stage("plan_build"):
+                if full_launch:
+                    stats = interpreter.execute(
+                        fmt, x, device, config=point.kernel
+                    ).stats
+                else:
+                    stats = kernel_for(fmt).profile(
+                        fmt, device, config=point.kernel
+                    )
+        except ReproError as exc:
+            return type(exc).__name__
+        with stage("plan_build"):
+            return timing.estimate(stats)
 
     with obs_scope(NULL_OBSERVER):
         for index, point in items:
@@ -155,38 +185,34 @@ def evaluate_candidates(
                     )
                 )
                 continue
-            try:
-                with stage("plan_build"):
-                    if full_launch:
-                        stats = interpreter.execute(
-                            fmt, x, device, config=point.kernel
-                        ).stats
-                    else:
-                        stats = kernel_for(fmt).profile(
-                            fmt, device, config=point.kernel
-                        )
-            except ReproError as exc:
+            key = None if full_launch else _launch_key(fmt_cache, point, fmt)
+            result = fmt_cache.by_class.get(key)
+            if result is None:
+                result = launch(fmt, point)
+                if not full_launch:
+                    profiles += 1
+                if key is not None:
+                    fmt_cache.by_class[key] = result
+            if isinstance(result, str):
                 emit(
                     CandidateOutcome(
                         index=index,
                         point=point,
                         evaluation=None,
-                        skip_reason=type(exc).__name__,
+                        skip_reason=result,
                         wall_s=time.perf_counter() - t0,
                     )
                 )
                 continue
-            with stage("plan_build"):
-                breakdown = timing.estimate(stats)
             emit(
                 CandidateOutcome(
                     index=index,
                     point=point,
                     evaluation=Evaluation(
                         point=point,
-                        time_s=breakdown.t_total,
-                        gflops=breakdown.gflops(nnz),
-                        breakdown=breakdown,
+                        time_s=result.t_total,
+                        gflops=result.gflops(nnz),
+                        breakdown=result,
                     ),
                     wall_s=time.perf_counter() - t0,
                 )
@@ -194,4 +220,20 @@ def evaluate_candidates(
     clock = active_stages()
     if clock is not None:
         clock.count("layouts", fmt_cache.layouts)
+        clock.count("profiles", profiles)
     return outcomes
+
+
+def _launch_key(fmt_cache: FormatCache, point: TuningPoint, fmt) -> tuple | None:
+    """The key under which ``point``'s profile-only launch equals every
+    other candidate's: its format's profile class, its kernel
+    configuration and the block count the launch pads to (a profile-only
+    launch pads to whole workgroup tiles, as
+    :class:`~repro.kernels.yaspmv.ProfilePlan` does).  ``None`` for a
+    related-work format, whose launch is not shared."""
+    cls = fmt_cache.profile_class(point)
+    if cls is None:
+        return None
+    bccoo = getattr(fmt, "stacked", fmt)
+    cfg = point.kernel
+    return cls, cfg, round_up(max(bccoo.nblocks_padded, 1), cfg.workgroup_work)

@@ -87,6 +87,11 @@ class TuningResult:
     #: Candidates restored from a :class:`TuningCheckpoint` instead of
     #: re-evaluated (0 for fresh runs).
     resumed: int = 0
+    #: The winner's format as the winner check built and executed it,
+    #: for the caller to adopt instead of converting again
+    #: (``SpMVEngine.prepare`` takes it and leaves ``None``).  Not part
+    #: of :meth:`to_dict`, the tuning store or the checkpoint.
+    checked_format: object | None = field(default=None, repr=False, compare=False)
 
     @property
     def best_point(self) -> TuningPoint:
@@ -260,8 +265,9 @@ class AutoTuner:
     def tune(self, matrix) -> TuningResult:
         """Search; returns the ranked result."""
         obs = self.observer
-        # An observed tune counts the block layouts its walk extracts on
-        # the active stage clock (an observed prepare's), or its own.
+        # An observed tune counts the block layouts its walk extracts and
+        # the profile-only launches it runs on the active stage clock (an
+        # observed prepare's), or its own.
         own_clock = (
             StageClock() if obs.enabled and active_stages() is None else None
         )
@@ -270,7 +276,7 @@ class AutoTuner:
             mode=self.mode,
             device=self.device.name,
         ) as tune_span:
-            layouts0 = clock.counts.get("layouts", 0) if clock is not None else 0
+            counts0 = dict(clock.counts) if clock is not None else {}
             csr = as_csr(matrix)
 
             with obs.span(
@@ -357,22 +363,30 @@ class AutoTuner:
                     "tuning runs stopped early by their deadline",
                 ).inc()
             if clock is not None:
+                walked = {
+                    name: clock.counts.get(name, 0) - counts0.get(name, 0)
+                    for name in ("layouts", "profiles")
+                }
                 obs.counter(
                     "tuner.layouts", "block layouts the candidate walk extracted"
-                ).inc(clock.counts.get("layouts", 0) - layouts0)
+                ).inc(walked["layouts"])
+                obs.counter(
+                    "tuner.profiles", "profile-only launches the candidate walk ran"
+                ).inc(walked["profiles"])
             return result
 
 
-def _verify(point: TuningPoint, csr, device: DeviceSpec) -> str | None:
-    """Execute ``point`` in full and check it; ``None`` when it passes.
+def _verify(point: TuningPoint, csr, device: DeviceSpec):
+    """Execute ``point`` in full and check it -> ``(reason, format)``.
 
     Builds the point's format from ``csr`` and runs the full ``faithful``
     launch against a seeded standard-normal vector (with an all-ones
     vector a wrong column gather could still give every row the right
     sum), then compares every row with ``csr @ x`` at the engine's
     default tolerances.  Runs with no fault plan, so the check consumes
-    no fault draws, and under a muted observer.  A failure returns the
-    error class name -- the skip reason the tuner quarantines it under.
+    no fault draws, and under a muted observer.  A pass returns
+    ``(None, format)``; a failure returns the error class name -- the
+    skip reason the tuner quarantines it under -- and ``None``.
     """
     x = np.random.default_rng(0).standard_normal(csr.shape[1])
     try:
@@ -381,29 +395,31 @@ def _verify(point: TuningPoint, csr, device: DeviceSpec) -> str | None:
             y = get_backend("faithful").execute(fmt, x, device, config=point.kernel).y
         verify_output(csr, x, y, n_samples=None).raise_if_failed()
     except ReproError as exc:
-        return type(exc).__name__
-    return None
+        return type(exc).__name__, None
+    return None, fmt
 
 
-def _check_winner(outcomes, csr, device, observer) -> dict[int, str]:
+def _check_winner(outcomes, csr, device, observer):
     """Check the best candidates in rank order until one passes.
 
     The rank is (simulated time, enumeration index), the order the
     fold's "first strictly faster wins" walk picks by.  Returns the skip
-    reason of each rejected candidate, by enumeration index.
+    reason of each rejected candidate, by enumeration index, and the
+    format of the one that passed (``None`` when none did).
     """
     ranked = sorted(
         (o for o in outcomes if o.evaluation is not None),
         key=lambda o: (o.evaluation.time_s, o.index),
     )
     rejected: dict[int, str] = {}
+    fmt = None
     for outcome in ranked:
         with observer.span(
             "tuner.verify",
             index=outcome.index,
             point=str(outcome.point.format_key()),
         ) as vsp, stage("verify"):
-            reason = _verify(outcome.point, csr, device)
+            reason, fmt = _verify(outcome.point, csr, device)
             vsp.set(ok=reason is None, reason=reason)
         if reason is None:
             break
@@ -411,7 +427,7 @@ def _check_winner(outcomes, csr, device, observer) -> dict[int, str]:
     observer.counter(
         "tuner.verify_failures", "tuned winners rejected by the winner check"
     ).inc(len(rejected))
-    return rejected
+    return rejected, fmt
 
 
 def _fold(
@@ -441,7 +457,7 @@ def _fold(
     span is recorded per outcome, carrying the measured per-candidate
     wall clock as ``wall_s``.
     """
-    rejected = _check_winner(outcomes, csr, device, observer)
+    rejected, checked_format = _check_winner(outcomes, csr, device, observer)
     hits0, misses0 = plan_cache.hits, plan_cache.misses
     best: Evaluation | None = None
     history: list[Evaluation] = []
@@ -502,4 +518,5 @@ def _fold(
         skip_reasons=skip_reasons,
         partial=partial,
         resumed=resumed,
+        checked_format=checked_format,
     )

@@ -1,17 +1,21 @@
 """Tests for the Table 3 footprint comparison machinery."""
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 
 from repro.formats import (
     FP32,
     FP64,
+    BCCOOMatrix,
     bccoo_block_candidates,
     best_bccoo_footprint,
     best_single_footprint,
     cocktail_footprint,
     footprint_report,
 )
+from repro.formats.footprint import BLOCK_HEIGHTS, BLOCK_WIDTHS
 
 
 @pytest.fixture
@@ -71,6 +75,87 @@ class TestBccooCandidates:
         A = sparse.random(400, 400, density=0.005, random_state=2, format="csr")
         h, w, _ = bccoo_block_candidates(A, keep=1)[0]
         assert (h, w) == (1, 1)
+
+
+@st.composite
+def raw_csr(draw):
+    """A CSR matrix as a caller may hand it over: duplicate and unsorted
+    column indices, explicit zeros, duplicates that cancel, empty rows.
+    Wide draws have more than 65,535 block columns for some block
+    widths, with columns clustered (delta storage) or scattered (int32).
+    """
+    nrows = draw(st.integers(1, 24))
+    if draw(st.booleans()):
+        ncols = draw(st.integers(65_536, 300_000))
+        span = draw(st.sampled_from([ncols, 600]))
+    else:
+        ncols = span = draw(st.integers(1, 60))
+    base = draw(st.integers(0, ncols - span))
+    entry = st.tuples(
+        st.integers(0, span - 1), st.sampled_from([0.0, 1.0, -1.0, 2.5])
+    )
+    rows = draw(
+        st.lists(st.lists(entry, max_size=12), min_size=nrows, max_size=nrows)
+    )
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    indices = np.array([base + c for r in rows for c, _ in r], dtype=np.int64)
+    data = np.array([v for r in rows for _, v in r], dtype=np.float64)
+    return sparse.csr_matrix((data, indices, indptr), shape=(nrows, ncols))
+
+
+def _wide_banded():
+    """100 x 70,000 with small in-tile column gaps: delta columns."""
+    rows = np.repeat(np.arange(100), 10)
+    cols = rows * 600 + np.tile(np.arange(10), 100)
+    return sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(100, 70_000))
+
+
+def _wide_scattered():
+    """200 x 100,000 with random columns: int32 columns at width 1."""
+    rng = np.random.default_rng(1)
+    rows = np.repeat(np.arange(200), 3)
+    cols = rng.integers(0, 100_000, rows.size)
+    return sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(200, 100_000))
+
+
+class TestCountedRanking:
+    """``bccoo_block_candidates`` counts blocks instead of building
+    formats; every count must be the built format's byte count."""
+
+    @given(A=raw_csr())
+    @example(A=_wide_banded())
+    @example(A=_wide_scattered())
+    @settings(max_examples=80, deadline=None)
+    def test_counts_equal_built_footprints(self, A):
+        built = {
+            (h, w): BCCOOMatrix.from_scipy(A, block_height=h, block_width=w)
+            for h in BLOCK_HEIGHTS
+            for w in BLOCK_WIDTHS
+        }
+        for sizes in (FP32, FP64):
+            reference = [
+                (h, w, fmt.footprint_bytes(sizes)) for (h, w), fmt in built.items()
+            ]
+            counted = bccoo_block_candidates(A, sizes, keep=len(reference))
+            # Each (h, w)'s bytes, and today's ranking with ties kept in
+            # (h, w) order.
+            assert sorted(counted) == reference
+            assert counted == sorted(reference, key=lambda t: t[2])
+
+    def test_examples_cover_every_column_storage(self):
+        modes = {
+            BCCOOMatrix.from_scipy(A, block_height=1, block_width=w).col_storage
+            for A in (_wide_banded(), _wide_scattered())
+            for w in BLOCK_WIDTHS
+        }
+        assert modes == {"ushort", "delta", "int32"}
+
+    def test_builds_no_format(self, medium, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a format was built to rank block sizes")
+
+        monkeypatch.setattr(BCCOOMatrix, "from_block_layout", refuse)
+        assert len(bccoo_block_candidates(medium, keep=12)) == 12
 
 
 class TestReport:

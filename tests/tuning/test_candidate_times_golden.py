@@ -13,6 +13,12 @@ equals its full launch; a change to cost code both launches share
 would pass it and still move the ranking.  This file catches that:
 every candidate must keep its exact simulated time.
 
+The walk launches once per group of profile-equal candidates
+(:meth:`~repro.tuning.FormatCache.profile_class`);
+``test_shared_launches_equal_own_launches`` checks, on the tridiagonal
+and the wide matrix, that every candidate's outcome equals the one it
+gets from its own format, launch and estimate.
+
 To regenerate after an *intentional* change to the cost model or the
 search space, run this file as a script:
 ``PYTHONPATH=src python tests/tuning/test_candidate_times_golden.py``.
@@ -29,9 +35,17 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from repro.backends.base import kernel_for
+from repro.errors import ReproError
+from repro.fault import FaultPlan, fault_scope
 from repro.gpu import GTX480, GTX680
+from repro.gpu.timing import TimingModel
 from repro.matrices import get_spec
-from repro.tuning import AutoTuner
+from repro.obs.stages import StageClock, stage_scope
+from repro.tuning import AutoTuner, pruned_space
+from repro.tuning.cache import build_format
+from repro.tuning.evaluate import evaluate_candidates
+from repro.util import as_csr
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "candidate_times.json"
 CAP_NNZ = 4_000
@@ -100,6 +114,72 @@ def test_candidate_times_match_golden(name, device, golden, matrices):
         f"intentional, regenerate with `PYTHONPATH=src python "
         f"{Path(__file__).name}` from the repo root"
     )
+
+
+def own_launches(A, device, items) -> list[tuple]:
+    """Each candidate's outcome from its own format, profile-only launch
+    and estimate: ``(index, time_s.hex(), skip reason)``."""
+    timing = TimingModel(device)
+    out = []
+    for index, point in items:
+        try:
+            fmt = build_format(A, point)
+            stats = kernel_for(fmt).profile(fmt, device, config=point.kernel)
+        except ReproError as exc:
+            out.append((index, None, type(exc).__name__))
+            continue
+        out.append((index, timing.estimate(stats).t_total.hex(), None))
+    return out
+
+
+def walked(items, A, device) -> tuple[list[tuple], int]:
+    """The walk's outcomes, as :func:`own_launches` gives them, and the
+    profile-only launches it ran."""
+    clock = StageClock()
+    with stage_scope(clock):
+        outcomes = evaluate_candidates(items, A, device)
+    return [
+        (
+            o.index,
+            None if o.evaluation is None else o.evaluation.time_s.hex(),
+            o.skip_reason,
+        )
+        for o in outcomes
+    ], clock.counts.get("profiles", 0)
+
+
+#: Profile-only launches of each matrix's walk on GTX680: ushort columns
+#: let all three bit words share; the wide matrix's delta columns do
+#: only where padding leaves the delta tiles unchanged.
+SHARED_LAUNCHES = {"tridiagonal": 296, "wide": 1052}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_LAUNCHES))
+def test_shared_launches_equal_own_launches(name, matrices, monkeypatch):
+    A = as_csr(matrices(name))
+    items = list(enumerate(pruned_space(A, GTX680)))
+    outcomes, profiles = walked(items, A, GTX680)
+    assert outcomes == own_launches(A, GTX680, items)
+    assert profiles == SHARED_LAUNCHES[name]
+
+    # Under a fault plan nothing is shared: every candidate runs its own
+    # full launch, drawing from the plan, and is estimated on its own.
+    estimates = []
+    estimate = TimingModel.estimate
+
+    def counting(self, stats):
+        estimates.append(stats)
+        return estimate(self, stats)
+
+    monkeypatch.setattr(TimingModel, "estimate", counting)
+    head = items[:216]
+    plan = FaultPlan.parse("kernel.nan_partial:p=1.0,count=inf,seed=1")
+    with fault_scope(plan):
+        faulted, profiles = walked(head, A, GTX680)
+    evaluated = sum(t is not None for _, t, _ in faulted)
+    assert faulted == outcomes[: len(head)]
+    assert profiles == 0
+    assert len(estimates) == len(plan.events) == evaluated
 
 
 if __name__ == "__main__":  # golden regeneration entry point
