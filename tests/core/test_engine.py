@@ -85,6 +85,46 @@ class TestEngine:
         assert res.breakdown.bound in ("memory", "compute")
 
 
+class TestWinnerFormat:
+    """A tuned prepare keeps the format its winner check built and
+    executed; a store hit or an explicit point converts once."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        import repro.core.engine as engine_module
+
+        calls = []
+        original = engine_module.build_format
+
+        def counting(csr, point):
+            calls.append(point)
+            return original(csr, point)
+
+        monkeypatch.setattr(engine_module, "build_format", counting)
+        return calls
+
+    def test_tuned_prepare_keeps_the_checked_format(self, builds, random_matrix, rng):
+        A = random_matrix(nrows=150, ncols=150, density=0.05)
+        eng = SpMVEngine("gtx680")
+        prep = eng.prepare(A)
+        assert builds == []
+        assert prep.tuning.checked_format is None
+        assert "checked_format" not in prep.tuning.to_dict()
+        x = rng.standard_normal(150)
+        np.testing.assert_allclose(eng.multiply(prep, x).y, A @ x, atol=1e-9)
+
+    def test_store_hit_and_explicit_point_build_once(self, builds, random_matrix, tmp_path):
+        from repro.tuning import TuningStore
+
+        A = random_matrix(nrows=150, ncols=150, density=0.05)
+        store = TuningStore(tmp_path / "store.json")
+        tuned = SpMVEngine("gtx680", plan_store=store).prepare(A)
+        hit = SpMVEngine("gtx680", plan_store=store).prepare(A)
+        assert hit.tuning.store_hit
+        SpMVEngine("gtx680").prepare(A, point=tuned.point)
+        assert builds == [tuned.point, tuned.point]
+
+
 class TestUnifiedExecutionAPI:
     """The one-shot overload, the removed alias, and resilient SpMM."""
 
