@@ -367,14 +367,14 @@ class SpMVEngine:
     validate:
         ``"auto"`` (validate kernel output only when a fault plan is
         active), ``True`` (always) or ``False`` (never).
-    max_retries:
-        Bounded same-stage retries for transient faults (a plan whose
-        injection budget runs out recovers here).
     retry_policy:
-        Optional :class:`repro.fault.RetryPolicy` governing the tuned
-        retries: its ``retries`` count replaces ``max_retries`` and its
-        (deterministic, seeded) backoff schedule is slept between
-        attempts.  ``None`` keeps the legacy immediate-retry behavior.
+        The :class:`repro.fault.RetryPolicy` of the tuned-retry stages,
+        the bounded same-stage retries that recover transient faults (a
+        plan whose injection budget runs out): its ``retries`` count
+        sets how many run, and its (deterministic, seeded) backoff
+        schedule is slept between them.  ``None`` (the default) is
+        ``RetryPolicy(max_attempts=2, base_delay_s=0.0)``: one
+        immediate retry.
     breaker:
         Optional :class:`repro.fault.CircuitBreaker` keyed by kernel
         family (the prepared point's format name).  Under the
@@ -410,7 +410,6 @@ class SpMVEngine:
         policy: str = "strict",
         fault_plan: FaultPlan | str | None = None,
         validate: bool | str = "auto",
-        max_retries: int = 1,
         retry_policy: RetryPolicy | None = None,
         breaker: CircuitBreaker | None = None,
         validation_samples: int | None = 64,
@@ -438,8 +437,9 @@ class SpMVEngine:
         self.fault_plan = FaultPlan.coerce(fault_plan)
         self.validate = validate
         self.observer = observer if observer is not None else NULL_OBSERVER
-        self.max_retries = max(int(max_retries), 0)
-        if retry_policy is not None and not isinstance(retry_policy, RetryPolicy):
+        if retry_policy is None:
+            retry_policy = RetryPolicy(max_attempts=2, base_delay_s=0.0)
+        elif not isinstance(retry_policy, RetryPolicy):
             raise ValidationError(
                 f"retry_policy must be a RetryPolicy or None, "
                 f"got {type(retry_policy).__name__}"
@@ -675,7 +675,6 @@ class SpMVEngine:
         family = prepared.point.format_name
         breaker = self.breaker if self.policy == "permissive" else None
         retry = self.retry_policy
-        n_retries = retry.retries if retry is not None else self.max_retries
 
         stages: list[tuple[str, object, YaSpMVConfig | None, bool]] = []
         tuned_allowed = True
@@ -701,7 +700,7 @@ class SpMVEngine:
             ).inc(family=family)
         if tuned_allowed:
             stages.append(("tuned", prepared.fmt, prepared.config, True))
-            for _ in range(n_retries):
+            for _ in range(retry.retries):
                 stages.append(("tuned-retry", prepared.fmt, prepared.config, True))
         if (
             plan is not None
@@ -728,10 +727,9 @@ class SpMVEngine:
                 obs.counter(
                     "retry.attempts", "same-stage retries of the tuned kernel"
                 ).inc()
-                if retry is not None:
-                    delay = retry.delay_s(tuned_attempt)
-                    if delay > 0:
-                        self._sleep(delay)
+                delay = retry.delay_s(tuned_attempt)
+                if delay > 0:
+                    self._sleep(delay)
             with obs.span("fallback.attempt", stage=stage, depth=depth) as stage_span:
                 result, record = self._attempt(
                     stage, fmt, config, with_plan, prepared, csr, x, plan
@@ -1043,11 +1041,8 @@ class SpMVEngine:
                 None if self.fault_plan is None else sorted(self.fault_plan.specs)
             ),
             "retry": {
-                "max_retries": self.max_retries,
-                "policy": None if retry is None else {
-                    "retries": retry.retries,
-                    "backoff": type(retry).__name__,
-                },
+                "retries": retry.retries,
+                "backoff": type(retry).__name__,
             },
             "breaker": None if breaker is None else {"kind": type(breaker).__name__},
             "validation": {

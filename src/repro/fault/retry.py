@@ -51,6 +51,10 @@ __all__ = [
 class RetryPolicy:
     """Bounded retry with exponential backoff and seeded jitter.
 
+    A policy is data, not a loop: the engine's fallback chain, the
+    fabric's failover and the supervisor's restarts each read
+    ``retries``/``max_attempts`` and :meth:`delay_s` in their own loop.
+
     Attributes
     ----------
     max_attempts:
@@ -117,47 +121,6 @@ class RetryPolicy:
     def delays(self) -> list[float]:
         """The full backoff schedule (one entry per retry)."""
         return [self.delay_s(k) for k in range(1, self.max_attempts)]
-
-    def call(
-        self,
-        fn,
-        *,
-        retry_on: tuple = (ReproError,),
-        sleep=time.sleep,
-        deadline: "Deadline | None" = None,
-        on_retry=None,
-    ):
-        """Run ``fn()`` under this policy.
-
-        Retries on ``retry_on`` exceptions, sleeping the (deterministic)
-        backoff between attempts and respecting ``deadline`` (expiry
-        re-raises as :class:`DeadlineExceeded` instead of sleeping past
-        the budget).  ``on_retry(attempt, exc)`` is invoked before each
-        retry -- the hook the engine uses to bump ``retry.attempts``.
-        """
-        last: BaseException | None = None
-        for attempt in range(1, self.max_attempts + 1):
-            if deadline is not None:
-                deadline.check(label=f"retry attempt {attempt}")
-            try:
-                return fn()
-            except retry_on as exc:  # type: ignore[misc]
-                last = exc
-                if attempt == self.max_attempts:
-                    raise
-                if on_retry is not None:
-                    on_retry(attempt, exc)
-                delay = self.delay_s(attempt)
-                if deadline is not None and delay >= deadline.remaining():
-                    raise DeadlineExceeded(
-                        f"backoff of {delay:.3f}s exceeds the remaining "
-                        f"budget after attempt {attempt}",
-                        label="retry backoff",
-                        budget_s=deadline.seconds,
-                    ) from exc
-                if delay > 0:
-                    sleep(delay)
-        raise last  # pragma: no cover - loop always returns or raises
 
 
 class Deadline:

@@ -23,7 +23,8 @@ import numpy as np
 from ..errors import FormatError
 from ..util import canonical_csr, ceil_div
 
-__all__ = ["BlockLayout", "block_keys", "extract_blocks", "blocks_to_coo_arrays"]
+__all__ = ["BlockLayout", "block_keys", "block_keys_by_dim", "extract_blocks",
+           "blocks_to_coo_arrays"]
 
 
 @dataclass
@@ -124,6 +125,18 @@ def block_keys(
     first = np.ones(sorted_key.shape, dtype=bool)
     np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
     return sorted_key[first], order, first
+
+
+def block_keys_by_dim(matrix, dims):
+    """``(h, w, keys)`` per ``(h, w)`` in ``dims``: :func:`block_keys`'
+    distinct keys of ``matrix``'s canonical CSR, one per block of
+    ``extract_blocks(matrix, h, w)``, from one read of its coordinates."""
+    coo = canonical_csr(matrix).tocoo()
+    rows = coo.row.astype(np.int64)
+    cols = coo.col.astype(np.int64)
+    for h, w in dims:
+        keys, _, _ = block_keys(rows, cols, ceil_div(coo.shape[1], w), h, w)
+        yield h, w, keys
 
 
 def extract_blocks(matrix, block_height: int, block_width: int) -> BlockLayout:

@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import FormatNotApplicableError
-from ..util import as_csr, canonical_csr, ceil_div
+from ..util import as_csr, canonical_csr
 from .base import FP32, ByteSizes
 from .bccoo import counted_footprint
-from .blocking import block_keys
+from .blocking import block_keys_by_dim
 from .bcsr import BCSRMatrix
 from .bell import BELLMatrix
 from .coo import COOMatrix
@@ -163,15 +163,12 @@ def bccoo_block_candidates(
     (:func:`~repro.formats.bccoo.counted_footprint`): no format is built.
     Ties keep (h, w) order.
     """
-    coo = canonical_csr(matrix).tocoo()
-    rows = coo.row.astype(np.int64)
-    cols = coo.col.astype(np.int64)
-    scored: list[tuple[int, int, int]] = []
-    for h in BLOCK_HEIGHTS:
-        for w in BLOCK_WIDTHS:
-            keys, _, _ = block_keys(rows, cols, ceil_div(coo.shape[1], w), h, w)
-            nbytes = counted_footprint(keys, coo.shape, h, w, sizes).total
-            scored.append((h, w, nbytes))
+    csr = canonical_csr(matrix)
+    dims = [(h, w) for h in BLOCK_HEIGHTS for w in BLOCK_WIDTHS]
+    scored = [
+        (h, w, counted_footprint(keys, csr.shape, h, w, sizes).total)
+        for h, w, keys in block_keys_by_dim(csr, dims)
+    ]
     scored.sort(key=lambda t: t[2])
     return scored[:keep]
 

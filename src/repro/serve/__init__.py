@@ -6,17 +6,19 @@ A thread-safe front-end that turns the single-caller
 the same matrix into one SpMM dispatch, keeps prepared (tuned +
 converted) matrices in a footprint-budgeted LRU
 :class:`~repro.serve.cache.PreparedCache`, and applies admission
-control (bounded queue, per-request deadlines, retry/circuit-breaker
-containment, typed :class:`~repro.errors.ServerOverloadedError`
-shedding).  See ``docs/serving.md``.
+control (bounded queue, per-request deadlines, typed
+:class:`~repro.errors.ServerOverloadedError` shedding).  It neither
+retries nor breaks circuits: the engine does both per kernel family.
+See ``docs/serving.md``.
 
 :class:`ServeFabric` scales the layer out: it consistent-hashes the
 value-aware serve key across N shard servers with per-shard health
 tracking (:mod:`repro.serve.health`), circuit-breaker ejection and
 readmission, deterministic failover under the retry/deadline budget,
-and per-tenant quotas with weighted-fair dequeue.  Each shard is one
-:class:`Shard` over a forked or in-process transport
-(:mod:`repro.serve.shard`).  The differential
+and per-tenant quotas with weighted-fair dequeue -- retries and breaking
+per shard.  Each shard is one :class:`Shard` over a forked or
+in-process transport (:mod:`repro.serve.shard`), driving its server
+through :meth:`SpMVServer.run_keyed`.  The differential
 chaos drill (:mod:`repro.serve.chaos`, ``repro chaos``) pins the
 fabric's outputs bit-identical to a single pristine server while a
 seeded fault plan kills shards mid-flight.

@@ -20,10 +20,9 @@ pieces a production front-end needs:
   and a submit of a resident matrix is keyed by an exact compare
   instead of a hash;
 * **admission control** -- a bounded queue that sheds with a typed
-  :class:`~repro.errors.ServerOverloadedError`, a per-request
-  :class:`~repro.fault.Deadline`, and optional
-  :class:`~repro.fault.RetryPolicy` / :class:`~repro.fault.
-  CircuitBreaker` containment around every dispatch.
+  :class:`~repro.errors.ServerOverloadedError`, and a per-request
+  :class:`~repro.fault.Deadline`.  Retries and circuit breaking are the
+  engine's (per kernel family) and the fabric's (per shard).
 
 Batched and sequential execution are **bit-identical**: the SpMM path
 performs, per column, exactly the floating-point operations of the
@@ -53,7 +52,7 @@ from ..errors import (
     ServerOverloadedError,
     ValidationError,
 )
-from ..fault.retry import CircuitBreaker, Deadline, RetryPolicy
+from ..fault.retry import Deadline
 from ..obs import obs_scope
 from ..tuning.persistence import canonical_fingerprint
 from ..util import as_csr, canonical_csr
@@ -268,14 +267,6 @@ class SpMVServer:
         apply unchanged to served requests.
     config:
         A :class:`ServeConfig`; defaults are production-ish.
-    retry_policy:
-        Optional server-level :class:`~repro.fault.RetryPolicy` wrapped
-        around every dispatch (in addition to whatever the engine does
-        internally).
-    breaker:
-        Optional :class:`~repro.fault.CircuitBreaker` keyed by the
-        prepared matrix's format family; an open circuit sheds the whole
-        batch with :class:`~repro.errors.CircuitOpenError`.
     observer:
         Observer receiving the ``serve.*`` spans and metrics.  Defaults
         to the engine's observer; when given explicitly it is also
@@ -295,8 +286,6 @@ class SpMVServer:
         engine: SpMVEngine | None = None,
         config: ServeConfig | None = None,
         *,
-        retry_policy: RetryPolicy | None = None,
-        breaker: CircuitBreaker | None = None,
         observer=None,
         start: bool = True,
         clock=time.monotonic,
@@ -305,18 +294,6 @@ class SpMVServer:
             engine if engine is not None else SpMVEngine(backend="fast")
         )
         self.config = config if config is not None else ServeConfig()
-        if retry_policy is not None and not isinstance(retry_policy, RetryPolicy):
-            raise ValidationError(
-                f"retry_policy must be a RetryPolicy or None, "
-                f"got {type(retry_policy).__name__}"
-            )
-        if breaker is not None and not isinstance(breaker, CircuitBreaker):
-            raise ValidationError(
-                f"breaker must be a CircuitBreaker or None, "
-                f"got {type(breaker).__name__}"
-            )
-        self.retry_policy = retry_policy
-        self.breaker = breaker
         if observer is not None:
             # One tracer for both layers: serve.batch spans contain the
             # engine.prepare/multiply spans they trigger.
@@ -324,7 +301,6 @@ class SpMVServer:
         self.obs = observer if observer is not None else self.engine.observer
         self.cache = PreparedCache(self.config.cache_budget_bytes)
         self._clock = clock
-        self._sleep = time.sleep
         self._queue: deque[_Request] = deque()
         self._cond = threading.Condition()
         self._closed = False
@@ -338,7 +314,6 @@ class SpMVServer:
         self.n_batched_requests = 0
         self.n_batch_fallbacks = 0
         self.n_deadline_expired = 0
-        self.n_breaker_rejections = 0
         self.n_internal_errors = 0
         self.n_key_matched = 0
         self.n_key_hashed = 0
@@ -467,6 +442,21 @@ class SpMVServer:
             enqueued_at=self._clock(),
             batchable=x.ndim == 1,
         )
+
+    def run_keyed(self, requests) -> list[ServeFuture]:
+        """Queue already keyed requests and drain once; one future each.
+
+        A request is ``(key, csr, prepared, x, timeout_s)``, ``csr`` being
+        the canonical CSR a miss prepares from (``None`` when ``prepared``
+        is set).  Unlike :meth:`submit` nothing is admitted or counted: a
+        fabric shard has bounded its queue and counted ``serve.requests``.
+        """
+        queued = [self._request(*r) for r in requests]
+        with self._cond:
+            self._queue.extend(queued)
+            self._cond.notify_all()
+        self.drain()
+        return [r.future for r in queued]
 
     def multiply(
         self, matrix, x: np.ndarray, *, timeout_s: float | None = None
@@ -685,22 +675,6 @@ class SpMVServer:
             ).set(self.cache.total_bytes)
         sp.set(cache_hit=hit_flags[0], format=prepared.point.format_name)
 
-        # -- circuit breaker keyed by format family.
-        family = prepared.point.format_name
-        if self.breaker is not None:
-            try:
-                self.breaker.check(family)
-            except ReproError as exc:
-                with self._cond:
-                    self.n_breaker_rejections += len(live)
-                obs.counter(
-                    "serve.breaker_rejections",
-                    "requests shed on an open circuit",
-                ).inc(len(live))
-                for r in live:
-                    self._finish(r, exc, None)
-                return
-
         # -- execute: one SpMM dispatch per device-sized chunk.  The
         # SpMM kernel's k-wide partial sums scale the per-workgroup
         # shared memory, so a coalesced batch wider than the device
@@ -718,7 +692,6 @@ class SpMVServer:
                 live[start : start + max_k],
                 hit_flags[start : start + max_k],
                 prepared,
-                family,
                 now,
             )
 
@@ -727,35 +700,18 @@ class SpMVServer:
         live: list[_Request],
         hit_flags: list[bool],
         prepared: PreparedMatrix,
-        family: str,
         now: float,
     ) -> None:
         """Run one device-sized chunk and complete its futures."""
         obs = self.obs
-
-        def run_batch() -> SpMVResult:
-            if len(live) == 1:
-                r = live[0]
-                if r.x.ndim == 2:
-                    return self.engine.multiply_many(prepared, r.x)
-                return self.engine.multiply(prepared, r.x)
-            return self.engine.multiply_many(prepared, [r.x for r in live])
-
         try:
-            if self.retry_policy is not None:
-                result = self.retry_policy.call(
-                    run_batch,
-                    retry_on=(ReproError,),
-                    sleep=self._sleep,
-                    on_retry=lambda attempt, exc: obs.counter(
-                        "serve.retry.attempts", "server-level dispatch retries"
-                    ).inc(),
-                )
+            if len(live) > 1:
+                result = self.engine.multiply_many(prepared, [r.x for r in live])
+            elif live[0].x.ndim == 2:
+                result = self.engine.multiply_many(prepared, live[0].x)
             else:
-                result = run_batch()
+                result = self.engine.multiply(prepared, live[0].x)
         except ReproError as exc:
-            if self.breaker is not None:
-                self.breaker.record_failure(family)
             if len(live) == 1:
                 self._finish(live[0], exc, None)
                 return
@@ -782,12 +738,6 @@ class SpMVServer:
                         queue_wait_s=now - r.enqueued_at,
                     ))
             return
-        if self.breaker is not None:
-            self.breaker.record_success(family)
-            obs.gauge(
-                "breaker.state",
-                "per-family circuit state (0=closed, 1=half-open, 2=open)",
-            ).set(self.breaker.state_value(family), family=family)
 
         # -- split and complete.
         k = len(live)
@@ -890,7 +840,6 @@ class SpMVServer:
                 "batched_requests": self.n_batched_requests,
                 "batch_fallbacks": self.n_batch_fallbacks,
                 "deadline_expiries": self.n_deadline_expired,
-                "breaker_rejections": self.n_breaker_rejections,
                 "internal_errors": self.n_internal_errors,
                 "key_matched": self.n_key_matched,
                 "key_hashed": self.n_key_hashed,

@@ -100,14 +100,14 @@ def _picklable_error(exc: BaseException) -> BaseException:
 def _handle(server: SpMVServer, msg: tuple) -> tuple:
     """Answer one message with ``("ok", payload)`` or ``("err", exc)``.
 
-    ``("batch", requests, forget)`` queues every ``(key, operand, x,
+    ``("batch", requests, forget)`` runs every ``(key, operand, x,
     timeout_s)`` request -- ``operand=None`` means "serve it from your
-    cache" -- and drains once, so same-key requests coalesce; the payload
-    is one ``(kind, value)`` outcome per request: ``res``, ``err`` or
-    ``needop``.  ``("prime", key, operand, forget)`` installs a prepared
-    matrix, or prepares a CSR operand.  ``forget`` lists keys the shard
-    evicted from its re-warm handles; the server drops them too.
-    ``("ping",)`` answers with the server's stats.
+    cache" -- through one :meth:`SpMVServer.run_keyed` drain, so same-key
+    requests coalesce; the payload is one ``(kind, value)`` outcome per
+    request: ``res``, ``err`` or ``needop``.  ``("prime", key, operand,
+    forget)`` installs a prepared matrix, or prepares a CSR operand.
+    ``forget`` lists keys the shard evicted from its re-warm handles; the
+    server drops them too.  ``("ping",)`` answers with the server's stats.
     """
     try:
         if msg[0] == "ping":
@@ -124,26 +124,25 @@ def _handle(server: SpMVServer, msg: tuple) -> tuple:
                     operand = server.engine.prepare(operand)
                 server.cache.put(key, operand)
             return ("ok", None)
-        futures = []
+        served, requests = [], []
         for key, operand, x, timeout_s in msg[1]:
             if operand is None:
                 operand = server.cache.peek(key)
-            if operand is None:
-                futures.append(None)
-                continue
-            prepared = operand if isinstance(operand, PreparedMatrix) else None
-            request = server._request(
-                key, None if prepared else operand, prepared, x, timeout_s
-            )
-            server._queue.append(request)
-            futures.append(request.future)
-        server.drain()
+            served.append(operand is not None)
+            if operand is not None:
+                prepared = operand if isinstance(operand, PreparedMatrix) else None
+                requests.append(
+                    (key, None if prepared else operand, prepared, x, timeout_s)
+                )
+        futures = iter(server.run_keyed(requests))
         outcomes = []
-        for future in futures:
-            error = None if future is None else future.exception(timeout=0)
-            if future is None:
+        for has_operand in served:
+            if not has_operand:
                 outcomes.append(("needop", None))
-            elif error is not None:
+                continue
+            future = next(futures)
+            error = future.exception(timeout=0)
+            if error is not None:
                 outcomes.append(("err", _picklable_error(error)))
             else:
                 outcomes.append(("res", future.result(timeout=0)))
@@ -797,8 +796,7 @@ class Shard:
                 "shed": self.n_shed,
             }
             for key in ("batches", "batched_requests", "batch_fallbacks",
-                        "deadline_expiries", "breaker_rejections",
-                        "internal_errors"):
+                        "deadline_expiries", "internal_errors"):
                 snap[key] = server.get(key, 0)
             snap["queued"] = self.queued()
             snap["cache"] = server.get("cache") or PreparedCache().stats()

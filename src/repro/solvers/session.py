@@ -153,16 +153,13 @@ class SolverSession:
             self._account(res)
             return res.y
         if isinstance(self.server, SpMVServer):
-            future = self.server.submit(
+            resp = self.server.multiply(
                 self.prepared, v, timeout_s=self.timeout_s
             )
         else:
-            future = self.server.submit(
+            resp = self.server.multiply(
                 self.prepared, v, tenant=self.tenant, timeout_s=self.timeout_s
             )
-        if self.server._thread is None:
-            self.server.drain()
-        resp = future.result()
         self.spmv_wall_s += time.perf_counter() - t0
         self.failovers += resp.failovers
         self.cache_hits += int(resp.cache_hit)

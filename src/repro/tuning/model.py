@@ -30,9 +30,9 @@ import time
 from dataclasses import dataclass
 
 from ..errors import TuningError
-from ..formats.blocking import extract_blocks
+from ..formats.blocking import block_keys_by_dim
 from ..gpu.device import DeviceSpec
-from ..util import as_csr, ceil_div
+from ..util import as_csr, canonical_csr, ceil_div
 from .cache import KernelPlanCache
 from .evaluate import evaluate_candidates
 from .parameters import TuningPoint
@@ -54,9 +54,10 @@ class MatrixSummary:
 
     @classmethod
     def measure(cls, matrix, dims: list[tuple[int, int]]) -> "MatrixSummary":
-        csr = as_csr(matrix)
+        """Count each ``(h, w)``'s blocks from the key pass alone."""
+        csr = canonical_csr(matrix)
         blocks = {
-            (h, w): extract_blocks(csr, h, w).nblocks for h, w in dims
+            (h, w): keys.shape[0] for h, w, keys in block_keys_by_dim(csr, dims)
         }
         return cls(
             nrows=csr.shape[0],

@@ -5,7 +5,7 @@ import gc
 import numpy as np
 import pytest
 
-from repro import SpMVEngine, get_backend, yaspmv
+from repro import RetryPolicy, SpMVEngine, get_backend, yaspmv
 from repro.gpu import GTX480, GTX680
 from repro.matrices import get_spec
 from repro.tuning import TuningPoint
@@ -183,7 +183,10 @@ class TestUnifiedExecutionAPI:
         X = rng.standard_normal((90, 2))
         plan = FaultPlan.single("format.column_truncate", seed=1, count=None)
         eng = SpMVEngine(
-            "gtx680", policy="permissive", fault_plan=plan, max_retries=0
+            "gtx680",
+            policy="permissive",
+            fault_plan=plan,
+            retry_policy=RetryPolicy(max_attempts=1),
         )
         res = eng.multiply_many(eng.prepare(A, point=TuningPoint()), X)
         # Every simulated stage is corrupted; the CSR reference (fault
@@ -191,6 +194,8 @@ class TestUnifiedExecutionAPI:
         np.testing.assert_allclose(res.y, A @ X, atol=1e-9)
         assert res.degraded
         assert res.failure.fallback_used == "csr-reference"
+        stages = [a.stage for a in res.failure.attempts]
+        assert stages == ["tuned", "untuned", "csr-reference"]  # no retry
 
 
 class TestResultProtocol:

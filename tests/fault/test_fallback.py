@@ -66,10 +66,13 @@ class TestPermissiveRecovery:
     def test_transient_fault_recovered_by_retry(self, big):
         A, x = big
         eng = permissive(FaultPlan.single("kernel.nan_partial", seed=1, count=1))
+        slept = []
+        eng._sleep = slept.append
         res = eng.multiply(eng.prepare(A), x)
         np.testing.assert_allclose(res.y, A @ x, rtol=1e-9, atol=1e-12)
         assert res.failure.fallback_used == "tuned-retry"
         assert [a.stage for a in res.failure.attempts] == ["tuned", "tuned-retry"]
+        assert slept == []  # the default policy retries once, at once
 
     def test_out_of_order_absorbed_by_logical_ids(self, big):
         A, x = big

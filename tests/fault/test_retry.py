@@ -68,61 +68,6 @@ class TestRetryPolicy:
         with pytest.raises(ReproError):
             RetryPolicy(base_delay_s=-1.0)
 
-    def test_call_retries_then_succeeds(self):
-        attempts = []
-
-        def flaky():
-            attempts.append(1)
-            if len(attempts) < 3:
-                raise ReproError("transient")
-            return "ok"
-
-        slept = []
-        p = RetryPolicy(max_attempts=3, base_delay_s=1.0, jitter=0.0)
-        assert p.call(flaky, sleep=slept.append) == "ok"
-        assert len(attempts) == 3
-        assert slept == [1.0, 2.0]
-
-    def test_call_exhausts_and_reraises(self):
-        p = RetryPolicy(max_attempts=2, base_delay_s=0.0)
-        calls = []
-
-        def always():
-            calls.append(1)
-            raise ReproError("persistent")
-
-        with pytest.raises(ReproError, match="persistent"):
-            p.call(always)
-        assert len(calls) == 2
-
-    def test_call_on_retry_hook(self):
-        seen = []
-        p = RetryPolicy(max_attempts=3, base_delay_s=0.0)
-
-        def flaky():
-            if len(seen) < 2:
-                raise ReproError("x")
-            return 1
-
-        p.call(flaky, on_retry=lambda k, exc: seen.append((k, type(exc))))
-        assert seen == [(1, ReproError), (2, ReproError)]
-
-    def test_call_does_not_catch_foreign_exceptions(self):
-        p = RetryPolicy(max_attempts=3, base_delay_s=0.0)
-        with pytest.raises(KeyError):
-            p.call(lambda: (_ for _ in ()).throw(KeyError("bug")))
-
-    def test_call_respects_deadline_instead_of_sleeping_past_it(self):
-        clock = FakeClock()
-        deadline = Deadline(10.0, clock=clock)
-        p = RetryPolicy(max_attempts=3, base_delay_s=100.0, jitter=0.0)
-        with pytest.raises(DeadlineExceeded):
-            p.call(
-                lambda: (_ for _ in ()).throw(ReproError("x")),
-                deadline=deadline,
-                sleep=lambda s: None,
-            )
-
 
 class TestDeadline:
     def test_unlimited_never_expires(self):

@@ -21,28 +21,14 @@ from repro.errors import KernelConfigError, ReproError, ValidationError
 from repro.formats import BCCOOMatrix
 from repro.gpu import GTX480, GTX680
 from repro.kernels import get_kernel
-from repro.matrices import get_spec
 from repro.tuning import FormatCache, pruned_space
 
-CAP_NNZ = 4_000
-SEED = 0
-#: The suite matrices all store ushort columns; "wide" (100k columns)
-#: adds delta, int32 and ushort columns and bit words that change a
-#: profile.
-MATRICES = ["LP", "FEM/Harbor", "QCD", "webbase", "Circuit", "tridiagonal", "wide"]
+# The candidate-times golden's matrices, built once per process.  The
+# suite matrices all store ushort columns; "wide" (100k columns) adds
+# delta, int32 and ushort columns and bit words that change a profile.
+from tests.tuning.test_candidate_times_golden import MATRICES, load
+
 DEVICES = [pytest.param(GTX680, id="gtx680"), pytest.param(GTX480, id="gtx480")]
-
-
-def _tridiagonal(n: int = 15_000):
-    return sparse.diags(
-        [np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)],
-        [-1, 0, 1],
-        format="csr",
-    )
-
-
-def _wide():
-    return sparse.random(2000, 100_000, density=3e-5, random_state=1, format="csr")
 
 
 @pytest.fixture(scope="module")
@@ -52,13 +38,7 @@ def conversions():
 
     def get(name: str):
         if name not in cache:
-            if name == "tridiagonal":
-                A = _tridiagonal()
-            elif name == "wide":
-                A = _wide()
-            else:
-                spec = get_spec(name)
-                A = spec.load(scale=spec.scale_for_nnz(CAP_NNZ), seed=SEED)
+            A = load(name)
             cache[name] = (A, FormatCache(A))
         return cache[name]
 

@@ -12,11 +12,8 @@ import pytest
 from scipy import sparse
 
 from repro import (
-    CircuitBreaker,
-    CircuitOpenError,
     DeadlineExceeded,
     Observer,
-    RetryPolicy,
     ServeConfig,
     ServerClosedError,
     ServerOverloadedError,
@@ -25,6 +22,8 @@ from repro import (
     ValidationError,
 )
 from repro.fault import FaultPlan
+from repro.serve import serve_key
+from repro.util import as_csr
 
 
 def make_matrix(seed: int, n: int = 120, density: float = 0.05):
@@ -52,6 +51,15 @@ class FakeClock:
 
     def advance(self, dt: float) -> None:
         self.t += dt
+
+
+class TickingClock(FakeClock):
+    """Advances a second per reading, so a shorter deadline expires
+    between a request's enqueue and its dispatch."""
+
+    def __call__(self) -> float:
+        self.t += 1.0
+        return self.t
 
 
 class TestSubmitValidation:
@@ -348,51 +356,35 @@ class TestContainment:
         assert srv.n_batch_fallbacks == 0
         srv.close()
 
-    def test_breaker_rejects_after_trips(self, matrix):
-        # Strict engine + always-on NaN injection: every dispatch raises,
-        # the per-family circuit trips, and later requests shed fast.
-        eng = SpMVEngine(
-            policy="strict",
-            validate=True,
-            fault_plan=FaultPlan.single("kernel.nan_partial", seed=1, count=None),
-        )
-        breaker = CircuitBreaker(failure_threshold=2, cooldown_s=3600.0)
-        srv = SpMVServer(
-            eng, ServeConfig(batch_window_s=0.0), breaker=breaker, start=False
-        )
-        errors = []
-        for _ in range(4):
-            fut = srv.submit(matrix, np.ones(120))
-            srv.drain()
-            errors.append(fut.exception())
-        assert all(e is not None for e in errors)
-        assert any(isinstance(e, CircuitOpenError) for e in errors)
-        assert srv.n_breaker_rejections >= 1
-        srv.close()
 
-    def test_retry_policy_recovers_transient_fault(self, matrix):
-        # count=1: exactly the first kernel execution is poisoned; the
-        # server-level retry re-dispatches and the second attempt is clean.
-        eng = SpMVEngine(
-            policy="strict",
-            validate=True,
-            fault_plan=FaultPlan.single("kernel.nan_partial", seed=1, count=1),
-        )
-        srv = SpMVServer(
-            eng,
-            ServeConfig(batch_window_s=0.0),
-            retry_policy=RetryPolicy(max_attempts=3, base_delay_s=0.0),
-            start=False,
-        )
-        r = srv.multiply(matrix, np.ones(120))
-        assert np.allclose(r.y, matrix @ np.ones(120))
-        srv.close()
+class TestRunKeyed:
+    """``run_keyed``: already keyed requests, as a shard sends them."""
 
-    def test_invalid_retry_and_breaker_types_rejected(self):
-        with pytest.raises(ValidationError):
-            SpMVServer(start=False, retry_policy=object())
-        with pytest.raises(ValidationError):
-            SpMVServer(start=False, breaker=object())
+    def test_one_drain_without_admission_or_counting(self, matrix):
+        config = ServeConfig(batch_window_s=0.0, queue_depth=2)
+        srv = SpMVServer(config=config, start=False, clock=TickingClock())
+        csr = as_csr(matrix)
+        key = serve_key(srv.engine, csr)
+        rng = np.random.default_rng(11)
+        xs = [rng.standard_normal(120) for _ in range(3)]
+        futures = srv.run_keyed(
+            [(key, csr, None, x, None) for x in xs]
+            + [(key, csr, None, np.ones(120), 0.5)]
+        )
+        assert all(f.done() for f in futures)
+        assert isinstance(futures[-1].exception(), DeadlineExceeded)
+        snap = srv.stats()
+        # Four requests past a queue bound of 2: none shed, none counted,
+        # and the three live ones coalesce into one dispatch.
+        assert (snap["requests"], snap["shed"]) == (0, 0)
+        assert (snap["batches"], snap["batched_requests"]) == (1, 3)
+        twin = SpMVServer(config=ServeConfig(batch_window_s=0.0), start=False)
+        expected = [twin.submit(matrix, x) for x in xs]
+        twin.drain()
+        for got, want in zip(futures, expected):
+            assert np.array_equal(got.result().y, want.result().y)
+        srv.close()
+        twin.close()
 
 
 class TestLifecycle:
@@ -588,8 +580,7 @@ class TestObservability:
         snap = server.stats()
         for field in (
             "requests", "responses", "shed", "batches", "batched_requests",
-            "batch_fallbacks", "deadline_expiries", "breaker_rejections",
-            "queued", "cache",
+            "batch_fallbacks", "deadline_expiries", "queued", "cache",
         ):
             assert field in snap
         assert snap["requests"] == 1

@@ -3,10 +3,12 @@
 ``tests/tuning/golden/candidate_times.json`` holds, per (matrix,
 device), a sha256 over the auto-tuner's full history in enumeration
 order -- each evaluated point with its ``time_s.hex()`` -- and the
-skip-reason counts.  The matrices are those of
-``tests/kernels/test_profile.py``: five suite stand-ins at 4k nnz, a
-15k-row tridiagonal and a wide random matrix whose columns are stored
-as delta, int32 and ushort across its candidates.
+skip-reason counts.  The matrices are five suite stand-ins at 4k nnz,
+a 15k-row tridiagonal and a wide random matrix whose columns are stored
+as delta, int32 and ushort across its candidates.  :func:`load` builds
+each once per process, for this file and ``tests/kernels/test_profile.py``
+alike: the wide matrix alone takes seconds and over a gigabyte of
+scratch memory to sample.
 
 ``test_profile.py`` checks that a candidate's profile-only launch
 equals its full launch; a change to cost code both launches share
@@ -26,6 +28,7 @@ search space, run this file as a script:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import asdict
@@ -54,7 +57,10 @@ MATRICES = ["LP", "FEM/Harbor", "QCD", "webbase", "Circuit", "tridiagonal", "wid
 DEVICES = {"gtx680": GTX680, "gtx480": GTX480}
 
 
+@functools.cache
 def load(name: str):
+    """The named test matrix, built once per process (callers copy it:
+    ``as_csr`` and the format converters never write to their input)."""
     if name == "tridiagonal":
         n = 15_000
         return sparse.diags(
@@ -89,26 +95,14 @@ def golden():
         return json.load(f)
 
 
-@pytest.fixture(scope="module")
-def matrices():
-    cache: dict[str, object] = {}
-
-    def get(name: str):
-        if name not in cache:
-            cache[name] = load(name)
-        return cache[name]
-
-    return get
-
-
 def test_golden_covers_every_pair(golden):
     assert sorted(golden) == sorted(f"{m}@{d}" for m in MATRICES for d in DEVICES)
 
 
 @pytest.mark.parametrize("device", sorted(DEVICES))
 @pytest.mark.parametrize("name", MATRICES)
-def test_candidate_times_match_golden(name, device, golden, matrices):
-    entry = compute_entry(matrices(name), DEVICES[device])
+def test_candidate_times_match_golden(name, device, golden):
+    entry = compute_entry(load(name), DEVICES[device])
     assert entry == golden[f"{name}@{device}"], (
         f"candidate times of {name!r} on {device} moved; if the change is "
         f"intentional, regenerate with `PYTHONPATH=src python "
@@ -155,8 +149,8 @@ SHARED_LAUNCHES = {"tridiagonal": 296, "wide": 1052}
 
 
 @pytest.mark.parametrize("name", sorted(SHARED_LAUNCHES))
-def test_shared_launches_equal_own_launches(name, matrices, monkeypatch):
-    A = as_csr(matrices(name))
+def test_shared_launches_equal_own_launches(name, monkeypatch):
+    A = as_csr(load(name))
     items = list(enumerate(pruned_space(A, GTX680)))
     outcomes, profiles = walked(items, A, GTX680)
     assert outcomes == own_launches(A, GTX680, items)

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.errors import TuningError
+from repro.formats.blocking import extract_blocks
 from repro.gpu import GTX680
 from repro.tuning import (
+    BLOCK_HEIGHTS,
+    BLOCK_WIDTHS,
     AutoTuner,
     CostModel,
     MatrixSummary,
@@ -46,6 +50,34 @@ class TestCostModel:
         summary = MatrixSummary.measure(matrix, [(1, 1)])
         with pytest.raises(TuningError, match="lacks block counts"):
             CostModel(GTX680).predict(TuningPoint(block_height=2), summary)
+
+
+def messy_matrix():
+    """61x90 CSR with duplicate entries (five cancelling), stored zeros
+    and empty rows, as a caller may hand it over."""
+    rng = np.random.default_rng(3)
+    rows = rng.integers(0, 61, 500)
+    rows = rows[rows % 7 != 0]  # every seventh row empty
+    cols = rng.integers(0, 90, rows.size)
+    r = np.concatenate([rows, rows[:40]])
+    c = np.concatenate([cols, cols[:40]])
+    v = rng.standard_normal(r.size)
+    v[rows.size : rows.size + 5] = -v[:5]  # duplicates that sum to zero
+    v[7::11] = 0.0  # stored zeros
+    order = np.argsort(r, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(r, minlength=61))])
+    return sparse.csr_matrix((v[order], c[order], indptr), shape=(61, 90))
+
+
+class TestMatrixSummary:
+    def test_counts_equal_extracted_blocks(self):
+        A = messy_matrix()
+        assert (A.data == 0).any() and not A.has_canonical_format
+        dims = [(h, w) for h in BLOCK_HEIGHTS for w in BLOCK_WIDTHS]
+        summary = MatrixSummary.measure(A, dims)
+        assert summary.blocks_per_dim == {
+            (h, w): extract_blocks(A, h, w).nblocks for h, w in dims
+        }
 
 
 class TestModelDrivenTuner:
