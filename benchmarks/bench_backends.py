@@ -12,6 +12,9 @@ not just printed:
 2. **fast is never slower**, and on medium matrices (>= 20k nnz, where
    interpreter overhead dominates) it must clear a 10x floor.
 
+The 2x2 and 1x4 block points are swept too, gated on both halves of
+:func:`~repro.bench.backends.sweep_passed`, without a snapshot.
+
 The report is snapshot to ``benchmarks/results/BENCH_kernels.json`` --
 the same artifact the ``bench-kernels`` CI job and ``repro bench``
 produce -- so a regression shows up as a reviewable JSON diff.
@@ -31,6 +34,7 @@ from repro.bench.backends import (
 )
 from repro.bench.report import render_table
 from repro.matrices import load_suite
+from repro.tuning import TuningPoint
 
 from conftest import bench_cap, bench_names, record_table
 
@@ -42,13 +46,17 @@ MEDIUM_SPEEDUP_FLOOR = 10.0
 
 
 @pytest.fixture(scope="module")
-def sweep():
-    cap = min(bench_cap(), 150_000)
-    mats = load_suite(cap_nnz=cap)
+def matrices():
+    mats = load_suite(cap_nnz=min(bench_cap(), 150_000))
     names = bench_names()
     if names:
         mats = {k: v for k, v in mats.items() if k in names}
-    return run_backend_sweep(matrices=mats, cap_nnz=cap, repeats=3)
+    return mats
+
+
+@pytest.fixture(scope="module")
+def sweep(matrices):
+    return run_backend_sweep(matrices=matrices, repeats=3)
 
 
 def test_backend_sweep(sweep):
@@ -91,3 +99,16 @@ def test_medium_matrices_clear_speedup_floor(sweep):
         f"{slowest['matrix']}: fast is only {slowest['speedup']:.1f}x over "
         f"faithful (floor {MEDIUM_SPEEDUP_FLOOR:.0f}x, nnz {slowest['nnz']})"
     )
+
+
+@pytest.mark.parametrize(
+    "point",
+    [TuningPoint(block_height=2, block_width=2), TuningPoint(block_width=4)],
+    ids=["2x2", "1x4"],
+)
+def test_blocked_points_pass(matrices, point):
+    # The snapshot stays the 1x1 sweep; blocked points run the two-pass
+    # CSR cores and are gated on identity and speed only.
+    report = run_backend_sweep(matrices=matrices, repeats=3, point=point)
+    passed, reasons = sweep_passed(report)
+    assert passed, "; ".join(reasons)

@@ -1,4 +1,4 @@
-"""The fast backend: a plan cache and vectorized summation cores.
+"""The fast backend: a plan cache and exact SciPy CSR summation cores.
 
 Every launch runs in the format's kernel (``YaSpMVKernel``,
 ``MergePathKernel``, ``RowGroupedKernel``) -- checks, decoding, BCCOO+
@@ -7,36 +7,44 @@ slice fold, ``y`` scatter and cost profile are the same code
 fast:
 
 * a plan cache: each kernel's x-independent launch state (for BCCOO the
-  padded arrays, the vector-gather map, the segment structure of the bit
-  flags; for the stream formats the decoded rows / lane order) is built
-  **once** per ``(format, config)`` and cached on the format instance's
-  lifetime (weak-keyed, so dropping the format drops the plan; a value
-  refresh migrates it, see :meth:`FastBackend.refresh_values`).  The
-  plan also memoizes, per device, its cost profile and the simulated
-  clock computed from it, which the launch result carries to the
-  engine;
-* summation cores that replace the interpreter's per-workgroup loops: one
-  gather, one ``einsum`` (the *same* call on the *same* arrays the
-  faithful core uses -- hence identical products), and one batched
-  segmented sum (:func:`repro.scan.batched_segment_sums`, whose
-  ``np.bincount`` core adds the same weights into the same bins in the
-  same element order as the reference ``np.add.at`` -- hence identical
-  sums).
+  gather map and the segment structure of the bit flags; for the stream
+  formats the decoded rows / lane order) is built **once** per
+  ``(format, config)`` and cached on the format instance's lifetime
+  (weak-keyed, so dropping the format drops the plan; a value refresh
+  migrates it, see :meth:`FastBackend.refresh_values`).  The plan also
+  memoizes, per device, its cost profile and the simulated clock
+  computed from it, which the launch result carries to the engine;
+* summation cores that replace the interpreter's per-workgroup loops
+  with one or two SciPy CSR passes laid out so that SciPy adds in the
+  interpreter's order.  SciPy's kernel runs ``sum += data[j] *
+  x[col[j]]`` sequentially per row, from +0 -- for a ``(ncols, k)``
+  block, per row and column -- so a CSR whose row lists the
+  interpreter's terms in the interpreter's order is exact:
 
-For 1x1 blocks (the default point and the most common tuned winner) the
-gather/multiply/segment-sum pipeline collapses further into a single
-SciPy CSR matvec over a plan-cached *remapped* matrix whose rows are
-the flag segments: SciPy's kernel runs ``sum += data[j] * x[col[j]]``
-sequentially per row -- the exact addition sequence of the bincount
-path, fused into one memory pass.  That equivalence holds only when the
-SciPy build does not contract the multiply-add into an FMA, so the
-fused path is gated behind a one-time runtime probe
-(:func:`_fused_matvec_exact`) and silently falls back to the
-bincount pipeline when the probe fails.
+  - BCCOO/BCCOO+ with block width 1 (any height): one pass, one row per
+    (flag segment, lane) holding that lane of the segment's blocks in
+    block order;
+  - block width ``w > 1``: a block-product pass, whose row (block,
+    lane) holds the block's lane entries in column order -- the
+    sequential dot product from +0 every block product is
+    (:func:`~repro.formats.bccoo.block_dots`) -- then a unit-data
+    segment pass whose row (segment, lane) adds its blocks' products in
+    block order;
+  - merge-path CSR and RG-CSR: one pass, one row per matrix row, in
+    stream order and lane order; their SpMM is one pass over the block
+    too, with the ``k``-launch cost profile.
+
+That equivalence holds only when the SciPy build does not contract the
+multiply-add into an FMA, so every CSR core is gated behind a one-time
+runtime probe (:func:`_fused_matvec_exact`).  When the probe fails,
+every shape falls back to gather, block products and
+:func:`repro.scan.batched_segment_sums` (``np.bincount``, which adds the
+same weights into the same bins in the same element order as the
+reference ``np.add.at``).
 
 Bit-identity therefore holds by construction *and is re-checked on this
 interpreter*, not assumed; the differential suite pins it with
-``np.array_equal``.
+``np.array_equal``, on the CSR cores and on the fallback.
 
 Fault plans perturb decode-time state *per launch* (corrupted flag
 words, stale ``Grp_sum`` reads), which a cached plan cannot observe --
@@ -53,6 +61,7 @@ from dataclasses import replace
 from functools import partial
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..fault.injection import active_plan
 from ..formats.bccoo_plus import BCCOOPlusMatrix
@@ -90,8 +99,6 @@ def _fused_matvec_exact() -> bool:
     """
     global _FUSED_EXACT
     if _FUSED_EXACT is None:
-        import scipy.sparse as sp
-
         rng = np.random.default_rng(0x5EED)
         n, nseg, ncols, k = 4096, 64, 512, 3
         ids = np.sort(rng.integers(0, nseg, size=n))
@@ -161,70 +168,166 @@ class _Memo:
         return clock
 
 
+def _csr(data, indices, indptr, ncols: int):
+    """A SciPy CSR with one row per ``indptr`` interval."""
+    return sp.csr_matrix(
+        (data, indices, indptr), shape=(indptr.shape[0] - 1, ncols)
+    )
+
+
+def _indptr(counts: np.ndarray) -> np.ndarray:
+    """CSR row pointers of rows holding ``counts`` entries."""
+    indptr = np.zeros(counts.shape[0] + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
+
+
+class _CSRCore:
+    """An exact summation core: one SciPy CSR pass, or two.
+
+    ``first`` multiplies; its data are the format's flattened values at
+    ``slots`` (all of them, in order, when ``slots`` is ``None``).
+    ``second``, when set, sums the first pass's rows with unit data.
+    SciPy adds every row's entries sequentially from +0, in entry order
+    (:func:`_fused_matvec_exact` checks that), so each core lays its
+    entries out in the order the interpreter adds them.  A unit-data
+    pass is exact even under FMA contraction, since ``1.0 * p`` rounds
+    nothing.
+    """
+
+    __slots__ = ("first", "second", "slots")
+
+    def __init__(self, values, indices, indptr, ncols, slots=None, second=None):
+        self.slots = slots
+        self.second = second
+        self.first = _csr(self._data(values), indices, indptr, ncols)
+
+    def _data(self, values: np.ndarray) -> np.ndarray:
+        flat = values.ravel()
+        return flat if self.slots is None else flat[self.slots]
+
+    def refill(self, values: np.ndarray) -> "_CSRCore":
+        """This core over a value-refreshed format's ``values``: only the
+        first pass's data are rebuilt."""
+        clone = object.__new__(_CSRCore)
+        clone.slots, clone.second = self.slots, self.second
+        first = self.first
+        clone.first = _csr(
+            clone._data(values), first.indices, first.indptr, first.shape[1]
+        )
+        return clone
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        Y = self.first @ X
+        return Y if self.second is None else self.second @ Y
+
+
+def _segment_rows(stops: np.ndarray, h: int):
+    """One CSR row per (closed flag segment, lane).
+
+    Row ``s * h + l`` lists lane ``l`` of segment ``s``'s blocks in block
+    order.  Returns the row pointers and ``pos``, ``(end, h)``: the entry
+    of block ``b``'s lane ``l``, for the ``end`` blocks up to the last
+    row stop.  The trailing open segment (bit-flag and launch padding)
+    gets no row, since the launch discards its sum.
+    """
+    stop_pos = np.flatnonzero(stops)
+    counts = np.diff(stop_pos, prepend=-1)  # blocks per segment
+    starts = stop_pos + 1 - counts
+    seg = np.repeat(np.arange(stop_pos.shape[0]), counts)
+    first = np.arange(seg.shape[0]) + (h - 1) * starts[seg]
+    pos = first[:, None] + np.arange(h) * counts[seg][:, None]
+    return _indptr(np.repeat(counts, h)), pos
+
+
+def _block_core(plan: LaunchPlan, fmt) -> _CSRCore:
+    """The exact CSR core of a BCCOO launch (see the module docstring).
+
+    ``w = 1``: one pass whose row ``(s, l)`` holds lane ``l`` of segment
+    ``s``'s blocks.  ``w > 1``: a block-product pass whose row ``(b, l)``
+    holds block ``b``'s lane-``l`` entries in column order, then a
+    unit-data segment pass whose row ``(s, l)`` adds its blocks'
+    products in block order.  Gather slots past the last column are
+    dropped: they would add ``v * 0``, and a zero changes no sum that
+    starts from +0 (such a sum never holds -0).  Zeros inside a block
+    stay entries, since ``0 * inf`` is NaN.
+    """
+    h, w = fmt.block_height, fmt.block_width
+    indptr, pos = _segment_rows(plan.padded.stops, h)
+    end = pos.shape[0]
+    # Entry pos[b, l] of the segment rows adds (block, lane) b * h + l.
+    members = np.empty(end * h, dtype=np.int64)
+    members[pos] = np.arange(end * h).reshape(end, h)
+    if w == 1:
+        # Every real block's single gather slot is in range.
+        cols = np.empty(end * h, dtype=np.int64)
+        cols[pos] = plan.safe[:end]
+        return _CSRCore(fmt.values, cols, indptr, fmt.ncols, slots=members)
+    segments = _csr(np.ones(end * h), members, indptr, end * h)
+    valid = (
+        np.ones((end, w), dtype=bool)
+        if plan.invalid is None
+        else ~plan.invalid[:end]
+    )
+    # Entries in (block, lane, j) order: each block's slots once per lane.
+    keep = np.repeat(valid, h, axis=0).ravel()
+    cols = np.repeat(plan.safe[:end], h, axis=0).ravel()[keep]
+    return _CSRCore(
+        fmt.values,
+        cols,
+        _indptr(np.repeat(valid.sum(axis=1), h)),
+        fmt.ncols,
+        slots=np.flatnonzero(keep),
+        second=segments,
+    )
+
+
 class FastPlan(_Memo, LaunchPlan):
     """A cached :class:`~repro.kernels.yaspmv.LaunchPlan` for one
-    (format, config), with the segment structure of its flags and, for
-    1x1 blocks, the fused CSR of its segments.
+    (format, config), with its exact CSR core when the probe passes, else
+    the segment structure of its flags for the ``bincount`` pipeline.
 
     A plan holds no reference to its format: the backend caches it under
     a weak reference to the format, which a strong one would pin for the
-    life of the process.  ``padded.fmt`` is therefore ``None``.
+    life of the process.  ``padded.fmt`` is therefore ``None``, and so is
+    ``padded.values`` when the core holds the values it reads.
     """
 
-    __slots__ = ("segplan", "fused", "_profiles", "_clocks")
+    __slots__ = ("core", "segplan", "height", "_profiles", "_clocks")
 
     def __init__(self, fmt, cfg):
         super().__init__(fmt, cfg)
-        self.padded = replace(self.padded, fmt=None)
-        self.segplan = SegmentPlan(self.padded.stops)
-        # 1x1 blocks: fold gather+multiply+segment-sum into one CSR
-        # matvec over a segment-rowed remap (see module docstring).
-        self.fused = None
-        if fmt.block_height == 1 and fmt.block_width == 1 and _fused_matvec_exact():
-            import scipy.sparse as sp
-
-            indptr = np.searchsorted(
-                self.segplan.ids, np.arange(self.segplan.n_segments + 1)
-            )
-            self.fused = sp.csr_matrix(
-                (self._fused_data(), self.gather_flat, indptr),
-                shape=(self.segplan.n_segments, fmt.ncols),
-            )
+        self.height = fmt.block_height
+        self.core = self.segplan = None
+        if _fused_matvec_exact():
+            self.core = _block_core(self, fmt)
+            self.padded = replace(self.padded, fmt=None, values=None)
+        else:
+            self.padded = replace(self.padded, fmt=None)
+            self.segplan = SegmentPlan(self.padded.stops)
         self._start_memo()
-
-    def _fused_data(self) -> np.ndarray:
-        data = np.ascontiguousarray(self.padded.values[:, 0, 0])
-        if self.invalid is not None:
-            # The faithful path multiplies these lanes by a zeroed
-            # gather; zeroing the data keeps the products zero here.
-            data = np.where(self.invalid.ravel(), 0.0, data)
-        return data
 
     def derive(self, new_fmt) -> "FastPlan":
         """Plan for a value-only rebuild of this plan's format.
 
         ``new_fmt`` shares the structural arrays (flags, columns, row
-        map) with the original, so the gather map, segment plan, cost
-        profiles and clocks all carry over; only the padded value payload
-        (and the fused CSR's data vector) is rebuilt -- the whole point
-        of the incremental re-prepare path.
+        map) with the original, so the gather map, the core's pattern,
+        the segment plan, cost profiles and clocks all carry over; only
+        the core's data (or, without a core, the padded value payload)
+        is rebuilt -- the whole point of the incremental re-prepare path.
         """
         clone = object.__new__(FastPlan)
-        values = np.zeros_like(self.padded.values)
-        values[: new_fmt.nblocks_padded] = new_fmt.values
-        clone.padded = replace(self.padded, values=values)
         clone.safe = self.safe
         clone.invalid = self.invalid
         clone.gather_flat = self.gather_flat
-        clone.segplan = self.segplan
-        clone.fused = None
-        if self.fused is not None:
-            import scipy.sparse as sp
-
-            clone.fused = sp.csr_matrix(
-                (clone._fused_data(), self.fused.indices, self.fused.indptr),
-                shape=self.fused.shape,
-            )
+        clone.height, clone.segplan = self.height, self.segplan
+        clone.core, clone.padded = None, self.padded
+        if self.core is not None:
+            clone.core = self.core.refill(new_fmt.values)
+        else:
+            values = np.zeros_like(self.padded.values)
+            values[: new_fmt.nblocks_padded] = new_fmt.values
+            clone.padded = replace(self.padded, values=values)
         self._carry_memo(clone)
         return clone
 
@@ -239,24 +342,27 @@ class FastPlan(_Memo, LaunchPlan):
 
 
 class FastMergePlan(_Memo, MergePlan):
-    """A cached :class:`~repro.kernels.merge_path.MergePlan`.
-
-    ``np.bincount`` over its decoded rows adds the products into the
-    same rows in the same stream order as the team loop's
-    ``np.add.at`` (both are strictly sequential, carries included), so
-    the fused single pass is bit-identical by construction.
+    """A cached :class:`~repro.kernels.merge_path.MergePlan` with, when
+    the probe passes, its stream as one CSR: row ``r`` holds its
+    elements in stream order, which the team loop also adds in (carries
+    included).
     """
 
-    __slots__ = ("_profiles", "_clocks")
+    __slots__ = ("core", "_profiles", "_clocks")
 
     def __init__(self, fmt, cfg):
         super().__init__(fmt, cfg)
+        self.core = None
+        if _fused_matvec_exact():
+            counts = np.bincount(self.rows, minlength=fmt.nrows)
+            self.core = _CSRCore(fmt.values, self.cols, _indptr(counts), fmt.ncols)
         self._start_memo()
 
     def derive(self, new_fmt) -> "FastMergePlan":
-        """Plan for a value-only rebuild: everything carries over."""
+        """Plan for a value-only rebuild: only the core's data change."""
         clone = object.__new__(FastMergePlan)
         clone.cfg, clone.cols, clone.rows = self.cfg, self.cols, self.rows
+        clone.core = None if self.core is None else self.core.refill(new_fmt.values)
         self._carry_memo(clone)
         return clone
 
@@ -264,14 +370,14 @@ class FastMergePlan(_Memo, MergePlan):
 class FastRowGroupPlan(_Memo, RowGroupPlan):
     """A cached :class:`~repro.kernels.row_grouped.RowGroupPlan`.
 
-    ``order`` lists the valid lane slots in CSR element order (row by
-    row, lane ascending); ``row_ids`` repeats each packed row's original
-    index per element.  ``np.bincount(row_ids, weights=prods[order])``
-    then folds every row's elements in lane order -- the exact addition
-    sequence of the faithful kernel's per-group lane loop.
+    ``slots`` lists the valid lane slots by original row, lane ascending
+    within a row, and ``rows`` gives each slot's row: each row's products
+    in lane order, the exact addition sequence of the faithful kernel's
+    per-group lane loop.  When the probe passes, one CSR over those slots
+    sums them; otherwise ``np.bincount(rows, ...)`` does.
     """
 
-    __slots__ = ("order", "row_ids", "_profiles", "_clocks")
+    __slots__ = ("slots", "rows", "core", "_profiles", "_clocks")
 
     def __init__(self, fmt, cfg):
         super().__init__(fmt, cfg)
@@ -288,44 +394,80 @@ class FastRowGroupPlan(_Memo, RowGroupPlan):
             )
             mask = fmt.row_lengths[r0:r1, None] > np.arange(w)[None, :]
             chunks.append(grid[mask])
-        self.order = (
+        order = (
             np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
         )
-        self.row_ids = np.repeat(fmt.row_perm, fmt.row_lengths)
+        # Packed rows hold each row's lanes in order; a stable sort by
+        # row keeps that order within each row.
+        row_ids = np.repeat(fmt.row_perm, fmt.row_lengths)
+        by_row = np.argsort(row_ids, kind="stable")
+        self.slots = order[by_row]
+        self.rows = row_ids[by_row]
+        self.core = None
+        if _fused_matvec_exact():
+            counts = np.bincount(self.rows, minlength=fmt.nrows)
+            self.core = _CSRCore(
+                fmt.values,
+                self.cols[self.slots],
+                _indptr(counts),
+                fmt.ncols,
+                slots=self.slots,
+            )
         self._start_memo()
 
     def derive(self, new_fmt) -> "FastRowGroupPlan":
-        """Plan for a value-only rebuild: everything carries over."""
+        """Plan for a value-only rebuild: only the core's data change."""
         clone = object.__new__(FastRowGroupPlan)
         clone.cfg, clone.cols, clone.mask = self.cfg, self.cols, self.mask
-        clone.order, clone.row_ids = self.order, self.row_ids
+        clone.slots, clone.rows = self.slots, self.rows
+        clone.core = None if self.core is None else self.core.refill(new_fmt.values)
         self._carry_memo(clone)
         return clone
 
 
+def _by_column(core, plan, fmt, X: np.ndarray) -> np.ndarray:
+    """A single-vector ``bincount`` core run on each column of ``X``."""
+    return np.stack([core(plan, fmt, X[:, j]) for j in range(X.shape[1])], axis=1)
+
+
 def _segment_sums(plan: FastPlan, X: np.ndarray) -> np.ndarray:
-    """Per-row-stop sums: the probe-gated fused CSR product for 1x1
-    blocks, else block products plus bincount segmented sums."""
-    if plan.fused is not None:
-        return (plan.fused @ X)[: plan.segplan.n_closed]
-    contribs = block_products(plan, X)
-    return batched_segment_sums(
-        contribs.reshape(plan.padded.nb_padded, -1), plan.segplan
-    )
+    """Per-row-stop sums, ``(n_stops, h)`` or ``(n_stops, h * k)``: the
+    CSR core, else block products plus ``bincount`` segmented sums."""
+    if plan.core is None:
+        contribs = block_products(plan, X)
+        return batched_segment_sums(
+            contribs.reshape(plan.padded.nb_padded, -1), plan.segplan
+        )
+    lanes = plan.height * (1 if X.ndim == 1 else X.shape[1])
+    return plan.core(X).reshape(-1, lanes)
 
 
-def _merge_sums(plan: FastMergePlan, fmt, x: np.ndarray) -> np.ndarray:
+def _merge_sums(plan: FastMergePlan, fmt, X: np.ndarray) -> np.ndarray:
     """Merge-path CSR as one pass: the team loop's products, added in
     stream order."""
-    prods = fmt.values * x[plan.cols]
+    if plan.core is not None:
+        return plan.core(X)
+    if X.ndim == 2:
+        return _by_column(_merge_sums, plan, fmt, X)
+    prods = fmt.values * X[plan.cols]
     return np.bincount(plan.rows, weights=prods, minlength=fmt.nrows)
 
 
-def _lane_sums(plan: FastRowGroupPlan, fmt, x: np.ndarray) -> np.ndarray:
-    """RG-CSR as one pass over the CSR-ordered lane stream."""
-    slots = plan.order
-    prods = fmt.values[slots] * x[plan.cols[slots]]
-    return np.bincount(plan.row_ids, weights=prods, minlength=fmt.nrows)
+def _lane_sums(plan: FastRowGroupPlan, fmt, X: np.ndarray) -> np.ndarray:
+    """RG-CSR as one pass over the row-ordered lane stream."""
+    if plan.core is not None:
+        return plan.core(X)
+    if X.ndim == 2:
+        return _by_column(_lane_sums, plan, fmt, X)
+    slots = plan.slots
+    prods = fmt.values[slots] * X[plan.cols[slots]]
+    return np.bincount(plan.rows, weights=prods, minlength=fmt.nrows)
+
+
+# Both cores sum a whole ``(ncols, k)`` block in one call; see
+# :meth:`repro.kernels.base.SpMVKernel._launch_columns`.
+_merge_sums.takes_block = True
+_lane_sums.takes_block = True
 
 
 class FastBackend(ExecutionBackend):

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import CircuitOpenError, DeadlineExceeded, ReproError
+from ..errors import ReproError
 
 __all__ = [
     "RetryPolicy",
@@ -164,16 +164,6 @@ class Deadline:
 
     def expired(self) -> bool:
         return self.remaining() <= 0.0
-
-    def check(self, label: str = "") -> None:
-        """Raise :class:`DeadlineExceeded` if the budget ran out."""
-        if self.expired():
-            what = f" during {label}" if label else ""
-            raise DeadlineExceeded(
-                f"wall-clock budget of {self.seconds:.3f}s exhausted{what}",
-                label=label or None,
-                budget_s=self.seconds,
-            )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if self.seconds is None:
@@ -311,16 +301,6 @@ class CircuitBreaker:
                 circuit.probe_claimed_at = self._clock()
                 self.probes += 1
             return True
-
-    def check(self, key: str) -> None:
-        """Raise :class:`CircuitOpenError` when ``allow`` would refuse."""
-        if not self.allow(key):
-            raise CircuitOpenError(
-                f"circuit for {key!r} is open "
-                f"(>= {self.failure_threshold} consecutive failures; "
-                f"probing again after {self.cooldown_s:.1f}s)",
-                family=key,
-            )
 
     def record_success(self, key: str) -> None:
         with self._lock:

@@ -42,7 +42,7 @@ from .bitflags import (
 from .blocking import BlockLayout, blocks_to_coo_arrays, extract_blocks
 from .delta import DeltaColumns, compress_columns, decompress_columns
 
-__all__ = ["BCCOOMatrix", "COL_STORAGE_MODES", "counted_footprint"]
+__all__ = ["BCCOOMatrix", "COL_STORAGE_MODES", "block_dots", "counted_footprint"]
 
 #: Valid column-index storage modes.
 COL_STORAGE_MODES = ("auto", "int32", "ushort", "delta")
@@ -75,6 +75,32 @@ def _auto_col_storage(
     p = compress_columns(probe, tile).fallback_fraction
     touched = 1.0 - (1.0 - min(p, 1.0)) ** 32
     return "delta" if 2.0 + 4.0 * touched < 4.0 else "int32"
+
+
+def block_dots(values: np.ndarray, xg: np.ndarray) -> np.ndarray:
+    """Each block's dot products, in the kernel's order.
+
+    ``values`` is ``(nb, h, w)`` and ``xg`` the vector elements each
+    block reads, ``(nb, w)`` or ``(nb, w, k)``.  Lane ``l`` of block
+    ``b`` (and column ``c``) is one thread's sequential sum ``s = 0.0;
+    for j in range(w): s += values[b, l, j] * xg[b, j(, c)]``, so SpMV
+    and every SpMM column add in one order.  ``np.einsum`` does not
+    guarantee that: at ``w = 4`` its vector form computes
+    ``(p0 + p2) + (p1 + p3)``.  Returns ``(nb, h)`` or ``(nb, h, k)``.
+    """
+    if xg.ndim == 2:
+        def term(j):
+            return values[:, :, j] * xg[:, None, j]
+    else:
+        def term(j):
+            # An outer product per block: one multiply per element, no
+            # reduction, and faster than the broadcast form.
+            return np.einsum("bh,bk->bhk", values[:, :, j], xg[:, j, :])
+    out = term(0)
+    out += 0.0  # the sum starts from +0: a -0 first product becomes +0
+    for j in range(1, values.shape[2]):
+        out += term(j)
+    return out
 
 
 def _delta_tile(nblocks_padded: int, delta_tile_size: int) -> int:
@@ -590,7 +616,7 @@ class BCCOOMatrix(SparseFormat):
                 cidx = base_c + j
                 valid = cidx < self.ncols
                 xg[valid, j] = x[cidx[valid]]
-            contrib = np.einsum("bhw,bw->bh", self.values[:nb], xg)
+            contrib = block_dots(self.values[:nb], xg)
             np.add.at(y.reshape(-1, h), self.block_rows().astype(np.intp), contrib)
         return y[: self.nrows]
 

@@ -234,6 +234,11 @@ class SpMVKernel(abc.ABC):
         """SpMM as one ``_launch`` per column, for kernels whose format has
         no batched dataflow; the cost profiles chain as sequential
         launches.  ``self`` provides ``_launch`` and ``max_batch_width``.
+
+        A summation core marked ``takes_block`` sums every column in one
+        call on one plan; the profile chain is the same ``k`` launches.
+        Any other core runs once per column on that column's own plan,
+        so fault hooks fire per launch.
         """
         if X.shape[0] != fmt.ncols:
             raise KernelConfigError(
@@ -245,6 +250,13 @@ class SpMVKernel(abc.ABC):
             raise KernelConfigError(
                 f"batch width {k} exceeds device limit {limit}"
             )
+        if getattr(sums, "takes_block", False):
+            plan = plan_for(fmt, config)
+            one = plan.stats(fmt, device)
+            stats = one
+            for _ in range(k - 1):
+                stats = stats.sequential(one)
+            return KernelResult(y=sums(plan, fmt, X), stats=stats)
         Y = np.empty((fmt.nrows, k), dtype=np.float64)
         stats = None
         for j in range(k):

@@ -43,7 +43,7 @@ import numpy as np
 
 from ..errors import KernelConfigError, ValidationError
 from ..fault.injection import FaultEvent, active_plan
-from ..formats.bccoo import BCCOOMatrix
+from ..formats.bccoo import BCCOOMatrix, block_dots
 from ..formats.bccoo_plus import BCCOOPlusMatrix
 from ..gpu.adjacent_sync import (
     SPIN_WATCHDOG_CAP,
@@ -328,14 +328,15 @@ def block_products(plan: LaunchPlan, X: np.ndarray) -> np.ndarray:
     """Per-block partial dot products: ``(nb_padded, h)`` for a vector,
     ``(nb_padded, h, k)`` for a ``(ncols, k)`` block.
 
-    Out-of-range gather slots (right-edge and padding blocks) read a
-    zero, matching a padded device buffer.
+    Each is one thread's sequential sum from +0 over ``j = 0..w-1``
+    (:func:`~repro.formats.bccoo.block_dots`), so an SpMM column adds in
+    the SpMV's order.  Out-of-range gather slots (right-edge and padding
+    blocks) read a zero, matching a padded device buffer.
     """
     xg = X[plan.safe]
     if plan.invalid is not None:
         xg[plan.invalid] = 0.0
-    spec = "bhw,bw->bh" if X.ndim == 1 else "bhw,bwk->bhk"
-    return np.einsum(spec, plan.padded.values, xg)
+    return block_dots(plan.padded.values, xg)
 
 
 def _reference_sums(plan: LaunchPlan, X: np.ndarray) -> np.ndarray:

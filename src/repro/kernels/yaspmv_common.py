@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..fault.injection import active_plan
-from ..formats.bccoo import BCCOOMatrix
+from ..formats.bccoo import BCCOOMatrix, block_dots
 from ..gpu.caches import PaddedReads
 from ..util import round_up
 from .config import YaSpMVConfig
@@ -207,7 +207,8 @@ def block_contributions(
     -------
     contribs:
         ``(nb_padded, h)``: block ``b`` row ``r`` holds
-        ``sum_j values[b, r, j] * x[col[b] * w + j]``.
+        ``sum_j values[b, r, j] * x[col[b] * w + j]``, added from +0 over
+        ``j = 0..w-1`` (:func:`~repro.formats.bccoo.block_dots`).
     gather_indices:
         The flat stream of vector element indices the kernel reads, in
         block order -- input to the cache/coalescing models.  Out-of-range
@@ -219,7 +220,7 @@ def block_contributions(
     safe, valid = gather_map(padded.cols, fmt.block_width, fmt.ncols)
     xg = np.asarray(x, dtype=np.float64)[safe]
     xg[~valid] = 0.0
-    contribs = np.einsum("bhw,bw->bh", padded.values, xg)
+    contribs = block_dots(padded.values, xg)
     plan = active_plan()
     if plan is not None:
         contribs = plan.perturb_partials(contribs)

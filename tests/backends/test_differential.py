@@ -18,6 +18,7 @@ from scipy import sparse
 
 from repro import Observer, SpMVEngine
 from repro.backends import FaithfulBackend, FastBackend, get_backend
+from repro.backends import fast as fast_backend
 from repro.errors import KernelConfigError, ReproError, ValidationError
 from repro.fault import FaultPlan
 from repro.fault.injection import fault_scope
@@ -160,6 +161,98 @@ class TestBitIdentity:
         rf = get_backend("faithful").execute(prepared.fmt, x, DEVICE, prepared.config)
         rv = get_backend("fast").execute(prepared.fmt, x, DEVICE, prepared.config)
         assert np.array_equal(rf.y, rv.y)
+
+
+#: One point per summation-core shape: 1x1, h x 1 (one pass), w > 1 (two
+#: passes), BCCOO+, merge-path CSR and RG-CSR.
+CORE_POINTS = [
+    pytest.param(TuningPoint(), id="1x1"),
+    pytest.param(TuningPoint(block_height=2), id="2x1"),
+    pytest.param(TuningPoint(block_height=2, block_width=2), id="2x2"),
+    pytest.param(TuningPoint(block_width=4), id="1x4"),
+    pytest.param(TuningPoint(block_width=2, slice_count=2), id="bccoo+"),
+    pytest.param(TuningPoint(base_format="merge_csr"), id="merge_csr"),
+    pytest.param(TuningPoint(base_format="rgcsr"), id="rgcsr"),
+]
+
+
+def _cached_plans(fmt):
+    """The fast backend's cached plans of ``fmt`` (BCCOO+ runs its
+    stacked matrix)."""
+    per_fmt = get_backend("fast")._plans.get(getattr(fmt, "stacked", fmt), {})
+    return list(per_fmt.values())
+
+
+def _both_backends(prepared, X):
+    faithful, fast = get_backend("faithful"), get_backend("fast")
+    fmt, cfg = prepared.fmt, prepared.config
+    if X.ndim == 1:
+        return (faithful.execute(fmt, X, DEVICE, cfg),
+                fast.execute(fmt, X, DEVICE, cfg))
+    return (faithful.execute_multi(fmt, X, DEVICE, cfg),
+            fast.execute_multi(fmt, X, DEVICE, cfg))
+
+
+class TestSummationCores:
+    """``fast`` sums with exact SciPy CSR passes when the probe passes and
+    with the ``bincount`` pipeline when it fails; both equal
+    ``faithful``, and a lost fast path fails here, not only in a timing."""
+
+    @pytest.mark.parametrize("k", [None, 3], ids=["spmv", "spmm3"])
+    @pytest.mark.parametrize("point", CORE_POINTS)
+    def test_csr_cores_cached_and_exact(self, point, k):
+        if not fast_backend._fused_matvec_exact():
+            pytest.skip("this SciPy build's CSR matvec is not exact")
+        rng = np.random.default_rng(17)
+        engine = SpMVEngine(device=DEVICE)
+        for name, A in _matrices(rng).items():
+            prepared = engine.prepare(A, point=point)
+            X = rng.standard_normal(A.shape[1] if k is None else (A.shape[1], k))
+            rf, rv = _both_backends(prepared, X)
+            assert np.array_equal(rf.y, rv.y), name
+            _assert_stats_equal(rf.stats, rv.stats)
+            plans = _cached_plans(prepared.fmt)
+            assert plans and all(p.core is not None for p in plans), name
+            two_pass = getattr(prepared.fmt, "block_width", 1) > 1
+            assert all((p.core.second is not None) == two_pass for p in plans)
+
+    @pytest.mark.parametrize("k", [None, 3], ids=["spmv", "spmm3"])
+    @pytest.mark.parametrize("point", CORE_POINTS)
+    def test_bincount_fallback_exact(self, monkeypatch, point, k):
+        # Plans of freshly built formats take the probe's verdict.
+        monkeypatch.setattr(fast_backend, "_FUSED_EXACT", False)
+        rng = np.random.default_rng(19)
+        engine = SpMVEngine(device=DEVICE)
+        for name, A in _matrices(rng).items():
+            prepared = engine.prepare(A, point=point)
+            X = rng.standard_normal(A.shape[1] if k is None else (A.shape[1], k))
+            rf, rv = _both_backends(prepared, X)
+            assert np.array_equal(rf.y, rv.y), name
+            _assert_stats_equal(rf.stats, rv.stats)
+            plans = _cached_plans(prepared.fmt)
+            assert plans and all(p.core is None for p in plans), name
+
+    @pytest.mark.parametrize("k", [None, 3], ids=["spmv", "spmm3"])
+    @pytest.mark.parametrize("point", CORE_POINTS)
+    def test_special_values_exact(self, point, k):
+        # Overflowing products, +-inf and NaN in x, signed zeros and
+        # subnormals: a zero inside a block must still meet an inf (NaN),
+        # and no core may reassociate.
+        rng = np.random.default_rng(23)
+        A = sparse.random(70, 90, density=0.12, random_state=5, format="csr")
+        A.data = A.data * np.exp(rng.uniform(-700, 690, A.nnz))
+        prepared = SpMVEngine(device=DEVICE).prepare(A, point=point)
+        shape = 90 if k is None else (90, k)
+        X = rng.standard_normal(shape) * np.exp(rng.uniform(-700, 700, shape))
+        flat = X.reshape(-1)
+        picks = rng.choice(flat.size, size=flat.size // 4, replace=False)
+        flat[picks] = rng.choice(
+            [0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan], size=picks.size
+        )
+        with np.errstate(all="ignore"):
+            rf, rv = _both_backends(prepared, X)
+        assert np.isnan(rf.y).any()
+        assert np.array_equal(rf.y, rv.y, equal_nan=True)
 
 
 class TestFaultDelegation:

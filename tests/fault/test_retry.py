@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.errors import CircuitOpenError, DeadlineExceeded, ReproError
+from repro.errors import ReproError
 from repro.fault import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
@@ -74,7 +74,6 @@ class TestDeadline:
         d = Deadline(None)
         assert d.remaining() == math.inf
         assert not d.expired()
-        d.check("anything")  # no raise
 
     def test_expiry_with_fake_clock(self):
         clock = FakeClock()
@@ -84,10 +83,6 @@ class TestDeadline:
         assert not d.expired()
         clock.advance(1.5)
         assert d.expired()
-        with pytest.raises(DeadlineExceeded) as exc:
-            d.check("tuning")
-        assert exc.value.budget_s == 5.0
-        assert exc.value.label == "tuning"
 
     def test_coerce(self):
         d = Deadline(1.0)
@@ -155,13 +150,6 @@ class TestCircuitBreaker:
         assert not br.allow("a")
         assert br.allow("b")
         assert br.snapshot() == {"a": BREAKER_OPEN, "b": BREAKER_CLOSED}
-
-    def test_check_raises_typed_error(self):
-        br, _ = self.make(threshold=1)
-        br.record_failure("bell")
-        with pytest.raises(CircuitOpenError) as exc:
-            br.check("bell")
-        assert exc.value.family == "bell"
 
     def test_state_value_encoding(self):
         br, clock = self.make(threshold=1, cooldown=5.0)

@@ -24,14 +24,21 @@ class TestNumerics:
         res = KERNEL.run_multi(fmt, X, GTX680, config=SMALL)
         np.testing.assert_allclose(res.y, A @ X, atol=1e-9)
 
-    def test_matches_column_by_column(self, random_matrix, rng):
-        A = random_matrix()
+    @pytest.mark.parametrize(
+        "h, w", [(1, 1), (2, 1), (2, 2), (1, 4), (4, 4)],
+        ids=["1x1", "2x1", "2x2", "1x4", "4x4"],
+    )
+    def test_matches_column_by_column(self, h, w, random_matrix, rng):
+        # Each block's products add in one order for a vector and for a
+        # block, so every column is the SpMV of that column, bit for bit.
+        # Dense enough that a width-4 block row holds several products.
+        A = random_matrix(density=0.4)
         X = rng.standard_normal((A.shape[1], 5))
-        fmt = BCCOOMatrix.from_scipy(A)
+        fmt = BCCOOMatrix.from_scipy(A, block_height=h, block_width=w)
         multi = KERNEL.run_multi(fmt, X, GTX680, config=SMALL).y
         for j in range(5):
             single = KERNEL.run(fmt, X[:, j], GTX680, config=SMALL).y
-            np.testing.assert_allclose(multi[:, j], single, atol=1e-12)
+            assert np.array_equal(multi[:, j], single)
 
     def test_bccoo_plus(self, random_matrix, rng):
         A = random_matrix(nrows=50, ncols=120, density=0.1)

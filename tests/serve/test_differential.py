@@ -42,7 +42,7 @@ def batch_vs_sequential(engine: SpMVEngine, prepared, xs) -> None:
 
 
 #: The format/strategy grid: both formats, both compute strategies,
-#: both scan modes, both cross-workgroup schemes.
+#: both scan modes, both cross-workgroup schemes, block widths 1 to 4.
 POINTS = {
     "bccoo-s1-matrix": TuningPoint(block_height=2, block_width=2).with_kernel(
         strategy=1, scan_mode="matrix"
@@ -65,6 +65,11 @@ POINTS = {
     "bccoo+-s2-tree": TuningPoint(
         block_height=1, block_width=1, slice_count=2
     ).with_kernel(strategy=2, scan_mode="tree"),
+    # Width 4: an SpMM column and the SpMV add each block's products in
+    # one order.
+    "bccoo-1x4": TuningPoint(block_height=1, block_width=4),
+    "bccoo-2x4": TuningPoint(block_height=2, block_width=4),
+    "bccoo+-2x4": TuningPoint(block_height=2, block_width=4, slice_count=2),
 }
 
 
