@@ -40,7 +40,7 @@ from ..gpu.device import DeviceSpec, get_device
 from ..gpu.timing import TimingBreakdown, TimingModel
 from ..kernels.base import get_kernel
 from ..kernels.config import YaSpMVConfig
-from ..obs import NULL_OBSERVER, obs_scope
+from ..obs import NULL_OBSERVER, active_observer, obs_scope
 from ..obs.stages import StageClock, stage, stage_scope
 from ..tuning.cache import KernelPlanCache, build_format
 from ..tuning.persistence import TuningStore
@@ -619,27 +619,26 @@ class SpMVEngine:
         if not isinstance(prepared, PreparedMatrix):
             prepared = self.prepare(prepared)
         obs = self.observer
-        with obs_scope(obs), obs.span(
-            "engine.multiply",
-            nnz=prepared.nnz,
-            resilient=self._resilient,
-            backend=self._backend.name,
-        ) as sp:
-            if not self._resilient:
-                result = self._backend.execute(
-                    prepared.fmt, x, self.device, prepared.config
-                )
-                breakdown = self._clock(result)
-                out = SpMVResult(
-                    y=result.y,
-                    stats=result.stats,
-                    breakdown=breakdown,
-                    nnz=prepared.nnz,
-                )
-            else:
-                out = self._multiply_resilient(prepared, x)
-            self._observe_result(sp, out)
-            return out
+        if obs.enabled:
+            with obs_scope(obs), obs.span(
+                "engine.multiply",
+                nnz=prepared.nnz,
+                resilient=self._resilient,
+                backend=self._backend.name,
+            ) as sp:
+                out = self._multiply_vector(prepared, x)
+                self._observe_result(sp, out)
+                return out
+        if active_observer() is obs:  # already ambient: nothing to install
+            return self._multiply_vector(prepared, x)
+        with obs_scope(obs):
+            return self._multiply_vector(prepared, x)
+
+    def _multiply_vector(self, prepared: PreparedMatrix, x) -> SpMVResult:
+        if self._resilient:
+            return self._multiply_resilient(prepared, x)
+        result = self._backend.execute(prepared.fmt, x, self.device, prepared.config)
+        return self._result(result, prepared.nnz)
 
     # ------------------------------------------------------------------ #
     # Resilience layer
@@ -947,28 +946,29 @@ class SpMVEngine:
             prepared = self.prepare(prepared)
         X = self._coerce_rhs(X)
         obs = self.observer
-        with obs_scope(obs), obs.span(
-            "engine.multiply_many",
-            nnz=prepared.nnz,
-            n_rhs=int(np.asarray(X).shape[1]) if np.asarray(X).ndim == 2 else 1,
-            resilient=self._resilient,
-            backend=self._backend.name,
-        ) as sp:
-            if not self._resilient:
-                result = self._backend.execute_multi(
-                    prepared.fmt, X, self.device, prepared.config
-                )
-                breakdown = self._clock(result)
-                out = SpMVResult(
-                    y=result.y,
-                    stats=result.stats,
-                    breakdown=breakdown,
-                    nnz=prepared.nnz * int(np.asarray(X).shape[1]),
-                )
-            else:
-                out = self._multiply_resilient(prepared, X)
-            self._observe_result(sp, out)
-            return out
+        if obs.enabled:
+            with obs_scope(obs), obs.span(
+                "engine.multiply_many",
+                nnz=prepared.nnz,
+                n_rhs=X.shape[1] if X.ndim == 2 else 1,
+                resilient=self._resilient,
+                backend=self._backend.name,
+            ) as sp:
+                out = self._multiply_block(prepared, X)
+                self._observe_result(sp, out)
+                return out
+        if active_observer() is obs:  # already ambient: nothing to install
+            return self._multiply_block(prepared, X)
+        with obs_scope(obs):
+            return self._multiply_block(prepared, X)
+
+    def _multiply_block(self, prepared: PreparedMatrix, X: np.ndarray) -> SpMVResult:
+        if self._resilient:
+            return self._multiply_resilient(prepared, X)
+        result = self._backend.execute_multi(
+            prepared.fmt, X, self.device, prepared.config
+        )
+        return self._result(result, prepared.nnz * int(X.shape[1]))
 
     def update_values(
         self, prepared: PreparedMatrix, new_values
@@ -1070,9 +1070,13 @@ class SpMVEngine:
         fmt = prepared.fmt
         return kernel_for(fmt).max_batch_width(fmt, self.device, prepared.config)
 
+    def _result(self, result, nnz: int) -> SpMVResult:
+        """The :class:`SpMVResult` of one tuned launch's result."""
+        return SpMVResult(result.y, result.stats, self._clock(result), nnz)
+
     def _clock(self, result) -> TimingBreakdown:
         """The simulated clock of one launch: the one its result carries
-        (a ``fast`` plan's memoized breakdown), else estimated here."""
+        (a ``fast`` bound launch's breakdown), else estimated here."""
         if result.breakdown is not None:
             return result.breakdown
         return self._timing.estimate(result.stats)

@@ -23,7 +23,9 @@ Design:
 * Instrumented code (``kernels.yaspmv_common``, ``kernels.yaspmv``)
   consults :func:`active_plan`; with no plan installed every hook is a
   no-op and the hot path is byte-for-byte the un-instrumented
-  computation.
+  computation.  The active plan is per thread: a plan installed by
+  :func:`fault_scope` on one thread never reaches kernels running on
+  another.
 
 Injection never mutates a format instance: perturbations apply to the
 *decoded copies* a kernel launch reads, exactly like a corrupted device
@@ -32,9 +34,9 @@ buffer would.
 
 from __future__ import annotations
 
-import contextlib
+import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -487,25 +489,40 @@ class FaultPlan:
 # Active-plan scope
 # ---------------------------------------------------------------------- #
 
-_ACTIVE: FaultPlan | None = None
+class _Active(threading.local):
+    """This thread's active fault plan; none until a scope installs one."""
+
+    plan: FaultPlan | None = None
+
+
+_ACTIVE = _Active()
 
 
 def active_plan() -> FaultPlan | None:
-    """The plan installed by the innermost :func:`fault_scope`, if any."""
-    return _ACTIVE
+    """This thread's plan, installed by the innermost :func:`fault_scope`,
+    if any."""
+    return _ACTIVE.plan
 
 
-@contextlib.contextmanager
-def fault_scope(plan: FaultPlan | None) -> Iterator[FaultPlan | None]:
-    """Install ``plan`` as the active fault plan for the dynamic extent.
+class fault_scope:
+    """Install ``plan`` as this thread's active fault plan for the
+    dynamic extent of a ``with`` block, which binds the plan.
 
-    ``fault_scope(None)`` is an explicit no-op scope, letting callers
-    write one code path for both injected and clean runs.
+    ``fault_scope(None)`` is an explicit clean scope: no plan is active
+    inside it, letting callers write one code path for both injected and
+    clean runs.
     """
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = plan
-    try:
-        yield plan
-    finally:
-        _ACTIVE = previous
+
+    __slots__ = ("_plan", "_previous")
+
+    def __init__(self, plan: FaultPlan | None):
+        self._plan = plan
+
+    def __enter__(self) -> FaultPlan | None:
+        self._previous = _ACTIVE.plan
+        _ACTIVE.plan = self._plan
+        return self._plan
+
+    def __exit__(self, *exc) -> bool:
+        _ACTIVE.plan = self._previous
+        return False

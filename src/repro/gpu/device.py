@@ -130,6 +130,14 @@ class DeviceSpec:
         """Copy with selected fields replaced (for what-if studies)."""
         return replace(self, **kw)
 
+    def __hash__(self) -> int:
+        # Equal specs share a name, so hashing the name alone agrees
+        # with equality; a ``with_overrides`` copy that keeps the name
+        # hashes alike and still compares unequal.  Memos keyed by a
+        # device look it up on every launch, and the generated hash
+        # walks all the fields.
+        return hash(self.name)
+
 
 GTX480 = DeviceSpec(
     name="gtx480",

@@ -28,7 +28,7 @@ from ..gpu.counters import KernelStats
 from ..gpu.device import DeviceSpec
 from ..gpu.memory import stream_bytes
 from ..util import ceil_div
-from .base import KernelResult, SpMVKernel, register_kernel
+from .base import BoundLaunch, KernelResult, SpMVKernel, register_kernel
 from .config import YaSpMVConfig
 
 __all__ = ["RowGroupPlan", "RowGroupedKernel", "row_grouped_stats"]
@@ -216,29 +216,20 @@ class RowGroupedKernel(SpMVKernel):
         per_col_regs = max(cfg.value_bytes // 4, 1)
         return max(1, device.max_registers_per_thread // (2 * per_col_regs))
 
-    def _launch(
+    def _bind(
         self,
         fmt,
-        x: np.ndarray,
         device: DeviceSpec,
         cfg: YaSpMVConfig,
         plan_for,
         sums,
-    ) -> KernelResult:
-        """One row-grouped launch (a 2-D ``x`` runs one per column).
+        k: int | None = None,
+    ) -> BoundLaunch:
+        """Bind one launch: a vector when ``k`` is ``None``, else a block
+        of ``k`` columns summed by a core marked ``takes_block``.
 
-        ``plan_for(fmt, cfg)`` returns the :class:`RowGroupPlan` and
-        ``sums(plan, fmt, x)`` the result vector; ``sums=None`` and
-        ``x=None`` make the launch profile-only (``y`` is ``None``).
+        ``plan_for(fmt, cfg)`` returns the plan and ``sums(plan, fmt, x)``
+        the result the launch applies.
         """
         fmt = self._expect(fmt, RGCSRMatrix)
-        self._check_workgroup(cfg.workgroup_size, device)
-        if x is not None and x.ndim == 2:
-            return self._launch_columns(fmt, x, device, cfg, plan_for, sums)
-        if x is not None and x.shape[0] != fmt.ncols:
-            raise KernelConfigError(
-                f"vector length {x.shape[0]} != matrix columns {fmt.ncols}"
-            )
-        plan = plan_for(fmt, cfg)
-        y = None if sums is None else sums(plan, fmt, x)
-        return KernelResult(y=y, stats=plan.stats(fmt, device))
+        return self._bind_rows(fmt, device, cfg, plan_for, sums, k)

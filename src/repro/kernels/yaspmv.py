@@ -1,11 +1,15 @@
 """The yaSpMV kernel: single-launch BCCOO SpMV with matrix-based
 segmented sum/scan (paper section 3), and its SpMM extension.
 
-:meth:`YaSpMVKernel._launch` is the one launch both execution backends
-run: the configuration and resource checks, the row-stop-count
-invariant, the BCCOO+ slice fold (Figure 5), the scatter of per-stop
-sums into ``y`` (none when no block row is empty) and the cost profile.
-Its caller supplies the two parts that differ between backends:
+:meth:`YaSpMVKernel._bind` and :class:`BlockLaunch` are the one launch
+both execution backends run.  The bind makes the configuration and
+resource checks, builds the plan, checks the row-stop-count invariant
+on the plan's stops, computes the cost profile and fixes the layout of
+``y``; the BCCOO+ slice fold (Figure 5) wraps the stacked matrix's
+launch in a :class:`SliceFold`.  The apply checks the operand's length,
+runs the summation core and writes the per-stop sums as ``y`` (by
+reshape when no block row is empty, else by scatter).  The caller
+supplies the two parts that differ between backends:
 
 * the *plan* -- a :class:`LaunchPlan`, the x-independent state (padded
   arrays, vector gather map, cost profile).  ``faithful`` builds one per
@@ -59,11 +63,18 @@ from ..obs import active_observer
 from ..obs.stages import stage
 from ..scan.reference import segment_sums_by_stops
 from ..util import ceil_div, round_up
-from .base import KernelResult, SpMVKernel, register_kernel
+from .base import BoundLaunch, KernelResult, SpMVKernel, register_kernel
 from .config import YaSpMVConfig
 from .yaspmv_common import FormatProfile, gather_map, prepare
 
-__all__ = ["LaunchPlan", "ProfilePlan", "YaSpMVKernel", "block_products"]
+__all__ = [
+    "BlockLaunch",
+    "LaunchPlan",
+    "ProfilePlan",
+    "SliceFold",
+    "YaSpMVKernel",
+    "block_products",
+]
 
 #: Value/index element sizes for bandwidth accounting (fp32 device data).
 _VAL_B = 4
@@ -362,6 +373,75 @@ def _reference_sums(plan: LaunchPlan, X: np.ndarray) -> np.ndarray:
     )
 
 
+# Sums a whole ``(ncols, k)`` block in one call; see
+# :meth:`repro.kernels.base.SpMVKernel._launch`.
+_reference_sums.takes_block = True
+
+
+class BlockLaunch(BoundLaunch):
+    """A bound BCCOO launch.
+
+    ``apply`` sums per row stop -- ``(n_stops, h)`` or
+    ``(n_stops, h * k)``, or any shape holding those sums in C order --
+    and lays the sums out as ``y``: a reshape when every block row holds
+    a stop (``rows`` is ``None``: the row map is the identity), else a
+    scatter of the stops' rows into zeros.  ``trim`` is the matrix's row
+    count when the last block row overhangs it, else ``None``.
+    """
+
+    __slots__ = ("ncols", "height", "rows", "n_block_rows", "trim")
+
+    def __init__(self, plan, sums, stats: KernelStats, fmt: BCCOOMatrix):
+        super().__init__(plan, sums, stats)
+        self.ncols = fmt.ncols
+        self.height = fmt.block_height
+        self.rows = fmt.nonempty_block_rows if fmt.has_empty_block_rows else None
+        self.n_block_rows = fmt.n_block_rows
+        overhang = self.n_block_rows * self.height > fmt.nrows
+        self.trim = fmt.nrows if overhang else None
+
+    def apply(self, fmt, X: np.ndarray) -> KernelResult:
+        if X.shape[0] != self.ncols:
+            raise KernelConfigError(
+                f"vector length {X.shape[0]} != matrix columns {self.ncols}"
+                if X.ndim == 1
+                else f"X has {X.shape[0]} rows, matrix has {self.ncols} columns"
+            )
+        per_stop = self.sums(self.plan, X)
+        lanes = X.shape[1:]
+        rows = self.rows
+        if rows is None:
+            # Every block row holds a stop: the sums are already ``y``,
+            # row for row.
+            y = per_stop.reshape((-1,) + lanes)
+        else:
+            h = self.height
+            y = np.zeros((self.n_block_rows * h,) + lanes, dtype=np.float64)
+            if rows.shape[0]:
+                y.reshape((-1, h) + lanes)[rows] = per_stop.reshape((-1, h) + lanes)
+        if self.trim is not None:
+            y = y[: self.trim]
+        return KernelResult(y, self.stats, self.clock)
+
+
+class SliceFold(BoundLaunch):
+    """A bound BCCOO+ launch: the stacked matrix's launch, then the
+    slice-combine kernel (Figure 5).  The combine profile is folded into
+    the stacked launch's on every launch, so the result carries no
+    clock."""
+
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: BoundLaunch, combine: KernelStats):
+        super().__init__(inner.plan, inner.sums, inner.stats.sequential(combine))
+        self.inner = inner
+
+    def apply(self, fmt, X: np.ndarray) -> KernelResult:
+        # The stacked result covers the stacked rows; fold the slices.
+        stacked = self.inner.apply(fmt.stacked, X)
+        return KernelResult(fmt.combine(stacked.y), self.stats)
+
+
 @register_kernel
 class YaSpMVKernel(SpMVKernel):
     """Single-kernel BCCOO/BCCOO+ SpMV (the paper's contribution) and
@@ -437,77 +517,54 @@ class YaSpMVKernel(SpMVKernel):
     # The launch
     # ------------------------------------------------------------------ #
 
-    def _launch(
+    def _bind(
         self,
         fmt,
-        X: np.ndarray,
         device: DeviceSpec,
         cfg: YaSpMVConfig,
         plan_for,
         sums,
-    ) -> KernelResult:
-        """One BCCOO/BCCOO+ launch for a vector (1-D ``X``, SpMV) or a
-        ``(ncols, k)`` block (SpMM).
+        k: int | None = None,
+    ) -> BoundLaunch:
+        """Bind one BCCOO/BCCOO+ launch for a vector (``k`` is ``None``,
+        SpMV) or a ``(ncols, k)`` block (SpMM).
 
-        ``plan_for(fmt, cfg)`` returns the :class:`LaunchPlan` and
-        ``sums(plan, X)`` the per-row-stop sums, ``(n_stops, h)`` or
-        ``(n_stops, h * k)``; every other step happens here.  With
-        ``sums=None`` and ``X=None`` the launch is profile-only: every
-        check runs and the plan is built, but ``y`` is ``None``.
+        ``plan_for(fmt, cfg)`` returns the :class:`LaunchPlan` (or
+        :class:`ProfilePlan`) and ``sums(plan, X)`` the per-row-stop sums
+        the launch applies.
         """
         if isinstance(fmt, BCCOOPlusMatrix):
-            inner = self._launch(fmt.stacked, X, device, cfg, plan_for, sums)
-            # inner.y covers the stacked rows; fold slices (Figure 5).
-            k = X.shape[1] if X is not None and X.ndim == 2 else 1
-            combine = self._combine_stats(fmt, device, k)
-            return KernelResult(
-                y=None if sums is None else fmt.combine(inner.y),
-                stats=inner.stats.sequential(combine),
-            )
+            inner = self._bind(fmt.stacked, device, cfg, plan_for, sums, k)
+            return self._fold(fmt, inner, device, k)
         if not isinstance(fmt, BCCOOMatrix):
             raise KernelConfigError(
                 f"yaspmv kernel needs a BCCOO/BCCOO+ matrix, got {type(fmt).__name__}"
             )
         self._check_workgroup(cfg.workgroup_size, device)
         self._check_resources(fmt, device, cfg)
-        if X is not None and X.shape[0] != fmt.ncols:
-            raise KernelConfigError(
-                f"vector length {X.shape[0]} != matrix columns {fmt.ncols}"
-                if X.ndim == 1
-                else f"X has {X.shape[0]} rows, matrix has {fmt.ncols} columns"
-            )
         plan = plan_for(fmt, cfg)
-        if X is None or X.ndim == 1:
+        if k is None:
             stats = plan.stats(fmt, device)
         else:
-            stats = plan.multi_stats(fmt, device, X.shape[1])
-        # The sums hold one row per stop flag, so a profile-only launch
-        # counts the flags instead.
-        per_stop = None if sums is None else sums(plan, X)
-        n_stops = plan.n_stops if per_stop is None else per_stop.shape[0]
+            stats = plan.multi_stats(fmt, device, k)
         # Runtime invariant: the stop count carried by the bit flags must
         # equal the non-empty-row map -- the compression is unreadable
-        # otherwise (a flipped flag word lands here).
-        rows = fmt.nonempty_block_rows
-        if n_stops != rows.shape[0]:
+        # otherwise (a flipped flag word lands here).  The sums hold one
+        # row per stop flag.
+        n_rows = fmt.nonempty_block_rows.shape[0]
+        if plan.n_stops != n_rows:
             raise ValidationError(
-                f"bit flags encode {n_stops} row stops but the "
-                f"row map holds {rows.shape[0]}",
+                f"bit flags encode {plan.n_stops} row stops but the "
+                f"row map holds {n_rows}",
                 check="row_stop_count",
             )
-        if per_stop is None:
-            return KernelResult(y=None, stats=stats)
-        h = fmt.block_height
-        lanes = X.shape[1:]
-        if not fmt.has_empty_block_rows:
-            # Every block row holds a stop, so the row map is the
-            # identity: the sums are already ``y``, row for row.
-            y = per_stop.reshape((-1,) + lanes)
-        else:
-            y = np.zeros((fmt.n_block_rows * h,) + lanes, dtype=np.float64)
-            if rows.shape[0]:
-                y.reshape((-1, h) + lanes)[rows] = per_stop.reshape((-1, h) + lanes)
-        return KernelResult(y=y[: fmt.nrows], stats=stats)
+        return BlockLaunch(plan, sums, stats, fmt)
+
+    def _fold(
+        self, fmt: BCCOOPlusMatrix, inner: BoundLaunch, device: DeviceSpec, k
+    ) -> SliceFold:
+        """The BCCOO+ launch over ``inner``, its stacked matrix's launch."""
+        return SliceFold(inner, self._combine_stats(fmt, device, k or 1))
 
     # ------------------------------------------------------------------ #
     # Cost model

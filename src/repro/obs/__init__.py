@@ -21,13 +21,14 @@ Usage::
 Library code that cannot be handed an observer (kernels, the timing
 model) reads the ambient one via :func:`active_observer`; the engine
 installs its observer with :func:`obs_scope` around every public entry
-point, mirroring :func:`repro.fault.injection.fault_scope`.
+point, mirroring :func:`repro.fault.injection.fault_scope`.  The ambient
+observer is per thread: a scope entered on one thread is invisible on
+every other.
 """
 
 from __future__ import annotations
 
-import contextlib
-from typing import Iterator
+import threading
 
 from .export import console_report, dump_jsonl, load_jsonl, prometheus_text, write_jsonl
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -154,26 +155,42 @@ class NullObserver:
 #: Shared do-nothing observer (stateless, safe to reuse everywhere).
 NULL_OBSERVER = NullObserver()
 
-_ACTIVE: Observer | NullObserver = NULL_OBSERVER
+class _Ambient(threading.local):
+    """This thread's ambient observer; the null observer until a scope
+    installs another."""
+
+    observer: Observer | NullObserver = NULL_OBSERVER
+
+
+_AMBIENT = _Ambient()
 
 
 def active_observer() -> Observer | NullObserver:
-    """The observer installed by the innermost :func:`obs_scope`."""
-    return _ACTIVE
+    """This thread's observer, installed by the innermost :func:`obs_scope`."""
+    return _AMBIENT.observer
 
 
-@contextlib.contextmanager
-def obs_scope(observer: Observer | NullObserver | None) -> Iterator:
-    """Install ``observer`` as the ambient observer for the dynamic extent.
+class obs_scope:
+    """Install ``observer`` as this thread's ambient observer for the
+    dynamic extent of a ``with`` block, which binds the observer then
+    active.
 
     ``None`` keeps whatever is already active -- callers with an optional
     observer can wrap unconditionally.
     """
-    global _ACTIVE
-    previous = _ACTIVE
-    if observer is not None:
-        _ACTIVE = observer
-    try:
-        yield _ACTIVE
-    finally:
-        _ACTIVE = previous
+
+    __slots__ = ("_observer", "_previous")
+
+    def __init__(self, observer: Observer | NullObserver | None):
+        self._observer = observer
+
+    def __enter__(self) -> Observer | NullObserver:
+        self._previous = previous = _AMBIENT.observer
+        if self._observer is None:
+            return previous
+        _AMBIENT.observer = self._observer
+        return self._observer
+
+    def __exit__(self, *exc) -> bool:
+        _AMBIENT.observer = self._previous
+        return False

@@ -55,7 +55,7 @@ from ..errors import (
     ShardCrashError,
     ValidationError,
 )
-from ..fault.injection import active_plan
+from ..fault.injection import active_plan, fault_scope
 from .cache import PreparedCache
 from .health import HealthPolicy, ShardHealth
 from .server import ServeConfig, ServeFuture, SpMVServer
@@ -153,13 +153,10 @@ def _handle(server: SpMVServer, msg: tuple) -> tuple:
 
 def _child_main(conn, engine, config) -> None:
     """Forked child: a threadless server behind the pipe, one message at a time."""
-    # The child inherits the parent's ambient fault scope; plan draws
-    # stay parent-side (deterministic regardless of scheduling).
-    from ..fault import injection
-
-    injection._ACTIVE = None
-    server = SpMVServer(engine, config, start=False)
-    with conn:
+    # The child inherits the forking thread's ambient fault scope; plan
+    # draws stay parent-side (deterministic regardless of scheduling).
+    with fault_scope(None), conn:
+        server = SpMVServer(engine, config, start=False)
         while True:
             try:
                 seq, payload = conn.recv()

@@ -11,6 +11,8 @@ KernelStats` is compared field by field.
 from __future__ import annotations
 
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -27,6 +29,8 @@ from repro.gpu import TimingModel, get_device
 from repro.tuning import TuningPoint
 
 DEVICE = get_device("gtx680")
+#: Bound on every thread wait in the concurrency test.
+WAIT_S = 30.0
 
 #: Config spread: the fused 1x1 path, tall/wide/square blocks, BCCOO+
 #: slicing, raw (uncompressed) column indices, non-default bit words.
@@ -337,6 +341,16 @@ class TestRowStopCheck:
                 backend.execute(fmt, rng.standard_normal(200), DEVICE, None)
         assert info.value.check == "row_stop_count"
 
+    def test_failed_bind_is_not_kept(self):
+        A = sparse.random(200, 200, density=0.05, random_state=3, format="csr")
+        fmt = BCCOOMatrix.from_scipy(A)
+        _drop_one_row_stop(fmt)
+        fast = get_backend("fast")
+        for _ in range(2):
+            with pytest.raises(ValidationError):
+                fast.execute(fmt, np.ones(200), DEVICE, None)
+            assert not fast._launches.get(fmt)
+
 
 #: One point per base format, plus BCCOO+ slicing.
 FORMAT_POINTS = [
@@ -460,6 +474,92 @@ class TestMemoizedClock:
         out = engine.multiply(prepared, x)
         assert len(estimate_calls) == 1
         assert out.breakdown == TimingModel(DEVICE).estimate(out.stats)
+
+
+#: One cached plan per kernel: the 1x1 and a blocked BCCOO, merge-path
+#: CSR and RG-CSR.
+SHARED_PROFILE_POINTS = [
+    pytest.param(TuningPoint(), id="bccoo-1x1"),
+    pytest.param(TuningPoint(block_height=3, block_width=2), id="bccoo-3x2"),
+    pytest.param(TuningPoint(base_format="merge_csr"), id="merge_csr"),
+    pytest.param(TuningPoint(base_format="rgcsr"), id="rgcsr"),
+]
+
+
+class TestSharedProfile:
+    """Every call of a fast bound launch returns its one profile, so SpMV
+    and SpMM on one plan must leave each other's profiles as
+    ``faithful`` computes them afresh."""
+
+    @pytest.mark.parametrize("point", SHARED_PROFILE_POINTS)
+    def test_spmv_spmm_spmv_on_one_plan(self, point):
+        A = sparse.random(150, 150, density=0.05, random_state=47, format="csr")
+        prepared = SpMVEngine(device=DEVICE).prepare(A, point=point)
+        fmt, cfg = prepared.fmt, prepared.config
+        fast, faithful = get_backend("fast"), get_backend("faithful")
+        rng = np.random.default_rng(53)
+        runs = []
+        for k in (None, 8, 3, None):
+            if k is None:
+                x = rng.standard_normal(150)
+                got = fast.execute(fmt, x, DEVICE, cfg)
+                want = faithful.execute(fmt, x, DEVICE, cfg)
+            else:
+                X = rng.standard_normal((150, k))
+                got = fast.execute_multi(fmt, X, DEVICE, cfg)
+                want = faithful.execute_multi(fmt, X, DEVICE, cfg)
+            assert np.array_equal(got.y, want.y)
+            runs.append((got, want))
+        assert len(_cached_plans(fmt)) == 1
+        # Checked once every call has run: a later launch that mutated a
+        # shared profile would show here.
+        model = TimingModel(DEVICE)
+        for got, want in runs:
+            _assert_stats_equal(got.stats, want.stats)
+            assert got.breakdown == model.estimate(got.stats)
+        assert runs[0][0].stats is runs[3][0].stats
+
+
+class TestConcurrentBinds:
+    """Threads racing on a format's first call bind one launch between
+    them, and every answer still equals ``faithful``'s."""
+
+    def test_racing_threads_keep_one_launch(self):
+        A = sparse.random(300, 300, density=0.02, random_state=61, format="csr")
+        x = np.random.default_rng(67).standard_normal(300)
+        want = get_backend("faithful").execute(
+            BCCOOMatrix.from_scipy(A), x, DEVICE, None
+        )
+        fast = get_backend("fast")
+        fmts = [BCCOOMatrix.from_scipy(A) for _ in range(12)]
+        results = {id(fmt): [] for fmt in fmts}
+        start = threading.Barrier(4)
+
+        def worker():
+            start.wait(WAIT_S)
+            for fmt in fmts:
+                # A fresh default config per call: launches key on its value.
+                results[id(fmt)].append(fast.execute(fmt, x, DEVICE, None))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(WAIT_S)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        for fmt in fmts:
+            runs = results[id(fmt)]
+            assert len(runs) == 4
+            assert len(fast._launches[fmt]) == 1
+            for res in runs:
+                assert np.array_equal(res.y, want.y)
+                assert res.stats is runs[0].stats
+            _assert_stats_equal(runs[0].stats, want.stats)
 
 
 class TestDeviceValueKeys:

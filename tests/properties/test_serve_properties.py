@@ -4,10 +4,11 @@ For arbitrary sparse matrices, arbitrary request vectors, and arbitrary
 interleavings of requests across matrices, micro-batched serving returns
 -- per request -- the **bit-identical** vector a sequential
 ``engine.multiply`` would, for BCCOO and BCCOO+ under both scan
-strategies.  This is the serving layer's differential invariant driven
-by generated inputs instead of the fixed grid in
-``tests/serve/test_differential.py``.  It also pins the key path: however
-a caller builds its CSR, a submit keys and serves the canonical form.
+strategies, on both backends.  This is the serving layer's
+differential invariant driven by generated inputs instead of the fixed
+grid in ``tests/serve/test_differential.py``.  It also pins the key
+path: however a caller builds its CSR, a submit keys and serves the
+canonical form.
 """
 
 from __future__ import annotations
@@ -24,45 +25,33 @@ from repro.util import as_csr
 
 @st.composite
 def problems(draw):
-    """A pool of matrices plus an interleaved request schedule."""
+    """A pool of matrices plus an interleaved request schedule.
+
+    Patterns, values and vectors come from a drawn seed, the values and
+    vectors as full-mantissa standard normals: small "nice" floats add
+    exactly in any order, and sparse blocks hold too few products to
+    have one, so neither can tell one summation order from another.
+    """
     nrows = draw(st.integers(4, 24))
     ncols = draw(st.integers(4, 24))
     n_matrices = draw(st.integers(1, 3))
-    mats = []
-    for m in range(n_matrices):
-        nnz = draw(st.integers(1, 40))
-        entries = draw(
-            st.lists(
-                st.tuples(
-                    st.integers(0, nrows - 1),
-                    st.integers(0, ncols - 1),
-                    st.floats(-50, 50, allow_nan=False).filter(lambda v: v != 0),
-                ),
-                min_size=nnz,
-                max_size=nnz,
-            )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = [
+        sparse.random(
+            nrows,
+            ncols,
+            density=draw(st.floats(0.05, 1.0)),
+            format="csr",
+            random_state=rng,
+            data_rvs=rng.standard_normal,
         )
-        r, c, v = zip(*entries)
-        A = sparse.coo_matrix((v, (r, c)), shape=(nrows, ncols)).tocsr()
-        A.sum_duplicates()
-        A.eliminate_zeros()
-        mats.append(A)
+        for _ in range(n_matrices)
+    ]
     # Interleaving: which matrix each successive request targets.
     schedule = draw(
         st.lists(st.integers(0, n_matrices - 1), min_size=1, max_size=12)
     )
-    xs = [
-        np.array(
-            draw(
-                st.lists(
-                    st.floats(-10, 10, allow_nan=False),
-                    min_size=ncols,
-                    max_size=ncols,
-                )
-            )
-        )
-        for _ in schedule
-    ]
+    xs = [rng.standard_normal(ncols) for _ in schedule]
     return mats, schedule, xs
 
 
@@ -86,11 +75,15 @@ def points(draw):
     )
 
 
-@given(problem=problems(), point=points())
+@given(
+    problem=problems(),
+    point=points(),
+    backend=st.sampled_from(["faithful", "fast"]),
+)
 @settings(max_examples=40, deadline=None)
-def test_batched_serving_bit_identical_to_sequential(problem, point):
+def test_batched_serving_bit_identical_to_sequential(problem, point, backend):
     mats, schedule, xs = problem
-    engine = SpMVEngine()
+    engine = SpMVEngine(backend=backend)
     prepared = [engine.prepare(A, point=point) for A in mats]
     srv = SpMVServer(
         engine,
