@@ -6,9 +6,9 @@ backends, and so -- bit for bit -- does the output vector:
 
 * ``faithful`` runs the workgroup-interpreting kernels exactly as the
   paper describes them (the correctness anchor);
-* ``fast`` vectorizes across all workgroups at once (batched segmented
-  sums over the bit-flag arrays, no per-workgroup Python) and is pinned
-  bit-identical to ``faithful``.
+* ``fast`` vectorizes across all workgroups at once (SciPy CSR passes
+  laid out in the interpreter's addition order, no per-workgroup
+  Python) and is pinned bit-identical to ``faithful``.
 
 Both run each format's launch through the same kernel, found in one
 format->kernel table (:func:`kernel_for`); a backend supplies only the

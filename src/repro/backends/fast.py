@@ -17,12 +17,13 @@ fast:
   width: the kernel's checks, cost profile and ``y`` layout, done once,
   plus the simulated clock computed from the profile, which every
   result carries to the engine.  A warm call only applies the launch;
-* summation cores that replace the interpreter's per-workgroup loops
-  with one or two SciPy CSR passes laid out so that SciPy adds in the
-  interpreter's order.  SciPy's kernel runs ``sum += data[j] *
-  x[col[j]]`` sequentially per row, from +0 -- for a ``(ncols, k)``
-  block, per row and column -- so a CSR whose row lists the
-  interpreter's terms in the interpreter's order is exact:
+* one summation core per plan (:class:`_CSRCore`), which replaces the
+  interpreter's per-workgroup loops with one or two SciPy CSR passes
+  laid out so that SciPy adds in the interpreter's order.  SciPy's
+  kernel runs ``sum += data[j] * x[col[j]]`` sequentially per row, from
+  +0 -- for a ``(ncols, k)`` block, per row and column -- so a CSR
+  whose row lists the interpreter's terms in the interpreter's order is
+  exact:
 
   - BCCOO/BCCOO+ with block width 1 (any height): one pass, one row per
     (flag segment, lane) holding that lane of the segment's blocks in
@@ -37,17 +38,18 @@ fast:
     stream order and lane order; their SpMM is one pass over the block
     too, with the ``k``-launch cost profile.
 
-That equivalence holds only when the SciPy build does not contract the
-multiply-add into an FMA, so every CSR core is gated behind a one-time
-runtime probe (:func:`_fused_matvec_exact`).  When the probe fails,
-every shape falls back to gather, block products and
-:func:`repro.scan.batched_segment_sums` (``np.bincount``, which adds the
-same weights into the same bins in the same element order as the
-reference ``np.add.at``).
+The first pass multiplies in SciPy only when the build does not contract
+the multiply-add into an FMA, which a one-time runtime probe checks
+(:func:`_fused_matvec_exact`).  When it fails, each core takes its
+products in NumPy and runs the same passes with unit data: ``1.0 * p``
+rounds nothing, so a unit-data pass rounds only its additions and is
+exact under FMA too.  A second probe case (:func:`_unit_sums_exact`)
+checks that SciPy adds a unit-data row sequentially from +0; if that
+fails as well, the backend hands every call to ``faithful``.
 
 Bit-identity therefore holds by construction *and is re-checked on this
 interpreter*, not assumed; the differential suite pins it with
-``np.array_equal``, on the CSR cores and on the fallback.
+``np.array_equal``, with SciPy's products and with NumPy's.
 
 Fault plans perturb decode-time state *per launch* (corrupted flag
 words, stale ``Grp_sum`` reads), which a cached plan cannot observe --
@@ -58,6 +60,7 @@ behaviour (and the engine's fallback chain semantics) exactly as before.
 
 from __future__ import annotations
 
+import copy
 import threading
 import weakref
 from dataclasses import replace
@@ -74,52 +77,68 @@ from ..gpu.timing import TimingModel
 from ..kernels.base import BoundLaunch, KernelResult, SpMVKernel
 from ..kernels.merge_path import MergePlan
 from ..kernels.row_grouped import RowGroupPlan
-from ..kernels.yaspmv import LaunchPlan, block_products
+from ..kernels.yaspmv import LaunchPlan
 from ..obs import active_observer
-from ..scan.batched import SegmentPlan, batched_segment_sums
 from .base import ExecutionBackend, kernel_for
 from .faithful import FaithfulBackend
 
 __all__ = ["FastBackend", "FastPlan", "FastMergePlan", "FastRowGroupPlan"]
 
-#: One-time probe result: does this SciPy build's CSR matvec reproduce
-#: the reference accumulation bit for bit?  ``None`` until probed.
+#: One-time probe verdicts, ``None`` until probed: does this SciPy
+#: build's CSR product reproduce the reference accumulation bit for bit
+#: with arbitrary data (``_FUSED_EXACT``), and with unit data
+#: (``_UNIT_EXACT``)?
 _FUSED_EXACT: bool | None = None
+_UNIT_EXACT: bool | None = None
 
 
-def _fused_matvec_exact() -> bool:
-    """Probe whether SciPy's CSR matvec matches the bincount reference.
+def _adds_in_order(unit: bool) -> bool:
+    """One probe case: SciPy's CSR products against ``np.bincount``.
 
     SciPy's ``csr_matvec``/``csr_matvecs`` kernels accumulate
-    ``sum += data[j] * x[col[j]]`` sequentially per row, which is the
-    same sequence of rounded multiplies and adds as
+    ``sum += data[j] * x[col[j]]`` sequentially per row, from +0, which
+    is the same sequence of rounded multiplies and adds as
     ``np.bincount(ids, weights=data * x[cols])`` -- *unless* the build's
     compiler contracted the multiply-add into an FMA (legal under
     ``-ffp-contract=fast``, and the product's rounding step disappears).
-    Rather than assume a build flag, run both once on adversarial random
-    data and compare exactly; cache the verdict for the process.
+    With ``unit`` data every product is exact, so the case checks the
+    additions alone.  Rather than assume a build flag, run both on
+    adversarial random data, for a vector and a block, and compare
+    exactly.
     """
+    rng = np.random.default_rng(0x5EED)
+    n, nseg, ncols, k = 4096, 64, 512, 3
+    ids = np.sort(rng.integers(0, nseg, size=n))
+    cols = rng.integers(0, ncols, size=n)
+    data = np.ones(n) if unit else rng.standard_normal(n)
+    x = rng.standard_normal(ncols)
+    X = rng.standard_normal((ncols, k))
+    S = _csr(data, cols, np.searchsorted(ids, np.arange(nseg + 1)), ncols)
+    ref = np.bincount(ids, weights=data * x[cols], minlength=nseg)
+    flat = (ids[:, None] * k + np.arange(k)).ravel()
+    ref_multi = np.bincount(
+        flat, weights=(data[:, None] * X[cols]).ravel(), minlength=nseg * k
+    ).reshape(nseg, k)
+    return np.array_equal(S @ x, ref) and np.array_equal(S @ X, ref_multi)
+
+
+def _fused_matvec_exact() -> bool:
+    """Whether SciPy may take the cores' products (see
+    :func:`_adds_in_order`); probed once per process."""
     global _FUSED_EXACT
     if _FUSED_EXACT is None:
-        rng = np.random.default_rng(0x5EED)
-        n, nseg, ncols, k = 4096, 64, 512, 3
-        ids = np.sort(rng.integers(0, nseg, size=n))
-        cols = rng.integers(0, ncols, size=n)
-        data = rng.standard_normal(n)
-        x = rng.standard_normal(ncols)
-        X = rng.standard_normal((ncols, k))
-        indptr = np.searchsorted(ids, np.arange(nseg + 1))
-        S = sp.csr_matrix((data, cols, indptr), shape=(nseg, ncols))
-        ref = np.bincount(ids, weights=data * x[cols], minlength=nseg)
-        ok = np.array_equal(S @ x, ref)
-        if ok:
-            flat = (ids[:, None] * k + np.arange(k)).ravel()
-            ref_multi = np.bincount(
-                flat, weights=(data[:, None] * X[cols]).ravel(), minlength=nseg * k
-            ).reshape(nseg, k)
-            ok = np.array_equal(S @ X, ref_multi)
-        _FUSED_EXACT = bool(ok)
+        _FUSED_EXACT = _adds_in_order(unit=False)
     return _FUSED_EXACT
+
+
+def _unit_sums_exact() -> bool:
+    """Whether SciPy adds a unit-data row sequentially from +0, which
+    every core's unit-data passes rely on; probed once per process.
+    Without it the backend delegates every call to ``faithful``."""
+    global _UNIT_EXACT
+    if _UNIT_EXACT is None:
+        _UNIT_EXACT = _adds_in_order(unit=True)
+    return _UNIT_EXACT
 
 
 def _csr(data, indices, indptr, ncols: int):
@@ -139,22 +158,35 @@ def _indptr(counts: np.ndarray) -> np.ndarray:
 class _CSRCore:
     """An exact summation core: one SciPy CSR pass, or two.
 
-    ``first`` multiplies; its data are the format's flattened values at
-    ``slots`` (all of them, in order, when ``slots`` is ``None``).
+    The first pass takes the products: entry ``j`` of a row multiplies
+    the format's flattened values at ``slots`` (all of them, in order,
+    when ``slots`` is ``None``) by row ``cols[j]`` of the operand.
     ``second``, when set, sums the first pass's rows with unit data.
-    SciPy adds every row's entries sequentially from +0, in entry order
-    (:func:`_fused_matvec_exact` checks that), so each core lays its
-    entries out in the order the interpreter adds them.  A unit-data
-    pass is exact even under FMA contraction, since ``1.0 * p`` rounds
-    nothing.
+    SciPy adds every row's entries sequentially from +0, in entry order,
+    so each core lays its entries out in the order the interpreter adds
+    them.
+
+    When :func:`_fused_matvec_exact` holds, ``first`` carries the values
+    and SciPy multiplies (``data`` and ``cols`` are ``None``).  Otherwise
+    the core multiplies in NumPy -- ``np.take`` of the operand's rows
+    ``cols``, times ``data`` in place -- and ``first`` sums the products
+    with unit data.  A unit-data pass is exact even under FMA
+    contraction, since ``1.0 * p`` rounds nothing.
     """
 
-    __slots__ = ("first", "second", "slots")
+    __slots__ = ("first", "second", "slots", "data", "cols")
 
-    def __init__(self, values, indices, indptr, ncols, slots=None, second=None):
+    def __init__(self, values, cols, indptr, ncols, slots=None, second=None):
         self.slots = slots
         self.second = second
-        self.first = _csr(self._data(values), indices, indptr, ncols)
+        data = self._data(values)
+        if _fused_matvec_exact():
+            self.data = self.cols = None
+            self.first = _csr(data, cols, indptr, ncols)
+        else:
+            n = cols.shape[0]
+            self.data, self.cols = data, cols
+            self.first = _csr(np.ones(n), np.arange(n), indptr, n)
 
     def _data(self, values: np.ndarray) -> np.ndarray:
         flat = values.ravel()
@@ -162,16 +194,22 @@ class _CSRCore:
 
     def refill(self, values: np.ndarray) -> "_CSRCore":
         """This core over a value-refreshed format's ``values``: only the
-        first pass's data are rebuilt."""
-        clone = object.__new__(_CSRCore)
-        clone.slots, clone.second = self.slots, self.second
-        first = self.first
-        clone.first = _csr(
-            clone._data(values), first.indices, first.indptr, first.shape[1]
-        )
+        products' data change -- one array when NumPy multiplies, the
+        first pass's matrix when SciPy does."""
+        clone = copy.copy(self)
+        data = self._data(values)
+        if self.cols is None:
+            first = self.first
+            clone.first = _csr(data, first.indices, first.indptr, first.shape[1])
+        else:
+            clone.data = data
         return clone
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
+        if self.cols is not None:
+            products = np.take(X, self.cols, axis=0)
+            products *= self.data if X.ndim == 1 else self.data[:, None]
+            X = products
         Y = self.first @ X
         return Y if self.second is None else self.second @ Y
 
@@ -236,88 +274,64 @@ def _block_core(plan: LaunchPlan, fmt) -> _CSRCore:
     )
 
 
-class FastPlan(LaunchPlan):
-    """A cached :class:`~repro.kernels.yaspmv.LaunchPlan` for one
-    (format, config), with its exact CSR core when the probe passes, else
-    the segment structure of its flags for the ``bincount`` pipeline.
+class _Cored:
+    """A cached plan that sums with its :class:`_CSRCore`, ``core``."""
 
-    A plan holds no reference to its format: the backend caches it under
-    a weak reference to the format, which a strong one would pin for the
-    life of the process.  ``padded.fmt`` is therefore ``None``, and so is
-    ``padded.values`` when the core holds the values it reads.
-    """
+    __slots__ = ()
 
-    __slots__ = ("core", "segplan")
-
-    def __init__(self, fmt, cfg):
-        super().__init__(fmt, cfg)
-        self.core = self.segplan = None
-        if _fused_matvec_exact():
-            self.core = _block_core(self, fmt)
-            self.padded = replace(self.padded, fmt=None, values=None)
-        else:
-            self.padded = replace(self.padded, fmt=None)
-            self.segplan = SegmentPlan(self.padded.stops)
-
-    def derive(self, new_fmt) -> "FastPlan":
+    def derive(self, new_fmt):
         """Plan for a value-only rebuild of this plan's format.
 
         ``new_fmt`` shares the structural arrays (flags, columns, row
-        map) with the original, so the gather map, the core's pattern and
-        the segment plan carry over; only the core's data (or, without a
-        core, the padded value payload) is rebuilt -- the whole point of
-        the incremental re-prepare path.
+        map) with the original, so everything but the core's data carries
+        over by identity -- the whole point of the incremental re-prepare
+        path.
         """
-        clone = object.__new__(FastPlan)
-        clone.safe = self.safe
-        clone.invalid = self.invalid
-        clone.gather_flat = self.gather_flat
-        clone.segplan = self.segplan
-        clone.core, clone.padded = None, self.padded
-        if self.core is not None:
-            clone.core = self.core.refill(new_fmt.values)
-        else:
-            values = np.zeros_like(self.padded.values)
-            values[: new_fmt.nblocks_padded] = new_fmt.values
-            clone.padded = replace(self.padded, values=values)
+        clone = copy.copy(self)
+        clone.core = self.core.refill(new_fmt.values)
         return clone
 
 
-class FastMergePlan(MergePlan):
-    """A cached :class:`~repro.kernels.merge_path.MergePlan` with, when
-    the probe passes, its stream as one CSR: row ``r`` holds its
-    elements in stream order, which the team loop also adds in (carries
-    included).
+class FastPlan(_Cored, LaunchPlan):
+    """A cached :class:`~repro.kernels.yaspmv.LaunchPlan` for one
+    (format, config), with its CSR core.
+
+    A plan holds no reference to its format: the backend caches it under
+    a weak reference to the format, which a strong one would pin for the
+    life of the process.  ``padded.values`` is ``None``: the core holds
+    the values it reads.
     """
 
     __slots__ = ("core",)
 
     def __init__(self, fmt, cfg):
         super().__init__(fmt, cfg)
-        self.core = None
-        if _fused_matvec_exact():
-            counts = np.bincount(self.rows, minlength=fmt.nrows)
-            self.core = _CSRCore(fmt.values, self.cols, _indptr(counts), fmt.ncols)
-
-    def derive(self, new_fmt) -> "FastMergePlan":
-        """Plan for a value-only rebuild: only the core's data change."""
-        clone = object.__new__(FastMergePlan)
-        clone.cfg, clone.cols, clone.rows = self.cfg, self.cols, self.rows
-        clone.core = None if self.core is None else self.core.refill(new_fmt.values)
-        return clone
+        self.core = _block_core(self, fmt)
+        self.padded = replace(self.padded, values=None)
 
 
-class FastRowGroupPlan(RowGroupPlan):
-    """A cached :class:`~repro.kernels.row_grouped.RowGroupPlan`.
-
-    ``slots`` lists the valid lane slots by original row, lane ascending
-    within a row, and ``rows`` gives each slot's row: each row's products
-    in lane order, the exact addition sequence of the faithful kernel's
-    per-group lane loop.  When the probe passes, one CSR over those slots
-    sums them; otherwise ``np.bincount(rows, ...)`` does.
+class FastMergePlan(_Cored, MergePlan):
+    """A cached :class:`~repro.kernels.merge_path.MergePlan` with its
+    stream as one CSR: row ``r`` holds its elements in stream order,
+    which the team loop also adds in (carries included).
     """
 
-    __slots__ = ("slots", "rows", "core")
+    __slots__ = ("core",)
+
+    def __init__(self, fmt, cfg):
+        super().__init__(fmt, cfg)
+        counts = np.bincount(self.rows, minlength=fmt.nrows)
+        self.core = _CSRCore(fmt.values, self.cols, _indptr(counts), fmt.ncols)
+
+
+class FastRowGroupPlan(_Cored, RowGroupPlan):
+    """A cached :class:`~repro.kernels.row_grouped.RowGroupPlan` with its
+    lane stream as one CSR: row ``r`` holds its valid lane slots, lane
+    ascending -- the exact addition sequence of the faithful kernel's
+    per-group lane loop.
+    """
+
+    __slots__ = ("core",)
 
     def __init__(self, fmt, cfg):
         super().__init__(fmt, cfg)
@@ -340,74 +354,37 @@ class FastRowGroupPlan(RowGroupPlan):
         # Packed rows hold each row's lanes in order; a stable sort by
         # row keeps that order within each row.
         row_ids = np.repeat(fmt.row_perm, fmt.row_lengths)
-        by_row = np.argsort(row_ids, kind="stable")
-        self.slots = order[by_row]
-        self.rows = row_ids[by_row]
-        self.core = None
-        if _fused_matvec_exact():
-            counts = np.bincount(self.rows, minlength=fmt.nrows)
-            self.core = _CSRCore(
-                fmt.values,
-                self.cols[self.slots],
-                _indptr(counts),
-                fmt.ncols,
-                slots=self.slots,
-            )
-
-    def derive(self, new_fmt) -> "FastRowGroupPlan":
-        """Plan for a value-only rebuild: only the core's data change."""
-        clone = object.__new__(FastRowGroupPlan)
-        clone.cfg, clone.cols, clone.mask = self.cfg, self.cols, self.mask
-        clone.slots, clone.rows = self.slots, self.rows
-        clone.core = None if self.core is None else self.core.refill(new_fmt.values)
-        return clone
-
-
-def _by_column(core, plan, fmt, X: np.ndarray) -> np.ndarray:
-    """A single-vector ``bincount`` core run on each column of ``X``."""
-    return np.stack([core(plan, fmt, X[:, j]) for j in range(X.shape[1])], axis=1)
+        slots = order[np.argsort(row_ids, kind="stable")]
+        counts = np.bincount(row_ids, minlength=fmt.nrows)
+        self.core = _CSRCore(
+            fmt.values, self.cols[slots], _indptr(counts), fmt.ncols, slots=slots
+        )
 
 
 def _segment_sums(plan: FastPlan, X: np.ndarray) -> np.ndarray:
-    """Per-row-stop sums: the CSR core's rows ``(stop, lane)``, else block
-    products plus ``bincount`` segmented sums, ``(n_stops, h)`` or
-    ``(n_stops, h * k)``.  Both hold the sums in the same C order, which
-    is all the launch's layout reads."""
-    if plan.core is None:
-        contribs = block_products(plan, X)
-        return batched_segment_sums(
-            contribs.reshape(plan.padded.nb_padded, -1), plan.segplan
-        )
+    """Per-row-stop sums: the core's rows ``(stop, lane)``,
+    ``(n_stops, h)`` or ``(n_stops, h * k)``, in the C order the
+    launch's layout reads."""
     return plan.core(X)
 
 
-def _merge_sums(plan: FastMergePlan, fmt, X: np.ndarray) -> np.ndarray:
-    """Merge-path CSR as one pass: the team loop's products, added in
-    stream order."""
-    if plan.core is not None:
-        return plan.core(X)
-    if X.ndim == 2:
-        return _by_column(_merge_sums, plan, fmt, X)
-    prods = fmt.values * X[plan.cols]
-    return np.bincount(plan.rows, weights=prods, minlength=fmt.nrows)
-
-
-def _lane_sums(plan: FastRowGroupPlan, fmt, X: np.ndarray) -> np.ndarray:
-    """RG-CSR as one pass over the row-ordered lane stream."""
-    if plan.core is not None:
-        return plan.core(X)
-    if X.ndim == 2:
-        return _by_column(_lane_sums, plan, fmt, X)
-    slots = plan.slots
-    prods = fmt.values[slots] * X[plan.cols[slots]]
-    return np.bincount(plan.rows, weights=prods, minlength=fmt.nrows)
+def _row_sums(plan, fmt, X: np.ndarray) -> np.ndarray:
+    """Merge-path CSR and RG-CSR: ``y`` itself, one core row per matrix
+    row."""
+    return plan.core(X)
 
 
 # Every core sums a whole ``(ncols, k)`` block in one call; see
 # :meth:`repro.kernels.base.SpMVKernel._launch`.
 _segment_sums.takes_block = True
-_merge_sums.takes_block = True
-_lane_sums.takes_block = True
+_row_sums.takes_block = True
+
+
+def _delegated() -> bool:
+    """Whether a call runs on ``faithful``: under a fault plan, which
+    perturbs the decoded per-launch state a cached plan cannot see, or
+    when this SciPy build's unit-data sums are not exact."""
+    return active_plan() is not None or not _unit_sums_exact()
 
 
 class FastBackend(ExecutionBackend):
@@ -421,8 +398,8 @@ class FastBackend(ExecutionBackend):
         #: the class of its cached plan and its summation core.
         self._cores = {
             "yaspmv": (FastPlan, _segment_sums),
-            "merge_csr": (FastMergePlan, _merge_sums),
-            "rgcsr": (FastRowGroupPlan, _lane_sums),
+            "merge_csr": (FastMergePlan, _row_sums),
+            "rgcsr": (FastRowGroupPlan, _row_sums),
         }
         # fmt instance -> {config: plan}; weak-keyed so plans die with
         # their format.
@@ -490,10 +467,10 @@ class FastBackend(ExecutionBackend):
         """Migrate cached plans from ``old_fmt`` to its value-swapped twin.
 
         Every plan cached for ``old_fmt`` is ``derive``-d onto
-        ``new_fmt`` -- the gather map and segment plan carry over by
-        identity, only the value payload is re-padded -- and every bound
-        launch is rebound to the derived plan, keeping its profile, clock
-        and layout.  The next multiply on ``new_fmt`` then hits the
+        ``new_fmt`` -- the gather map and the core's rows carry over by
+        identity, only the core's data change -- and every bound launch
+        is rebound to the derived plan, keeping its profile, clock and
+        layout.  The next multiply on ``new_fmt`` then hits the
         cache instead of re-deriving the launch state.
         """
         if isinstance(old_fmt, BCCOOPlusMatrix) and isinstance(
@@ -530,9 +507,7 @@ class FastBackend(ExecutionBackend):
         device: DeviceSpec,
         config=None,
     ) -> KernelResult:
-        # A fault plan perturbs the decoded per-launch state -- invisible
-        # to a cached plan, so route through the faithful interpreter.
-        if active_plan() is not None:
+        if _delegated():
             return self._faithful.execute(fmt, x, device, config)
         x = np.asarray(x, dtype=np.float64).ravel()
         return self._dispatch(fmt, x, device, config, "backend.fast")
@@ -544,7 +519,7 @@ class FastBackend(ExecutionBackend):
         device: DeviceSpec,
         config=None,
     ) -> KernelResult:
-        if active_plan() is not None:
+        if _delegated():
             return self._faithful.execute_multi(fmt, X, device, config)
         X = SpMVKernel._check_block(X)
         return self._dispatch(fmt, X, device, config, "backend.fast_multi")

@@ -21,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from ..errors import FormatNotApplicableError, KernelConfigError
 from ..formats.bcsr import BCSRMatrix
 from ..formats.bell import BELLMatrix
-from ..formats.cocktail import _select_rows
 from ..formats.coo import COOMatrix
 from ..formats.csr import CSRMatrix
 from ..formats.dia import DIAMatrix
@@ -206,6 +206,17 @@ def run_clspmv_cocktail(matrix, x, device: DeviceSpec) -> BaselineResult:
                 breakdown=br,
             )
     return best
+
+
+def _select_rows(csr, row_mask: np.ndarray):
+    """Keep only masked rows (shape preserved, other rows empty)."""
+    lengths = np.diff(csr.indptr)
+    keep = np.repeat(row_mask, lengths)
+    new_lengths = np.where(row_mask, lengths, 0)
+    indptr = np.concatenate(([0], np.cumsum(new_lengths)))
+    return sparse.csr_matrix(
+        (csr.data[keep], csr.indices[keep], indptr), shape=csr.shape
+    )
 
 
 def _partition_best(part, x, device, regular: bool) -> BaselineResult | None:

@@ -21,7 +21,6 @@ from .base import (
 from .bccoo import BCCOOMatrix
 from .bccoo_plus import BCCOOPlusMatrix
 from .bcsr import BCSRMatrix
-from .cocktail import CocktailMatrix
 from .bell import BELLMatrix
 from .bitflags import BitFlagArray
 from .blocking import BlockLayout, extract_blocks
@@ -55,7 +54,6 @@ __all__ = [
     "BCCOOMatrix",
     "BCCOOPlusMatrix",
     "BCSRMatrix",
-    "CocktailMatrix",
     "BELLMatrix",
     "BitFlagArray",
     "BlockLayout",

@@ -18,12 +18,7 @@ from .caches import LRUCache, vector_read_traffic, windowed_miss_estimate
 from .counters import KernelStats
 from .device import GTX480, GTX680, DeviceSpec, available_devices, get_device
 from .dispatch import DispatchResult, schedule_workgroups
-from .memory import (
-    gather_transactions,
-    stream_bytes,
-    strided_stream_transactions,
-    warp_transactions,
-)
+from .memory import stream_bytes
 from .timing import TimingBreakdown, TimingModel
 
 __all__ = [
@@ -43,10 +38,7 @@ __all__ = [
     "get_device",
     "DispatchResult",
     "schedule_workgroups",
-    "gather_transactions",
     "stream_bytes",
-    "strided_stream_transactions",
-    "warp_transactions",
     "TimingBreakdown",
     "TimingModel",
 ]

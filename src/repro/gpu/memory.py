@@ -1,80 +1,20 @@
-"""Global-memory coalescing model.
+"""Global-memory streams.
 
-GPUs service a warp's 32 loads as whole aligned *transactions* (128 B on
-both Fermi and Kepler).  A warp touching 32 consecutive floats costs one
-transaction; 32 scattered floats cost up to 32.  The functions here turn
-per-warp access patterns into transaction counts and effective DRAM
-bytes, which is where row-based CSR kernels lose (strided gathers) and
-the transposed BCCOO layout wins (unit-stride streams) -- the mechanism
-behind the paper's "memory coalescing requirement" discussion.
+GPUs service a warp's loads as whole aligned *transactions* (128 B on
+both Fermi and Kepler).  A format array that a kernel's warps read or
+write in unit stride -- values, column indices, bit flags, row
+pointers, results -- costs :func:`stream_bytes`: its bytes rounded up
+to whole transactions.  The multiplied vector's gathers are charged by
+the texture-cache model (:func:`repro.gpu.caches.vector_read_traffic`),
+and the comparator kernels whose lanes read apart add their 32 B
+sector waste in :mod:`repro.kernels.baselines`.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..util import ceil_div
 
-__all__ = [
-    "warp_transactions",
-    "gather_transactions",
-    "stream_bytes",
-    "strided_stream_transactions",
-]
-
-
-def warp_transactions(
-    byte_addresses: np.ndarray, transaction_bytes: int = 128
-) -> np.ndarray:
-    """Transactions needed per warp for arbitrary address patterns.
-
-    Parameters
-    ----------
-    byte_addresses:
-        ``(n_warps, lanes)`` integer byte addresses; a negative address
-        marks an inactive lane (predicated off) and costs nothing.
-    transaction_bytes:
-        Aligned segment size.
-
-    Returns
-    -------
-    ``(n_warps,)`` transaction counts.
-    """
-    addr = np.asarray(byte_addresses, dtype=np.int64)
-    if addr.ndim != 2:
-        raise ValueError(f"expected (n_warps, lanes) addresses, got {addr.shape}")
-    segs = addr // transaction_bytes
-    segs = np.where(addr < 0, np.int64(-1), segs)
-    segs_sorted = np.sort(segs, axis=1)
-    new_seg = np.empty(segs_sorted.shape, dtype=bool)
-    new_seg[:, 0] = segs_sorted[:, 0] >= 0
-    np.not_equal(segs_sorted[:, 1:], segs_sorted[:, :-1], out=new_seg[:, 1:])
-    new_seg[:, 1:] &= segs_sorted[:, 1:] >= 0
-    return new_seg.sum(axis=1).astype(np.int64)
-
-
-def gather_transactions(
-    element_indices: np.ndarray,
-    element_bytes: int,
-    warp_size: int = 32,
-    transaction_bytes: int = 128,
-) -> int:
-    """Total transactions for a gather executed warp-by-warp in order.
-
-    ``element_indices`` is the flat stream of element indices the kernel
-    gathers (e.g. column indices indexing the multiplied vector), chopped
-    into consecutive warps of ``warp_size`` lanes.  Returns the total
-    transaction count; multiply by ``transaction_bytes`` for DRAM bytes.
-    """
-    idx = np.asarray(element_indices, dtype=np.int64).ravel()
-    if idx.size == 0:
-        return 0
-    pad = (-idx.size) % warp_size
-    if pad:
-        idx = np.concatenate([idx, np.full(pad, -1, dtype=np.int64)])
-    addr = np.where(idx >= 0, idx * element_bytes, np.int64(-1))
-    per_warp = warp_transactions(addr.reshape(-1, warp_size), transaction_bytes)
-    return int(per_warp.sum())
+__all__ = ["stream_bytes"]
 
 
 def stream_bytes(n_elements: int, element_bytes: int, transaction_bytes: int = 128) -> int:
@@ -85,30 +25,3 @@ def stream_bytes(n_elements: int, element_bytes: int, transaction_bytes: int = 1
     """
     total = n_elements * element_bytes
     return ceil_div(total, transaction_bytes) * transaction_bytes if total else 0
-
-
-def strided_stream_transactions(
-    n_elements: int,
-    element_bytes: int,
-    stride_elements: int,
-    warp_size: int = 32,
-    transaction_bytes: int = 128,
-) -> int:
-    """Transactions for a warp-strided access pattern.
-
-    Models lane ``l`` of warp ``w`` touching element
-    ``(w * warp_size + l) * stride``: the pattern of an *untransposed*
-    value array in the paper's section 3.2.2, where each thread walks its
-    thread-level tile row-by-row.  With ``stride_elements == 1`` this
-    degenerates to the coalesced stream cost.
-    """
-    if n_elements <= 0:
-        return 0
-    if stride_elements <= 1:
-        return ceil_div(n_elements * element_bytes, transaction_bytes)
-    # Each warp covers warp_size strided elements; lanes hit
-    # ceil(warp_size * stride * element_bytes / transaction) distinct
-    # segments, capped at one per lane.
-    span_bytes = warp_size * stride_elements * element_bytes
-    per_warp = min(warp_size, ceil_div(span_bytes, transaction_bytes))
-    return ceil_div(n_elements, warp_size) * per_warp

@@ -49,7 +49,6 @@ __all__ = [
     "COOSegmentedKernel",
     "SELLKernel",
     "BELLKernel",
-    "CocktailKernel",
 ]
 
 _VAL_B = 4
@@ -494,46 +493,3 @@ class BELLKernel(SpMVKernel):
         )
         return KernelResult(y=y, stats=stats)
 
-
-@register_kernel
-class CocktailKernel(SpMVKernel):
-    """clSpMV COCKTAIL: one kernel launch per partition, results added.
-
-    Each partition runs the kernel matching its storage; launches and
-    traffic accumulate through :meth:`KernelStats.sequential`.
-    """
-
-    name = "cocktail"
-    format_name = "cocktail"
-
-    _SUB_KERNELS = {
-        "dia": "dia",
-        "ell": "ell",
-        "sell32": "sell",
-        "csr": "csr_vector",
-        "coo": "coo_segmented",
-        "merge_csr": "merge_csr",
-        "rgcsr": "rgcsr",
-    }
-
-    def _execute(self, fmt, x, device, config) -> KernelResult:
-        from ..formats.cocktail import CocktailMatrix
-        from .base import get_kernel
-
-        fmt = self._expect(fmt, CocktailMatrix)
-        y = None
-        stats = None
-        for label, part in fmt.partitions:
-            kernel = get_kernel(self._SUB_KERNELS[label])
-            # Sub-kernels keep their strict config contract; translate the
-            # cocktail's config to each member's type, carrying the one
-            # knob they all share.
-            if config is None or isinstance(config, kernel.config_cls):
-                cfg = config
-            else:
-                cfg = kernel.config_cls(workgroup_size=config.workgroup_size)
-            res = kernel.run(part, x, device, config=cfg)
-            y = res.y if y is None else y + res.y
-            stats = res.stats if stats is None else stats.sequential(res.stats)
-        assert y is not None and stats is not None
-        return KernelResult(y=y, stats=stats)

@@ -25,11 +25,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import KernelConfigError
+from ..fault.injection import active_plan
 from ..formats.bccoo import BCCOOMatrix
 from ..formats.bccoo_plus import BCCOOPlusMatrix
 from ..scan.tree import tree_segmented_scan
 from .config import YaSpMVConfig
-from .yaspmv_common import block_contributions, prepare
+from .yaspmv import LaunchPlan, block_products
 
 __all__ = ["yaspmv_faithful", "FaithfulTrace"]
 
@@ -75,8 +76,12 @@ def yaspmv_faithful(
         )
 
     x = np.asarray(x, dtype=np.float64).ravel()
-    padded = prepare(fmt, cfg)
-    contribs, _ = block_contributions(padded, x)  # (nb_padded, h)
+    plan = LaunchPlan(fmt, cfg)
+    padded = plan.padded
+    contribs = block_products(plan, x)  # (nb_padded, h)
+    fault = active_plan()
+    if fault is not None:
+        contribs = fault.perturb_partials(contribs)
 
     h = fmt.block_height
     tile = cfg.effective_tile

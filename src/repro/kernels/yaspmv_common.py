@@ -1,8 +1,8 @@
 """Shared machinery for the yaSpMV kernels (fast path and faithful path).
 
 Holds the launch-time preparation both implementations need: padding the
-BCCOO arrays to the workgroup working set, gathering the multiplied
-vector per block, and computing per-block dot-product contributions.
+BCCOO arrays to the workgroup working set and mapping each block to the
+vector elements it gathers.
 
 A profile-only launch needs none of those arrays.  It reads a format's
 :class:`FormatProfile` instead -- row-stop positions and vector reads,
@@ -18,12 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..fault.injection import active_plan
-from ..formats.bccoo import BCCOOMatrix, block_dots
+from ..formats.bccoo import BCCOOMatrix
 from ..gpu.caches import PaddedReads
 from ..util import round_up
 from .config import YaSpMVConfig
 
-__all__ = ["PaddedBCCOO", "prepare", "block_contributions", "FormatProfile"]
+__all__ = ["PaddedBCCOO", "prepare", "FormatProfile"]
 
 
 @dataclass
@@ -41,7 +41,6 @@ class PaddedBCCOO:
     nb_valid: int
     n_workgroups: int
     n_threads_total: int
-    fmt: BCCOOMatrix
     config: YaSpMVConfig
 
     @property
@@ -97,7 +96,6 @@ def prepare(fmt: BCCOOMatrix, config: YaSpMVConfig) -> PaddedBCCOO:
         nb_valid=nb,
         n_workgroups=n_wg,
         n_threads_total=target // config.effective_tile,
-        fmt=fmt,
         config=config,
     )
 
@@ -197,31 +195,3 @@ _PROFILES: "weakref.WeakKeyDictionary[BCCOOMatrix, FormatProfile]" = (
 )
 _PROFILES_LOCK = threading.Lock()
 
-
-def block_contributions(
-    padded: PaddedBCCOO, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-block partial dot products and the vector gather stream.
-
-    Returns
-    -------
-    contribs:
-        ``(nb_padded, h)``: block ``b`` row ``r`` holds
-        ``sum_j values[b, r, j] * x[col[b] * w + j]``, added from +0 over
-        ``j = 0..w-1`` (:func:`~repro.formats.bccoo.block_dots`).
-    gather_indices:
-        The flat stream of vector element indices the kernel reads, in
-        block order -- input to the cache/coalescing models.  Out-of-range
-        slots (blocks at the right edge, padding blocks) are clamped to
-        index 0 but multiply a zero value, matching a padded device
-        buffer.
-    """
-    fmt = padded.fmt
-    safe, valid = gather_map(padded.cols, fmt.block_width, fmt.ncols)
-    xg = np.asarray(x, dtype=np.float64)[safe]
-    xg[~valid] = 0.0
-    contribs = block_dots(padded.values, xg)
-    plan = active_plan()
-    if plan is not None:
-        contribs = plan.perturb_partials(contribs)
-    return contribs, safe.ravel()

@@ -1,12 +1,14 @@
 """Segmented scan/sum primitives.
 
-``reference`` holds the sequential ground truth, ``tree`` the classic
-log-depth parallel scan the paper replaces, and ``matrix_scan`` the
-matrix-based approach the yaSpMV kernels customize.  ``flags`` converts
-between BCCOO bit flags (row stops) and classic start flags.
+``reference`` holds the sequential ground truth (``faithful``'s
+summation core sums per row stop with it), ``tree`` and ``blelloch`` the
+classic log-depth parallel scans the paper replaces, and
+``matrix_scan`` the matrix-based approach the yaSpMV kernels customize.
+``flags`` converts between BCCOO bit flags (row stops) and classic start
+flags.  The ``fast`` backend sums with SciPy CSR passes laid out in the
+reference's order, not with this package.
 """
 
-from .batched import SegmentPlan, batched_segment_sums, make_segment_plan
 from .blelloch import BlellochStats, blelloch_segmented_scan
 from .flags import segment_ids, starts_from_stops, stops_from_starts
 from .matrix_scan import MatrixScanStats, matrix_segmented_scan
@@ -20,10 +22,7 @@ from .tree import TreeScanStats, tree_segmented_scan
 
 __all__ = [
     "BlellochStats",
-    "SegmentPlan",
-    "batched_segment_sums",
     "blelloch_segmented_scan",
-    "make_segment_plan",
     "segment_ids",
     "starts_from_stops",
     "stops_from_starts",

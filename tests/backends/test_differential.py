@@ -197,9 +197,29 @@ def _both_backends(prepared, X):
             fast.execute_multi(fmt, X, DEVICE, cfg))
 
 
+#: One point per block shape the NumPy-products mode lays out: 1x1, h x 1,
+#: h x w, BCCOO+, merge-path CSR and RG-CSR.
+NUMPY_POINTS = [
+    pytest.param(TuningPoint(), id="1x1"),
+    pytest.param(TuningPoint(block_height=2), id="2x1"),
+    pytest.param(TuningPoint(block_height=3, block_width=2), id="3x2"),
+    pytest.param(TuningPoint(block_width=2, slice_count=2), id="bccoo+"),
+    pytest.param(TuningPoint(base_format="merge_csr"), id="merge_csr"),
+    pytest.param(TuningPoint(base_format="rgcsr"), id="rgcsr"),
+]
+
+
+def _numpy_products(plan) -> bool:
+    """Whether ``plan``'s core multiplies in NumPy, with every SciPy pass
+    it runs on unit data."""
+    core = plan.core
+    passes = [core.first] if core.second is None else [core.first, core.second]
+    return core.cols is not None and all(np.all(s.data == 1.0) for s in passes)
+
+
 class TestSummationCores:
-    """``fast`` sums with exact SciPy CSR passes when the probe passes and
-    with the ``bincount`` pipeline when it fails; both equal
+    """``fast`` sums with exact SciPy CSR passes, which take the products
+    when the probe passes and NumPy's products when it fails; both equal
     ``faithful``, and a lost fast path fails here, not only in a timing."""
 
     @pytest.mark.parametrize("k", [None, 3], ids=["spmv", "spmm3"])
@@ -216,13 +236,13 @@ class TestSummationCores:
             assert np.array_equal(rf.y, rv.y), name
             _assert_stats_equal(rf.stats, rv.stats)
             plans = _cached_plans(prepared.fmt)
-            assert plans and all(p.core is not None for p in plans), name
+            assert plans and all(p.core.cols is None for p in plans), name
             two_pass = getattr(prepared.fmt, "block_width", 1) > 1
             assert all((p.core.second is not None) == two_pass for p in plans)
 
     @pytest.mark.parametrize("k", [None, 3], ids=["spmv", "spmm3"])
     @pytest.mark.parametrize("point", CORE_POINTS)
-    def test_bincount_fallback_exact(self, monkeypatch, point, k):
+    def test_numpy_products_exact(self, monkeypatch, point, k):
         # Plans of freshly built formats take the probe's verdict.
         monkeypatch.setattr(fast_backend, "_FUSED_EXACT", False)
         rng = np.random.default_rng(19)
@@ -234,7 +254,51 @@ class TestSummationCores:
             assert np.array_equal(rf.y, rv.y), name
             _assert_stats_equal(rf.stats, rv.stats)
             plans = _cached_plans(prepared.fmt)
-            assert plans and all(p.core is None for p in plans), name
+            assert plans and all(p.core.cols is not None for p in plans), name
+
+    @pytest.mark.parametrize("point", NUMPY_POINTS)
+    def test_numpy_products_unit_passes(self, monkeypatch, point):
+        monkeypatch.setattr(fast_backend, "_FUSED_EXACT", False)
+        rng = np.random.default_rng(29)
+        engine = SpMVEngine(device=DEVICE)
+        for name, A in _matrices(rng).items():
+            prepared = engine.prepare(A, point=point)
+            for X in (rng.standard_normal(A.shape[1]),
+                      rng.standard_normal((A.shape[1], 2))):
+                rf, rv = _both_backends(prepared, X)
+                assert np.array_equal(rf.y, rv.y), name
+            plans = _cached_plans(prepared.fmt)
+            assert plans and all(_numpy_products(p) for p in plans), name
+
+    @pytest.mark.parametrize("point", NUMPY_POINTS)
+    def test_numpy_products_value_refresh(self, monkeypatch, point):
+        # A refreshed core swaps the values its NumPy products read.
+        monkeypatch.setattr(fast_backend, "_FUSED_EXACT", False)
+        rng = np.random.default_rng(31)
+        fast, faithful = get_backend("fast"), get_backend("faithful")
+        engine = SpMVEngine(device=DEVICE, backend="fast")
+        for name, A in _matrices(rng).items():
+            prepared = engine.prepare(A, point=point)
+            x = rng.standard_normal(A.shape[1])
+            X = rng.standard_normal((A.shape[1], 2))
+            engine.multiply(prepared, x)
+            engine.multiply_many(prepared, X)
+            B = A.copy()
+            B.data = rng.uniform(0.5, 2.0, size=B.nnz) * np.sign(A.data)
+            before = fast.n_value_refreshes
+            refreshed = engine.update_values(prepared, B)
+            assert fast.n_value_refreshes > before, name
+            fmt, cfg = refreshed.fmt, refreshed.config
+            assert np.array_equal(
+                engine.multiply(refreshed, x).y,
+                faithful.execute(fmt, x, DEVICE, cfg).y,
+            ), name
+            assert np.array_equal(
+                engine.multiply_many(refreshed, X).y,
+                faithful.execute_multi(fmt, X, DEVICE, cfg).y,
+            ), name
+            plans = _cached_plans(fmt)
+            assert plans and all(_numpy_products(p) for p in plans), name
 
     @pytest.mark.parametrize("k", [None, 3], ids=["spmv", "spmm3"])
     @pytest.mark.parametrize("point", CORE_POINTS)
@@ -257,6 +321,28 @@ class TestSummationCores:
             rf, rv = _both_backends(prepared, X)
         assert np.isnan(rf.y).any()
         assert np.array_equal(rf.y, rv.y, equal_nan=True)
+
+
+class TestUnitSumDelegation:
+    """Without exact unit-data sums, ``fast`` hands every call to
+    ``faithful`` and caches no plan."""
+
+    @pytest.mark.parametrize("point", NUMPY_POINTS)
+    def test_faithful_bits_and_no_plan(self, monkeypatch, point):
+        monkeypatch.setattr(fast_backend, "_UNIT_EXACT", False)
+        rng = np.random.default_rng(37)
+        fast = get_backend("fast")
+        engine = SpMVEngine(device=DEVICE)
+        for name, A in _matrices(rng).items():
+            prepared = engine.prepare(A, point=point)
+            before = fast.plan_count()
+            for X in (rng.standard_normal(A.shape[1]),
+                      rng.standard_normal((A.shape[1], 2))):
+                rf, rv = _both_backends(prepared, X)
+                assert np.array_equal(rf.y, rv.y), name
+                _assert_stats_equal(rf.stats, rv.stats)
+            assert _cached_plans(prepared.fmt) == [], name
+            assert fast.plan_count() <= before, name
 
 
 class TestFaultDelegation:
@@ -403,8 +489,9 @@ class TestFastObservability:
         assert executions.value(kernel="yaspmm") == 1
 
 
-#: One point per fast summation core: the fused 1x1 CSR, the bincount
-#: segmented sum, the merge-path pass and the RG-CSR lane pass.
+#: One point per fast summation core: the 1x1 segment pass, the 2x2
+#: block-product and segment passes, the merge-path pass and the RG-CSR
+#: lane pass.
 CLOCK_POINTS = [
     pytest.param(TuningPoint(), id="bccoo-1x1"),
     pytest.param(TuningPoint(block_height=2, block_width=2), id="bccoo-2x2"),

@@ -1,69 +1,6 @@
-"""Tests for the coalescing model."""
+"""Tests for the memory-stream model."""
 
-import numpy as np
-import pytest
-
-from repro.gpu import (
-    gather_transactions,
-    stream_bytes,
-    strided_stream_transactions,
-    warp_transactions,
-)
-
-
-class TestWarpTransactions:
-    def test_fully_coalesced(self):
-        addr = (np.arange(32) * 4).reshape(1, 32)
-        assert warp_transactions(addr).tolist() == [1]
-
-    def test_fully_scattered(self):
-        addr = (np.arange(32) * 128).reshape(1, 32)
-        assert warp_transactions(addr).tolist() == [32]
-
-    def test_two_segments(self):
-        addr = np.concatenate([np.arange(16) * 4, 4096 + np.arange(16) * 4])
-        assert warp_transactions(addr.reshape(1, 32)).tolist() == [2]
-
-    def test_inactive_lanes_free(self):
-        addr = np.full((1, 32), -1, dtype=np.int64)
-        addr[0, 0] = 0
-        assert warp_transactions(addr).tolist() == [1]
-        assert warp_transactions(np.full((1, 32), -1, dtype=np.int64)).tolist() == [0]
-
-    def test_duplicate_addresses_merge(self):
-        addr = np.zeros((1, 32), dtype=np.int64)
-        assert warp_transactions(addr).tolist() == [1]
-
-    def test_multiple_warps(self):
-        a0 = np.arange(32) * 4
-        a1 = np.arange(32) * 256
-        out = warp_transactions(np.stack([a0, a1]))
-        assert out.tolist() == [1, 32]
-
-    def test_transaction_size_parameter(self):
-        addr = (np.arange(32) * 4).reshape(1, 32)
-        assert warp_transactions(addr, transaction_bytes=32).tolist() == [4]
-
-    def test_bad_shape(self):
-        with pytest.raises(ValueError, match="n_warps"):
-            warp_transactions(np.arange(32))
-
-
-class TestGatherTransactions:
-    def test_sequential_gather(self):
-        assert gather_transactions(np.arange(64), 4) == 2
-
-    def test_random_gather_upper_bound(self, rng):
-        idx = rng.integers(0, 1_000_000, 320)
-        txns = gather_transactions(idx, 4)
-        assert txns <= 320
-        assert txns >= 320 // 32  # at least one per warp
-
-    def test_partial_warp_padded(self):
-        assert gather_transactions(np.arange(10), 4) == 1
-
-    def test_empty(self):
-        assert gather_transactions(np.array([], dtype=np.int64), 4) == 0
+from repro.gpu import stream_bytes
 
 
 class TestStreamBytes:
@@ -74,19 +11,3 @@ class TestStreamBytes:
 
     def test_zero(self):
         assert stream_bytes(0, 4) == 0
-
-
-class TestStridedStream:
-    def test_unit_stride_is_stream(self):
-        assert strided_stream_transactions(256, 4, 1) == stream_bytes(256, 4) // 128
-
-    def test_large_stride_one_per_lane(self):
-        # Stride 64 elements x 4 B = 256 B apart: every lane its own txn.
-        assert strided_stream_transactions(32, 4, 64) == 32
-
-    def test_monotone_in_stride(self):
-        t = [strided_stream_transactions(1024, 4, s) for s in (1, 2, 4, 8, 32)]
-        assert t == sorted(t)
-
-    def test_zero_elements(self):
-        assert strided_stream_transactions(0, 4, 8) == 0

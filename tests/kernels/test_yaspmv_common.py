@@ -5,7 +5,8 @@ import pytest
 
 from repro.formats import BCCOOMatrix
 from repro.kernels import YaSpMVConfig
-from repro.kernels.yaspmv_common import block_contributions, prepare
+from repro.kernels.yaspmv import LaunchPlan, block_products
+from repro.kernels.yaspmv_common import prepare
 
 
 class TestPrepare:
@@ -46,9 +47,8 @@ class TestBlockContributions:
     def test_against_dense_reference(self, paper_matrix_a, rng):
         fmt = BCCOOMatrix.from_scipy(paper_matrix_a, block_height=2, block_width=2)
         cfg = YaSpMVConfig(workgroup_size=32, tile_size=1)
-        padded = prepare(fmt, cfg)
         x = rng.standard_normal(8)
-        contribs, gather = block_contributions(padded, x)
+        contribs = block_products(LaunchPlan(fmt, cfg), x)
 
         # Each block's contribution equals the dense sub-block product.
         dense = paper_matrix_a.toarray()
@@ -59,12 +59,12 @@ class TestBlockContributions:
             expected = dense[r0 : r0 + 2, c0 : c0 + 2] @ x[c0 : c0 + 2]
             np.testing.assert_allclose(contribs[b], expected, atol=1e-12)
 
-    def test_gather_stream_shape(self, random_matrix, rng):
+    def test_gather_stream_shape(self, random_matrix):
         fmt = BCCOOMatrix.from_scipy(random_matrix(), block_width=4)
         cfg = YaSpMVConfig(workgroup_size=32, tile_size=2)
-        padded = prepare(fmt, cfg)
-        _, gather = block_contributions(padded, rng.standard_normal(fmt.ncols))
-        assert gather.shape == (padded.nb_padded * 4,)
+        plan = LaunchPlan(fmt, cfg)
+        gather = plan.gather_flat
+        assert gather.shape == (plan.nb_padded * 4,)
         assert gather.min() >= 0
         assert gather.max() < fmt.ncols
 
@@ -76,9 +76,8 @@ class TestBlockContributions:
         A = sparse.random(6, 5, density=0.5, random_state=0, format="csr")
         fmt = BCCOOMatrix.from_scipy(A, block_width=4)
         cfg = YaSpMVConfig(workgroup_size=32, tile_size=1)
-        padded = prepare(fmt, cfg)
         x = rng.standard_normal(5)
-        contribs, _ = block_contributions(padded, x)
+        contribs = block_products(LaunchPlan(fmt, cfg), x)
         total = np.zeros(fmt.n_block_rows)
         np.add.at(total, fmt.block_rows(), contribs[: fmt.nblocks, 0])
         np.testing.assert_allclose(total[: A.shape[0]], (A @ x), atol=1e-12)

@@ -1,10 +1,9 @@
-"""Property-based tests on Matrix Market IO and the partitioned cocktail format."""
+"""Property-based tests on Matrix Market IO."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
-from repro.formats import CocktailMatrix
 from repro.matrices import read_matrix_market, write_matrix_market
 
 
@@ -40,18 +39,4 @@ class TestMatrixMarketProperties:
         B = read_matrix_market(path)
         assert B.shape == A.shape
         np.testing.assert_allclose(B.toarray(), A.toarray(), rtol=1e-15)
-
-
-class TestCocktailProperties:
-    @given(A=small_matrices())
-    @settings(max_examples=50, deadline=None)
-    def test_round_trip_and_multiply(self, A):
-        if A.nnz == 0:
-            return
-        fmt = CocktailMatrix.from_scipy(A)
-        assert (fmt.to_scipy() != A).nnz == 0
-        x = np.linspace(-1, 1, A.shape[1])
-        np.testing.assert_allclose(
-            fmt.multiply(x), A @ x, rtol=1e-9, atol=1e-7
-        )
 
