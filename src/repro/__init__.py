@@ -48,7 +48,6 @@ from .errors import (
     FormatNotApplicableError,
     KernelConfigError,
     MatrixGenerationError,
-    QuotaExceededError,
     ReproError,
     ServeTimeout,
     ServerClosedError,
@@ -104,7 +103,6 @@ __all__ = [
     "FormatNotApplicableError",
     "KernelConfigError",
     "MatrixGenerationError",
-    "QuotaExceededError",
     "ReproError",
     "run_chaos_drill",
     "ServeConfig",

@@ -96,9 +96,5 @@ class ExecutionBackend(abc.ABC):
         """
         return 0
 
-    def capabilities(self) -> dict:
-        """Introspection record for :meth:`SpMVEngine.capabilities`."""
-        return {"name": self.name, "bit_identical": True}
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"

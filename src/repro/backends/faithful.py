@@ -43,9 +43,3 @@ class FaithfulBackend(ExecutionBackend):
         config=None,
     ) -> KernelResult:
         return kernel_for(fmt).run_multi(fmt, X, device, config=config)
-
-    def capabilities(self) -> dict:
-        caps = super().capabilities()
-        caps["vectorized"] = False
-        caps["fault_sites"] = True
-        return caps

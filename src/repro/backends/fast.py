@@ -298,8 +298,9 @@ class FastPlan(_Cored, LaunchPlan):
 
     A plan holds no reference to its format: the backend caches it under
     a weak reference to the format, which a strong one would pin for the
-    life of the process.  ``padded.values`` is ``None``: the core holds
-    the values it reads.
+    life of the process.  ``padded.values`` and ``padded.cols`` are
+    ``None``: the core holds the values it reads, and ``safe`` the
+    gather map built from the columns.
     """
 
     __slots__ = ("core",)
@@ -307,7 +308,7 @@ class FastPlan(_Cored, LaunchPlan):
     def __init__(self, fmt, cfg):
         super().__init__(fmt, cfg)
         self.core = _block_core(self, fmt)
-        self.padded = replace(self.padded, values=None)
+        self.padded = replace(self.padded, values=None, cols=None)
 
 
 class FastMergePlan(_Cored, MergePlan):
@@ -541,9 +542,3 @@ class FastBackend(ExecutionBackend):
             result = self._bound(kern, fmt, device, cfg, k).apply(fmt, X)
             kern._observe(obs, sp, label, result.stats)
         return result
-
-    def capabilities(self) -> dict:
-        caps = super().capabilities()
-        caps["vectorized"] = True
-        caps["fault_sites"] = "delegated"  # active plans run on faithful
-        return caps

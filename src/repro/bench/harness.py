@@ -22,7 +22,6 @@ from ..core.baselines import (
 from ..core.engine import SpMVEngine
 from ..gpu.device import DeviceSpec, get_device
 from ..matrices.suite import SUITE, get_spec
-from ..tuning.cache import KernelPlanCache
 
 __all__ = [
     "SystemScore",
@@ -147,8 +146,8 @@ def run_suite_comparison(
 ) -> list[MatrixComparison]:
     """Figure 13/15: the full suite comparison on one device.
 
-    A shared kernel-plan cache is threaded through the engine so tuning
-    cost amortizes across matrices exactly as in the paper's framework.
+    One engine tunes every matrix, so its kernel-plan cache amortizes
+    tuning cost across matrices exactly as in the paper's framework.
     ``fast_tuning`` trims the pruned search (2 block-dimension
     candidates, 2 workgroup sizes, 1 bit-word type) so a 20-matrix run
     finishes in minutes; the quality loss is small because those axes
@@ -164,9 +163,7 @@ def run_suite_comparison(
                 bit_words=("uint8",),
             )
         )
-    eng = SpMVEngine(
-        dev, plan_cache=KernelPlanCache(), tuning_kwargs=tuning_kwargs
-    )
+    eng = SpMVEngine(dev, tuning_kwargs=tuning_kwargs)
     wanted = names if names is not None else [s.name for s in SUITE]
 
     rows: list[MatrixComparison] = []

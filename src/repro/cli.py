@@ -245,8 +245,7 @@ def _cmd_serve(args) -> int:
     if args.shards > 1:
         stats = report.stats
         print(f"shards   : {stats.get('live_shards', args.shards)}/"
-              f"{args.shards} live, {stats.get('failovers', 0)} failovers, "
-              f"{stats.get('quota_rejections', 0)} quota rejections")
+              f"{args.shards} live, {stats.get('failovers', 0)} failovers")
     if args.verbose:
         print()
         print(console_report(obs, title="serving profile"))

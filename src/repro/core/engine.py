@@ -335,10 +335,6 @@ class SpMVEngine:
         :class:`DeviceSpec`.
     tuning_mode:
         ``"pruned"`` (default) or ``"exhaustive"``.
-    plan_cache:
-        Optional shared :class:`KernelPlanCache`; the engine creates one
-        otherwise (kernel plans are reused across matrices, paper
-        section 4).
     plan_store:
         Optional :class:`repro.tuning.TuningStore` consulted by every
         :meth:`prepare`: a persisted configuration for this matrix
@@ -366,7 +362,10 @@ class SpMVEngine:
         null observer -- no measurable overhead.
     validate:
         ``"auto"`` (validate kernel output only when a fault plan is
-        active), ``True`` (always) or ``False`` (never).
+        active), ``True`` (always) or ``False`` (never).  The check is
+        :func:`~repro.fault.validation.verify_output` at its defaults:
+        every row finite, a global checksum, and 64 sampled rows against
+        the CSR reference (rtol 1e-9, atol 1e-12).
     retry_policy:
         The :class:`repro.fault.RetryPolicy` of the tuned-retry stages,
         the bounded same-stage retries that recover transient faults (a
@@ -384,9 +383,6 @@ class SpMVEngine:
         attempt) until the cooldown's half-open probe succeeds.  The
         per-family state is exported through the ``breaker.state``
         gauge.  ``None`` (default) disables breaking.
-    validation_samples:
-        Rows sampled by the per-multiply reference check (``None`` =
-        every row).
     backend:
         ``"faithful"`` (default, the workgroup interpreter) or
         ``"fast"`` (the vectorized path).  Every ``multiply`` and
@@ -404,7 +400,6 @@ class SpMVEngine:
         self,
         device: str | DeviceSpec = "gtx680",
         tuning_mode: str = "pruned",
-        plan_cache: KernelPlanCache | None = None,
         plan_store: TuningStore | None = None,
         tuning_kwargs: dict | None = None,
         policy: str = "strict",
@@ -412,9 +407,6 @@ class SpMVEngine:
         validate: bool | str = "auto",
         retry_policy: RetryPolicy | None = None,
         breaker: CircuitBreaker | None = None,
-        validation_samples: int | None = 64,
-        validation_rtol: float = 1e-9,
-        validation_atol: float = 1e-12,
         observer=None,
         backend: str = "faithful",
     ):
@@ -428,7 +420,9 @@ class SpMVEngine:
             )
         self.device = get_device(device) if isinstance(device, str) else device
         self.tuning_mode = tuning_mode
-        self.plan_cache = plan_cache if plan_cache is not None else KernelPlanCache()
+        #: Kernel plans shared by every tune on this engine (reused
+        #: across matrices, paper section 4).
+        self.plan_cache = KernelPlanCache()
         self.plan_store = plan_store
         #: Extra AutoTuner constructor arguments (e.g. ``pruned_kwargs``
         #: to trim the search for time-boxed runs).
@@ -451,9 +445,6 @@ class SpMVEngine:
                 f"got {type(breaker).__name__}"
             )
         self.breaker = breaker
-        self.validation_samples = validation_samples
-        self.validation_rtol = validation_rtol
-        self.validation_atol = validation_atol
         self._backend = get_backend(backend)
         self._timing = TimingModel(self.device)
         #: Backoff sleep between tuned retries; tests inject a recorder.
@@ -835,9 +826,6 @@ class SpMVEngine:
                 csr,
                 operand if multi else operand.ravel(),
                 kernel_result.y,
-                n_samples=self.validation_samples,
-                rtol=self.validation_rtol,
-                atol=self.validation_atol,
             )
             ok = validation.ok
         record = AttemptRecord(
@@ -1004,56 +992,6 @@ class SpMVEngine:
             ).inc(migrated)
             sp.set(plan_hits=migrated)
             return refreshed
-
-    def capabilities(self, prepared: PreparedMatrix | None = None) -> dict:
-        """One JSON-able dict describing what this engine can do.
-
-        Covers both backends and the selected one, the SpMM batch bound
-        (for ``prepared`` when given, else the default-config estimate),
-        and the active resilience configuration (policy, validation,
-        retry, breaker, fault plan) -- the introspection protocol's
-        engine-level entry, next to ``PreparedMatrix.to_dict()`` and
-        ``SpMVResult.to_dict()``.
-        """
-        if prepared is not None:
-            batch_width = self.max_batch_width(prepared)
-        else:
-            # Default-point estimate: 1-high blocks, default config.
-            shm_one = get_kernel("yaspmv")._shared_mem(1, YaSpMVConfig())
-            batch_width = max(
-                1, self.device.max_shared_mem_per_workgroup // shm_one
-            )
-        retry = self.retry_policy
-        breaker = self.breaker
-        return {
-            "kind": "engine_capabilities",
-            "device": self.device.name,
-            "backend": self._backend.name,
-            "backends": {
-                name: get_backend(name).capabilities()
-                for name in ("faithful", "fast")
-            },
-            "max_batch_width": int(batch_width),
-            "policy": self.policy,
-            "validate": self.validate,
-            "resilient": self._resilient,
-            "fault_plan": (
-                None if self.fault_plan is None else sorted(self.fault_plan.specs)
-            ),
-            "retry": {
-                "retries": retry.retries,
-                "backoff": type(retry).__name__,
-            },
-            "breaker": None if breaker is None else {"kind": type(breaker).__name__},
-            "validation": {
-                "samples": self.validation_samples,
-                "rtol": self.validation_rtol,
-                "atol": self.validation_atol,
-            },
-            "tuning": {
-                "mode": self.tuning_mode,
-            },
-        }
 
     def max_batch_width(self, prepared: PreparedMatrix) -> int:
         """Widest multi-RHS block :meth:`multiply_many` runs as one SpMM.

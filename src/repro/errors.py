@@ -222,21 +222,3 @@ class RemoteWorkerError(ReproError):
         self.original_type = original_type
         self.remote_traceback = remote_traceback
 
-
-class QuotaExceededError(ReproError):
-    """A tenant exceeded its admission quota on the serving fabric.
-
-    Per-tenant backpressure: unlike :class:`ServerOverloadedError` (the
-    whole queue is full) this rejection is scoped to one tenant, so a
-    noisy neighbour cannot starve the rest.  ``tenant`` is the rejected
-    tenant, ``limit`` its configured quota and ``pending`` its queued +
-    in-flight occupancy at admission time.  Survives pickling (the
-    message is the sole positional argument).
-    """
-
-    def __init__(self, message: str = "", *, tenant: str | None = None,
-                 limit: int | None = None, pending: int | None = None):
-        super().__init__(message)
-        self.tenant = tenant
-        self.limit = limit
-        self.pending = pending

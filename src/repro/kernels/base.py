@@ -56,6 +56,7 @@ __all__ = [
     "BaselineConfig",
     "BoundLaunch",
     "KernelResult",
+    "RowKernel",
     "SpMVKernel",
     "register_kernel",
     "get_kernel",
@@ -343,20 +344,6 @@ class SpMVKernel(abc.ABC):
                 f"batch width {k} exceeds device limit {limit}"
             )
 
-    def _bind_rows(
-        self, fmt, device: DeviceSpec, cfg, plan_for, sums, k: int | None
-    ) -> RowLaunch:
-        """Bind a stream-format launch (merge-path CSR, RG-CSR).  A block
-        of ``k`` columns reports the profile of ``k`` chained launches."""
-        self._check_workgroup(cfg.workgroup_size, device)
-        if k is not None:
-            self._check_batch_width(fmt, device, cfg, k)
-        plan = plan_for(fmt, cfg)
-        stats = one = plan.stats(fmt, device)
-        for _ in range(1, k or 1):
-            stats = stats.sequential(one)
-        return RowLaunch(plan, sums, stats, fmt.ncols)
-
     @staticmethod
     def _check_workgroup(workgroup_size: int, device: DeviceSpec) -> None:
         if workgroup_size < device.warp_size:
@@ -373,6 +360,58 @@ class SpMVKernel(abc.ABC):
                 f"workgroup size {workgroup_size} exceeds device limit "
                 f"{device.max_workgroup_size}"
             )
+
+
+class RowKernel(SpMVKernel):
+    """A plan-based kernel over a stream format whose summation core
+    returns ``y`` itself, one row per matrix row: merge-path CSR and
+    RG-CSR.  Unregistered; each subclass names its :attr:`format_cls`,
+    :attr:`~SpMVKernel.plan_cls` and :attr:`sums`.
+    """
+
+    #: The format class this kernel executes.
+    format_cls: ClassVar[type]
+    #: ``faithful``'s summation core, ``sums(plan, fmt, X)``; set it as a
+    #: ``staticmethod``.
+    sums: ClassVar[Any]
+
+    def _execute(self, fmt, x: np.ndarray, device: DeviceSpec, cfg) -> KernelResult:
+        x = np.asarray(x, dtype=np.float64).ravel()
+        return self._launch(fmt, x, device, cfg, self.plan_cls, self.sums)
+
+    def run_multi(
+        self,
+        fmt,
+        X: np.ndarray,
+        device: DeviceSpec,
+        *,
+        config=None,
+    ) -> KernelResult:
+        """SpMM ``Y = A @ X``: one pass of the summation core per
+        right-hand side."""
+        cfg = self._coerce_config(config)
+        X = self._check_block(X)
+        return self._launch(fmt, X, device, cfg, self.plan_cls, self.sums)
+
+    def _bind(
+        self, fmt, device: DeviceSpec, cfg, plan_for, sums, k: int | None = None
+    ) -> RowLaunch:
+        """Bind one launch: a vector when ``k`` is ``None``, else a block
+        of ``k`` columns, which reports the profile of ``k`` chained
+        launches.
+
+        ``plan_for(fmt, cfg)`` returns the plan and ``sums(plan, fmt, x)``
+        the result the launch applies.
+        """
+        fmt = self._expect(fmt, self.format_cls)
+        self._check_workgroup(cfg.workgroup_size, device)
+        if k is not None:
+            self._check_batch_width(fmt, device, cfg, k)
+        plan = plan_for(fmt, cfg)
+        stats = one = plan.stats(fmt, device)
+        for _ in range(1, k or 1):
+            stats = stats.sequential(one)
+        return RowLaunch(plan, sums, stats, fmt.ncols)
 
 
 _REGISTRY: dict[str, SpMVKernel] = {}

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import KernelConfigError, ValidationError
+from ..errors import ValidationError
 from ..fault.injection import active_plan
 from ..formats.merge_csr import MergeCSRMatrix
 from ..gpu.caches import vector_read_traffic
@@ -29,7 +29,7 @@ from ..gpu.counters import KernelStats
 from ..gpu.device import DeviceSpec
 from ..gpu.memory import stream_bytes
 from ..util import ceil_div
-from .base import BoundLaunch, KernelResult, SpMVKernel, register_kernel
+from .base import RowKernel, register_kernel
 from .config import YaSpMVConfig
 
 __all__ = ["MergePathKernel", "MergePlan", "merge_path_stats"]
@@ -178,36 +178,15 @@ def _team_sums(plan: MergePlan, fmt: MergeCSRMatrix, x: np.ndarray) -> np.ndarra
 
 
 @register_kernel
-class MergePathKernel(SpMVKernel):
+class MergePathKernel(RowKernel):
     """Load-balanced CSR SpMV over equal-nnz merge-path teams."""
 
     name = "merge_csr"
     format_name = "merge_csr"
+    format_cls = MergeCSRMatrix
     config_cls = YaSpMVConfig
     plan_cls = MergePlan
-
-    def _execute(
-        self,
-        fmt,
-        x: np.ndarray,
-        device: DeviceSpec,
-        cfg: YaSpMVConfig,
-    ) -> KernelResult:
-        x = np.asarray(x, dtype=np.float64).ravel()
-        return self._launch(fmt, x, device, cfg, MergePlan, _team_sums)
-
-    def run_multi(
-        self,
-        fmt,
-        X: np.ndarray,
-        device: DeviceSpec,
-        *,
-        config=None,
-    ) -> KernelResult:
-        """SpMM ``Y = A @ X``: one team pass per right-hand side."""
-        cfg = self._coerce_config(config)
-        X = self._check_block(X)
-        return self._launch(fmt, X, device, cfg, MergePlan, _team_sums)
+    sums = staticmethod(_team_sums)
 
     def max_batch_width(self, fmt, device: DeviceSpec, config=None) -> int:
         """Columns one batched launch sustains under the shared-mem budget."""
@@ -215,21 +194,3 @@ class MergePathKernel(SpMVKernel):
         cfg = self._coerce_config(config)
         shm_one = max(shared_mem(fmt, cfg), 1)
         return max(1, device.max_shared_mem_per_workgroup // shm_one)
-
-    def _bind(
-        self,
-        fmt,
-        device: DeviceSpec,
-        cfg: YaSpMVConfig,
-        plan_for,
-        sums,
-        k: int | None = None,
-    ) -> BoundLaunch:
-        """Bind one launch: a vector when ``k`` is ``None``, else a block
-        of ``k`` columns summed by a core marked ``takes_block``.
-
-        ``plan_for(fmt, cfg)`` returns the plan and ``sums(plan, fmt, x)``
-        the result the launch applies.
-        """
-        fmt = self._expect(fmt, MergeCSRMatrix)
-        return self._bind_rows(fmt, device, cfg, plan_for, sums, k)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import KernelConfigError, ValidationError
+from ..errors import ValidationError
 from ..fault.injection import active_plan
 from ..formats.rgcsr import RGCSRMatrix
 from ..gpu.caches import vector_read_traffic
@@ -28,7 +28,7 @@ from ..gpu.counters import KernelStats
 from ..gpu.device import DeviceSpec
 from ..gpu.memory import stream_bytes
 from ..util import ceil_div
-from .base import BoundLaunch, KernelResult, SpMVKernel, register_kernel
+from .base import RowKernel, register_kernel
 from .config import YaSpMVConfig
 
 __all__ = ["RowGroupPlan", "RowGroupedKernel", "row_grouped_stats"]
@@ -177,36 +177,15 @@ def _lane_sums(plan: RowGroupPlan, fmt: RGCSRMatrix, x: np.ndarray) -> np.ndarra
 
 
 @register_kernel
-class RowGroupedKernel(SpMVKernel):
+class RowGroupedKernel(RowKernel):
     """Adaptive row-grouped CSR SpMV: thread-per-row over pow-2 buckets."""
 
     name = "rgcsr"
     format_name = "rgcsr"
+    format_cls = RGCSRMatrix
     config_cls = YaSpMVConfig
     plan_cls = RowGroupPlan
-
-    def _execute(
-        self,
-        fmt,
-        x: np.ndarray,
-        device: DeviceSpec,
-        cfg: YaSpMVConfig,
-    ) -> KernelResult:
-        x = np.asarray(x, dtype=np.float64).ravel()
-        return self._launch(fmt, x, device, cfg, RowGroupPlan, _lane_sums)
-
-    def run_multi(
-        self,
-        fmt,
-        X: np.ndarray,
-        device: DeviceSpec,
-        *,
-        config=None,
-    ) -> KernelResult:
-        """SpMM ``Y = A @ X``: one grouped pass per right-hand side."""
-        cfg = self._coerce_config(config)
-        X = self._check_block(X)
-        return self._launch(fmt, X, device, cfg, RowGroupPlan, _lane_sums)
+    sums = staticmethod(_lane_sums)
 
     def max_batch_width(self, fmt, device: DeviceSpec, config=None) -> int:
         """Columns one batched launch sustains; accumulators live in
@@ -215,21 +194,3 @@ class RowGroupedKernel(SpMVKernel):
         cfg = self._coerce_config(config)
         per_col_regs = max(cfg.value_bytes // 4, 1)
         return max(1, device.max_registers_per_thread // (2 * per_col_regs))
-
-    def _bind(
-        self,
-        fmt,
-        device: DeviceSpec,
-        cfg: YaSpMVConfig,
-        plan_for,
-        sums,
-        k: int | None = None,
-    ) -> BoundLaunch:
-        """Bind one launch: a vector when ``k`` is ``None``, else a block
-        of ``k`` columns summed by a core marked ``takes_block``.
-
-        ``plan_for(fmt, cfg)`` returns the plan and ``sums(plan, fmt, x)``
-        the result the launch applies.
-        """
-        fmt = self._expect(fmt, RGCSRMatrix)
-        return self._bind_rows(fmt, device, cfg, plan_for, sums, k)

@@ -80,8 +80,6 @@ __all__ = [
 _VAL_B = 4
 _IDX_B = 4
 _SHORT_B = 2
-#: Minimum useful DRAM granule for an isolated random read.
-_SECTOR_B = 32
 #: SIMD efficiency of the sequential per-thread segmented sum (the only
 #: divergence is the predicated row-stop check).
 _MATRIX_SIMD_EFF = 0.95

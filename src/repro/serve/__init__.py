@@ -15,8 +15,8 @@ See ``docs/serving.md``.
 value-aware serve key across N shard servers with per-shard health
 tracking (:mod:`repro.serve.health`), circuit-breaker ejection and
 readmission, deterministic failover under the retry/deadline budget,
-and per-tenant quotas with weighted-fair dequeue -- retries and breaking
-per shard.  Each shard is one :class:`Shard` over a forked or
+and per-tenant queues dequeued in equal-share rotation -- retries and
+breaking per shard.  Each shard is one :class:`Shard` over a forked or
 in-process transport (:mod:`repro.serve.shard`), driving its server
 through :meth:`SpMVServer.run_keyed`.  The differential
 chaos drill (:mod:`repro.serve.chaos`, ``repro chaos``) pins the
@@ -30,7 +30,7 @@ scan strategies and injected faults.
 
 from .cache import CacheEntry, PreparedCache, prepared_footprint_bytes
 from .chaos import ChaosReport, chaos_plan, run_chaos_drill
-from .fabric import FabricConfig, ServeFabric, ShardRouter, TenantPolicy
+from .fabric import ServeFabric, ShardRouter
 from .health import HealthPolicy, ShardHealth
 from .replay import ReplayReport, ReplaySpec, load_requests, run_replay
 from .server import (
@@ -52,7 +52,6 @@ __all__ = [
     "ChaosReport",
     "chaos_plan",
     "run_chaos_drill",
-    "FabricConfig",
     "HealthPolicy",
     "PreparedCache",
     "prepared_footprint_bytes",
@@ -61,7 +60,6 @@ __all__ = [
     "ServeFabric",
     "ShardHealth",
     "ShardRouter",
-    "TenantPolicy",
     "load_requests",
     "run_replay",
     "ServeConfig",

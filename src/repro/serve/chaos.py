@@ -120,7 +120,6 @@ class ChaosReport:
     shard_crashes: int
     ejections: int
     readmissions: int
-    quota_rejections: int
     live_shards: int
     fault_events: list[str]
     require_failover: bool
@@ -176,7 +175,6 @@ class ChaosReport:
             "shard_crashes": self.shard_crashes,
             "ejections": self.ejections,
             "readmissions": self.readmissions,
-            "quota_rejections": self.quota_rejections,
             "live_shards": self.live_shards,
             "fault_events": list(self.fault_events),
             "require_failover": self.require_failover,
@@ -436,7 +434,6 @@ def run_chaos_drill(
         shard_crashes=stats["shard_crashes"],
         ejections=stats["ejections"],
         readmissions=stats["readmissions"],
-        quota_rejections=stats["quota_rejections"],
         live_shards=stats["live_shards"],
         fault_events=[e.site for e in plan.events],
         require_failover=require_failover,

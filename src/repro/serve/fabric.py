@@ -10,12 +10,12 @@ speculative segmented sum, applied to servers.
 
 Architecture::
 
-    submit(A, x, tenant=..) ──► per-tenant queues  (quota: QuotaExceededError)
+    submit(A, x, tenant=..) ──► per-tenant queues
                                       │
-                        weighted-fair stride scheduler
+                     equal-share stride scheduler
                                       │
                  ShardRouter: consistent hash of the value-aware
-                 serve key over N shards (virtual nodes)
+                 serve key over N shards (32 virtual nodes each)
                                       │
           ┌──────────────┬────────────┴─┬──────────────┐
        shard-0         shard-1        shard-2        ...
@@ -39,8 +39,8 @@ Failure containment:
 * a shard whose rolling window turns sick (errors or injected slowness)
   is ejected via :meth:`CircuitBreaker.trip` and readmitted through the
   breaker's half-open single-probe lifecycle;
-* per-tenant quotas and weighted-fair dequeue keep one noisy tenant
-  from starving the rest (:class:`~repro.errors.QuotaExceededError`).
+* per-tenant queues dequeued in equal-share rotation keep one busy
+  tenant from starving the rest.
 
 Because every shard runs the same device model and tuning mode, a
 failed-over request recomputes the **bit-identical** product the dead
@@ -70,7 +70,6 @@ from ..core.engine import PreparedMatrix, SpMVEngine
 from ..errors import (
     CircuitOpenError,
     DeadlineExceeded,
-    QuotaExceededError,
     ReproError,
     ServerClosedError,
     ServerOverloadedError,
@@ -92,7 +91,7 @@ from .server import ServeConfig, ServeFuture, serve_key
 from .shard import HandleCache, Shard
 from .supervisor import Autoscaler, AutoscalePolicy, ShardSupervisor
 
-__all__ = ["TenantPolicy", "FabricConfig", "ShardRouter", "ServeFabric"]
+__all__ = ["ShardRouter", "ServeFabric"]
 
 
 def _hash64(text: str) -> int:
@@ -102,101 +101,38 @@ def _hash64(text: str) -> int:
     )
 
 
-@dataclass(frozen=True)
-class TenantPolicy:
-    """One tenant's admission quota and fair-share weight.
-
-    Attributes
-    ----------
-    weight:
-        Weighted-fair share: a tenant with weight 2 is dequeued twice as
-        often as a weight-1 tenant when both have work queued.
-    max_pending:
-        Quota: the tenant's queued + in-flight requests may not exceed
-        this; a submit beyond it raises
-        :class:`~repro.errors.QuotaExceededError`.  ``None`` = no quota
-        (still bounded by each shard's own queue depth).
-    """
-
-    weight: float = 1.0
-    max_pending: int | None = None
-
-    def __post_init__(self):
-        if self.weight <= 0:
-            raise ValidationError(f"weight must be > 0, got {self.weight}")
-        if self.max_pending is not None and self.max_pending < 1:
-            raise ValidationError(
-                f"max_pending must be >= 1 or None, got {self.max_pending}"
-            )
-
-
-@dataclass(frozen=True)
-class FabricConfig:
-    """Fabric-level knobs (each shard also has its own ``ServeConfig``).
-
-    Attributes
-    ----------
-    shards:
-        Number of shard servers.
-    vnodes:
-        Virtual nodes per shard on the consistent-hash ring; more
-        vnodes, smoother key distribution.
-    failure_threshold:
-        Consecutive dispatch failures on one shard that trip its
-        circuit even before the rolling window judges it sick.
-    breaker_cooldown_s:
-        Seconds an ejected shard stays open before the half-open
-        readmission probe.
-    default_timeout_s:
-        Deadline applied to requests that don't carry their own.
-    """
-
-    shards: int = 2
-    vnodes: int = 32
-    failure_threshold: int = 3
-    breaker_cooldown_s: float = 5.0
-    default_timeout_s: float | None = None
-
-    def __post_init__(self):
-        if self.shards < 1:
-            raise ValidationError(f"shards must be >= 1, got {self.shards}")
-        if self.vnodes < 1:
-            raise ValidationError(f"vnodes must be >= 1, got {self.vnodes}")
-        if self.failure_threshold < 1:
-            raise ValidationError(
-                f"failure_threshold must be >= 1, got {self.failure_threshold}"
-            )
-        if self.breaker_cooldown_s < 0:
-            raise ValidationError(
-                f"breaker_cooldown_s must be >= 0, "
-                f"got {self.breaker_cooldown_s}"
-            )
+#: Virtual nodes per shard on the consistent-hash ring.
+VNODES = 32
+#: Consecutive dispatch failures on one shard that trip its circuit
+#: even before the rolling window judges it sick.
+FAILURE_THRESHOLD = 3
+#: Seconds an ejected shard stays open before the half-open
+#: readmission probe.
+BREAKER_COOLDOWN_S = 5.0
 
 
 class ShardRouter:
-    """Consistent-hash ring over shard names (virtual nodes).
+    """Consistent-hash ring over shard names, :data:`VNODES` virtual
+    nodes per shard.
 
     :meth:`preference` returns *every* shard in ring order from the
     key's position: element 0 is the owner, element 1 the first
     successor (the failover target when the owner is dead or ejected),
-    and so on.  Adding vnodes smooths the key distribution; the ring is
-    immutable -- liveness filtering is the fabric's job, so ejecting a
-    shard re-routes exactly its key range and nothing else.
+    and so on.  The ring is immutable -- liveness filtering is the
+    fabric's job, so ejecting a shard re-routes exactly its key range
+    and nothing else.
     """
 
-    def __init__(self, names: list[str], vnodes: int = 32):
+    def __init__(self, names: list[str]):
         if len(set(names)) != len(names):
             raise ValidationError(f"duplicate shard names: {names}")
         if not names:
             raise ValidationError("router needs at least one shard")
-        if vnodes < 1:
-            raise ValidationError(f"vnodes must be >= 1, got {vnodes}")
         self.names = list(names)
-        self.vnodes = vnodes
         self._ring: list[tuple[int, str]] = sorted(
             (_hash64(f"{name}#{v}"), name)
             for name in names
-            for v in range(vnodes)
+            for v in range(VNODES)
         )
 
     def preference(self, key: str) -> list[str]:
@@ -248,8 +184,7 @@ class ServeFabric:
     Parameters
     ----------
     shards:
-        Shard count (or pass a full :class:`FabricConfig` via
-        ``config``).
+        Shard count (at least 1).
     device:
         Simulated device model every shard runs (bit-identity across
         shards requires one device model; heterogeneous fabrics would
@@ -265,14 +200,8 @@ class ServeFabric:
         Per-shard :class:`ServeConfig` (each shard's server runs
         threadless under the fabric's pump; ``batch_window_s`` is
         forced to 0).
-    config:
-        :class:`FabricConfig`; ``shards=`` argument wins over
-        ``config.shards`` when both are given explicitly.
     health_policy:
         Rolling-window judgment thresholds (:class:`HealthPolicy`).
-    tenants:
-        ``{tenant: TenantPolicy}``; unknown tenants get
-        ``default_tenant``.
     retry_policy:
         Failover budget: a request is attempted on at most
         ``max_attempts`` shards (the backoff schedule applies between
@@ -307,15 +236,12 @@ class ServeFabric:
 
     def __init__(
         self,
-        shards: int | None = None,
+        shards: int = 2,
         *,
         device: str = "gtx680",
         engine_factory=None,
         serve_config: ServeConfig | None = None,
-        config: FabricConfig | None = None,
         health_policy: HealthPolicy | None = None,
-        tenants: dict[str, TenantPolicy] | None = None,
-        default_tenant: TenantPolicy | None = None,
         retry_policy: RetryPolicy | None = None,
         observer=None,
         start: bool = True,
@@ -325,11 +251,8 @@ class ServeFabric:
         restart_policy: RetryPolicy | None = None,
         autoscale_policy: AutoscalePolicy | None = None,
     ):
-        if config is None:
-            config = FabricConfig(shards=shards if shards is not None else 2)
-        elif shards is not None and shards != config.shards:
-            config = replace(config, shards=shards)
-        self.config = config
+        if shards < 1:
+            raise ValidationError(f"shards must be >= 1, got {shards}")
         self.serve_config = (
             serve_config if serve_config is not None else ServeConfig()
         )
@@ -340,10 +263,6 @@ class ServeFabric:
             retry_policy
             if retry_policy is not None
             else RetryPolicy(max_attempts=3, base_delay_s=0.0)
-        )
-        self.tenant_policies = dict(tenants) if tenants else {}
-        self.default_tenant = (
-            default_tenant if default_tenant is not None else TenantPolicy()
         )
         self._clock = clock
         self._sleep = time.sleep
@@ -360,13 +279,11 @@ class ServeFabric:
         #: from what is resident here.
         self._handles = HandleCache(self.serve_config.cache_budget_bytes)
         self.shards: list[Shard] = []
-        for i in range(self.config.shards):
+        for i in range(shards):
             self.shards.append(self._spawn_shard(i))
-        self._next_index = self.config.shards
+        self._next_index = shards
         self._by_name = {s.name: s for s in self.shards}
-        self.router = ShardRouter(
-            [s.name for s in self.shards], vnodes=self.config.vnodes
-        )
+        self.router = ShardRouter([s.name for s in self.shards])
         self.supervisor = ShardSupervisor(
             restart_policy, observer=observer, clock=clock
         )
@@ -374,8 +291,8 @@ class ServeFabric:
         if autoscale_policy is not None:
             self.autoscaler = Autoscaler(autoscale_policy, observer=observer)
         self.breaker = CircuitBreaker(
-            failure_threshold=self.config.failure_threshold,
-            cooldown_s=self.config.breaker_cooldown_s,
+            failure_threshold=FAILURE_THRESHOLD,
+            cooldown_s=BREAKER_COOLDOWN_S,
             clock=clock,
         )
         self.obs = observer if observer is not None else self.shards[0].obs
@@ -392,7 +309,6 @@ class ServeFabric:
         self.n_requests = 0
         self.n_responses = 0
         self.n_failovers = 0
-        self.n_quota_rejections = 0
         self.n_ejections = 0
         self.n_readmissions = 0
         self.n_shard_crashes = 0
@@ -444,9 +360,6 @@ class ServeFabric:
             "fabric.live_shards", "shards currently routable"
         ).set(len(self.live_shards()))
 
-    def _tenant_policy(self, tenant: str) -> TenantPolicy:
-        return self.tenant_policies.get(tenant, self.default_tenant)
-
     # ------------------------------------------------------------------ #
     # Submission
     # ------------------------------------------------------------------ #
@@ -465,10 +378,11 @@ class ServeFabric:
         :class:`~repro.core.engine.PreparedMatrix` (forwarded to the
         owning shard as-is, so its cache admits the caller's prepared
         instance -- the solver sessions' value-refresh path).
+        ``timeout_s`` is the request's deadline; without it the request
+        has none.
 
-        Raises :class:`~repro.errors.QuotaExceededError` when the
-        tenant's quota is full and :class:`~repro.errors.
-        ServerClosedError` after :meth:`close`.
+        Raises :class:`~repro.errors.ServerClosedError` after
+        :meth:`close`.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim not in (1, 2):
@@ -485,11 +399,9 @@ class ServeFabric:
                 f"x has {x.shape[0]} rows, matrix has {csr.shape[1]} columns"
             )
         key = serve_key(self.shards[0].engine, csr)
-        timeout = (
-            timeout_s if timeout_s is not None
-            else self.config.default_timeout_s
+        deadline = (
+            None if timeout_s is None else Deadline(timeout_s, clock=self._clock)
         )
-        deadline = None if timeout is None else Deadline(timeout, clock=self._clock)
         future = ServeFuture()
         request = _FabricRequest(
             tenant=tenant,
@@ -500,24 +412,9 @@ class ServeFabric:
             future=future,
             enqueued_at=self._clock(),
         )
-        policy = self._tenant_policy(tenant)
         with self._cond:
             if self._closed:
                 raise ServerClosedError("fabric is closed; request refused")
-            pending = self._tenant_pending.get(tenant, 0)
-            if policy.max_pending is not None and pending >= policy.max_pending:
-                self.n_quota_rejections += 1
-                self.obs.counter(
-                    "fabric.quota_rejections",
-                    "requests refused by a per-tenant quota",
-                ).inc(tenant=tenant)
-                raise QuotaExceededError(
-                    f"tenant {tenant!r} has {pending} requests pending, "
-                    f"quota is {policy.max_pending}",
-                    tenant=tenant,
-                    limit=policy.max_pending,
-                    pending=pending,
-                )
             queue = self._queues.get(tenant)
             if queue is None:
                 queue = self._queues[tenant] = deque()
@@ -527,7 +424,7 @@ class ServeFabric:
                     self._passes.get(tenant, 0.0), self._vtime
                 )
             queue.append(request)
-            self._tenant_pending[tenant] = pending + 1
+            self._tenant_pending[tenant] = self._tenant_pending.get(tenant, 0) + 1
             self.n_requests += 1
             self.obs.counter("fabric.requests", "requests admitted").inc()
             self._cond.notify_all()
@@ -634,7 +531,7 @@ class ServeFabric:
         for _ in range(rounds):
             self.pump_once()
 
-    # -- step 1: weighted-fair scheduling ------------------------------ #
+    # -- step 1: equal-share scheduling -------------------------------- #
 
     def _schedule(self) -> None:
         while True:
@@ -646,7 +543,8 @@ class ServeFabric:
             self._forward(request)
 
     def _next_tenant_locked(self) -> str | None:
-        """Stride scheduling: smallest pass among non-empty queues wins."""
+        """Stride scheduling: smallest pass among non-empty queues wins,
+        ties by tenant name; each pick advances the winner's pass by 1."""
         best: str | None = None
         for tenant, queue in self._queues.items():
             if not queue:
@@ -658,7 +556,7 @@ class ServeFabric:
         if best is None:
             return None
         self._vtime = self._passes[best]
-        self._passes[best] += 1.0 / self._tenant_policy(best).weight
+        self._passes[best] += 1.0
         return best
 
     # -- step 2: seeded chaos ------------------------------------------ #
@@ -776,7 +674,7 @@ class ServeFabric:
         names = [
             s.name for s in self.shards if not s.dead and not s.retired
         ]
-        self.router = ShardRouter(names, vnodes=self.config.vnodes)
+        self.router = ShardRouter(names)
 
     def _autoscale(self) -> None:
         # The scaler reasons about *fleet size* (replicas that exist and
@@ -926,7 +824,9 @@ class ServeFabric:
             # Readmit first (resets the window), then record: the fresh
             # window starts with the successful probe, not empty.
             self._readmit(shard)
-        else:
+        elif not shard.ejected:
+            # A request forwarded before its shard was ejected must not
+            # close the circuit: only the half-open probe readmits.
             self.breaker.record_success(shard.name)
         shard.health.record_success(latency)
         if not shard.dead and not shard.ejected and not shard.health.healthy():
@@ -1069,7 +969,6 @@ class ServeFabric:
                 "requests": self.n_requests,
                 "responses": self.n_responses,
                 "failovers": self.n_failovers,
-                "quota_rejections": self.n_quota_rejections,
                 "ejections": self.n_ejections,
                 "readmissions": self.n_readmissions,
                 "shard_crashes": self.n_shard_crashes,
@@ -1079,11 +978,7 @@ class ServeFabric:
                 "queued": sum(len(q) for q in self._queues.values()),
                 "in_flight": len(self._pending),
                 "tenants": {
-                    t: {
-                        "pending": self._tenant_pending.get(t, 0),
-                        "weight": self._tenant_policy(t).weight,
-                        "quota": self._tenant_policy(t).max_pending,
-                    }
+                    t: {"pending": self._tenant_pending.get(t, 0)}
                     for t in sorted(self._queues)
                 },
             }

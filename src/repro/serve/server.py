@@ -121,16 +121,12 @@ class ServeConfig:
     cache_budget_bytes:
         Byte budget of the prepared-matrix LRU cache (``None`` =
         unbounded, else ``>= 0``).
-    default_timeout_s:
-        Deadline applied to requests that don't carry their own
-        (``None`` = no deadline, else ``>= 0``).
     """
 
     max_batch: int = 32
     batch_window_s: float = 0.002
     queue_depth: int = 256
     cache_budget_bytes: int | None = 256 << 20
-    default_timeout_s: float | None = None
 
     def __post_init__(self):
         if self.max_batch < 1:
@@ -147,11 +143,6 @@ class ServeConfig:
             raise ValidationError(
                 f"cache_budget_bytes must be >= 0 or None, "
                 f"got {self.cache_budget_bytes}"
-            )
-        if self.default_timeout_s is not None and self.default_timeout_s < 0:
-            raise ValidationError(
-                f"default_timeout_s must be >= 0 or None, "
-                f"got {self.default_timeout_s}"
             )
 
 
@@ -431,13 +422,14 @@ class SpMVServer:
 
     def _request(self, key, matrix, prepared, x, timeout_s) -> _Request:
         """A queue entry for an already keyed and validated request."""
-        timeout = timeout_s if timeout_s is not None else self.config.default_timeout_s
         return _Request(
             key=key,
             matrix=matrix,
             prepared=prepared,
             x=x,
-            deadline=None if timeout is None else Deadline(timeout, clock=self._clock),
+            deadline=(
+                None if timeout_s is None else Deadline(timeout_s, clock=self._clock)
+            ),
             future=ServeFuture(),
             enqueued_at=self._clock(),
             batchable=x.ndim == 1,

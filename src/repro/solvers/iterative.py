@@ -7,13 +7,13 @@ behind **one surface**:
 
     solve(A, b, method="cg" | "bicgstab" | "gmres" | "jacobi", ...)
 
-with keyword-only options mirroring :class:`~repro.SpMVEngine`
-(``observer=``, ``fault_plan=``, ``retry_policy=``, ``deadline=``) plus
-``server=`` to stream every iteration's multiply through an
-:class:`~repro.serve.SpMVServer` or :class:`~repro.serve.ServeFabric`
-(admission control, quotas, failover and the value-aware cache all
-apply; see :class:`~repro.solvers.SolverSession`).  There are no
-per-method functions: ``method=`` picks the iteration.
+with keyword-only options: ``engine=`` (an :class:`~repro.SpMVEngine`
+built with whatever observer, fault plan or retry policy the caller
+wants), ``deadline=``, and ``server=`` to stream every iteration's
+multiply through an :class:`~repro.serve.SpMVServer` or
+:class:`~repro.serve.ServeFabric` (admission control, failover and the
+value-aware cache all apply; see :class:`~repro.solvers.SolverSession`).
+There are no per-method functions: ``method=`` picks the iteration.
 
 Every solver reports a convergence history plus the *simulated device
 time* spent in SpMV -- counting only the successful attempt of each
@@ -148,9 +148,6 @@ def solve(
     max_iter: int = 10_000,
     restart: int = 30,
     engine: SpMVEngine | None = None,
-    observer=None,
-    fault_plan=None,
-    retry_policy=None,
     deadline=None,
     server=None,
     tenant: str = "default",
@@ -172,14 +169,13 @@ def solve(
         (diagonally dominant).
     restart:
         GMRES restart length ``m`` (ignored by the other methods).
-    engine, observer, fault_plan, retry_policy:
-        Execution options mirroring :class:`~repro.SpMVEngine`.  With no
+    engine:
+        The :class:`~repro.SpMVEngine` every multiply runs on.  With no
         ``engine``/``server``, a permissive engine on the default
-        backend is built from them (the solver's default degrades
-        gracefully through the fallback chain; pass your own engine for
-        strict semantics or the ``fast`` backend).  With an explicit
-        engine or server, any option given here is installed on that
-        engine -- the serve layer's install pattern.
+        backend is built (the solver's default degrades gracefully
+        through the fallback chain).  Build your own for strict
+        semantics, the ``fast`` backend, an observer, a fault plan or a
+        retry policy.
     deadline:
         Wall-clock budget in seconds (or a :class:`~repro.fault.
         Deadline`); on expiry the best-so-far ``x`` is returned with
@@ -190,8 +186,8 @@ def solve(
         ServeFabric`: every iteration's multiply is issued as a served
         request (see :class:`~repro.solvers.SolverSession`).
     tenant, timeout_s:
-        Served-request attribution and per-request deadline (fabric
-        quotas and fairness key on the tenant).
+        Served-request attribution and per-request deadline (the
+        fabric's equal-share rotation keys on the tenant).
     keep_iterates:
         Record every iteration's solution snapshot in
         :attr:`SolveResult.iterates` (the differential tests' hook).
@@ -199,33 +195,11 @@ def solve(
     from ..core.engine import PreparedMatrix
     from .session import SolverSession
 
-    if engine is None and server is None:
-        # No target can run a bare PreparedMatrix -- fall through and
-        # let the session raise its "needs the engine it was prepared
-        # with" error instead of conjuring an unrelated engine.
-        if not isinstance(A, PreparedMatrix):
-            engine = SpMVEngine(
-                policy="permissive",
-                observer=observer,
-                fault_plan=fault_plan,
-                retry_policy=retry_policy,
-            )
-    else:
-        target = engine
-        if target is None:
-            target = (
-                server.engine
-                if hasattr(server, "engine")
-                else server.shards[0].engine
-            )
-        if observer is not None:
-            target.observer = observer
-        if fault_plan is not None:
-            from ..fault.injection import FaultPlan
-
-            target.fault_plan = FaultPlan.coerce(fault_plan)
-        if retry_policy is not None:
-            target.retry_policy = retry_policy
+    # No target can run a bare PreparedMatrix -- fall through and let
+    # the session raise its "needs the engine it was prepared with"
+    # error instead of conjuring an unrelated engine.
+    if engine is None and server is None and not isinstance(A, PreparedMatrix):
+        engine = SpMVEngine(policy="permissive")
     session = SolverSession(
         A, engine=engine, server=server, tenant=tenant, timeout_s=timeout_s
     )

@@ -8,8 +8,9 @@ once -- to an execution target and turns every solver iteration's
   in-process path);
 * **served**: a request submitted to an :class:`~repro.serve.
   SpMVServer` or :class:`~repro.serve.ServeFabric`, so iterations flow
-  through admission control, the value-aware prepared cache, tenant
-  quotas and health-aware failover exactly like external traffic.
+  through admission control, the value-aware prepared cache, the
+  fabric's equal-share tenant rotation and health-aware failover
+  exactly like external traffic.
 
 The session is also the solver subsystem's **accountant**.  It tallies
 SpMV count, *simulated device time* (billing only the successful

@@ -37,7 +37,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import TuningError
 from ..fault.injection import active_plan
 from ..gpu.device import DeviceSpec
 from ..kernels.config import YaSpMVConfig

@@ -237,6 +237,10 @@ class TestSummationCores:
             _assert_stats_equal(rf.stats, rv.stats)
             plans = _cached_plans(prepared.fmt)
             assert plans and all(p.core.cols is None for p in plans), name
+            # A cached BCCOO plan keeps its core and gather map, not the
+            # padded values and columns they were built from.
+            padded = [p.padded for p in plans if hasattr(p, "padded")]
+            assert all(pd.values is None and pd.cols is None for pd in padded)
             two_pass = getattr(prepared.fmt, "block_width", 1) > 1
             assert all((p.core.second is not None) == two_pass for p in plans)
 

@@ -358,16 +358,6 @@ class TestBackendAPI:
         eng.multiply(prep, rng.standard_normal(A.shape[1]))
         assert fast.plan_count() - before <= 1
 
-    def test_capabilities_lists_all_backends(self):
-        caps = SpMVEngine("gtx680", backend="fast").capabilities()
-        assert caps["backend"] == "fast"
-        assert set(caps["backends"]) == {"faithful", "fast"}
-        assert caps["backends"]["fast"]["vectorized"]
-        assert not caps["backends"]["faithful"]["vectorized"]
-        import json
-
-        json.dumps(caps)  # must stay JSON-able end to end
-
     def test_prepared_to_dict_and_summary(self, random_matrix):
         eng = SpMVEngine("gtx680")
         A = random_matrix(nrows=70, ncols=70)

@@ -197,16 +197,22 @@ class TestSolveAPI:
         assert not res.deadline_expired
 
 
+def faulty_engine() -> SpMVEngine:
+    """The permissive engine ``solve`` builds by default, plus one
+    transient NaN fault: the first multiply fails once, then recovers."""
+    return SpMVEngine(
+        policy="permissive",
+        fault_plan=FaultPlan.single("kernel.nan_partial", seed=1, count=1),
+    )
+
+
 class TestRetryAccounting:
     """spmv_time_s bills only the successful attempt of each multiply."""
 
     def test_transient_fault_not_double_billed(self):
         A, b = spd_system()
         clean = solve(A, b, method="cg")
-        faulted = solve(
-            A, b, method="cg",
-            fault_plan=FaultPlan.single("kernel.nan_partial", seed=1, count=1),
-        )
+        faulted = solve(A, b, method="cg", engine=faulty_engine())
         assert faulted.spmv_retries == 1
         assert clean.spmv_retries == 0
         # The retried multiply recovered on the tuned path, so the
@@ -217,10 +223,7 @@ class TestRetryAccounting:
 
     def test_retries_surface_in_summary(self):
         A, b = spd_system()
-        faulted = solve(
-            A, b, method="cg",
-            fault_plan=FaultPlan.single("kernel.nan_partial", seed=1, count=1),
-        )
+        faulted = solve(A, b, method="cg", engine=faulty_engine())
         assert "1 retries" in faulted.summary()
 
 

@@ -94,7 +94,7 @@ class TestVacuousPassRejected:
             seed=0, shards=3, requests=4, matched=4, mismatched=[],
             golden_errors=[], fabric_errors=[], failovers=0,
             shard_crashes=0, ejections=0, readmissions=0,
-            quota_rejections=0, live_shards=3, fault_events=[],
+            live_shards=3, fault_events=[],
             require_failover=True, elapsed_s=0.1,
         )
         assert not report.passed
@@ -105,7 +105,7 @@ class TestVacuousPassRejected:
             seed=0, shards=3, requests=4, matched=3, mismatched=[2],
             golden_errors=[], fabric_errors=[], failovers=5,
             shard_crashes=1, ejections=0, readmissions=0,
-            quota_rejections=0, live_shards=2, fault_events=["serve.shard_crash"],
+            live_shards=2, fault_events=["serve.shard_crash"],
             require_failover=True, elapsed_s=0.1,
         )
         assert not report.passed
@@ -115,7 +115,7 @@ class TestVacuousPassRejected:
             seed=0, shards=3, requests=4, matched=3, mismatched=[],
             golden_errors=[], fabric_errors=[(1, "ShardCrashError")],
             failovers=5, shard_crashes=1, ejections=0, readmissions=0,
-            quota_rejections=0, live_shards=2, fault_events=["serve.shard_crash"],
+            live_shards=2, fault_events=["serve.shard_crash"],
             require_failover=True, elapsed_s=0.1,
         )
         assert not report.passed

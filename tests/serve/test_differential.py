@@ -119,13 +119,13 @@ class TestUnderInjectedFaults:
         batch_vs_sequential(engine, prepared, xs)
 
     def test_nan_partial_permissive_serves_correct_answers(self):
-        # NaN injection poisons values, not control flow; sampled
-        # validation can let different corruptions through for the batch
-        # and the sequential run, so the guarantee here is correctness
-        # (exhaustive validation + containment), not bit-identity.
+        # NaN injection poisons values, not control flow; the batch and
+        # the sequential run can hit different corruptions, so the
+        # guarantee here is correctness, not bit-identity: the output
+        # check's finiteness test covers every row, sampled or not, and
+        # the fallback chain contains what it catches.
         engine = SpMVEngine(
             policy="permissive",
-            validation_samples=None,  # validate every row
             fault_plan=FaultPlan.single("kernel.nan_partial", seed=2, count=None),
         )
         A = make_matrix(19)

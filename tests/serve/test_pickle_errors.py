@@ -38,8 +38,8 @@ def _dummy_value(name: str):
     """Plausible payload for a keyword attribute, picked by name."""
     if name.endswith("_s") or name in ("fraction",):
         return 0.25
-    if name in ("queue_depth", "limit", "pending", "attempts", "workgroup",
-                "lane", "count"):
+    if name in ("queue_depth", "pending", "attempts", "workgroup", "lane",
+                "count"):
         return 3
     return f"dummy-{name}"
 
@@ -64,7 +64,7 @@ def _construct(cls):
 def test_sweep_is_not_vacuous():
     names = {cls.__name__ for cls in ERROR_CLASSES}
     assert {"ReproError", "ShardCrashError", "RemoteWorkerError",
-            "ServerOverloadedError", "QuotaExceededError"} <= names
+            "ServerOverloadedError"} <= names
     assert len(ERROR_CLASSES) >= 15
 
 

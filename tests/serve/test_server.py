@@ -80,11 +80,9 @@ class TestSubmitValidation:
             ServeConfig(queue_depth=0)
 
     def test_negative_timeout_and_budget_rejected_at_config(self):
-        with pytest.raises(ValidationError, match="default_timeout_s"):
-            ServeConfig(default_timeout_s=-1.0)
         with pytest.raises(ValidationError, match="cache_budget_bytes"):
             ServeConfig(cache_budget_bytes=-5)
-        ServeConfig(default_timeout_s=0.0, cache_budget_bytes=0)
+        ServeConfig(cache_budget_bytes=0)
 
 
 class TestBatching:
@@ -285,19 +283,6 @@ class TestBackpressure:
         with pytest.raises(DeadlineExceeded):
             fut.result()
         assert srv.n_deadline_expired == 1
-        srv.close()
-
-    def test_default_timeout_from_config(self, matrix):
-        clock = FakeClock()
-        srv = SpMVServer(
-            start=False,
-            config=ServeConfig(batch_window_s=0.0, default_timeout_s=0.25),
-            clock=clock,
-        )
-        fut = srv.submit(matrix, np.ones(120))
-        clock.advance(0.5)
-        srv.drain()
-        assert isinstance(fut.exception(), DeadlineExceeded)
         srv.close()
 
     def test_live_requests_survive_expired_neighbours(self, matrix):

@@ -123,22 +123,18 @@ class TestEngineIntegration:
     def test_warm_start_round_trip_fresh_engine(self, store, A, rng):
         """A brand-new engine with the same store file skips the search."""
         from repro import SpMVEngine
-        from repro.tuning import KernelPlanCache
 
         eng1 = SpMVEngine("gtx680", plan_store=store)
         first = eng1.prepare(A)
         assert not first.tuning.store_hit
 
-        # Fresh engine, fresh plan cache, fresh store object over the
-        # same file: still zero evaluations and zero plan compiles.
-        cache = KernelPlanCache()
-        eng2 = SpMVEngine(
-            "gtx680", plan_cache=cache, plan_store=TuningStore(store.path)
-        )
+        # Fresh engine (so a fresh plan cache), fresh store object over
+        # the same file: still zero evaluations and zero plan compiles.
+        eng2 = SpMVEngine("gtx680", plan_store=TuningStore(store.path))
         second = eng2.prepare(A)
         assert second.tuning.store_hit
         assert second.tuning.evaluated == 0
-        assert cache.misses == 0  # no kernel plans were compiled
+        assert eng2.plan_cache.misses == 0  # no kernel plans were compiled
         assert second.point == first.point
         assert eng2.plan_store.hits == 1
 
