@@ -18,12 +18,16 @@ fast:
   plus the simulated clock computed from the profile, which every
   result carries to the engine.  A warm call only applies the launch;
 * one summation core per plan (:class:`_CSRCore`), which replaces the
-  interpreter's per-workgroup loops with one or two SciPy CSR passes
-  laid out so that SciPy adds in the interpreter's order.  SciPy's
-  kernel runs ``sum += data[j] * x[col[j]]`` sequentially per row, from
-  +0 -- for a ``(ncols, k)`` block, per row and column -- so a CSR
-  whose row lists the interpreter's terms in the interpreter's order is
-  exact:
+  interpreter's per-workgroup loops with one or two CSR passes laid out
+  so that SciPy's compiled CSR loop adds in the interpreter's order.
+  Each pass (:class:`_Pass`) calls that loop directly -- the
+  ``csr_matvec`` / ``csr_matvecs`` of ``scipy.sparse._sparsetools``
+  that ``A @ x`` itself ends in -- into a ``y`` it allocates as +0,
+  after checking the operand's length, dtype and layout, since the loop
+  checks no bounds.  The loop runs ``sum += data[j] * x[col[j]]``
+  sequentially per row, from that +0 -- for a ``(ncols, k)`` block, per
+  row and column -- so a CSR whose row lists the interpreter's terms in
+  the interpreter's order is exact:
 
   - BCCOO/BCCOO+ with block width 1 (any height): one pass, one row per
     (flag segment, lane) holding that lane of the segment's blocks in
@@ -38,14 +42,18 @@ fast:
     stream order and lane order; their SpMM is one pass over the block
     too, with the ``k``-launch cost profile.
 
+  A value refresh swaps one array: the first pass's data, or the values
+  NumPy multiplies by; rows and columns are shared by identity.
+
 The first pass multiplies in SciPy only when the build does not contract
 the multiply-add into an FMA, which a one-time runtime probe checks
-(:func:`_fused_matvec_exact`).  When it fails, each core takes its
-products in NumPy and runs the same passes with unit data: ``1.0 * p``
-rounds nothing, so a unit-data pass rounds only its additions and is
-exact under FMA too.  A second probe case (:func:`_unit_sums_exact`)
-checks that SciPy adds a unit-data row sequentially from +0; if that
-fails as well, the backend hands every call to ``faithful``.
+(:func:`_fused_matvec_exact`) through the very call the passes make.
+When it fails, each core takes its products in NumPy and runs the same
+passes with unit data: ``1.0 * p`` rounds nothing, so a unit-data pass
+rounds only its additions and is exact under FMA too.  A second probe
+case (:func:`_unit_sums_exact`) checks that the loop adds a unit-data
+row sequentially from +0; if that fails as well, the backend hands
+every call to ``faithful``.
 
 Bit-identity therefore holds by construction *and is re-checked on this
 interpreter*, not assumed; the differential suite pins it with
@@ -66,8 +74,9 @@ import weakref
 from dataclasses import replace
 
 import numpy as np
-import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
+from ..errors import FormatError, KernelConfigError
 from ..fault.injection import active_plan
 from ..formats.bccoo_plus import BCCOOPlusMatrix
 # Unused here; kept because perfbench/tracing.py patches this module's copy.
@@ -91,11 +100,20 @@ __all__ = ["FastBackend", "FastPlan", "FastMergePlan", "FastRowGroupPlan"]
 _FUSED_EXACT: bool | None = None
 _UNIT_EXACT: bool | None = None
 
+#: SciPy's compiled CSR loops, the ones ``A @ x`` ends in: row ``i``
+#: adds ``data[j] * x[indices[j]]`` to ``y[i]`` in entry order (per
+#: column, for a block).  They check no bounds; :class:`_Pass` does.
+_matvec = _sparsetools.csr_matvec
+_matvecs = _sparsetools.csr_matvecs
+
+_F64 = np.dtype(np.float64)
+_INT32_MAX = np.iinfo(np.int32).max
+
 
 def _adds_in_order(unit: bool) -> bool:
-    """One probe case: SciPy's CSR products against ``np.bincount``.
+    """One probe case: a :class:`_Pass` against ``np.bincount``.
 
-    SciPy's ``csr_matvec``/``csr_matvecs`` kernels accumulate
+    SciPy's ``csr_matvec``/``csr_matvecs`` loops accumulate
     ``sum += data[j] * x[col[j]]`` sequentially per row, from +0, which
     is the same sequence of rounded multiplies and adds as
     ``np.bincount(ids, weights=data * x[cols])`` -- *unless* the build's
@@ -103,8 +121,8 @@ def _adds_in_order(unit: bool) -> bool:
     ``-ffp-contract=fast``, and the product's rounding step disappears).
     With ``unit`` data every product is exact, so the case checks the
     additions alone.  Rather than assume a build flag, run both on
-    adversarial random data, for a vector and a block, and compare
-    exactly.
+    adversarial random data, for a vector and a block, through the call
+    every pass makes, and compare exactly.
     """
     rng = np.random.default_rng(0x5EED)
     n, nseg, ncols, k = 4096, 64, 512, 3
@@ -113,13 +131,13 @@ def _adds_in_order(unit: bool) -> bool:
     data = np.ones(n) if unit else rng.standard_normal(n)
     x = rng.standard_normal(ncols)
     X = rng.standard_normal((ncols, k))
-    S = _csr(data, cols, np.searchsorted(ids, np.arange(nseg + 1)), ncols)
+    S = _Pass(data, cols, np.searchsorted(ids, np.arange(nseg + 1)), ncols)
     ref = np.bincount(ids, weights=data * x[cols], minlength=nseg)
     flat = (ids[:, None] * k + np.arange(k)).ravel()
     ref_multi = np.bincount(
         flat, weights=(data[:, None] * X[cols]).ravel(), minlength=nseg * k
     ).reshape(nseg, k)
-    return np.array_equal(S @ x, ref) and np.array_equal(S @ X, ref_multi)
+    return np.array_equal(S(x), ref) and np.array_equal(S(X), ref_multi)
 
 
 def _fused_matvec_exact() -> bool:
@@ -141,13 +159,6 @@ def _unit_sums_exact() -> bool:
     return _UNIT_EXACT
 
 
-def _csr(data, indices, indptr, ncols: int):
-    """A SciPy CSR with one row per ``indptr`` interval."""
-    return sp.csr_matrix(
-        (data, indices, indptr), shape=(indptr.shape[0] - 1, ncols)
-    )
-
-
 def _indptr(counts: np.ndarray) -> np.ndarray:
     """CSR row pointers of rows holding ``counts`` entries."""
     indptr = np.zeros(counts.shape[0] + 1, dtype=np.int64)
@@ -155,16 +166,81 @@ def _indptr(counts: np.ndarray) -> np.ndarray:
     return indptr
 
 
+class _Pass:
+    """One CSR pass, ``y = S @ X``, run by SciPy's compiled loop.
+
+    Row ``i`` of ``y`` adds ``data[j] * X[indices[j]]`` over the entries
+    ``indptr[i]:indptr[i + 1]`` in entry order, from +0.  The index
+    arrays take the dtype a ``csr_matrix`` would give them (``int32``
+    when every index fits) and the data float64, once.  The loop reads
+    without bounds checks, so the structure is checked here once and
+    every operand's length and dtype before each call.
+    """
+
+    __slots__ = ("indptr", "indices", "data", "nrows", "ncols")
+
+    def __init__(self, data, indices, indptr, ncols: int):
+        nrows, n = indptr.shape[0] - 1, indices.shape[0]
+        idx = np.int32 if max(nrows, ncols, n) <= _INT32_MAX else np.int64
+        self.indptr = np.ascontiguousarray(indptr, dtype=idx)
+        self.indices = np.ascontiguousarray(indices, dtype=idx)
+        if (
+            self.indptr[0] != 0
+            or self.indptr[-1] != n
+            or np.any(self.indptr[1:] < self.indptr[:-1])
+            or (n and not 0 <= self.indices.min() <= self.indices.max() < ncols)
+        ):
+            raise FormatError("CSR pass rows or columns out of range")
+        self.nrows, self.ncols = nrows, ncols
+        self.data = self._checked(data)
+
+    def _checked(self, data) -> np.ndarray:
+        data = np.ascontiguousarray(data, dtype=np.float64)
+        if data.shape != self.indices.shape:
+            raise FormatError(
+                f"CSR pass needs {self.indices.shape[0]} values, "
+                f"got shape {data.shape}"
+            )
+        return data
+
+    def with_data(self, data) -> "_Pass":
+        """This pass over ``data``: rows and columns shared by identity."""
+        clone = copy.copy(self)
+        clone.data = self._checked(data)
+        return clone
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        """The pass over a vector or an ``(ncols, k)`` block: a fresh +0
+        ``y``, then one call of the compiled loop."""
+        if X.shape[0] != self.ncols or X.dtype != _F64:
+            raise KernelConfigError(
+                f"CSR pass needs a float64 operand of {self.ncols} rows, "
+                f"got {X.dtype} {X.shape}"
+            )
+        if not X.flags.c_contiguous:
+            X = np.ascontiguousarray(X)
+        if X.ndim == 1:
+            y = np.zeros(self.nrows)
+            _matvec(self.nrows, self.ncols, self.indptr, self.indices, self.data,
+                    X, y)
+        else:
+            k = X.shape[1]
+            y = np.zeros((self.nrows, k))
+            _matvecs(self.nrows, self.ncols, k, self.indptr, self.indices,
+                     self.data, X.ravel(), y.ravel())
+        return y
+
+
 class _CSRCore:
-    """An exact summation core: one SciPy CSR pass, or two.
+    """An exact summation core: one :class:`_Pass`, or two.
 
     The first pass takes the products: entry ``j`` of a row multiplies
     the format's flattened values at ``slots`` (all of them, in order,
     when ``slots`` is ``None``) by row ``cols[j]`` of the operand.
     ``second``, when set, sums the first pass's rows with unit data.
-    SciPy adds every row's entries sequentially from +0, in entry order,
-    so each core lays its entries out in the order the interpreter adds
-    them.
+    The loop adds every row's entries sequentially from +0, in entry
+    order, so each core lays its entries out in the order the
+    interpreter adds them.
 
     When :func:`_fused_matvec_exact` holds, ``first`` carries the values
     and SciPy multiplies (``data`` and ``cols`` are ``None``).  Otherwise
@@ -182,25 +258,24 @@ class _CSRCore:
         data = self._data(values)
         if _fused_matvec_exact():
             self.data = self.cols = None
-            self.first = _csr(data, cols, indptr, ncols)
+            self.first = _Pass(data, cols, indptr, ncols)
         else:
             n = cols.shape[0]
             self.data, self.cols = data, cols
-            self.first = _csr(np.ones(n), np.arange(n), indptr, n)
+            self.first = _Pass(np.ones(n), np.arange(n), indptr, n)
 
     def _data(self, values: np.ndarray) -> np.ndarray:
         flat = values.ravel()
         return flat if self.slots is None else flat[self.slots]
 
     def refill(self, values: np.ndarray) -> "_CSRCore":
-        """This core over a value-refreshed format's ``values``: only the
-        products' data change -- one array when NumPy multiplies, the
-        first pass's matrix when SciPy does."""
+        """This core over a value-refreshed format's ``values``: one array
+        changes -- the first pass's data when SciPy multiplies, the values
+        NumPy multiplies by when it does not."""
         clone = copy.copy(self)
         data = self._data(values)
         if self.cols is None:
-            first = self.first
-            clone.first = _csr(data, first.indices, first.indptr, first.shape[1])
+            clone.first = self.first.with_data(data)
         else:
             clone.data = data
         return clone
@@ -210,8 +285,8 @@ class _CSRCore:
             products = np.take(X, self.cols, axis=0)
             products *= self.data if X.ndim == 1 else self.data[:, None]
             X = products
-        Y = self.first @ X
-        return Y if self.second is None else self.second @ Y
+        Y = self.first(X)
+        return Y if self.second is None else self.second(Y)
 
 
 def _segment_rows(stops: np.ndarray, h: int):
@@ -255,7 +330,7 @@ def _block_core(plan: LaunchPlan, fmt) -> _CSRCore:
         cols = np.empty(end * h, dtype=np.int64)
         cols[pos] = plan.safe[:end]
         return _CSRCore(fmt.values, cols, indptr, fmt.ncols, slots=members)
-    segments = _csr(np.ones(end * h), members, indptr, end * h)
+    segments = _Pass(np.ones(end * h), members, indptr, end * h)
     valid = (
         np.ones((end, w), dtype=bool)
         if plan.invalid is None
@@ -442,22 +517,24 @@ class FastBackend(ExecutionBackend):
         BCCOO+ launch binds its stacked matrix's, unclocked, and folds
         the slice-combine profile in per launch.
         """
-        if isinstance(fmt, BCCOOPlusMatrix):
-            inner = self._bound(kern, fmt.stacked, device, cfg, k, clocked=False)
-            return kern._fold(fmt, inner, device, k)
         launches = self._launches.get(fmt)
         key = (cfg, device, k)
         launch = None if launches is None else launches.get(key)
-        if launch is None:
-            plan_cls, sums = self._cores[kern.name]
-            plan = self._plan_for(plan_cls, fmt, cfg)
-            launch = kern._bind(fmt, device, cfg, lambda f, c: plan, sums, k)
-            if clocked:
-                launch.clock = TimingModel(device).estimate(launch.stats)
-            with self._plans_lock:
-                launches = self._launches.setdefault(fmt, {})
-                launch = launches.setdefault(key, launch)
-        return launch
+        if launch is not None:
+            return launch
+        if isinstance(fmt, BCCOOPlusMatrix):
+            # Kept under the stacked matrix, so a BCCOO+ call always
+            # lands here.
+            inner = self._bound(kern, fmt.stacked, device, cfg, k, clocked=False)
+            return kern._fold(fmt, inner, device, k)
+        plan_cls, sums = self._cores[kern.name]
+        plan = self._plan_for(plan_cls, fmt, cfg)
+        launch = kern._bind(fmt, device, cfg, lambda f, c: plan, sums, k)
+        if clocked:
+            launch.clock = TimingModel(device).estimate(launch.stats)
+        with self._plans_lock:
+            launches = self._launches.setdefault(fmt, {})
+            return launches.setdefault(key, launch)
 
     def plan_count(self) -> int:
         """Live cached plans (introspection/tests)."""
@@ -510,7 +587,9 @@ class FastBackend(ExecutionBackend):
     ) -> KernelResult:
         if _delegated():
             return self._faithful.execute(fmt, x, device, config)
-        x = np.asarray(x, dtype=np.float64).ravel()
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 1:
+            x = x.ravel()
         return self._dispatch(fmt, x, device, config, "backend.fast")
 
     def execute_multi(

@@ -9,7 +9,8 @@ of Figure 14.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 
 from ..errors import KernelConfigError
 
@@ -110,6 +111,23 @@ class YaSpMVConfig:
                 raise KernelConfigError(
                     f"result_cache_multiple must be >= 1, got {self.result_cache_multiple}"
                 )
+        # The fast backend looks its bound launches up by config on every
+        # call, so the 13 fields are hashed once, here.  ``_hash`` is no
+        # field: equality, repr, fields(), replace() and asdict() ignore it.
+        self.__dict__["_hash"] = hash(_field_values(self))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        # str hashes differ between processes: a pickle carries no hash.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__dict__["_hash"] = hash(_field_values(self))
 
     @property
     def value_bytes(self) -> int:
@@ -129,3 +147,7 @@ class YaSpMVConfig:
     def with_overrides(self, **kw) -> "YaSpMVConfig":
         """Copy with fields replaced (ablation helper)."""
         return replace(self, **kw)
+
+
+#: The field values, in order: what the generated hash would hash.
+_field_values = attrgetter(*(f.name for f in fields(YaSpMVConfig)))

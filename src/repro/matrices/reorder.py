@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csgraph
 
 from ..util import as_csr
 
@@ -65,6 +64,10 @@ def reverse_cuthill_mckee(matrix) -> Reordering:
     Works on any square matrix; the ordering is computed on the
     symmetrized pattern ``A + A^T``.
     """
+    # Imported here: csgraph loads scipy.sparse.linalg and scipy.linalg,
+    # which nothing else in the package needs.
+    from scipy.sparse import csgraph
+
     csr = as_csr(matrix)
     if csr.shape[0] != csr.shape[1]:
         raise ValueError(

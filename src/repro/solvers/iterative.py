@@ -29,6 +29,7 @@ iterate).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -288,31 +289,41 @@ def _run_solve(
 
 
 def _run_cg(mult, b, x0, tol, max_iter, restart, should_stop, keep_iterates):
-    """CG for symmetric positive-definite systems."""
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
+    """CG for symmetric positive-definite systems.
+
+    ``x`` and ``r`` are updated in place through one scratch vector, and
+    each new ``p`` is one fresh array.  No array handed to ``mult`` is
+    written afterwards, since a multiplier may still hold its operand.
+    The arithmetic is that of ``x += alpha * p`` and
+    ``p = r + beta * p``, so every iterate keeps its bits; ``a.dot(b)``
+    runs the same BLAS dot as ``a @ b``, without the ufunc dispatch.
+    """
+    x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=np.float64)
     iterates = [] if keep_iterates else None
 
     r = b - mult(x)
+    x = x.copy()
     p = r.copy()
-    rs = float(r @ r)
-    history = [np.sqrt(rs)]
+    tmp = np.empty_like(b)
+    rs = float(r.dot(r))
+    history = [math.sqrt(rs)]
     for it in range(1, max_iter + 1):
         if should_stop():
             return x, False, it - 1, history[-1], history, iterates, True
         Ap = mult(p)
-        denom = float(p @ Ap)
+        denom = float(p.dot(Ap))
         if denom == 0.0:
             break
         alpha = rs / denom
-        x += alpha * p
-        r -= alpha * Ap
-        rs_new = float(r @ r)
-        history.append(np.sqrt(rs_new))
+        x += np.multiply(alpha, p, out=tmp)
+        r -= np.multiply(alpha, Ap, out=tmp)
+        rs_new = float(r.dot(r))
+        history.append(math.sqrt(rs_new))
         if iterates is not None:
             iterates.append(x.copy())
         if history[-1] < tol:
             return x, True, it, history[-1], history, iterates, False
-        p = r + (rs_new / rs) * p
+        p = r + np.multiply(rs_new / rs, p, out=tmp)
         rs = rs_new
     return x, False, max_iter, history[-1], history, iterates, False
 

@@ -8,7 +8,7 @@ from scipy.sparse.linalg import eigsh
 from repro import SpMVEngine
 from repro.errors import ReproError, ValidationError
 from repro.fault import Deadline, FaultPlan
-from repro.solvers import SolveResult, power_method, solve
+from repro.solvers import SolveResult, SolverSession, power_method, solve
 from repro.tuning import TuningPoint
 
 
@@ -72,6 +72,34 @@ class TestConjugateGradient:
         res = solve(A, b, method="cg", tol=1e-30, max_iter=3)
         assert not res.converged
         assert res.iterations == 3
+
+
+class TestCGOperands:
+    """CG never writes an array it handed to a multiply, since a
+    multiplier may still hold its operand."""
+
+    @pytest.mark.parametrize("start", [None, "given"])
+    @pytest.mark.parametrize("backend", ["faithful", "fast"])
+    def test_operands_unchanged(self, monkeypatch, backend, start):
+        A, b = spd_system()
+        x0 = None if start is None else np.linspace(0.0, 1.0, b.shape[0])
+        engine = SpMVEngine("gtx680", backend=backend)
+        prep = engine.prepare(A, point=TuningPoint())
+        plain = solve(prep, b, method="cg", engine=engine, x0=x0)
+        handed = []
+        multiply = SolverSession.__call__
+
+        def recording(self, v):
+            handed.append((v, v.copy()))
+            return multiply(self, v)
+
+        monkeypatch.setattr(SolverSession, "__call__", recording)
+        res = solve(prep, b, method="cg", engine=engine, x0=x0)
+        assert res.converged and len(handed) == res.spmv_count
+        for v, copy in handed:
+            assert np.array_equal(v, copy)
+        assert np.array_equal(res.x, plain.x)
+        assert res.history == plain.history
 
 
 class TestBiCGSTAB:
