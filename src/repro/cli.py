@@ -160,7 +160,7 @@ def _cmd_profile(args) -> int:
     from .obs import Observer, console_report, write_jsonl
     from .tuning import TuningStore
 
-    from .fault import CircuitBreaker, RetryPolicy
+    from .fault import CircuitBreaker
 
     name, A = _load_matrix(args.matrix, args.cap)
     x = np.random.default_rng(args.seed).standard_normal(A.shape[1])
@@ -168,10 +168,9 @@ def _cmd_profile(args) -> int:
     obs = Observer()
     # ``validate=True`` + permissive policy routes the multiply through
     # the resilience chain, so the fallback counters show up even on a
-    # healthy run (``fallback.stage_used{stage="tuned"}``).  The explicit
-    # retry policy and breaker materialize the containment metrics
-    # (``retry.attempts``, ``watchdog.timeouts``, ``breaker.state``) in
-    # the profile output.
+    # healthy run (``fallback.stage_used{stage="tuned"}``), along with
+    # the containment metrics (``retry.attempts``, ``watchdog.timeouts``
+    # and, from the explicit breaker, ``breaker.state``).
     eng = SpMVEngine(
         device=args.device,
         plan_store=store,
@@ -179,8 +178,7 @@ def _cmd_profile(args) -> int:
         validate=True,
         policy="permissive",
         fault_plan=args.fault or None,
-        retry_policy=RetryPolicy(max_attempts=2, base_delay_s=0.0),
-        breaker=CircuitBreaker(failure_threshold=3, cooldown_s=30.0),
+        breaker=CircuitBreaker(cooldown_s=30.0),
         backend=args.backend,
     )
     prepared = eng.prepare(A)
@@ -590,7 +588,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="serve.shard_crash budget (shards killed "
                               "mid-flight)")
     p_chaos.add_argument("--slows", type=int, default=0,
-                         help="serve.shard_slow budget (shards slowed)")
+                         help="serve.shard_slow budget (shards slowed); "
+                              "the added latency is only recorded: no "
+                              "ejection or scale-up reacts to it")
     p_chaos.add_argument("--processes", action="store_true",
                          help="run shards as forked worker processes: kills "
                               "become real SIGKILLs the supervisor must "

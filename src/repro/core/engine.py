@@ -28,7 +28,7 @@ from ..backends.base import kernel_for
 from ..errors import FaultInjectedError, ReproError, ValidationError
 from ..fault.injection import FaultPlan, fault_scope
 from ..fault.resilience import AttemptRecord, FailureReport
-from ..fault.retry import CircuitBreaker, RetryPolicy
+from ..fault.retry import CircuitBreaker
 from ..fault.validation import ValidationReport, verify_output
 from ..formats.bccoo import BCCOOMatrix
 from ..formats.bccoo_plus import BCCOOPlusMatrix
@@ -333,8 +333,6 @@ class SpMVEngine:
     device:
         Device name (``"gtx680"``, ``"gtx480"``) or a
         :class:`DeviceSpec`.
-    tuning_mode:
-        ``"pruned"`` (default) or ``"exhaustive"``.
     plan_store:
         Optional :class:`repro.tuning.TuningStore` consulted by every
         :meth:`prepare`: a persisted configuration for this matrix
@@ -344,9 +342,10 @@ class SpMVEngine:
     policy:
         ``"strict"`` (default) raises a typed error on the first
         validation failure; ``"permissive"`` degrades gracefully down
-        the fallback chain (tuned -> bounded retry -> logical-id repair
-        -> untuned default point -> CSR reference) and reports the trail
-        in :attr:`SpMVResult.failure`.
+        the fallback chain (tuned -> one immediate tuned retry, which
+        recovers a transient fault -> logical-id repair -> untuned
+        default point -> CSR reference) and reports the trail in
+        :attr:`SpMVResult.failure`.
     fault_plan:
         Optional :class:`repro.fault.FaultPlan` installed around every
         kernel execution -- the fault-injection harness.  A spec string
@@ -366,14 +365,6 @@ class SpMVEngine:
         :func:`~repro.fault.validation.verify_output` at its defaults:
         every row finite, a global checksum, and 64 sampled rows against
         the CSR reference (rtol 1e-9, atol 1e-12).
-    retry_policy:
-        The :class:`repro.fault.RetryPolicy` of the tuned-retry stages,
-        the bounded same-stage retries that recover transient faults (a
-        plan whose injection budget runs out): its ``retries`` count
-        sets how many run, and its (deterministic, seeded) backoff
-        schedule is slept between them.  ``None`` (the default) is
-        ``RetryPolicy(max_attempts=2, base_delay_s=0.0)``: one
-        immediate retry.
     breaker:
         Optional :class:`repro.fault.CircuitBreaker` keyed by kernel
         family (the prepared point's format name).  Under the
@@ -399,13 +390,11 @@ class SpMVEngine:
     def __init__(
         self,
         device: str | DeviceSpec = "gtx680",
-        tuning_mode: str = "pruned",
         plan_store: TuningStore | None = None,
         tuning_kwargs: dict | None = None,
         policy: str = "strict",
         fault_plan: FaultPlan | str | None = None,
         validate: bool | str = "auto",
-        retry_policy: RetryPolicy | None = None,
         breaker: CircuitBreaker | None = None,
         observer=None,
         backend: str = "faithful",
@@ -419,7 +408,6 @@ class SpMVEngine:
                 f"validate must be True, False or 'auto', got {validate!r}"
             )
         self.device = get_device(device) if isinstance(device, str) else device
-        self.tuning_mode = tuning_mode
         #: Kernel plans shared by every tune on this engine (reused
         #: across matrices, paper section 4).
         self.plan_cache = KernelPlanCache()
@@ -431,14 +419,6 @@ class SpMVEngine:
         self.fault_plan = FaultPlan.coerce(fault_plan)
         self.validate = validate
         self.observer = observer if observer is not None else NULL_OBSERVER
-        if retry_policy is None:
-            retry_policy = RetryPolicy(max_attempts=2, base_delay_s=0.0)
-        elif not isinstance(retry_policy, RetryPolicy):
-            raise ValidationError(
-                f"retry_policy must be a RetryPolicy or None, "
-                f"got {type(retry_policy).__name__}"
-            )
-        self.retry_policy = retry_policy
         if breaker is not None and not isinstance(breaker, CircuitBreaker):
             raise ValidationError(
                 f"breaker must be a CircuitBreaker or None, "
@@ -447,8 +427,6 @@ class SpMVEngine:
         self.breaker = breaker
         self._backend = get_backend(backend)
         self._timing = TimingModel(self.device)
-        #: Backoff sleep between tuned retries; tests inject a recorder.
-        self._sleep = time.sleep
 
     @property
     def backend(self) -> ExecutionBackend:
@@ -469,35 +447,21 @@ class SpMVEngine:
     # ------------------------------------------------------------------ #
 
     def prepare(
-        self,
-        matrix,
-        point: TuningPoint | None = None,
-        keep_history: bool = False,
-        store=None,
-        deadline=None,
-        checkpoint=None,
-        share: bool = False,
+        self, matrix, point: TuningPoint | None = None
     ) -> PreparedMatrix:
         """Tune (unless ``point`` is given) and convert ``matrix``.
 
         Pass an explicit :class:`TuningPoint` to skip tuning -- used by
         the ablation benchmarks and by callers replaying a saved
-        configuration.  The engine's ``plan_store`` (or a per-call
-        ``store`` override) provides persistent warm starts: a stored
-        entry for this matrix structure and device skips the search --
-        observable as ``tuning.store_hit`` with ``evaluated == 0`` --
-        and a fresh search result is written back.
+        configuration.  The engine's ``plan_store`` provides persistent
+        warm starts: a stored entry for this matrix structure and device
+        skips the search -- observable as ``tuning.store_hit`` with
+        ``evaluated == 0`` -- and a fresh search result is written back.
 
-        ``deadline`` (seconds or a :class:`repro.fault.Deadline`) bounds
-        the search wall clock -- on expiry the best-so-far wins and
-        ``tuning.partial`` is set.  ``checkpoint`` (a path or
-        :class:`repro.tuning.TuningCheckpoint`) journals every completed
-        candidate so a crashed or expired search resumes where it
-        stopped, with a bit-identical final result.
-
-        ``share=True`` moves the resulting buffers into
-        ``multiprocessing.shared_memory`` -- see
-        :meth:`PreparedMatrix.share`.
+        The search is the pruned one and keeps no per-candidate history.
+        A deadline or a checkpoint journal is an
+        :class:`~repro.tuning.AutoTuner` option, and
+        :meth:`PreparedMatrix.share` moves the result into shared memory.
         """
         obs = self.observer
         clock = StageClock() if obs.enabled else None
@@ -506,7 +470,7 @@ class SpMVEngine:
         ) as prep_span:
             csr = as_csr(matrix)
             prep_span.set(nnz=int(csr.nnz), shape=f"{csr.shape[0]}x{csr.shape[1]}")
-            store = store if store is not None else self.plan_store
+            store = self.plan_store
             tuning: TuningResult | None = None
             store_checked = False
             invalidations0 = store.invalidations if store is not None else 0
@@ -532,12 +496,10 @@ class SpMVEngine:
             if point is None:
                 tuner = AutoTuner(
                     self.device,
-                    mode=self.tuning_mode,
+                    mode="pruned",  # the mode segment of every serve key
                     plan_cache=self.plan_cache,
-                    keep_history=keep_history,
+                    keep_history=False,
                     observer=obs,
-                    deadline=deadline,
-                    checkpoint=checkpoint,
                     **self.tuning_kwargs,
                 )
                 tuning = tuner.tune(csr)
@@ -575,11 +537,6 @@ class SpMVEngine:
             prepared = PreparedMatrix(
                 fmt=fmt, point=point, tuning=tuning, nnz=int(csr.nnz), csr=csr
             )
-            if share:
-                prepared.share()
-                obs.counter(
-                    "engine.shared_prepares", "prepare(share=True) calls"
-                ).inc()
             if clock is not None:
                 stage_seconds = obs.counter(
                     "prepare.stage_seconds", "prepare wall seconds, by stage"
@@ -664,7 +621,6 @@ class SpMVEngine:
 
         family = prepared.point.format_name
         breaker = self.breaker if self.policy == "permissive" else None
-        retry = self.retry_policy
 
         stages: list[tuple[str, object, YaSpMVConfig | None, bool]] = []
         tuned_allowed = True
@@ -689,9 +645,10 @@ class SpMVEngine:
                 "multiplies that skipped tuned stages on an open circuit",
             ).inc(family=family)
         if tuned_allowed:
+            # One immediate same-stage retry recovers a transient fault
+            # (a plan whose injection budget runs out).
             stages.append(("tuned", prepared.fmt, prepared.config, True))
-            for _ in range(retry.retries):
-                stages.append(("tuned-retry", prepared.fmt, prepared.config, True))
+            stages.append(("tuned-retry", prepared.fmt, prepared.config, True))
         if (
             plan is not None
             and plan.targets("dispatch.")
@@ -710,16 +667,11 @@ class SpMVEngine:
         stages.append(("untuned", None, YaSpMVConfig(), True))
         stages.append(("csr-reference", None, None, False))
 
-        tuned_attempt = 0
         for depth, (stage, fmt, config, with_plan) in enumerate(stages):
             if stage == "tuned-retry":
-                tuned_attempt += 1
                 obs.counter(
                     "retry.attempts", "same-stage retries of the tuned kernel"
                 ).inc()
-                delay = retry.delay_s(tuned_attempt)
-                if delay > 0:
-                    self._sleep(delay)
             with obs.span("fallback.attempt", stage=stage, depth=depth) as stage_span:
                 result, record = self._attempt(
                     stage, fmt, config, with_plan, prepared, csr, x, plan

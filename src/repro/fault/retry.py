@@ -4,21 +4,20 @@ Long-running tuning and serving must contain failures instead of
 amplifying them: a hung candidate should cost a bounded wait, a flaky
 worker a few retries with backoff, and a kernel family that keeps
 getting quarantined should be short-circuited instead of re-probed on
-every call.  This module holds the three policy objects the engine and
-tuner thread through their hot paths:
+every call.  This module holds the three policy objects the engine,
+the tuner and the serving fabric thread through their hot paths:
 
 * :class:`RetryPolicy` -- bounded attempts with exponential backoff and
-  *deterministic seeded jitter* (two runs with the same seed produce the
-  same delay schedule, so tests and distributed replicas stay
-  reproducible while still decorrelating against each other via seeds);
+  *deterministic seeded jitter* (every run produces the same delay
+  schedule, so tests and drills stay reproducible);
 * :class:`Deadline` -- a wall-clock budget created once and threaded
   down through tuner -> candidate; expiry is a typed
   :class:`~repro.errors.DeadlineExceeded` (or a cooperative early stop
   where partial progress is the better outcome);
 * :class:`CircuitBreaker` -- per-key (kernel-family) failure circuit:
-  ``closed`` until N consecutive failures, then ``open`` for a cooldown,
-  then ``half-open`` for a single probe that either closes it again or
-  re-opens it.
+  ``closed`` until :data:`FAILURE_THRESHOLD` consecutive failures, then
+  ``open`` for a cooldown, then ``half-open`` for a single probe that
+  either closes it again or re-opens it.
 
 Everything is clock-injectable (``clock=``) so tests never sleep, and
 state changes can be observed through the ambient :mod:`repro.obs`
@@ -47,13 +46,28 @@ __all__ = [
 ]
 
 
+#: Backoff growth factor per retry.
+BACKOFF_MULTIPLIER = 2.0
+#: Backoff ceiling, seconds.  No schedule in use reaches it: the longest
+#: is the supervisor's, 0.05 s then 0.1 s before jitter.
+MAX_DELAY_S = 1.0
+#: Relative jitter amplitude: retry ``k``'s delay is scaled by a factor
+#: drawn uniformly from ``[1 - JITTER, 1 + JITTER]``.
+JITTER = 0.1
+#: Seeds the jitter draws, so ``delay_s(k)`` is a pure function of
+#: ``(policy, k)`` and a replayed run backs off identically.
+JITTER_SEED = 0
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded retry with exponential backoff and seeded jitter.
 
-    A policy is data, not a loop: the engine's fallback chain, the
-    fabric's failover and the supervisor's restarts each read
-    ``retries``/``max_attempts`` and :meth:`delay_s` in their own loop.
+    A policy is data, not a loop: the fabric's failover and the
+    supervisor's restarts each read ``max_attempts`` and
+    :meth:`delay_s` in their own loop.  The delay before retry ``k`` is
+    ``base_delay_s * BACKOFF_MULTIPLIER ** (k - 1)``, capped at
+    :data:`MAX_DELAY_S` and scaled by a seeded :data:`JITTER` factor.
 
     Attributes
     ----------
@@ -62,61 +76,36 @@ class RetryPolicy:
     base_delay_s:
         Backoff before the first retry; ``0`` disables sleeping
         entirely (the common in-process/test configuration).
-    multiplier:
-        Exponential growth factor per retry.
-    max_delay_s:
-        Backoff ceiling.
-    jitter:
-        Relative jitter amplitude: the delay for retry ``k`` is scaled
-        by a factor drawn uniformly from ``[1 - jitter, 1 + jitter]``.
-    seed:
-        Seeds the jitter draws -- ``delay_s(k)`` is a pure function of
-        ``(policy, k)``, so a replayed run backs off identically.
     """
 
     max_attempts: int = 3
     base_delay_s: float = 0.0
-    multiplier: float = 2.0
-    max_delay_s: float = 30.0
-    jitter: float = 0.1
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ReproError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.base_delay_s < 0 or self.max_delay_s < 0:
+        if self.base_delay_s < 0:
             raise ReproError("delays must be >= 0")
-        if self.multiplier < 1.0:
-            raise ReproError(f"multiplier must be >= 1, got {self.multiplier}")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ReproError(f"jitter must be in [0, 1), got {self.jitter}")
-
-    @property
-    def retries(self) -> int:
-        """Retries after the first attempt."""
-        return self.max_attempts - 1
 
     def delay_s(self, attempt: int) -> float:
         """Backoff before retry ``attempt`` (1-based), jitter included.
 
         Deterministic: the jitter factor for attempt ``k`` is drawn from
-        a generator seeded on ``(seed, k)``, independent of every other
-        attempt's draw.
+        a generator seeded on ``(JITTER_SEED, k)``, independent of every
+        other attempt's draw.
         """
         if attempt < 1:
             raise ReproError(f"attempt must be >= 1, got {attempt}")
         raw = min(
-            self.base_delay_s * self.multiplier ** (attempt - 1),
-            self.max_delay_s,
+            self.base_delay_s * BACKOFF_MULTIPLIER ** (attempt - 1),
+            MAX_DELAY_S,
         )
         if raw <= 0.0:
             return 0.0
-        if self.jitter:
-            u = np.random.default_rng([self.seed, attempt]).random()
-            raw *= 1.0 + self.jitter * (2.0 * u - 1.0)
-        return float(raw)
+        u = np.random.default_rng([JITTER_SEED, attempt]).random()
+        return float(raw * (1.0 + JITTER * (2.0 * u - 1.0)))
 
     def delays(self) -> list[float]:
         """The full backoff schedule (one entry per retry)."""
@@ -187,6 +176,10 @@ BREAKER_STATE_VALUES = {
 }
 
 
+#: Consecutive failures that trip a closed circuit open.
+FAILURE_THRESHOLD = 3
+
+
 class _Circuit:
     """State of one breaker key."""
 
@@ -211,8 +204,8 @@ class CircuitBreaker:
 
     Semantics (per key):
 
-    * ``closed``: attempts flow; ``failure_threshold`` *consecutive*
-      failures trip the circuit to ``open``.
+    * ``closed``: attempts flow; :data:`FAILURE_THRESHOLD`
+      *consecutive* failures trip the circuit to ``open``.
     * ``open``: :meth:`allow` returns ``False`` until ``cooldown_s`` has
       elapsed, at which point the circuit moves to ``half-open``.
     * ``half-open``: one probe attempt is allowed; success closes the
@@ -223,20 +216,9 @@ class CircuitBreaker:
     the engine) and :meth:`snapshot`.
     """
 
-    def __init__(
-        self,
-        failure_threshold: int = 3,
-        cooldown_s: float = 30.0,
-        *,
-        clock=time.monotonic,
-    ):
-        if failure_threshold < 1:
-            raise ReproError(
-                f"failure_threshold must be >= 1, got {failure_threshold}"
-            )
+    def __init__(self, cooldown_s: float = 30.0, *, clock=time.monotonic):
         if cooldown_s < 0:
             raise ReproError(f"cooldown_s must be >= 0, got {cooldown_s}")
-        self.failure_threshold = failure_threshold
         self.cooldown_s = cooldown_s
         self._clock = clock
         self._circuits: dict[str, _Circuit] = {}
@@ -319,7 +301,7 @@ class CircuitBreaker:
             circuit.probe_in_flight = False
             if circuit.state == BREAKER_HALF_OPEN or (
                 circuit.state == BREAKER_CLOSED
-                and circuit.consecutive_failures >= self.failure_threshold
+                and circuit.consecutive_failures >= FAILURE_THRESHOLD
             ):
                 circuit.state = BREAKER_OPEN
                 circuit.opened_at = self._clock()

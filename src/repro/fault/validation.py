@@ -324,20 +324,26 @@ def validate_format(fmt) -> ValidationReport:
 # ---------------------------------------------------------------------- #
 
 
+#: Row-level tolerances of :func:`verify_output` (``np.isclose``).
+RTOL = 1e-9
+ATOL = 1e-12
+#: Seeds the row sample, so a check of one product always reads the
+#: same rows.
+SAMPLE_SEED = 0
+
+
 def verify_output(
     csr,
     x: np.ndarray,
     y: np.ndarray,
     n_samples: int | None = 64,
-    rtol: float = 1e-9,
-    atol: float = 1e-12,
-    seed: int = 0,
 ) -> ValidationReport:
     """Check ``y`` against ``csr @ x`` on sampled rows, plus finiteness.
 
     ``n_samples=None`` compares every row (the CLI's ``repro verify``
-    does this); the engine's per-multiply check samples.  Sampling is
-    deterministic in ``seed``.
+    and the tuner's winner check do this); the engine's per-multiply
+    check samples.  Rows match within :data:`RTOL`/:data:`ATOL`, and
+    the sample is deterministic (:data:`SAMPLE_SEED`).
 
     A 2-D ``x`` of shape ``(ncols, k)`` verifies a multi-RHS product
     ``Y = A @ X`` with the same checks (shape, finiteness, global
@@ -345,7 +351,7 @@ def verify_output(
     """
     x = np.asarray(x)
     if x.ndim == 2:
-        return _verify_output_multi(csr, x, y, n_samples, rtol, atol, seed)
+        return _verify_output_multi(csr, x, y, n_samples)
     y = np.asarray(y)
     report = ValidationReport(subject="kernel output")
     report.add(
@@ -370,7 +376,7 @@ def verify_output(
         got_sum = float(y.sum())
         # Summation-order slack: nnz partial sums can each lose ~eps of
         # the magnitude scale, so widen the row-level rtol accordingly.
-        tol = atol + max(rtol, 64 * np.finfo(np.float64).eps) * max(scale, 1.0)
+        tol = ATOL + max(RTOL, 64 * np.finfo(np.float64).eps) * max(scale, 1.0)
         report.add(
             "checksum",
             abs(got_sum - expect) <= tol,
@@ -381,12 +387,14 @@ def verify_output(
     if n_samples is None or n_samples >= nrows:
         rows = np.arange(nrows)
     else:
-        rows = np.random.default_rng(seed).choice(nrows, size=n_samples, replace=False)
+        rows = np.random.default_rng(SAMPLE_SEED).choice(
+            nrows, size=n_samples, replace=False
+        )
         rows.sort()
     ref = csr[rows] @ x
     got = y[rows]
     with np.errstate(invalid="ignore"):
-        close = np.isclose(got, ref, rtol=rtol, atol=atol)
+        close = np.isclose(got, ref, rtol=RTOL, atol=ATOL)
     n_bad = int((~close).sum())
     if n_bad:
         worst = int(np.argmax(np.where(close, 0.0, np.abs(got - ref))))
@@ -405,9 +413,6 @@ def _verify_output_multi(
     X: np.ndarray,
     Y: np.ndarray,
     n_samples: int | None,
-    rtol: float,
-    atol: float,
-    seed: int,
 ) -> ValidationReport:
     """Multi-RHS variant of :func:`verify_output` (``Y = A @ X``)."""
     Y = np.asarray(Y)
@@ -429,7 +434,7 @@ def _verify_output_multi(
         scale = float(colsums @ np.abs(X).sum(axis=1))
         expect = float((np.asarray(csr.sum(axis=0)).ravel() @ X).sum())
         got_sum = float(Y.sum())
-        tol = atol + max(rtol, 64 * np.finfo(np.float64).eps) * max(scale, 1.0)
+        tol = ATOL + max(RTOL, 64 * np.finfo(np.float64).eps) * max(scale, 1.0)
         report.add(
             "checksum",
             abs(got_sum - expect) <= tol,
@@ -440,12 +445,14 @@ def _verify_output_multi(
     if n_samples is None or n_samples >= nrows:
         rows = np.arange(nrows)
     else:
-        rows = np.random.default_rng(seed).choice(nrows, size=n_samples, replace=False)
+        rows = np.random.default_rng(SAMPLE_SEED).choice(
+            nrows, size=n_samples, replace=False
+        )
         rows.sort()
     ref = csr[rows] @ X
     got = Y[rows]
     with np.errstate(invalid="ignore"):
-        close = np.isclose(got, ref, rtol=rtol, atol=atol)
+        close = np.isclose(got, ref, rtol=RTOL, atol=ATOL)
     n_bad = int((~close).sum())
     if n_bad:
         flat = int(np.argmax(np.where(close, 0.0, np.abs(got - ref))))

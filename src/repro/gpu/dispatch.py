@@ -52,7 +52,6 @@ def schedule_workgroups(
     costs: np.ndarray,
     num_sms: int,
     max_concurrent_per_sm: int = 1,
-    dispatch_order: np.ndarray | None = None,
 ) -> DispatchResult:
     """List-schedule workgroups onto SM execution slots.
 
@@ -62,13 +61,11 @@ def schedule_workgroups(
     interleave warps, but for bandwidth-bound kernels slot-level
     granularity captures the imbalance that matters).
 
-    Workgroups are placed in id order (the in-order property adjacent
-    synchronization relies on) unless ``dispatch_order`` gives an
-    explicit arrival permutation -- the fault-injection harness uses
-    that to model schedulers that break the assumption.  The makespan is
-    order-independent for uniform costs; what an out-of-order arrival
-    breaks is the *correctness* of the Grp_sum chain, which
-    :func:`repro.gpu.adjacent_sync.chain_carries_hazard` models.
+    Workgroups are placed in id order, the in-order property adjacent
+    synchronization relies on.  What an out-of-order arrival breaks is
+    the *correctness* of the Grp_sum chain, not the makespan, so the
+    fault-injection harness models it in
+    :func:`repro.gpu.adjacent_sync.chain_carries_hazard`, not here.
     """
     costs = np.asarray(costs, dtype=np.float64).ravel()
     n = costs.shape[0]
@@ -77,13 +74,6 @@ def schedule_workgroups(
     finish = np.zeros(n, dtype=np.float64)
     if n == 0:
         return DispatchResult(start, finish, 0.0, 0.0)
-
-    if dispatch_order is None:
-        order = range(n)
-    else:
-        order = np.asarray(dispatch_order, dtype=np.int64).ravel()
-        if order.shape[0] != n or np.unique(order).shape[0] != n:
-            raise ValueError("dispatch_order must be a permutation of 0..n-1")
 
     total = float(costs.sum())
     if n <= total_slots:
@@ -96,7 +86,7 @@ def schedule_workgroups(
     # Min-heap of slot free times.
     heap = [0.0] * total_slots
     heapq.heapify(heap)
-    for i in order:
+    for i in range(n):
         t = heapq.heappop(heap)
         start[i] = t
         finish[i] = t + costs[i]

@@ -41,11 +41,10 @@ from .server import (
     serve_key,
 )
 from .shard import Shard
-from .supervisor import Autoscaler, AutoscalePolicy, ShardSupervisor
+from .supervisor import Autoscaler, ShardSupervisor
 
 __all__ = [
     "Autoscaler",
-    "AutoscalePolicy",
     "Shard",
     "ShardSupervisor",
     "CacheEntry",

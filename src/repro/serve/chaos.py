@@ -12,9 +12,9 @@ tests enforce kernel correctness:
    and record every ``y`` -- the golden outputs;
 2. run the *same* workload through a :class:`~repro.serve.ServeFabric`
    while a seeded :class:`~repro.fault.FaultPlan` kills the busiest
-   shard mid-flight (``serve.shard_crash``), injects latency
-   (``serve.shard_slow``) and/or a shard whose dispatches are
-   detected-corrupt;
+   shard mid-flight (``serve.shard_crash``), adds latency the fabric
+   only records (``serve.shard_slow``) and/or a shard whose dispatches
+   are detected-corrupt;
 3. diff: every fabric response must be **bit-identical**
    (``np.array_equal``) to its golden output, no request may be lost,
    and -- when a kill was planned -- ``fabric.failovers`` must be
@@ -42,14 +42,18 @@ from ..matrices.suite import get_spec
 from .fabric import ServeFabric
 from .health import HealthPolicy
 from .server import ServeConfig, SpMVServer
-from .supervisor import AutoscalePolicy
 
 __all__ = ["ChaosReport", "chaos_plan", "run_chaos_drill"]
 
-#: Default drill workload: small, structurally diverse corner of Table 2
+#: The drill workload: small, structurally diverse corner of Table 2
 #: (a stencil, a banded FEM, a power-law) so the serve keys spread over
 #: the hash ring instead of all landing on one shard.
-DEFAULT_MATRICES = ("QCD", "FEM/Harbor", "Circuit", "Epidemiology")
+MATRICES = ("QCD", "FEM/Harbor", "Circuit", "Epidemiology")
+#: Value versions per matrix: the original plus one refreshed copy, the
+#: iterative-solver pattern (same structure, distinct value-aware key).
+VALUE_REFRESHES = 2
+#: Requests alternate between these tenants.
+TENANTS = ("alice", "bob")
 
 
 class _CorruptEngine(SpMVEngine):
@@ -80,9 +84,12 @@ def chaos_plan(seed: int, *, kills: int = 1, slows: int = 0,
                worker_hangs: int = 0) -> FaultPlan:
     """The drill's seeded fault plan (every argument is a budget).
 
-    ``kills`` crash whole shards (permanent); ``worker_kills`` and
-    ``worker_hangs`` kill or silence a shard's server (a real SIGKILL
-    for a forked shard) -- recoverable through the supervisor.
+    ``kills`` crash whole shards (permanent); ``slows`` add
+    ``slow_extra_s`` to every latency the fabric records for one shard,
+    which is only recorded (no ejection or scale decision reads it);
+    ``worker_kills`` and ``worker_hangs`` kill or silence a shard's
+    server (a real SIGKILL for a forked shard) -- recoverable through
+    the supervisor.
     """
     specs = []
     if kills:
@@ -229,22 +236,17 @@ class ChaosReport:
 
 
 def _build_workload(
-    matrices: tuple[str, ...],
-    cap_nnz: int,
-    requests_per_matrix: int,
-    value_refreshes: int,
-    tenants: tuple[str, ...],
-    seed: int,
+    cap_nnz: int, requests_per_matrix: int, seed: int
 ) -> list[tuple[object, np.ndarray, str]]:
     """Deterministic (matrix, x, tenant) triples; one serve key per
     (matrix, value refresh), so keys spread across the hash ring."""
     rng = np.random.default_rng(seed)
     work: list[tuple[object, np.ndarray, str]] = []
     i = 0
-    for name in matrices:
+    for name in MATRICES:
         spec = get_spec(name)
         base = spec.load(scale=spec.scale_for_nnz(cap_nnz), seed=seed)
-        for refresh in range(value_refreshes):
+        for refresh in range(VALUE_REFRESHES):
             if refresh == 0:
                 A = base
             else:
@@ -254,7 +256,7 @@ def _build_workload(
                 A.data = A.data * (1.0 + 0.25 * refresh)
             for _ in range(requests_per_matrix):
                 x = rng.standard_normal(A.shape[1])
-                work.append((A, x, tenants[i % len(tenants)]))
+                work.append((A, x, TENANTS[i % len(TENANTS)]))
                 i += 1
     return work
 
@@ -263,29 +265,27 @@ def run_chaos_drill(
     shards: int = 3,
     seed: int = 7,
     *,
-    matrices: tuple[str, ...] = DEFAULT_MATRICES,
     cap_nnz: int = 4_000,
     requests_per_matrix: int = 3,
-    value_refreshes: int = 2,
-    tenants: tuple[str, ...] = ("alice", "bob"),
     kills: int = 1,
     slows: int = 0,
     corrupt_shards: int = 0,
     device: str = "gtx680",
-    require_failover: bool | None = None,
     observer=None,
     processes: bool = False,
     worker_hangs: int = 0,
-    autoscale: bool | None = None,
     reply_timeout_s: float = 15.0,
 ) -> ChaosReport:
     """Run the differential drill; see the module docstring for the plot.
 
+    The workload sends ``requests_per_matrix`` requests for each of
+    :data:`VALUE_REFRESHES` value versions of each of :data:`MATRICES`
+    (capped at ``cap_nnz``), alternating between :data:`TENANTS`.
     ``kills``/``slows`` are fault budgets for the seeded plan;
     ``corrupt_shards`` makes that many shards (highest indices)
-    detected-corrupt from the start.  ``require_failover`` defaults to
-    "a kill or corruption was planned and more than one shard exists"
-    -- the configurations in which a vacuous pass must be rejected.
+    detected-corrupt from the start.  A failover is required when a
+    kill or corruption was planned and more than one shard exists --
+    the configurations in which a vacuous pass must be rejected.
     The fabric shards run the serve layer's default ``fast`` backend
     while the pristine golden server runs ``faithful``, so every drill
     doubles as a bit-identity check on the vectorized path.
@@ -294,21 +294,16 @@ def run_chaos_drill(
     re-targets the ``kills`` budget at **real SIGKILLs**
     (``serve.worker_kill``): the shard is not lost, the supervisor must
     restart (or degrade) it, and the drill additionally asserts a full
-    autoscale up/down cycle (``autoscale`` defaults to on in process
-    mode) and that shutdown leaves zero shared-memory segments behind.
+    autoscale up/down cycle and that shutdown leaves zero shared-memory
+    segments behind.
     Every distinct workload matrix is prepared once in the parent and
     primed fabric-wide through shared memory, so workers never re-tune
     -- which also keeps the drill's wall-clock bounded by
     ``reply_timeout_s`` only when a ``worker_hangs`` budget is given.
     """
     t0 = time.perf_counter()
-    if require_failover is None:
-        require_failover = shards > 1 and (kills > 0 or corrupt_shards > 0)
-    if autoscale is None:
-        autoscale = processes
-    work = _build_workload(
-        matrices, cap_nnz, requests_per_matrix, value_refreshes, tenants, seed
-    )
+    require_failover = shards > 1 and (kills > 0 or corrupt_shards > 0)
+    work = _build_workload(cap_nnz, requests_per_matrix, seed)
     serve_config = ServeConfig(batch_window_s=0.0)
 
     # -- golden: one pristine server, threadless, no faults.  The
@@ -352,7 +347,7 @@ def run_chaos_drill(
         device=device,
         engine_factory=factory,
         serve_config=serve_config,
-        health_policy=HealthPolicy(window=8, min_samples=2, max_error_rate=0.5),
+        health_policy=HealthPolicy(window=8, min_samples=2),
         retry_policy=RetryPolicy(
             max_attempts=max(2, min(shards, 4)), base_delay_s=0.0
         ),
@@ -361,14 +356,7 @@ def run_chaos_drill(
         processes=processes,
         reply_timeout_s=reply_timeout_s,
         restart_policy=RetryPolicy(max_attempts=3, base_delay_s=0.0),
-        autoscale_policy=(
-            AutoscalePolicy(
-                min_shards=shards, max_shards=shards + 1,
-                high_load=2.0, low_load=0.0,
-                up_after=1, down_after=2, cooldown_rounds=1,
-            )
-            if autoscale else None
-        ),
+        autoscale=processes,
     )
     mismatched: list[int] = []
     fabric_errors: list[tuple[int, str]] = []
@@ -395,7 +383,7 @@ def run_chaos_drill(
         ]
         with fault_scope(plan):
             fabric.drain()
-            if processes or autoscale:
+            if processes:
                 # Idle housekeeping: heal any worker killed on the last
                 # round, and let the scale-down hysteresis observe the
                 # drained fleet.
@@ -439,7 +427,7 @@ def run_chaos_drill(
         require_failover=require_failover,
         elapsed_s=time.perf_counter() - t0,
         processes=processes,
-        autoscaled=bool(autoscale),
+        autoscaled=processes,
         worker_kills=stats.get("worker_kills", 0),
         worker_hangs=stats.get("worker_hangs", 0),
         restarts=supervisor_stats.get("restarts", 0),

@@ -3,7 +3,7 @@
 One :class:`~repro.serve.SpMVServer` saturates one simulated device.
 :class:`ServeFabric` scales the serving layer out the way yaSpMV scales
 a kernel across execution units: partition the key space, keep every
-shard busy, and *repair* irregularity (here: shard death, slowness,
+shard busy, and *repair* irregularity (here: shard death and
 corruption) instead of letting it stall the pipeline -- the
 optimistically-dispatch-then-repair philosophy of Liu & Vinter's
 speculative segmented sum, applied to servers.
@@ -36,13 +36,14 @@ Failure containment:
   :class:`~repro.fault.Deadline` and the fabric's
   :class:`~repro.fault.RetryPolicy` attempt budget
   (``fabric.failovers`` counts the replays);
-* a shard whose rolling window turns sick (errors or injected slowness)
-  is ejected via :meth:`CircuitBreaker.trip` and readmitted through the
-  breaker's half-open single-probe lifecycle;
+* a shard whose rolling window turns sick (too many errors) is ejected
+  via :meth:`CircuitBreaker.trip` and readmitted through the breaker's
+  half-open single-probe lifecycle;
 * per-tenant queues dequeued in equal-share rotation keep one busy
-  tenant from starving the rest.
+  tenant from starving the rest; a tenant with nothing queued or in
+  flight is forgotten, so tenant names cost nothing once drained.
 
-Because every shard runs the same device model and tuning mode, a
+Because every shard runs the same device model and tuning search, a
 failed-over request recomputes the **bit-identical** product the dead
 shard would have produced -- the chaos drill (:mod:`repro.serve.chaos`)
 diffs a faulted fabric against a pristine single server and requires
@@ -89,7 +90,7 @@ from ..util import as_csr
 from .health import HealthPolicy, ShardHealth
 from .server import ServeConfig, ServeFuture, serve_key
 from .shard import HandleCache, Shard
-from .supervisor import Autoscaler, AutoscalePolicy, ShardSupervisor
+from .supervisor import Autoscaler, ShardSupervisor
 
 __all__ = ["ShardRouter", "ServeFabric"]
 
@@ -103,9 +104,6 @@ def _hash64(text: str) -> int:
 
 #: Virtual nodes per shard on the consistent-hash ring.
 VNODES = 32
-#: Consecutive dispatch failures on one shard that trip its circuit
-#: even before the rolling window judges it sick.
-FAILURE_THRESHOLD = 3
 #: Seconds an ejected shard stays open before the half-open
 #: readmission probe.
 BREAKER_COOLDOWN_S = 5.0
@@ -201,7 +199,10 @@ class ServeFabric:
         threadless under the fabric's pump; ``batch_window_s`` is
         forced to 0).
     health_policy:
-        Rolling-window judgment thresholds (:class:`HealthPolicy`).
+        The rolling window each shard is judged on (:class:`HealthPolicy`);
+        :data:`~repro.fault.retry.FAILURE_THRESHOLD` consecutive dispatch
+        failures trip a shard's circuit even before its window judges it
+        sick.
     retry_policy:
         Failover budget: a request is attempted on at most
         ``max_attempts`` shards (the backoff schedule applies between
@@ -227,11 +228,12 @@ class ServeFabric:
     restart_policy:
         The supervisor's respawn budget and backoff
         (:class:`~repro.fault.RetryPolicy`).
-    autoscale_policy:
-        When given, an :class:`~repro.serve.Autoscaler` grows/shrinks
-        the replica set between ``min_shards``/``max_shards`` from the
-        fabric's own load gauges, rebuilding the consistent-hash ring on
-        every action.  Works in both in-process and process mode.
+    autoscale:
+        ``True`` lets an :class:`~repro.serve.Autoscaler` add one replica
+        to the built ``shards`` under load and retire it when idle, from
+        the fabric's own load gauges, rebuilding the consistent-hash
+        ring on every action.  Works in both in-process and process
+        mode.
     """
 
     def __init__(
@@ -249,7 +251,7 @@ class ServeFabric:
         processes: bool = False,
         reply_timeout_s: float = 5.0,
         restart_policy: RetryPolicy | None = None,
-        autoscale_policy: AutoscalePolicy | None = None,
+        autoscale: bool = False,
     ):
         if shards < 1:
             raise ValidationError(f"shards must be >= 1, got {shards}")
@@ -288,13 +290,9 @@ class ServeFabric:
             restart_policy, observer=observer, clock=clock
         )
         self.autoscaler: Autoscaler | None = None
-        if autoscale_policy is not None:
-            self.autoscaler = Autoscaler(autoscale_policy, observer=observer)
-        self.breaker = CircuitBreaker(
-            failure_threshold=FAILURE_THRESHOLD,
-            cooldown_s=BREAKER_COOLDOWN_S,
-            clock=clock,
-        )
+        if autoscale:
+            self.autoscaler = Autoscaler(shards, observer=observer)
+        self.breaker = CircuitBreaker(BREAKER_COOLDOWN_S, clock=clock)
         self.obs = observer if observer is not None else self.shards[0].obs
 
         self._cond = threading.Condition()
@@ -418,13 +416,13 @@ class ServeFabric:
             queue = self._queues.get(tenant)
             if queue is None:
                 queue = self._queues[tenant] = deque()
-                # A newly-active tenant starts at the current virtual
-                # time: its idle past earns no burst against the others.
-                self._passes[tenant] = max(
-                    self._passes.get(tenant, 0.0), self._vtime
-                )
+                # A new (or returning, forgotten) tenant starts at the
+                # current virtual time: its idle past earns no burst
+                # against the others.
+                self._passes[tenant] = self._vtime
+                self._tenant_pending[tenant] = 0
             queue.append(request)
-            self._tenant_pending[tenant] = self._tenant_pending.get(tenant, 0) + 1
+            self._tenant_pending[tenant] += 1
             self.n_requests += 1
             self.obs.counter("fabric.requests", "requests admitted").inc()
             self._cond.notify_all()
@@ -681,7 +679,7 @@ class ServeFabric:
         # could serve), not instantaneous routability: a breaker-open
         # replica is capacity in recovery, and counting it as absent
         # would double-provision every ejection.  Breaker pressure is
-        # passed alongside so policies can still react to it.
+        # recorded alongside in the decision log.
         assert self.autoscaler is not None
         fleet = [s for s in self.shards if not s.dead and not s.retired]
         with self._cond:
@@ -691,13 +689,11 @@ class ServeFabric:
             1 for s in fleet
             if self.breaker.state(s.name) == BREAKER_OPEN
         )
-        p99 = max((s.health.p99_latency_s() for s in fleet), default=0.0)
         action = self.autoscaler.observe(
             queued=queued,
             in_flight=in_flight,
             live=len(fleet),
             open_breakers=open_breakers,
-            p99_s=p99,
         )
         if action == "up":
             self._scale_up()
@@ -830,7 +826,7 @@ class ServeFabric:
             self.breaker.record_success(shard.name)
         shard.health.record_success(latency)
         if not shard.dead and not shard.ejected and not shard.health.healthy():
-            self._eject(shard)  # e.g. healthy results, pathological latency
+            self._eject(shard)  # a success in a window still too erroneous
         response = replace(
             request.shard_future._response,
             shard=shard.name,
@@ -909,9 +905,16 @@ class ServeFabric:
             request.future._complete(response)
         with self._cond:
             self.n_responses += 1
-            self._tenant_pending[request.tenant] = max(
-                self._tenant_pending.get(request.tenant, 1) - 1, 0
-            )
+            tenant = request.tenant
+            left = self._tenant_pending.get(tenant, 1) - 1
+            if left > 0 or self._queues.get(tenant):
+                self._tenant_pending[tenant] = max(left, 0)
+            else:
+                # Nothing queued or in flight: forget the tenant, so a
+                # fabric serving many short-lived tenants does not grow.
+                self._queues.pop(tenant, None)
+                self._passes.pop(tenant, None)
+                self._tenant_pending.pop(tenant, None)
         self.obs.counter(
             "fabric.responses", "requests completed (success or typed error)"
         ).inc()

@@ -5,7 +5,8 @@ execution unit busy despite irregular *work*; a serving fabric's analogue
 is keeping every shard busy despite irregular *failures*.  That needs a
 signal: this module maintains, per shard, a rolling window of dispatch
 outcomes (ok/error) and latencies, and judges the shard sick when the
-window's error rate or mean latency crosses a policy threshold.
+window's error rate reaches :data:`MAX_ERROR_RATE`.  Latencies are only
+recorded (the fabric's ``stats()`` reports their mean and p99).
 
 The judgment feeds the shard-level
 :class:`~repro.fault.retry.CircuitBreaker` in the fabric: a sick shard is
@@ -30,9 +31,13 @@ from ..errors import ReproError
 __all__ = ["HealthPolicy", "ShardHealth"]
 
 
+#: Window error fraction at or above which a shard is sick.
+MAX_ERROR_RATE = 0.5
+
+
 @dataclass(frozen=True)
 class HealthPolicy:
-    """Thresholds for judging one shard's rolling window.
+    """The rolling window one shard is judged on.
 
     Attributes
     ----------
@@ -42,17 +47,10 @@ class HealthPolicy:
         Outcomes required before the window may judge at all -- a fresh
         (or freshly readmitted) shard is healthy by default instead of
         being ejected on its first hiccup.
-    max_error_rate:
-        Window error fraction at or above which the shard is sick.
-    max_latency_s:
-        Mean window latency above which the shard is sick; ``None``
-        disables the latency criterion.
     """
 
     window: int = 16
     min_samples: int = 4
-    max_error_rate: float = 0.5
-    max_latency_s: float | None = None
 
     def __post_init__(self):
         if self.window < 1:
@@ -60,14 +58,6 @@ class HealthPolicy:
         if not 1 <= self.min_samples <= self.window:
             raise ReproError(
                 f"min_samples must be in [1, window], got {self.min_samples}"
-            )
-        if not 0.0 < self.max_error_rate <= 1.0:
-            raise ReproError(
-                f"max_error_rate must be in (0, 1], got {self.max_error_rate}"
-            )
-        if self.max_latency_s is not None and self.max_latency_s <= 0:
-            raise ReproError(
-                f"max_latency_s must be > 0 or None, got {self.max_latency_s}"
             )
 
 
@@ -124,8 +114,7 @@ class ShardHealth:
         """99th-percentile latency of the current window (0.0 when empty).
 
         Nearest-rank on the sorted window -- with the small windows the
-        fabric uses this is effectively the max, which is exactly the
-        tail signal the :class:`~repro.serve.Autoscaler` wants.
+        fabric uses this is effectively the max.
         """
         with self._lock:
             if not self._window:
@@ -138,20 +127,15 @@ class ShardHealth:
         """Judge the window: ``False`` means the shard should be ejected.
 
         Under :attr:`HealthPolicy.min_samples` outcomes the shard is
-        healthy by default (insufficient evidence).
+        healthy by default (insufficient evidence); after that it is sick
+        once its window error rate reaches :data:`MAX_ERROR_RATE`.
         """
         with self._lock:
             n = len(self._window)
             if n < self.policy.min_samples:
                 return True
             errs = sum(1 for ok, _ in self._window if not ok)
-            if errs / n >= self.policy.max_error_rate:
-                return False
-            if self.policy.max_latency_s is not None:
-                mean = sum(lat for _, lat in self._window) / n
-                if mean > self.policy.max_latency_s:
-                    return False
-            return True
+            return errs / n < MAX_ERROR_RATE
 
     def reset(self) -> None:
         """Forget the window (lifetime counters survive)."""

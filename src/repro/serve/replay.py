@@ -1,8 +1,8 @@
 """Request-trace replay: feed a JSON-lines workload through a server.
 
-The ``repro serve --requests file.jsonl`` CLI mode and the serving
-benchmark both replay recorded workloads.  Each line describes one
-burst of requests against one matrix::
+The ``repro serve --requests file.jsonl`` CLI mode replays recorded
+workloads.  Each line describes one burst of requests against one
+matrix::
 
     {"matrix": "QCD", "count": 16, "seed": 0}
     {"matrix": "path/to/matrix.mtx", "count": 4, "k": 2}
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ReproError, ValidationError
-from .server import ServeConfig, SpMVServer
+from .server import SpMVServer
 
 __all__ = ["ReplaySpec", "ReplayReport", "load_requests", "run_replay"]
 
@@ -166,21 +166,14 @@ def _load_matrix(name: str, cap: int):
     return spec.load(scale=spec.scale_for_nnz(cap))
 
 
-def run_replay(
-    specs,
-    server: SpMVServer | None = None,
-    *,
-    device: str = "gtx680",
-    config: ServeConfig | None = None,
-    observer=None,
-    verify: bool = True,
-) -> ReplayReport:
+def run_replay(specs, server: SpMVServer) -> ReplayReport:
     """Replay ``specs`` (a path or a list of :class:`ReplaySpec`).
 
     Requests of each line are submitted back to back and the server is
     drained between lines only when threadless, so a threaded server
-    sees realistic concurrent pressure.  With ``verify`` every response
-    is checked against ``A @ x`` (tolerance 1e-9 relative).
+    sees realistic concurrent pressure.  Every response is checked
+    against ``A @ x``; the report carries the largest absolute error.
+    The caller owns ``server`` and closes it.
 
     ``server`` may also be a :class:`~repro.serve.ServeFabric` -- it
     exposes the same ``submit``/``drain``/``stats`` surface, so replays
@@ -188,57 +181,42 @@ def run_replay(
     """
     if isinstance(specs, (str, bytes)) or hasattr(specs, "__fspath__"):
         specs = load_requests(specs)
-    owns_server = server is None
-    if owns_server:
-        from ..core.engine import SpMVEngine
-
-        server = SpMVServer(
-            SpMVEngine(device=device),
-            config,
-            observer=observer,
-            start=False,
-        )
     matrices: dict[tuple[str, int], object] = {}
     pending: list[tuple[object, np.ndarray, object]] = []
     t0 = time.perf_counter()
     errors: list[str] = []
     attempted = 0
-    try:
-        for spec in specs:
-            mkey = (spec.matrix, spec.cap)
-            if mkey not in matrices:
-                matrices[mkey] = _load_matrix(spec.matrix, spec.cap)
-            A = matrices[mkey]
-            rng = np.random.default_rng(spec.seed)
-            for _ in range(spec.count):
-                if spec.k == 1:
-                    x = rng.standard_normal(A.shape[1])
-                else:
-                    x = rng.standard_normal((A.shape[1], spec.k))
-                attempted += 1
-                try:
-                    fut = server.submit(A, x, timeout_s=spec.timeout_s)
-                except ReproError as exc:
-                    errors.append(f"{spec.matrix}: {type(exc).__name__}: {exc}")
-                    continue
-                pending.append((A, x, fut))
-        if server._thread is None:
-            server.drain()
-        n_ok = 0
-        max_err = 0.0
-        for A, x, fut in pending:
+    for spec in specs:
+        mkey = (spec.matrix, spec.cap)
+        if mkey not in matrices:
+            matrices[mkey] = _load_matrix(spec.matrix, spec.cap)
+        A = matrices[mkey]
+        rng = np.random.default_rng(spec.seed)
+        for _ in range(spec.count):
+            if spec.k == 1:
+                x = rng.standard_normal(A.shape[1])
+            else:
+                x = rng.standard_normal((A.shape[1], spec.k))
+            attempted += 1
             try:
-                resp = fut.result(timeout=120.0)
+                fut = server.submit(A, x, timeout_s=spec.timeout_s)
             except ReproError as exc:
-                errors.append(f"{type(exc).__name__}: {exc}")
+                errors.append(f"{spec.matrix}: {type(exc).__name__}: {exc}")
                 continue
-            n_ok += 1
-            if verify:
-                ref = A @ x
-                max_err = max(max_err, float(np.abs(resp.y - ref).max(initial=0.0)))
-    finally:
-        if owns_server:
-            server.close()
+            pending.append((A, x, fut))
+    if server._thread is None:
+        server.drain()
+    n_ok = 0
+    max_err = 0.0
+    for A, x, fut in pending:
+        try:
+            resp = fut.result(timeout=120.0)
+        except ReproError as exc:
+            errors.append(f"{type(exc).__name__}: {exc}")
+            continue
+        n_ok += 1
+        ref = A @ x
+        max_err = max(max_err, float(np.abs(resp.y - ref).max(initial=0.0)))
     wall = time.perf_counter() - t0
     return ReplayReport(
         requests=attempted,

@@ -83,10 +83,11 @@ def _values_digest(csr) -> str:
 def serve_key(engine: SpMVEngine, csr) -> str:
     """The value-aware serve key of ``csr`` on ``engine``.
 
-    ``device:tuning_mode:structural-fingerprint:value-hash`` -- the key
-    the server's cache and batch coalescing use, and the key the fabric
-    consistent-hashes to pick a shard.  Every shard of a fabric runs the
-    same device model and tuning mode, so the fabric-level key matches
+    ``device:pruned:structural-fingerprint:value-hash`` -- the key the
+    server's cache and batch coalescing use, and the key the fabric
+    consistent-hashes to pick a shard.  Every engine tunes with the
+    pruned search, named in the key's second segment.  Every shard of a
+    fabric runs the same device model, so the fabric-level key matches
     the one each shard computes for itself.  Both halves hash the
     canonical form (:func:`~repro.util.as_csr`), so a matrix with stored
     zeros, duplicates or unsorted columns keys like its canonical twin;
@@ -94,7 +95,7 @@ def serve_key(engine: SpMVEngine, csr) -> str:
     """
     csr = canonical_csr(csr)
     return (
-        f"{engine.device.name}:{engine.tuning_mode}:"
+        f"{engine.device.name}:pruned:"
         f"{canonical_fingerprint(csr)}:{_values_digest(csr)}"
     )
 

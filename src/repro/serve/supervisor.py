@@ -17,12 +17,11 @@ failures, exit codes, hang kills); this module owns coming *back*:
   through the same calls.
 * :class:`Autoscaler` -- a deterministic policy loop over the load
   signals the fabric already exports (queue depth, in-flight count,
-  breaker state, :meth:`ShardHealth.p99_latency_s`): sustained pressure
-  for ``up_after`` rounds grows the replica set toward ``max_shards``,
-  sustained idleness for ``down_after`` rounds shrinks it toward
-  ``min_shards``, and a post-action cooldown plus the two counters give
-  hysteresis so the fleet never flaps.  Every round appends a decision
-  record, so a seeded drill can assert the exact scaling trajectory.
+  breaker state): a pressured round adds one replica, a run of idle
+  rounds takes it away again, and a post-action cooldown plus the idle
+  count give hysteresis so the fleet never flaps.  Every round appends
+  a decision record, so a seeded drill can assert the exact scaling
+  trajectory.
 
 Both are plain deterministic state machines driven by the fabric's pump
 (no timers of their own), which is what keeps chaos drills replayable:
@@ -33,13 +32,11 @@ kills, the same restarts and the same scale decisions.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from ..core.shm import reap_orphans
-from ..errors import ValidationError
 from ..fault.retry import RetryPolicy
 
-__all__ = ["ShardSupervisor", "AutoscalePolicy", "Autoscaler"]
+__all__ = ["ShardSupervisor", "Autoscaler"]
 
 #: Consecutive unanswered heartbeats before a shard is declared hung
 #: and killed.  A responsive server answers every ping, so the budget
@@ -91,7 +88,7 @@ class ShardSupervisor:
         self.restart_policy = (
             restart_policy
             if restart_policy is not None
-            else RetryPolicy(max_attempts=3, base_delay_s=0.05, max_delay_s=1.0)
+            else RetryPolicy(max_attempts=3, base_delay_s=0.05)
         )
         self.obs = observer
         self._clock = clock
@@ -257,87 +254,35 @@ class ShardSupervisor:
 # ---------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
-class AutoscalePolicy:
-    """Thresholds and hysteresis of the replica autoscaler.
-
-    Attributes
-    ----------
-    min_shards / max_shards:
-        The replica count is kept in this band; scaling never removes
-        the last ``min_shards`` replicas no matter how idle the fleet.
-    high_load:
-        Per-replica load (queued + in-flight, divided by live replicas)
-        at or above which a round counts as *pressured*.
-    low_load:
-        Total load at or below which a round counts as *idle*.
-    p99_high_s:
-        Worst live-shard p99 latency above which a round counts as
-        pressured regardless of queue depth (``None`` disables the
-        latency trigger).
-    up_after / down_after:
-        Consecutive pressured / idle rounds required before acting --
-        the hysteresis that keeps a bursty queue from flapping the
-        fleet.  Scaling up is deliberately quicker than scaling down.
-    cooldown_rounds:
-        Rounds after any action during which the autoscaler only
-        observes (lets the previous action take effect before judging
-        again).
-    """
-
-    min_shards: int = 1
-    max_shards: int = 4
-    high_load: float = 4.0
-    low_load: float = 1.0
-    p99_high_s: float | None = None
-    up_after: int = 1
-    down_after: int = 3
-    cooldown_rounds: int = 1
-
-    def __post_init__(self):
-        if self.min_shards < 1:
-            raise ValidationError(
-                f"min_shards must be >= 1, got {self.min_shards}"
-            )
-        if self.max_shards < self.min_shards:
-            raise ValidationError(
-                f"max_shards must be >= min_shards, got "
-                f"{self.max_shards} < {self.min_shards}"
-            )
-        if self.high_load <= 0:
-            raise ValidationError(
-                f"high_load must be > 0, got {self.high_load}"
-            )
-        if self.low_load < 0:
-            raise ValidationError(
-                f"low_load must be >= 0, got {self.low_load}"
-            )
-        if self.up_after < 1 or self.down_after < 1:
-            raise ValidationError(
-                "up_after and down_after must be >= 1, got "
-                f"{self.up_after}/{self.down_after}"
-            )
-        if self.cooldown_rounds < 0:
-            raise ValidationError(
-                f"cooldown_rounds must be >= 0, got {self.cooldown_rounds}"
-            )
+#: Per-replica load (queued + in-flight, divided by the fleet size) at
+#: or above which a round counts as *pressured*; one pressured round
+#: adds a replica.
+HIGH_LOAD = 2.0
+#: Consecutive *idle* rounds (nothing queued or in flight) before the
+#: added replica is retired.  Scaling up is deliberately quicker than
+#: scaling down.
+DOWN_AFTER = 2
+#: Rounds after any action during which the autoscaler only observes
+#: (lets the previous action take effect before judging again).
+COOLDOWN_ROUNDS = 1
 
 
 class Autoscaler:
     """Deterministic grow/shrink decisions from the fabric's load gauges.
 
-    One :meth:`observe` call per pump round.  The inputs are exactly the
-    signals the obs layer already exports -- queue depth and in-flight
-    count (``fabric.queued`` / ``fabric.in_flight``), live replica and
-    open-breaker counts (``fabric.live_shards``), and the worst
-    :meth:`~repro.serve.ShardHealth.p99_latency_s` -- so the scaler adds
-    policy, not plumbing.  Every round appends a decision record with
-    the observed load and the reason, making scaling trajectories
-    assertable in seeded tests.
+    The fleet stays between ``min_shards`` (the fabric's built shard
+    count) and one more replica.  One :meth:`observe` call per pump
+    round.  The inputs are exactly the signals the obs layer already
+    exports -- queue depth and in-flight count (``fabric.queued`` /
+    ``fabric.in_flight``), and the fleet size and open-breaker count
+    (``fabric.live_shards``) -- so the scaler adds policy, not plumbing.
+    Every round appends a decision record with the observed load and
+    the reason, making scaling trajectories assertable in seeded tests.
     """
 
-    def __init__(self, policy: AutoscalePolicy | None = None, *, observer=None):
-        self.policy = policy if policy is not None else AutoscalePolicy()
+    def __init__(self, min_shards: int, *, observer=None):
+        self.min_shards = min_shards
+        self.max_shards = min_shards + 1
         self.obs = observer
         self.decisions: list[dict] = []
         self.n_scale_ups = 0
@@ -348,13 +293,7 @@ class Autoscaler:
         self._cooldown = 0
 
     def observe(
-        self,
-        *,
-        queued: int,
-        in_flight: int,
-        live: int,
-        open_breakers: int = 0,
-        p99_s: float = 0.0,
+        self, *, queued: int, in_flight: int, live: int, open_breakers: int
     ) -> str | None:
         """Judge one round; returns ``"up"``, ``"down"`` or ``None``.
 
@@ -362,14 +301,11 @@ class Autoscaler:
         or retiring a replica and rebuilding the ring -- so the scaler
         stays a pure, replayable policy function.
         """
-        policy = self.policy
         self._round += 1
         total = queued + in_flight
         load = total / max(live, 1)
-        pressured = load >= policy.high_load or (
-            policy.p99_high_s is not None and p99_s > policy.p99_high_s
-        )
-        idle = total <= policy.low_load
+        pressured = load >= HIGH_LOAD
+        idle = total == 0
         action: str | None = None
         reason = "steady"
         if self._cooldown > 0:
@@ -385,36 +321,31 @@ class Autoscaler:
             else:
                 self._pressured_rounds = 0
                 self._idle_rounds = 0
-            if (
-                self._pressured_rounds >= policy.up_after
-                and live < policy.max_shards
-            ):
+            if pressured and live < self.max_shards:
                 action = "up"
                 reason = (
-                    f"load {load:.2f}/replica >= {policy.high_load} for "
+                    f"load {load:.2f}/replica >= {HIGH_LOAD} for "
                     f"{self._pressured_rounds} round(s)"
                 )
-                if policy.p99_high_s is not None and p99_s > policy.p99_high_s:
-                    reason += f"; p99 {p99_s:.4f}s > {policy.p99_high_s}s"
                 self.n_scale_ups += 1
             elif (
-                self._idle_rounds >= policy.down_after
-                and live > policy.min_shards
+                self._idle_rounds >= DOWN_AFTER
+                and live > self.min_shards
             ):
                 action = "down"
                 reason = (
-                    f"total load {total} <= {policy.low_load} for "
+                    f"total load {total} <= 0.0 for "
                     f"{self._idle_rounds} round(s)"
                 )
                 self.n_scale_downs += 1
             elif pressured:
-                reason = f"pressured {self._pressured_rounds}/{policy.up_after}"
+                reason = f"pressured {self._pressured_rounds}/1"
             elif idle:
-                reason = f"idle {self._idle_rounds}/{policy.down_after}"
+                reason = f"idle {self._idle_rounds}/{DOWN_AFTER}"
         if action is not None:
             self._pressured_rounds = 0
             self._idle_rounds = 0
-            self._cooldown = policy.cooldown_rounds
+            self._cooldown = COOLDOWN_ROUNDS
             if self.obs is not None:
                 self.obs.counter(
                     "autoscaler.actions", "replica scale decisions"
@@ -428,7 +359,6 @@ class Autoscaler:
             "live": int(live),
             "open_breakers": int(open_breakers),
             "load_per_replica": round(load, 4),
-            "p99_s": round(float(p99_s), 6),
         })
         return action
 

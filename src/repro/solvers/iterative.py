@@ -8,7 +8,7 @@ behind **one surface**:
     solve(A, b, method="cg" | "bicgstab" | "gmres" | "jacobi", ...)
 
 with keyword-only options: ``engine=`` (an :class:`~repro.SpMVEngine`
-built with whatever observer, fault plan or retry policy the caller
+built with whatever observer, fault plan or breaker the caller
 wants), ``deadline=``, and ``server=`` to stream every iteration's
 multiply through an :class:`~repro.serve.SpMVServer` or
 :class:`~repro.serve.ServeFabric` (admission control, failover and the
@@ -176,7 +176,7 @@ def solve(
         backend is built (the solver's default degrades gracefully
         through the fallback chain).  Build your own for strict
         semantics, the ``fast`` backend, an observer, a fault plan or a
-        retry policy.
+        breaker.
     deadline:
         Wall-clock budget in seconds (or a :class:`~repro.fault.
         Deadline`); on expiry the best-so-far ``x`` is returned with

@@ -33,7 +33,7 @@ __all__ = ["CompiledPlan", "KernelPlanCache", "FormatCache", "build_format"]
 #: Simulated OpenCL JIT cost per distinct kernel specialization, seconds.
 #: The paper's 12.8 s average tuning time is dominated by compilation;
 #: this constant lets the tuner report comparable simulated totals.
-DEFAULT_COMPILE_COST_S = 0.15
+COMPILE_COST_S = 0.15
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,6 @@ class CompiledPlan:
     """Stand-in for one compiled kernel binary."""
 
     key: tuple
-    compile_cost_s: float
 
 
 @dataclass
@@ -49,10 +48,10 @@ class KernelPlanCache:
     """Hash-table cache of compiled kernel plans.
 
     ``get`` returns ``(plan, was_hit)``; statistics feed the tuning-time
-    benchmark (how much the cache saves across the matrix suite).
+    benchmark (how much the cache saves across the matrix suite).  Every
+    plan costs :data:`COMPILE_COST_S` of simulated JIT time.
     """
 
-    compile_cost_s: float = DEFAULT_COMPILE_COST_S
     _plans: dict[tuple, CompiledPlan] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
@@ -63,7 +62,7 @@ class KernelPlanCache:
         if plan is not None:
             self.hits += 1
             return plan, True
-        plan = CompiledPlan(key=key, compile_cost_s=self.compile_cost_s)
+        plan = CompiledPlan(key=key)
         self._plans[key] = plan
         self.misses += 1
         return plan, False
@@ -71,12 +70,12 @@ class KernelPlanCache:
     @property
     def simulated_compile_time_s(self) -> float:
         """Total simulated JIT time actually paid (misses only)."""
-        return self.misses * self.compile_cost_s
+        return self.misses * COMPILE_COST_S
 
     @property
     def simulated_time_saved_s(self) -> float:
         """JIT time avoided thanks to the cache (hits)."""
-        return self.hits * self.compile_cost_s
+        return self.hits * COMPILE_COST_S
 
     def __len__(self) -> int:
         return len(self._plans)

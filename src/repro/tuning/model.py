@@ -116,11 +116,16 @@ class CostModel:
         return t_mem + launches * dev.kernel_launch_s
 
 
+#: Fewest survivors :class:`ModelDrivenTuner` evaluates, whatever its
+#: ``evaluate_fraction``.
+MIN_EVALUATIONS = 24
+
+
 class ModelDrivenTuner:
     """Rank with :class:`CostModel`, evaluate only the survivors.
 
     ``evaluate_fraction`` of the pruned space (at least
-    ``min_evaluations`` points) runs through the same evaluation and
+    :data:`MIN_EVALUATIONS` points) runs through the same evaluation and
     fold as :class:`~repro.tuning.AutoTuner`, in enumeration order, so
     at ``evaluate_fraction=1.0`` the two return the same result; the
     rest is trusted to the model.  At the defaults, against the full
@@ -131,21 +136,14 @@ class ModelDrivenTuner:
     winner gap and wall time).
     """
 
-    def __init__(
-        self,
-        device: DeviceSpec,
-        evaluate_fraction: float = 0.2,
-        min_evaluations: int = 24,
-        plan_cache: KernelPlanCache | None = None,
-    ):
+    def __init__(self, device: DeviceSpec, evaluate_fraction: float = 0.2):
         if not (0 < evaluate_fraction <= 1.0):
             raise TuningError(
                 f"evaluate_fraction must be in (0, 1], got {evaluate_fraction}"
             )
         self.device = device
         self.evaluate_fraction = evaluate_fraction
-        self.min_evaluations = min_evaluations
-        self.plan_cache = plan_cache if plan_cache is not None else KernelPlanCache()
+        self.plan_cache = KernelPlanCache()
 
     def tune(self, matrix) -> TuningResult:
         csr = as_csr(matrix)
@@ -159,9 +157,7 @@ class ModelDrivenTuner:
 
         t0 = time.perf_counter()
         ranked = sorted(items, key=lambda it: model.predict(it[1], summary))
-        keep = max(
-            int(len(ranked) * self.evaluate_fraction), self.min_evaluations
-        )
+        keep = max(int(len(ranked) * self.evaluate_fraction), MIN_EVALUATIONS)
         # Survivors run in enumeration order, so ties break exactly as
         # they do in the full search.
         survivors = sorted(ranked[:keep], key=lambda it: it[0])

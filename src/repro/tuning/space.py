@@ -161,26 +161,24 @@ def pruned_space(
 def exhaustive_space(
     matrix,
     device: DeviceSpec,
-    workgroup_sizes: Iterable[int] = WORKGROUP_SIZES,
     block_heights: Iterable[int] = BLOCK_HEIGHTS,
     block_widths: Iterable[int] = BLOCK_WIDTHS,
     bit_words: Iterable[str] = BIT_WORDS,
-    slice_counts: Iterable[int] | None = None,
 ) -> Iterator[TuningPoint]:
-    """Unpruned Table 1 enumeration (restrictable per axis).
+    """Unpruned Table 1 enumeration (restrictable per block axis).
 
     The benchmark comparing pruned vs exhaustive tuning restricts the
-    axes to keep the cross product tractable and documents the
-    restriction; the generator itself supports the full space.
+    block shape and bit word to keep the cross product tractable and
+    documents the restriction; every workgroup size and the matrix's
+    candidate slice counts are always enumerated.
     """
-    if slice_counts is None:
-        slice_counts = candidate_slice_counts(matrix, device)
+    slice_counts = candidate_slice_counts(matrix, device)
     for h in block_heights:
         for w in block_widths:
             for word in bit_words:
                 for compress in (True, False):
                     for s in slice_counts:
-                        for cfg in _kernel_configs(workgroup_sizes, pruned=False):
+                        for cfg in _kernel_configs(WORKGROUP_SIZES, pruned=False):
                             yield TuningPoint(
                                 block_height=h,
                                 block_width=w,
@@ -189,4 +187,4 @@ def exhaustive_space(
                                 slice_count=s,
                                 kernel=cfg,
                             )
-    yield from base_format_points(workgroup_sizes, pruned=False)
+    yield from base_format_points(WORKGROUP_SIZES, pruned=False)

@@ -1,7 +1,7 @@
 """Shared-memory prepared matrices: one copy, many mappers.
 
 Covers the :class:`~repro.core.shm.SharedArena` refcounted-unlink
-contract, the ``prepare(share=True)`` pickle path (a descriptor ships,
+contract, the ``prepare(A).share()`` pickle path (a descriptor ships,
 not the arrays -- a child process maps the same pages and multiplies
 bit-identically), the tuner's in-process walk (it publishes no arena),
 and the serve cache's shared/owned footprint split.
@@ -87,7 +87,7 @@ class TestSharedPreparedMatrix:
         A = sparse.random(nrows, ncols, density=0.07, random_state=seed,
                           format="csr")
         engine = SpMVEngine(device=DEVICE)
-        return A, engine, engine.prepare(A, point=TuningPoint(), share=True)
+        return A, engine, engine.prepare(A, point=TuningPoint()).share()
 
     def test_share_is_idempotent_and_views_alias(self):
         _, _, prepared = self._prepared()
@@ -123,7 +123,7 @@ class TestSharedPreparedMatrix:
         if A.nnz == 0:
             A = sparse.csr_matrix(([1.0], ([0], [0])), shape=(nrows, ncols))
         engine = SpMVEngine(device=DEVICE)
-        prepared = engine.prepare(A, point=TuningPoint(), share=True)
+        prepared = engine.prepare(A, point=TuningPoint()).share()
         x = np.random.default_rng(seed).standard_normal(ncols)
         try:
             golden = engine.multiply(prepared, x).y
@@ -152,7 +152,7 @@ class TestFootprintSplit:
         A = sparse.random(120, 120, density=0.08, random_state=9, format="csr")
         engine = SpMVEngine(device=DEVICE)
         plain = engine.prepare(A, point=TuningPoint())
-        shared = engine.prepare(A, point=TuningPoint(), share=True)
+        shared = engine.prepare(A, point=TuningPoint()).share()
         try:
             split_plain = prepared_footprint_split(plain)
             split_shared = prepared_footprint_split(shared)

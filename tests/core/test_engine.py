@@ -5,7 +5,7 @@ import gc
 import numpy as np
 import pytest
 
-from repro import RetryPolicy, SpMVEngine, get_backend, yaspmv
+from repro import SpMVEngine, get_backend, yaspmv
 from repro.gpu import GTX480, GTX680
 from repro.matrices import get_spec
 from repro.tuning import TuningPoint
@@ -73,8 +73,8 @@ class TestEngine:
                 )
             ),
         )
-        full_prep = full.prepare(A, keep_history=True)
-        trim_prep = trimmed.prepare(A, keep_history=True)
+        full_prep = full.prepare(A)
+        trim_prep = trimmed.prepare(A)
         assert trim_prep.tuning.evaluated < full_prep.tuning.evaluated / 3
 
     def test_stats_exposed(self, random_matrix, rng):
@@ -182,12 +182,7 @@ class TestUnifiedExecutionAPI:
         A = random_matrix(nrows=90, ncols=90)
         X = rng.standard_normal((90, 2))
         plan = FaultPlan.single("format.column_truncate", seed=1, count=None)
-        eng = SpMVEngine(
-            "gtx680",
-            policy="permissive",
-            fault_plan=plan,
-            retry_policy=RetryPolicy(max_attempts=1),
-        )
+        eng = SpMVEngine("gtx680", policy="permissive", fault_plan=plan)
         res = eng.multiply_many(eng.prepare(A, point=TuningPoint()), X)
         # Every simulated stage is corrupted; the CSR reference (fault
         # injection disabled) must deliver the exact product.
@@ -195,7 +190,7 @@ class TestUnifiedExecutionAPI:
         assert res.degraded
         assert res.failure.fallback_used == "csr-reference"
         stages = [a.stage for a in res.failure.attempts]
-        assert stages == ["tuned", "untuned", "csr-reference"]  # no retry
+        assert stages == ["tuned", "tuned-retry", "untuned", "csr-reference"]
 
 
 class TestResultProtocol:
@@ -372,7 +367,7 @@ class TestBackendAPI:
     def test_prepared_shared_summary(self, random_matrix):
         eng = SpMVEngine("gtx680")
         A = random_matrix(nrows=70, ncols=70)
-        prep = eng.prepare(A, point=TuningPoint(), share=True)
+        prep = eng.prepare(A, point=TuningPoint()).share()
         try:
             d = prep.to_dict()
             assert d["shared"] is True

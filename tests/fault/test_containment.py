@@ -1,4 +1,6 @@
-"""Engine-level failure containment: breaker, backoff, watchdog routing."""
+"""Engine-level failure containment: breaker, tuned retry, watchdog routing."""
+
+import time
 
 import numpy as np
 import pytest
@@ -11,8 +13,8 @@ from repro.fault import (
     BREAKER_OPEN,
     CircuitBreaker,
     FaultPlan,
-    RetryPolicy,
 )
+from repro.fault.retry import FAILURE_THRESHOLD
 from repro.obs import Observer
 
 
@@ -37,7 +39,7 @@ def big():
 class TestEngineBreaker:
     def test_persistent_failure_trips_circuit(self, big):
         A, x = big
-        breaker = CircuitBreaker(1, 30.0, clock=FakeClock())
+        breaker = CircuitBreaker(30.0, clock=FakeClock())
         eng = SpMVEngine(
             policy="permissive",
             fault_plan=FaultPlan.single("kernel.nan_partial", seed=2, count=None),
@@ -46,8 +48,12 @@ class TestEngineBreaker:
         prepared = eng.prepare(A)
         family = prepared.point.format_name
 
-        res = eng.multiply(prepared, x)
-        np.testing.assert_allclose(res.y, A @ x, rtol=1e-9, atol=1e-12)
+        # Each multiply walks past the tuned path: one failure apiece,
+        # and the threshold-th trips the circuit.
+        for i in range(FAILURE_THRESHOLD):
+            assert breaker.state(family) == BREAKER_CLOSED
+            res = eng.multiply(prepared, x)
+            np.testing.assert_allclose(res.y, A @ x, rtol=1e-9, atol=1e-12)
         assert breaker.state(family) == BREAKER_OPEN
         assert breaker.trips == 1
 
@@ -63,12 +69,12 @@ class TestEngineBreaker:
     def test_half_open_probe_closes_on_clean_run(self, big):
         A, x = big
         clock = FakeClock()
-        breaker = CircuitBreaker(1, 30.0, clock=clock)
+        breaker = CircuitBreaker(30.0, clock=clock)
         eng = SpMVEngine(policy="permissive", breaker=breaker)  # no faults
         prepared = eng.prepare(A)
         family = prepared.point.format_name
 
-        breaker.record_failure(family)  # trip it by hand
+        breaker.trip(family)  # open it by hand
         res = eng.multiply(prepared, x)  # short-circuited, fallback wins
         assert res.failure.attempts[0].error_type == "CircuitOpenError"
         np.testing.assert_allclose(res.y, A @ x, rtol=1e-9, atol=1e-12)
@@ -82,10 +88,10 @@ class TestEngineBreaker:
 
     def test_breaker_ignored_under_strict_policy(self, big):
         A, x = big
-        breaker = CircuitBreaker(1, 30.0, clock=FakeClock())
+        breaker = CircuitBreaker(30.0, clock=FakeClock())
         eng = SpMVEngine(breaker=breaker)  # strict (default)
         prepared = eng.prepare(A)
-        breaker.record_failure(prepared.point.format_name)
+        breaker.trip(prepared.point.format_name)
         # Strict mode never consults the breaker -- the tuned path runs.
         res = eng.multiply(prepared, x)
         np.testing.assert_allclose(res.y, A @ x, rtol=1e-9, atol=1e-12)
@@ -93,29 +99,30 @@ class TestEngineBreaker:
     def test_type_validation(self):
         with pytest.raises(ValidationError):
             SpMVEngine(breaker="nope")
-        with pytest.raises(ValidationError):
-            SpMVEngine(retry_policy="nope")
 
 
 class TestEngineRetryPolicy:
-    def test_policy_governs_count_and_backoff(self, big):
+    def test_policy_governs_count_and_backoff(self, big, monkeypatch):
+        # The engine's tuned retry is fixed: one retry, no backoff.
         A, x = big
         slept = []
-        policy = RetryPolicy(max_attempts=4, base_delay_s=1.0, jitter=0.0)
+        monkeypatch.setattr(time, "sleep", slept.append)
         eng = SpMVEngine(
             policy="permissive",
             fault_plan=FaultPlan.single("kernel.nan_partial", seed=2, count=2),
-            retry_policy=policy,
             observer=(obs := Observer()),
         )
-        eng._sleep = slept.append  # capture instead of sleeping
         prepared = eng.prepare(A)
         res = eng.multiply(prepared, x)
         np.testing.assert_allclose(res.y, A @ x, rtol=1e-9, atol=1e-12)
-        # Budget 2: tuned + first retry fail, second retry succeeds.
-        assert res.failure.fallback_used == "tuned-retry"
-        assert obs.metrics.get("retry.attempts").value() == 2
-        assert slept == [policy.delay_s(1), policy.delay_s(2)]
+        # Budget 2: the tuned run and its single retry both fail; the
+        # untuned stage, past the budget, succeeds.
+        assert [a.stage for a in res.failure.attempts] == [
+            "tuned", "tuned-retry", "untuned",
+        ]
+        assert res.failure.fallback_used == "untuned"
+        assert obs.metrics.get("retry.attempts").value() == 1
+        assert slept == []
 
 
 class TestWatchdogRouting:

@@ -13,6 +13,7 @@ from repro.fault import (
     Deadline,
     RetryPolicy,
 )
+from repro.fault.retry import FAILURE_THRESHOLD
 
 
 class FakeClock:
@@ -28,31 +29,27 @@ class FakeClock:
 
 class TestRetryPolicy:
     def test_backoff_schedule(self):
-        p = RetryPolicy(
-            max_attempts=4, base_delay_s=1.0, multiplier=2.0, jitter=0.0
-        )
-        assert p.retries == 3
-        assert p.delays() == [1.0, 2.0, 4.0]
+        p = RetryPolicy(max_attempts=4, base_delay_s=0.1)
+        assert len(p.delays()) == 3
+        for k, delay in enumerate(p.delays(), start=1):
+            raw = 0.1 * 2.0 ** (k - 1)
+            assert raw * 0.9 <= delay <= raw * 1.1
 
     def test_max_delay_caps(self):
-        p = RetryPolicy(
-            max_attempts=6, base_delay_s=1.0, multiplier=10.0,
-            max_delay_s=5.0, jitter=0.0,
-        )
-        assert p.delays() == [1.0, 5.0, 5.0, 5.0, 5.0]
+        p = RetryPolicy(max_attempts=6, base_delay_s=0.5)
+        for k, delay in enumerate(p.delays(), start=1):
+            raw = min(0.5 * 2.0 ** (k - 1), 1.0)
+            assert raw * 0.9 <= delay <= raw * 1.1
+        assert max(p.delays()) <= 1.1
 
     def test_jitter_is_deterministic_and_bounded(self):
-        p = RetryPolicy(max_attempts=5, base_delay_s=1.0, jitter=0.25, seed=3)
-        q = RetryPolicy(max_attempts=5, base_delay_s=1.0, jitter=0.25, seed=3)
-        assert p.delays() == q.delays()  # same seed -> same schedule
-        for k, delay in enumerate(p.delays(), start=1):
-            raw = min(1.0 * 2.0 ** (k - 1), 30.0)
-            assert raw * 0.75 <= delay <= raw * 1.25
-
-    def test_different_seeds_decorrelate(self):
-        a = RetryPolicy(max_attempts=4, base_delay_s=1.0, jitter=0.25, seed=1)
-        b = RetryPolicy(max_attempts=4, base_delay_s=1.0, jitter=0.25, seed=2)
-        assert a.delays() != b.delays()
+        p = RetryPolicy(max_attempts=5, base_delay_s=1.0)
+        q = RetryPolicy(max_attempts=5, base_delay_s=1.0)
+        assert p.delays() == q.delays()
+        # Every raw delay sits at the 1 s cap, so the schedule is the
+        # jitter factors: one draw per attempt, each within 10%.
+        assert len(set(p.delays())) == 4
+        assert all(0.9 <= d <= 1.1 for d in p.delays())
 
     def test_zero_base_never_sleeps(self):
         p = RetryPolicy(max_attempts=5, base_delay_s=0.0)
@@ -61,10 +58,6 @@ class TestRetryPolicy:
     def test_validation(self):
         with pytest.raises(ReproError):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(ReproError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ReproError):
-            RetryPolicy(jitter=1.0)
         with pytest.raises(ReproError):
             RetryPolicy(base_delay_s=-1.0)
 
@@ -98,12 +91,13 @@ class TestDeadline:
 
 
 class TestCircuitBreaker:
-    def make(self, threshold=3, cooldown=10.0):
+    def make(self, cooldown=10.0):
         clock = FakeClock()
-        return CircuitBreaker(threshold, cooldown, clock=clock), clock
+        return CircuitBreaker(cooldown, clock=clock), clock
 
     def test_closed_until_threshold(self):
-        br, _ = self.make(threshold=3)
+        br, _ = self.make()
+        assert FAILURE_THRESHOLD == 3
         for _ in range(2):
             br.record_failure("bccoo")
         assert br.state("bccoo") == BREAKER_CLOSED
@@ -114,15 +108,17 @@ class TestCircuitBreaker:
         assert br.trips == 1
 
     def test_success_resets_consecutive_count(self):
-        br, _ = self.make(threshold=2)
-        br.record_failure("k")
+        br, _ = self.make()
+        for _ in range(2):
+            br.record_failure("k")
         br.record_success("k")
-        br.record_failure("k")
-        assert br.state("k") == BREAKER_CLOSED  # never 2 in a row
+        for _ in range(2):
+            br.record_failure("k")
+        assert br.state("k") == BREAKER_CLOSED  # never 3 in a row
 
     def test_half_open_probe_success_closes(self):
-        br, clock = self.make(threshold=1, cooldown=10.0)
-        br.record_failure("k")
+        br, clock = self.make(cooldown=10.0)
+        br.trip("k")
         assert br.state("k") == BREAKER_OPEN
         clock.advance(10.0)
         assert br.state("k") == BREAKER_HALF_OPEN
@@ -133,8 +129,8 @@ class TestCircuitBreaker:
         assert br.recoveries == 1
 
     def test_half_open_probe_failure_reopens(self):
-        br, clock = self.make(threshold=1, cooldown=10.0)
-        br.record_failure("k")
+        br, clock = self.make(cooldown=10.0)
+        br.trip("k")
         clock.advance(10.0)
         assert br.allow("k")
         br.record_failure("k")
@@ -145,25 +141,23 @@ class TestCircuitBreaker:
         assert br.state("k") == BREAKER_OPEN
 
     def test_keys_are_independent(self):
-        br, _ = self.make(threshold=1)
-        br.record_failure("a")
+        br, _ = self.make()
+        br.trip("a")
         assert not br.allow("a")
         assert br.allow("b")
         assert br.snapshot() == {"a": BREAKER_OPEN, "b": BREAKER_CLOSED}
 
     def test_state_value_encoding(self):
-        br, clock = self.make(threshold=1, cooldown=5.0)
+        br, clock = self.make(cooldown=5.0)
         assert br.state_value("k") == 0
-        br.record_failure("k")
+        br.trip("k")
         assert br.state_value("k") == 2
         clock.advance(5.0)
         assert br.state_value("k") == 1
 
     def test_validation(self):
         with pytest.raises(ReproError):
-            CircuitBreaker(0)
-        with pytest.raises(ReproError):
-            CircuitBreaker(1, -1.0)
+            CircuitBreaker(-1.0)
 
 
 class TestHalfOpenProbeSlot:
@@ -171,8 +165,8 @@ class TestHalfOpenProbeSlot:
 
     def make_half_open(self, cooldown=10.0):
         clock = FakeClock()
-        br = CircuitBreaker(1, cooldown, clock=clock)
-        br.record_failure("k")
+        br = CircuitBreaker(cooldown, clock=clock)
+        br.trip("k")
         clock.advance(cooldown)
         assert br.state("k") == BREAKER_HALF_OPEN
         return br, clock
@@ -230,7 +224,7 @@ class TestHalfOpenProbeSlot:
 
     def test_trip_forces_open(self):
         clock = FakeClock()
-        br = CircuitBreaker(5, 10.0, clock=clock)
+        br = CircuitBreaker(10.0, clock=clock)
         assert br.state("k") == BREAKER_CLOSED
         br.trip("k")  # no failures recorded; health-driven ejection
         assert br.state("k") == BREAKER_OPEN
@@ -245,7 +239,7 @@ class TestHalfOpenProbeSlot:
 
     def test_trip_is_idempotent_and_does_not_restart_cooldown(self):
         clock = FakeClock()
-        br = CircuitBreaker(5, 10.0, clock=clock)
+        br = CircuitBreaker(10.0, clock=clock)
         br.trip("k")
         clock.advance(6.0)
         br.trip("k")  # flapping health signal re-trips mid-cooldown

@@ -12,11 +12,22 @@ import json
 
 import pytest
 
-from repro.serve import ChaosReport, chaos_plan, run_chaos_drill
+from repro import SpMVEngine
+from repro.fault import RetryPolicy
+from repro.fault.injection import fault_scope
+from repro.serve import (
+    ChaosReport,
+    HealthPolicy,
+    ServeConfig,
+    ServeFabric,
+    chaos_plan,
+    run_chaos_drill,
+)
+from repro.serve.chaos import _build_workload
 
-# Small, fast drill workload shared by most tests.
-FAST = dict(cap_nnz=2_000, requests_per_matrix=2, value_refreshes=1,
-            matrices=("QCD", "Circuit"))
+# Small, fast drill workload shared by most tests: one request per
+# (matrix, value version), eight in all.
+FAST = dict(cap_nnz=2_000, requests_per_matrix=1)
 
 
 class TestChaosPlan:
@@ -69,6 +80,18 @@ class TestChaosDrill:
         assert report.require_failover is False
         assert report.passed
 
+    def test_slowed_shard_latency_is_only_recorded(self):
+        report = run_chaos_drill(shards=3, seed=7, kills=0, slows=1, **FAST)
+        assert report.passed
+        assert report.fault_events == ["serve.shard_slow"]
+        assert report.matched == report.requests
+        assert report.ejections == 0 and report.failovers == 0
+        assert report.live_shards == 3
+        shards = report.fabric_stats["shards"].values()
+        slowed = [s for s in shards if s["slow_extra_s"] > 0]
+        assert len(slowed) == 1
+        assert slowed[0]["health"]["p99_latency_s"] >= 0.3
+
     def test_seed_replays_identically(self):
         a = run_chaos_drill(shards=3, seed=21, **FAST)
         b = run_chaos_drill(shards=3, seed=21, **FAST)
@@ -84,6 +107,44 @@ class TestChaosDrill:
         assert blob["passed"] is True
         assert blob["requests"] == report.requests
         assert "PASS" in report.summary()
+
+
+class TestAutoscaleTrajectory:
+    """The pinned (round, action) sequence of an autoscaling in-process
+    fabric, built as the drill builds its fabric, on the drill workload:
+    up on the first round (8 requests over 3 replicas), one cooldown
+    round, and down after two idle rounds."""
+
+    @pytest.mark.parametrize(
+        "kills, expected",
+        [
+            (0, [(1, "up"), (2, None), (3, None), (4, "down"),
+                 (5, None), (6, None), (7, None), (8, None), (9, None)]),
+            # The crash leaves the grown fleet at the built count.
+            (1, [(1, "up")] + [(r, None) for r in range(2, 11)]),
+        ],
+    )
+    def test_round_action_sequence(self, kills, expected):
+        fabric = ServeFabric(
+            3,
+            engine_factory=lambda i: SpMVEngine(backend="fast"),
+            serve_config=ServeConfig(batch_window_s=0.0),
+            health_policy=HealthPolicy(window=8, min_samples=2),
+            retry_policy=RetryPolicy(max_attempts=3, base_delay_s=0.0),
+            start=False,
+            restart_policy=RetryPolicy(max_attempts=3, base_delay_s=0.0),
+            autoscale=True,
+        )
+        try:
+            for A, x, tenant in _build_workload(seed=7, **FAST):
+                fabric.submit(A, x, tenant=tenant)
+            with fault_scope(chaos_plan(7, kills=kills)):
+                fabric.drain()
+                fabric.tick(rounds=8)
+            decisions = fabric.stats()["autoscaler"]["decisions"]
+        finally:
+            fabric.close(drain=False)
+        assert [(d["round"], d["action"]) for d in decisions] == expected
 
 
 class TestVacuousPassRejected:

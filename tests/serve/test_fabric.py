@@ -25,13 +25,11 @@ from repro.errors import (
     ValidationError,
 )
 from repro.fault import BREAKER_CLOSED, BREAKER_OPEN, RetryPolicy
-from repro.fault.injection import fault_scope
 from repro.serve import (
     HealthPolicy,
     ServeConfig,
     ServeFabric,
     ShardRouter,
-    chaos_plan,
     serve_key,
 )
 from repro.util import as_csr
@@ -50,6 +48,26 @@ class FakeClock:
 
     def advance(self, dt: float) -> None:
         self.t += dt
+
+
+class FailFirstEngine(SpMVEngine):
+    """Engine whose first ``failures`` dispatches fail."""
+
+    def __init__(self, failures: int):
+        super().__init__()
+        self.failures = failures
+
+    def _dispatch(self, method, *args, **kwargs):
+        if self.failures > 0:
+            self.failures -= 1
+            raise ValidationError("failing shard: dispatch failed")
+        return method(*args, **kwargs)
+
+    def multiply(self, *args, **kwargs):
+        return self._dispatch(super().multiply, *args, **kwargs)
+
+    def multiply_many(self, *args, **kwargs):
+        return self._dispatch(super().multiply_many, *args, **kwargs)
 
 
 class FlakyEngine(SpMVEngine):
@@ -86,14 +104,23 @@ class OverTransport:
         return make_fabric(shards, processes=self.processes, **kwargs)
 
 
-def matrix_owned_by(fabric, shard_name, n=120):
-    """A matrix whose serve key the router assigns to ``shard_name``."""
+def matrices_owned_by(fabric, shard_name, count, n=120):
+    """``count`` matrices whose serve keys the router assigns to
+    ``shard_name``."""
     engine = fabric.shards[0].engine
+    found = []
     for seed in range(200):
         A = make_matrix(seed, n=n)
         if fabric.router.owner(serve_key(engine, as_csr(A))) == shard_name:
-            return A
-    raise AssertionError(f"no seed < 200 routed to {shard_name}")
+            found.append(A)
+            if len(found) == count:
+                return found
+    raise AssertionError(f"fewer than {count} seeds < 200 routed to {shard_name}")
+
+
+def matrix_owned_by(fabric, shard_name, n=120):
+    """A matrix whose serve key the router assigns to ``shard_name``."""
+    return matrices_owned_by(fabric, shard_name, 1, n=n)[0]
 
 
 class TestShardRouter:
@@ -219,6 +246,31 @@ class TestQuotas:
         finally:
             fabric.close(drain=False)
 
+    def test_drained_tenants_are_forgotten(self):
+        fabric = make_fabric(2)
+        try:
+            A = make_matrix(1)
+            futs = [
+                fabric.submit(A, np.ones(120), tenant=f"t{i}")
+                for i in range(300)
+            ]
+            fabric.drain()
+            for fut in futs:
+                fut.result(timeout=0)
+            with fabric._cond:
+                assert fabric._queues == {}
+                assert fabric._passes == {}
+                assert fabric._tenant_pending == {}
+            assert fabric.stats()["tenants"] == {}
+            # A returning tenant starts at the current virtual time, as
+            # a new one does.
+            fabric.submit(A, np.ones(120), tenant="t0")
+            with fabric._cond:
+                assert fabric._passes["t0"] == fabric._vtime
+            assert fabric.stats()["tenants"] == {"t0": {"pending": 1}}
+        finally:
+            fabric.close()
+
     def test_idle_tenant_earns_no_burst(self):
         fabric = make_fabric(2)
         try:
@@ -317,9 +369,7 @@ class TestEjectionReadmission:
         fabric = make_fabric(
             2,
             engine_factory=factory,
-            health_policy=HealthPolicy(
-                window=8, min_samples=2, max_error_rate=0.5
-            ),
+            health_policy=HealthPolicy(window=8, min_samples=2),
             retry_policy=RetryPolicy(max_attempts=3),
             clock=clock,
         )
@@ -386,42 +436,67 @@ class TestEjectionReadmission:
         finally:
             fabric.close()
 
-    def test_late_success_does_not_readmit(self):
-        # The seeded plan slows one shard past the latency bound; its
-        # health window ejects it while requests forwarded to it before
-        # the ejection are still in flight.  Their successes must not
-        # close the circuit: only the half-open probe readmits.
+    def test_success_in_an_erroneous_window_ejects(self):
+        # One failure then one success leaves a window at the 0.5 error
+        # rate: the success itself ejects the shard.
         fabric = make_fabric(
             2,
-            health_policy=HealthPolicy(
-                window=4, min_samples=2, max_latency_s=0.1
+            engine_factory=lambda i: (
+                FailFirstEngine(1) if i == 1 else SpMVEngine()
             ),
+            health_policy=HealthPolicy(window=4, min_samples=2),
+            clock=FakeClock(),
+        )
+        rng = np.random.default_rng(1)
+        try:
+            futs = [
+                fabric.submit(A, rng.standard_normal(120))
+                for A in matrices_owned_by(fabric, "shard-1", 2)
+            ]
+            fabric.drain()
+            assert [f.result(timeout=0).shard for f in futs] == [
+                "shard-0", "shard-1",
+            ]
+            assert fabric.shards[1].health.error_rate() == 0.5
+            assert fabric.n_ejections == 1
+            assert fabric.breaker.state("shard-1") == BREAKER_OPEN
+        finally:
+            fabric.close()
+
+    def test_late_success_does_not_readmit(self):
+        # The owner fails its first two dispatches, and its health
+        # window ejects it on the second, while a third request
+        # forwarded before the ejection is still in flight.  That late
+        # success must not close the circuit: only the half-open probe
+        # readmits.
+        fabric = make_fabric(
+            2,
+            engine_factory=lambda i: (
+                FailFirstEngine(2) if i == 1 else SpMVEngine()
+            ),
+            health_policy=HealthPolicy(window=4, min_samples=2),
             clock=FakeClock(),
         )
         engine = SpMVEngine()
         rng = np.random.default_rng(0)
         try:
             work = []
-            for seed in range(6):
-                A = make_matrix(seed)
-                for _ in range(2):
-                    x = rng.standard_normal(120)
-                    work.append((A, x, fabric.submit(A, x)))
-            plan = chaos_plan(seed=3, kills=0, slows=1, slow_extra_s=0.4)
-            with fault_scope(plan):
-                fabric.drain()
-            assert [e.site for e in plan.events] == ["serve.shard_slow"]
+            for A in matrices_owned_by(fabric, "shard-1", 3):
+                x = rng.standard_normal(120)
+                work.append((A, x, fabric.submit(A, x)))
+            fabric.drain()
+            served_by = [fut.result(timeout=0).shard for _, _, fut in work]
+            assert served_by == ["shard-0", "shard-0", "shard-1"]
             for A, x, fut in work:
                 np.testing.assert_array_equal(
                     fut.result(timeout=0).y,
                     engine.multiply(engine.prepare(A), x).y,
                 )
-            slowed = [s for s in fabric.shards if s.slow_extra_s > 0]
-            assert len(slowed) == 1 and slowed[0].ejected
+            assert fabric.shards[1].ejected
             assert fabric.n_ejections == 1
             assert fabric.n_readmissions == 0
-            assert fabric.breaker.state(slowed[0].name) == BREAKER_OPEN
-            assert slowed[0].name not in fabric.live_shards()
+            assert fabric.breaker.state("shard-1") == BREAKER_OPEN
+            assert fabric.live_shards() == ["shard-0"]
         finally:
             fabric.close()
 
@@ -469,7 +544,8 @@ class TestLifecycle(OverTransport):
             for shard_snap in snap["shards"].values():
                 assert shard_snap["breaker"] == BREAKER_CLOSED
                 assert "health" in shard_snap and "server" in shard_snap
-            assert snap["tenants"]["t"]["pending"] == 0
+            # A drained tenant is forgotten.
+            assert "t" not in snap["tenants"]
         finally:
             fabric.close()
 

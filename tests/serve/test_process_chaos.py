@@ -15,10 +15,10 @@ import json
 
 from repro.serve import chaos_plan, run_chaos_drill
 
-# Enough simultaneous requests that load-per-replica crosses the
-# drill's autoscale high-water mark (2.0) on three shards.
-FAST = dict(cap_nnz=2_000, requests_per_matrix=4, value_refreshes=1,
-            matrices=("QCD", "Circuit"))
+# Eight simultaneous requests, one per (matrix, value version): enough
+# that load-per-replica crosses the autoscale high-water mark (2.0) on
+# three shards.
+FAST = dict(cap_nnz=2_000, requests_per_matrix=1)
 
 
 class TestProcessPlan:
@@ -82,8 +82,7 @@ class TestProcessDrill:
 
     def test_report_is_json_able_with_process_fields(self):
         report = run_chaos_drill(
-            shards=2, seed=2, processes=True, kills=0, autoscale=False,
-            **FAST
+            shards=2, seed=2, processes=True, kills=0, **FAST
         )
         blob = json.loads(json.dumps(report.to_dict()))
         assert blob["processes"] is True

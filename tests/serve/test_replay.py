@@ -87,6 +87,12 @@ class TestLoadRequests:
             load_requests(p)
 
 
+def threadless_server() -> SpMVServer:
+    return SpMVServer(
+        SpMVEngine(), ServeConfig(batch_window_s=0.0), start=False
+    )
+
+
 class TestRunReplay:
     def test_replay_from_file_verifies_and_reports(self, tmp_path):
         p = tmp_path / "reqs.jsonl"
@@ -94,7 +100,8 @@ class TestRunReplay:
             '{"matrix": "QCD", "count": 6, "cap": 20000}\n'
             '{"matrix": "QCD", "count": 2, "cap": 20000, "seed": 5}\n'
         )
-        report = run_replay(p, config=ServeConfig(batch_window_s=0.0))
+        with threadless_server() as srv:
+            report = run_replay(p, srv)
         assert report.requests == 8
         assert report.ok == 8
         assert report.failed == 0
@@ -106,7 +113,8 @@ class TestRunReplay:
     def test_multi_rhs_lines(self, tmp_path):
         p = tmp_path / "reqs.jsonl"
         p.write_text('{"matrix": "Dense", "count": 2, "k": 3, "cap": 10000}\n')
-        report = run_replay(p, config=ServeConfig(batch_window_s=0.0))
+        with threadless_server() as srv:
+            report = run_replay(p, srv)
         assert report.requests == 2
         assert report.ok == 2
         assert report.max_abs_err < 1e-8
@@ -115,7 +123,7 @@ class TestRunReplay:
         engine = SpMVEngine()
         srv = SpMVServer(engine, ServeConfig(batch_window_s=0.0), start=False)
         specs = [ReplaySpec(matrix="QCD", count=3, cap=20000)]
-        report = run_replay(specs, server=srv)
+        report = run_replay(specs, srv)
         assert report.ok == 3
         # The caller's server stays open for further traffic.
         A = sparse.random(50, 50, density=0.1, random_state=0, format="csr")
@@ -131,7 +139,7 @@ class TestRunReplay:
             start=False,
         )
         specs = [ReplaySpec(matrix="QCD", count=5, cap=20000)]
-        report = run_replay(specs, server=srv)
+        report = run_replay(specs, srv)
         # Threadless server, queue depth 2: 2 admitted, 3 shed.
         assert report.requests == 5
         assert report.ok == 2
@@ -144,7 +152,8 @@ class TestRunReplay:
 
         p = tmp_path / "reqs.jsonl"
         p.write_text('{"matrix": "QCD", "count": 4, "cap": 20000}\n')
-        report = run_replay(p, config=ServeConfig(batch_window_s=0.0))
+        with threadless_server() as srv:
+            report = run_replay(p, srv)
         blob = json.loads(json.dumps(report.to_dict()))
         assert blob["kind"] == "replay_report"
         assert blob["requests"] == 4 and blob["failed"] == 0

@@ -19,13 +19,11 @@ from scipy import sparse
 
 from repro import SpMVEngine
 from repro.core.shm import reap_orphans
-from repro.errors import ValidationError
 from repro.fault import FaultPlan
 from repro.fault.injection import fault_scope
 from repro.fault.retry import RetryPolicy
 from repro.serve import (
     Autoscaler,
-    AutoscalePolicy,
     ServeConfig,
     Shard,
     ShardSupervisor,
@@ -259,83 +257,70 @@ class TestOrphanReaping:
                 os.unlink(f"/dev/shm/{name}")
 
 
-class TestAutoscalePolicy:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"min_shards": 0},
-            {"min_shards": 3, "max_shards": 2},
-            {"high_load": 0.0},
-            {"low_load": -1.0},
-            {"up_after": 0},
-            {"down_after": 0},
-            {"cooldown_rounds": -1},
-        ],
-    )
-    def test_rejects_bad_policy(self, kwargs):
-        with pytest.raises(ValidationError):
-            AutoscalePolicy(**kwargs)
+class TestRestartBackoff:
+    def test_default_delays_are_pinned(self):
+        # 0.05 s, then 0.1 s, each scaled by its seeded jitter draw:
+        # pinned float for float.
+        assert ShardSupervisor().restart_policy.delays() == [
+            0.05389738791278135,
+            0.09161648078346375,
+        ]
 
 
 class TestAutoscaler:
     def test_scales_up_under_sustained_pressure(self):
-        scaler = Autoscaler(AutoscalePolicy(
-            min_shards=1, max_shards=4, high_load=2.0, up_after=2,
-        ))
-        assert scaler.observe(queued=8, in_flight=0, live=2) is None
-        assert scaler.observe(queued=8, in_flight=0, live=2) == "up"
+        scaler = Autoscaler(2)
+        assert (scaler.min_shards, scaler.max_shards) == (2, 3)
+        # 4 requests over 2 replicas: load 2.0, the high-water mark.
+        assert scaler.observe(
+            queued=4, in_flight=0, live=2, open_breakers=0
+        ) == "up"
         assert scaler.n_scale_ups == 1
 
-    def test_single_pressured_round_is_not_enough(self):
-        scaler = Autoscaler(AutoscalePolicy(high_load=2.0, up_after=2))
-        assert scaler.observe(queued=8, in_flight=0, live=2) is None
-        assert scaler.observe(queued=0, in_flight=0, live=2) is None
-        assert scaler.observe(queued=8, in_flight=0, live=2) is None
+    def test_load_below_high_water_is_steady(self):
+        scaler = Autoscaler(2)
+        assert scaler.observe(
+            queued=3, in_flight=0, live=2, open_breakers=0
+        ) is None
+        assert scaler.decisions[-1]["reason"] == "steady"
         assert scaler.n_scale_ups == 0
 
-    def test_p99_latency_triggers_pressure(self):
-        scaler = Autoscaler(AutoscalePolicy(
-            high_load=100.0, p99_high_s=0.5, up_after=1,
-        ))
-        assert scaler.observe(
-            queued=2, in_flight=0, live=2, p99_s=0.9
-        ) == "up"
-        assert "p99" in scaler.decisions[-1]["reason"]
-
     def test_scales_down_after_idle_streak_with_cooldown(self):
-        scaler = Autoscaler(AutoscalePolicy(
-            min_shards=1, max_shards=4, high_load=2.0, low_load=0.0,
-            up_after=1, down_after=2, cooldown_rounds=1,
-        ))
-        assert scaler.observe(queued=9, in_flight=0, live=2) == "up"
+        scaler = Autoscaler(2)
+        idle = dict(queued=0, in_flight=0, live=3, open_breakers=0)
+        assert scaler.observe(
+            queued=9, in_flight=0, live=2, open_breakers=0
+        ) == "up"
         # Cooldown round: idle, but only observing.
-        assert scaler.observe(queued=0, in_flight=0, live=3) is None
+        assert scaler.observe(**idle) is None
         assert scaler.decisions[-1]["reason"] == "cooldown"
-        assert scaler.observe(queued=0, in_flight=0, live=3) is None
-        assert scaler.observe(queued=0, in_flight=0, live=3) == "down"
+        assert scaler.observe(**idle) is None
+        assert scaler.observe(**idle) == "down"
         assert scaler.n_scale_downs == 1
 
     def test_respects_min_and_max_bounds(self):
-        scaler = Autoscaler(AutoscalePolicy(
-            min_shards=2, max_shards=2, high_load=1.0, low_load=10.0,
-            up_after=1, down_after=1, cooldown_rounds=0,
-        ))
-        assert scaler.observe(queued=50, in_flight=0, live=2) is None
-        assert scaler.observe(queued=0, in_flight=0, live=2) is None
+        scaler = Autoscaler(2)
+        # At the one extra replica already: no further growth.
+        assert scaler.observe(
+            queued=50, in_flight=0, live=3, open_breakers=0
+        ) is None
+        # At the built count: idle rounds never shrink below it.
+        for _ in range(3):
+            assert scaler.observe(
+                queued=0, in_flight=0, live=2, open_breakers=0
+            ) is None
         assert scaler.n_scale_ups == 0 and scaler.n_scale_downs == 0
 
     def test_decision_log_is_complete_and_typed(self):
-        scaler = Autoscaler(AutoscalePolicy(up_after=1, high_load=2.0))
-        scaler.observe(queued=9, in_flight=1, live=2, open_breakers=1,
-                       p99_s=0.25)
-        scaler.observe(queued=0, in_flight=0, live=3)
+        scaler = Autoscaler(2)
+        scaler.observe(queued=9, in_flight=1, live=2, open_breakers=1)
+        scaler.observe(queued=0, in_flight=0, live=3, open_breakers=0)
         assert len(scaler.decisions) == 2
         first = scaler.decisions[0]
         assert first["action"] == "up"
         assert first["queued"] == 9 and first["in_flight"] == 1
         assert first["open_breakers"] == 1
         assert first["load_per_replica"] == 5.0
-        assert first["p99_s"] == 0.25
         stats = scaler.stats()
         assert stats["rounds"] == 2
         assert stats["scale_ups"] == 1

@@ -12,7 +12,7 @@ from repro.tuning import FormatCache, KernelPlanCache, TuningPoint, pruned_space
 
 class TestKernelPlanCache:
     def test_miss_then_hit(self):
-        cache = KernelPlanCache(compile_cost_s=0.1)
+        cache = KernelPlanCache()
         p = TuningPoint()
         _, hit1 = cache.get(p)
         _, hit2 = cache.get(p)
@@ -30,13 +30,14 @@ class TestKernelPlanCache:
         assert hit
 
     def test_simulated_times(self):
-        cache = KernelPlanCache(compile_cost_s=0.2)
+        cache = KernelPlanCache()
         p1, p2 = TuningPoint(), TuningPoint(block_height=2)
         cache.get(p1)
         cache.get(p2)
         cache.get(p1)
-        assert cache.simulated_compile_time_s == 0.4
-        assert cache.simulated_time_saved_s == 0.2
+        # 0.15 s of simulated JIT per distinct plan.
+        assert cache.simulated_compile_time_s == 2 * 0.15
+        assert cache.simulated_time_saved_s == 0.15
         assert len(cache) == 2
 
 

@@ -16,6 +16,7 @@ from repro.tuning import (
     ModelDrivenTuner,
     TuningPoint,
 )
+from repro.tuning.model import MIN_EVALUATIONS
 
 
 @pytest.fixture
@@ -103,7 +104,5 @@ class TestModelDrivenTuner:
             ModelDrivenTuner(GTX680, evaluate_fraction=0.0)
 
     def test_min_evaluations_floor(self, matrix):
-        res = ModelDrivenTuner(
-            GTX680, evaluate_fraction=0.001, min_evaluations=10
-        ).tune(matrix)
-        assert res.evaluated + res.skipped >= 10
+        res = ModelDrivenTuner(GTX680, evaluate_fraction=0.001).tune(matrix)
+        assert res.evaluated + res.skipped >= MIN_EVALUATIONS == 24

@@ -100,14 +100,14 @@ class TestEngineIntegration:
     def test_store_skips_second_search(self, store, A, rng):
         from repro import SpMVEngine
 
-        eng = SpMVEngine("gtx680")
-        first = eng.prepare(A, store=store)
+        eng = SpMVEngine("gtx680", plan_store=store)
+        first = eng.prepare(A)
         assert first.tuning is not None  # searched
         assert first.tuning.evaluated > 0
         assert first.tuning.store_checked and not first.tuning.store_hit
         assert len(store) == 1
 
-        second = eng.prepare(A, store=store)
+        second = eng.prepare(A)
         # Served from the store: the hit is observable on the result and
         # zero kernel evaluations were performed.
         assert second.tuning is not None
@@ -158,15 +158,6 @@ class TestEngineIntegration:
         assert prepared.tuning.evaluated > 0
         # The re-tuned winner was written back in the current schema.
         assert TuningStore(store.path).get(A, GTX680) == prepared.point
-
-    def test_per_call_store_overrides_engine_store(self, store, tmp_path, A):
-        from repro import SpMVEngine
-
-        override = TuningStore(tmp_path / "override.json")
-        eng = SpMVEngine("gtx680", plan_store=store)
-        eng.prepare(A, store=override)
-        assert len(override) == 1
-        assert len(store) == 0
 
 
 class TestHardening:

@@ -5,7 +5,12 @@ import pytest
 from scipy import sparse
 
 from repro.gpu import GTX680
-from repro.tuning import candidate_slice_counts, exhaustive_space, pruned_space
+from repro.tuning import (
+    WORKGROUP_SIZES,
+    candidate_slice_counts,
+    exhaustive_space,
+    pruned_space,
+)
 
 
 @pytest.fixture
@@ -70,14 +75,20 @@ class TestExhaustiveSpace:
             exhaustive_space(
                 narrow,
                 GTX680,
-                workgroup_sizes=(64,),
                 block_heights=(1,),
                 block_widths=(1,),
                 bit_words=("uint32",),
             )
         )
         assert points
-        assert all(p.kernel.workgroup_size == 64 for p in points)
+        bccoo = [p for p in points if p.base_format == "bccoo"]
+        assert {(p.block_height, p.block_width, p.bit_word)
+                for p in bccoo} == {(1, 1, "uint32")}
+        # Every workgroup size and candidate slice count is enumerated.
+        assert {p.kernel.workgroup_size for p in points} == set(WORKGROUP_SIZES)
+        assert {p.slice_count for p in bccoo} == set(
+            candidate_slice_counts(narrow, GTX680)
+        )
         # Unpruned axes present: both transposes, both texture modes.
         assert {p.kernel.transpose for p in points} == {"offline", "online"}
         assert {p.kernel.use_texture for p in points} == {True, False}

@@ -69,7 +69,6 @@ class TestTune:
             GTX680,
             mode="exhaustive",
             exhaustive_kwargs=dict(
-                workgroup_sizes=(pruned.best_point.kernel.workgroup_size,),
                 block_heights=(pruned.best_point.block_height,),
                 block_widths=(pruned.best_point.block_width,),
                 bit_words=(pruned.best_point.bit_word,),
