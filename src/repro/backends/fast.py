@@ -237,6 +237,10 @@ class _CSRCore:
     The first pass takes the products: entry ``j`` of a row multiplies
     the format's flattened values at ``slots`` (all of them, in order,
     when ``slots`` is ``None``) by row ``cols[j]`` of the operand.
+    Slots that are the identity on a prefix of the values -- every
+    1-wide BCCOO core's, and every w-wide one's with all slots in range
+    -- are kept as that prefix, so the core reads the values in place
+    instead of gathering a copy at build and on every value refresh.
     ``second``, when set, sums the first pass's rows with unit data.
     The loop adds every row's entries sequentially from +0, in entry
     order, so each core lays its entries out in the order the
@@ -253,7 +257,7 @@ class _CSRCore:
     __slots__ = ("first", "second", "slots", "data", "cols")
 
     def __init__(self, values, cols, indptr, ncols, slots=None, second=None):
-        self.slots = slots
+        self.slots = _as_prefix(slots)
         self.second = second
         data = self._data(values)
         if _fused_matvec_exact():
@@ -265,8 +269,7 @@ class _CSRCore:
             self.first = _Pass(np.ones(n), np.arange(n), indptr, n)
 
     def _data(self, values: np.ndarray) -> np.ndarray:
-        flat = values.ravel()
-        return flat if self.slots is None else flat[self.slots]
+        return values.ravel()[self.slots]
 
     def refill(self, values: np.ndarray) -> "_CSRCore":
         """This core over a value-refreshed format's ``values``: one array
@@ -287,6 +290,17 @@ class _CSRCore:
             X = products
         Y = self.first(X)
         return Y if self.second is None else self.second(Y)
+
+
+def _as_prefix(slots: np.ndarray | None) -> slice | np.ndarray:
+    """``slots`` as a slice when it selects a prefix of the values in
+    order (``None`` selects them all), else the index array itself."""
+    if slots is None:
+        return slice(None)
+    n = slots.shape[0]
+    if n == 0 or (slots[-1] == n - 1 and np.array_equal(slots, np.arange(n))):
+        return slice(0, n)
+    return slots
 
 
 def _segment_rows(stops: np.ndarray, h: int):

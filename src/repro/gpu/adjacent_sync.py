@@ -32,6 +32,7 @@ __all__ = [
     "chain_segments",
     "logical_workgroup_ids",
     "propagation_delay",
+    "chain_delay",
 ]
 
 #: Default spin cap the kernels pass to :func:`chain_carries_hazard`.
@@ -253,17 +254,25 @@ def propagation_delay(
     """
     finish = np.asarray(finish_times, dtype=np.float64).ravel()
     stops = check_1d("has_stop", np.asarray(has_stop, dtype=bool))
-    n = finish.shape[0]
-    if stops.shape[0] != n:
+    if stops.shape[0] != finish.shape[0]:
         raise ValueError("finish_times and has_stop must have equal length")
-    if n == 0:
+    return chain_delay(finish.tolist(), stops.tolist(), float(hop_latency_s))
+
+
+def chain_delay(finish: list[float], has_stop: list[bool], hop_s: float) -> float:
+    """:func:`propagation_delay` of checked, equal-length lists.
+
+    The recurrence runs on Python floats, which round every operation
+    as the float64 NumPy scalars it replaces do, so the result keeps its
+    bits; the timing model calls it directly with the lists it builds.
+    """
+    if not finish:
         return 0.0
-    base_makespan = float(finish.max())
-    avail = np.empty(n, dtype=np.float64)
-    retire = finish.copy()
-    avail[0] = finish[0]
-    for x in range(1, n):
-        ready = avail[x - 1] + hop_latency_s
-        retire[x] = max(finish[x], ready)
-        avail[x] = finish[x] if stops[x] else max(finish[x], ready)
-    return max(float(retire.max()) - base_makespan, 0.0)
+    avail = top = finish[0]
+    for f, stop in zip(finish[1:], has_stop[1:]):
+        ready = avail + hop_s
+        retire = max(f, ready)
+        if retire > top:
+            top = retire
+        avail = f if stop else retire
+    return max(top - max(finish), 0.0)

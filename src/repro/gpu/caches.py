@@ -232,14 +232,17 @@ class PaddedReads:
     line size of the registered devices -- the windows are sorted once
     per cache geometry and each padded length costs a closed form
     (:class:`PaddedWindows`); otherwise the padded stream is built.
+    Either way each padded length is priced once per read model: every
+    launch padded to it reads the same traffic.
     """
 
-    __slots__ = ("indices", "pad", "_windows")
+    __slots__ = ("indices", "pad", "_windows", "_traffic")
 
     def __init__(self, element_indices: np.ndarray, pad: np.ndarray):
         self.indices = np.asarray(element_indices, dtype=np.int64).ravel()
         self.pad = np.asarray(pad, dtype=np.int64).ravel()
         self._windows: dict[tuple[int, int, int], PaddedWindows] = {}
+        self._traffic: dict[tuple, tuple[int, int]] = {}
 
     def traffic(
         self,
@@ -250,7 +253,22 @@ class PaddedReads:
         use_cache: bool = True,
     ) -> tuple[int, int]:
         """``(dram_bytes, cached_bytes)`` of the stream padded to
-        ``n_reads`` reads."""
+        ``n_reads`` reads, computed once per padded length and read
+        model."""
+        key = (n_reads, element_bytes, cache_bytes, line_bytes, use_cache)
+        traffic = self._traffic.get(key)
+        if traffic is None:
+            traffic = self._traffic.setdefault(key, self._compute(*key))
+        return traffic
+
+    def _compute(
+        self,
+        n_reads: int,
+        element_bytes: int,
+        cache_bytes: int,
+        line_bytes: int,
+        use_cache: bool,
+    ) -> tuple[int, int]:
         if n_reads == 0:
             return 0, 0
         geometry = _read_model(element_bytes, cache_bytes, line_bytes, use_cache)

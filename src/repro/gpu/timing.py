@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..obs import active_observer
-from .adjacent_sync import propagation_delay
+from .adjacent_sync import chain_delay
 from .counters import KernelStats
 from .device import DeviceSpec
 from .dispatch import schedule_workgroups
@@ -189,9 +189,9 @@ class TimingModel:
         # staggered over t_exec and charge the chain propagation delay.
         if stats.sync_chain_lengths.size and stats.n_workgroups > 1:
             n = stats.n_workgroups
-            finish = np.linspace(t_exec / n, t_exec, n)
+            finish = _linspace(t_exec / n, t_exec, n)
             has_stop = self._stops_from_chains(stats.sync_chain_lengths, n)
-            delay = propagation_delay(finish, has_stop, dev.dram_latency_s)
+            delay = chain_delay(finish, has_stop, dev.dram_latency_s)
             t += delay
             obs = active_observer()
             if obs.enabled:
@@ -207,15 +207,31 @@ class TimingModel:
         return t
 
     @staticmethod
-    def _stops_from_chains(chain_lengths: np.ndarray, n_wg: int) -> np.ndarray:
+    def _stops_from_chains(chain_lengths: np.ndarray, n_wg: int) -> list[bool]:
         """Reconstruct a has-stop pattern consistent with chain lengths."""
-        has_stop = np.ones(n_wg, dtype=bool)
+        has_stop = [True] * n_wg
         pos = 0
-        for length in np.asarray(chain_lengths, dtype=np.int64):
-            run = int(length) - 1
+        for length in np.asarray(chain_lengths, dtype=np.int64).tolist():
+            run = length - 1
             if run > 0 and pos + run <= n_wg:
-                has_stop[pos : pos + run] = False
-            pos += max(int(length), 1)
+                has_stop[pos : pos + run] = [False] * run
+            pos += max(length, 1)
             if pos >= n_wg:
                 break
         return has_stop
+
+
+def _linspace(start: float, stop: float, n: int) -> list[float]:
+    """``np.linspace(start, stop, n).tolist()`` for ``n > 1``, in Python
+    floats: the same rounded operations in the same order -- ``i * step
+    + start``, or ``i / div * delta + start`` when the step rounds to
+    zero -- with ``stop`` written last."""
+    div = n - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0:
+        out = [i / div * delta + start for i in range(n)]
+    else:
+        out = [i * step + start for i in range(n)]
+    out[-1] = stop
+    return out

@@ -210,6 +210,10 @@ class LaunchPlan:
             np.count_nonzero(tile_has_stop.reshape(self.n_workgroups, -1).all(axis=1))
         )
 
+    def sync_chains(self) -> np.ndarray:
+        """Lengths of the launch's adjacent-sync chains."""
+        return chain_segments(self.workgroup_stops() > 0)
+
     def vector_traffic(self, device: DeviceSpec) -> tuple[int, int]:
         """``(dram_bytes, cached_bytes)`` of the launch's vector reads."""
         cfg = self.config
@@ -277,8 +281,12 @@ class ProfilePlan:
     tiles only appends blocks with no stop that read column 0, so the
     padded length is arithmetic, stop counts per thread and per
     workgroup come from the stop positions, and vector traffic from the
-    cache model's closed form.  Its members are the ones the cost
-    profile reads of a :class:`LaunchPlan`, with equal values.
+    cache model's closed form.  What depends on the launch geometry
+    alone -- the full workgroups, the adjacent-sync chains and the
+    vector traffic -- is memoized with the profile, so the
+    configurations that share a geometry compute it once.  Its members
+    are the ones the cost profile reads of a :class:`LaunchPlan`, with
+    equal values.
 
     Used only with no fault plan active: a fault plan perturbs a decoded
     per-launch copy, which only a :class:`LaunchPlan` builds.
@@ -292,17 +300,20 @@ class ProfilePlan:
         "n_stops",
         "_profile",
         "_block_width",
+        "_geometry",
     )
 
     def __init__(self, fmt: BCCOOMatrix, cfg: YaSpMVConfig):
         profile = FormatProfile.of(fmt)
+        tile = cfg.effective_tile
         self.config = cfg
         self.nb_padded = round_up(max(profile.nblocks_padded, 1), cfg.workgroup_work)
         self.n_workgroups = self.nb_padded // cfg.workgroup_work
-        self.n_threads_total = self.nb_padded // cfg.effective_tile
+        self.n_threads_total = self.nb_padded // tile
         self.n_stops = int(profile.stop_pos.shape[0])
         self._profile = profile
         self._block_width = fmt.block_width
+        self._geometry = profile.geometry(tile, cfg.workgroup_size, self.n_workgroups)
 
     def workgroup_stops(self) -> np.ndarray:
         """Row stops per workgroup."""
@@ -312,10 +323,11 @@ class ProfilePlan:
 
     def full_workgroups(self) -> int:
         """Workgroups in which every thread's tile holds a row stop."""
-        cfg = self.config
-        threads = self._profile.threads_with_stops(cfg.effective_tile)
-        per_wg = np.bincount(threads // cfg.workgroup_size)
-        return int(np.count_nonzero(per_wg == cfg.workgroup_size))
+        return self._geometry[0]
+
+    def sync_chains(self) -> np.ndarray:
+        """Lengths of the launch's adjacent-sync chains (read-only)."""
+        return self._geometry[1]
 
     def vector_traffic(self, device: DeviceSpec) -> tuple[int, int]:
         """``(dram_bytes, cached_bytes)`` of the launch's vector reads."""
@@ -652,7 +664,7 @@ class YaSpMVKernel(SpMVKernel):
         n_launches = 1
         chains = np.empty(0, dtype=np.int64)
         if cfg.cross_wg == "adjacent":
-            chains = chain_segments(plan.workgroup_stops() > 0)
+            chains = plan.sync_chains()
             # Grp_sum array traffic: one write + (up to) one read per wg.
             grp_bytes = n_wg * h * val_b
             read += grp_bytes

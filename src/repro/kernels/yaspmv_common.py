@@ -6,7 +6,9 @@ vector elements it gathers.
 
 A profile-only launch needs none of those arrays.  It reads a format's
 :class:`FormatProfile` instead -- row-stop positions and vector reads,
-decoded once per format -- and pads by arithmetic.
+decoded once per format -- and pads by arithmetic.  What a launch
+derives from its geometry alone (stop counts, full workgroups, the
+adjacent-sync chains) is memoized there too, once per geometry.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import numpy as np
 
 from ..fault.injection import active_plan
 from ..formats.bccoo import BCCOOMatrix
+from ..gpu.adjacent_sync import chain_segments
 from ..gpu.caches import PaddedReads
+from ..obs.stages import active_stages
 from ..util import round_up
 from .config import YaSpMVConfig
 
@@ -125,9 +129,12 @@ class FormatProfile:
     columns whatever their bit word, column storage or delta tile.  The
     tuner therefore hands each format the profile of the first format
     built from its layout (``share``); whatever decodes equal is shared
-    -- the stop positions with their memoized counts, the reads with
-    their sorted cache-model windows -- so that work is done once per
-    layout.
+    -- the stop positions with their memoized counts and geometries,
+    the reads with their sorted cache-model windows and traffic -- so
+    that work is done once per layout, and once per launch geometry.
+
+    The memoized arrays are read-only: every launch of a geometry hands
+    the same one to its cost profile.
     """
 
     __slots__ = ("nblocks_padded", "stop_pos", "cols", "reads", "_counts")
@@ -174,7 +181,7 @@ class FormatProfile:
             ids = self.stop_pos // tile
             first = np.ones(ids.shape, dtype=bool)
             np.not_equal(ids[1:], ids[:-1], out=first[1:])
-            threads = self._counts.setdefault(key, ids[first])
+            threads = self._counts.setdefault(key, _read_only(ids[first]))
         return threads
 
     def workgroup_stops(self, wg_work: int, n_workgroups: int) -> np.ndarray:
@@ -183,9 +190,44 @@ class FormatProfile:
         counts = self._counts.get(key)
         if counts is None:
             counts = self._counts.setdefault(
-                key, np.bincount(self.stop_pos // wg_work, minlength=n_workgroups)
+                key,
+                _read_only(
+                    np.bincount(self.stop_pos // wg_work, minlength=n_workgroups)
+                ),
             )
         return counts
+
+    def geometry(
+        self, tile: int, workgroup_size: int, n_workgroups: int
+    ) -> tuple[int, np.ndarray]:
+        """``(full_workgroups, sync_chains)`` of a launch whose threads
+        take ``tile`` blocks, ``workgroup_size`` threads to each of its
+        ``n_workgroups`` workgroups: the workgroups in which every
+        thread's tile holds a row stop, and the lengths of the
+        adjacent-sync chains (:func:`~repro.gpu.adjacent_sync.chain_segments`
+        of the workgroups holding a stop).
+
+        Computed once per geometry, for every configuration and padded
+        format that shares it; each computation counts as one
+        ``geometries`` on the active stage clock.
+        """
+        key = ("geometry", tile, workgroup_size, n_workgroups)
+        geometry = self._counts.get(key)
+        if geometry is None:
+            per_wg = np.bincount(self.threads_with_stops(tile) // workgroup_size)
+            full = int(np.count_nonzero(per_wg == workgroup_size))
+            has_stop = self.workgroup_stops(tile * workgroup_size, n_workgroups) > 0
+            chains = _read_only(chain_segments(has_stop))
+            geometry = self._counts.setdefault(key, (full, chains))
+            clock = active_stages()
+            if clock is not None:
+                clock.count("geometries")
+        return geometry
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 #: Format instance -> its profile; weak-keyed, so a profile dies with

@@ -38,7 +38,9 @@ class StageClock:
 
     ``counts`` carries what the stages did (``layouts``: block layouts
     the tuner's candidate walk extracted; ``profiles``: the profile-only
-    launches it ran).
+    launches it ran; ``geometries``: the launch geometries those
+    launches computed, one per distinct (stop positions, tile,
+    workgroup size, workgroup count)).
     """
 
     def __init__(self):

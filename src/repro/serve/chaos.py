@@ -296,8 +296,9 @@ def run_chaos_drill(
     restart (or degrade) it, and the drill additionally asserts a full
     autoscale up/down cycle and that shutdown leaves zero shared-memory
     segments behind.
-    Every distinct workload matrix is prepared once in the parent and
-    primed fabric-wide through shared memory, so workers never re-tune
+    Every distinct workload matrix is prepared once in the parent,
+    primed into the pristine golden server and fabric-wide through
+    shared memory, so neither the golden run nor a worker tunes it again
     -- which also keeps the drill's wall-clock bounded by
     ``reply_timeout_s`` only when a ``worker_hangs`` budget is given.
     """
@@ -310,11 +311,22 @@ def run_chaos_drill(
     # explicit engine keeps the golden run on the faithful interpreter
     # (the serve layer's *default* engine is the fast backend): the
     # arbiter must stay the paper-exact path regardless of defaults.
+    # A process drill prepares each distinct matrix once, here, and
+    # primes both the pristine server and (below) the fabric with that
+    # one handle, so no matrix is tuned twice.
+    engine = SpMVEngine(device=device)
+    primed: list = []
+    if processes:
+        seen: set[int] = set()
+        for A, _, _ in work:
+            if id(A) not in seen:
+                seen.add(id(A))
+                primed.append(engine.prepare(A))
     golden: list[np.ndarray | None] = []
     golden_errors: list[tuple[int, str]] = []
-    with SpMVServer(
-        SpMVEngine(device=device), serve_config, start=False
-    ) as pristine:
+    with SpMVServer(engine, serve_config, start=False) as pristine:
+        for prepared in primed:
+            pristine.prime(prepared)
         futures = [pristine.submit(A, x) for A, x, _ in work]
         pristine.drain()
         for i, f in enumerate(futures):
@@ -361,23 +373,13 @@ def run_chaos_drill(
     mismatched: list[int] = []
     fabric_errors: list[tuple[int, str]] = []
     matched = 0
-    primed = []
     leaked: list[str] = []
     try:
-        if processes:
-            # Prepare each distinct matrix once in the parent and prime
-            # it fabric-wide through shared memory: workers map the
-            # segments instead of re-tuning, and supervisor restarts
-            # re-warm from the same handles.
-            prep_engine = SpMVEngine(device=device)
-            seen: set[int] = set()
-            for A, _, _ in work:
-                if id(A) in seen:
-                    continue
-                seen.add(id(A))
-                primed.append(prep_engine.prepare(A))
-            for prepared in primed:
-                fabric.prime(prepared)
+        # Prime the golden run's handles fabric-wide through shared
+        # memory: workers map the segments instead of re-tuning, and
+        # supervisor restarts re-warm from the same handles.
+        for prepared in primed:
+            fabric.prime(prepared)
         futures = [
             fabric.submit(A, x, tenant=tenant) for A, x, tenant in work
         ]

@@ -331,7 +331,11 @@ def _run_cg(mult, b, x0, tol, max_iter, restart, should_stop, keep_iterates):
 def _run_bicgstab(
     mult, b, x0, tol, max_iter, restart, should_stop, keep_iterates
 ):
-    """BiCGSTAB for general (non-symmetric) systems."""
+    """BiCGSTAB for general (non-symmetric) systems.
+
+    Inner products are ``a.dot(b)``: the same BLAS dot as ``a @ b``,
+    without the ufunc dispatch.
+    """
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
     iterates = [] if keep_iterates else None
 
@@ -344,13 +348,13 @@ def _run_bicgstab(
     for it in range(1, max_iter + 1):
         if should_stop():
             return x, False, it - 1, history[-1], history, iterates, True
-        rho_new = float(r_hat @ r)
+        rho_new = float(r_hat.dot(r))
         if rho_new == 0.0:
             break
         beta = (rho_new / rho) * (alpha / omega) if it > 1 else 0.0
         p = r + beta * (p - omega * v) if it > 1 else r.copy()
         v = mult(p)
-        denom = float(r_hat @ v)
+        denom = float(r_hat.dot(v))
         if denom == 0.0:
             break
         alpha = rho_new / denom
@@ -362,10 +366,10 @@ def _run_bicgstab(
                 iterates.append(x.copy())
             return x, True, it, history[-1], history, iterates, False
         t = mult(s)
-        tt = float(t @ t)
+        tt = float(t.dot(t))
         if tt == 0.0:
             break
-        omega = float(t @ s) / tt
+        omega = float(t.dot(s)) / tt
         x += alpha * p + omega * s
         r = s - omega * t
         rho = rho_new
@@ -383,7 +387,8 @@ def _run_gmres(mult, b, x0, tol, max_iter, restart, should_stop, keep_iterates):
     The residual norm after each inner iteration falls out of the
     Givens-rotated right-hand side (``|g[j+1]|``) without forming the
     solution; the solution itself is assembled by back-substitution at
-    cycle end (and per iteration under ``keep_iterates``).
+    cycle end (and per iteration under ``keep_iterates``).  Inner
+    products are ``a.dot(b)``, as in :func:`_run_bicgstab`.
     """
     n = b.shape[0]
     m = max(1, min(int(restart), n))
@@ -413,7 +418,7 @@ def _run_gmres(mult, b, x0, tol, max_iter, restart, should_stop, keep_iterates):
                 break
             w = mult(V[j])
             for i in range(j + 1):  # modified Gram-Schmidt
-                H[i, j] = float(w @ V[i])
+                H[i, j] = float(w.dot(V[i]))
                 w = w - H[i, j] * V[i]
             h_next = float(np.linalg.norm(w))
             # Rotate the new column through the accumulated Givens

@@ -131,7 +131,7 @@ class FormatCache:
     once.
 
     Each BCCOO format is also assigned a *profile class*
-    (:meth:`profile_class`): formats of one class give every kernel
+    (:meth:`entry`): formats of one class give every kernel
     configuration the same profile-only launch once padded to the same
     block count.  A class holds what such a launch reads of a format --
     the shared stop positions and vector reads, the column storage, the
@@ -172,6 +172,12 @@ class FormatCache:
         self.layouts = 0
 
     def get(self, point: TuningPoint):
+        """``point``'s format."""
+        return self.entry(point)[0]
+
+    def entry(self, point: TuningPoint) -> tuple:
+        """``(format, profile class)`` of ``point``, the class ``None``
+        for a related-work format."""
         block = (point.base_format, point.block_height, point.block_width)
         if block != self._block:
             self._block = block
@@ -183,12 +189,7 @@ class FormatCache:
         built = self._built.get(key)
         if built is None:
             built = self._built[key] = self._build(point, key)
-        return built[0]
-
-    def profile_class(self, point: TuningPoint) -> int | None:
-        """The profile class of the format :meth:`get` returned for
-        ``point``; ``None`` for a related-work format."""
-        return self._built[point.format_key()][1]
+        return built
 
     def _build(self, point: TuningPoint, key: tuple) -> tuple:
         if point.base_format != "bccoo":

@@ -104,7 +104,7 @@ def evaluate_candidates(
     launch is profile-only (:meth:`~repro.kernels.SpMVKernel.profile`):
     every check runs and the plan is built per call, but no sums are
     computed.  Candidates with the same profile class
-    (:meth:`~repro.tuning.FormatCache.profile_class`), kernel
+    (:meth:`~repro.tuning.FormatCache.entry`), kernel
     configuration and launch-padded block count share one such launch
     and one timing estimate, or one skip reason.  Under an active fault
     plan each candidate runs its own full ``faithful`` launch against
@@ -133,7 +133,8 @@ def evaluate_candidates(
     counts the block ``layouts`` the walk extracted and the
     profile-only launches (``profiles``) it ran; the format cache and
     the kernel charge ``blocking``, ``convert`` and ``cache_model``
-    themselves.
+    themselves, and the formats' profiles count the launch
+    ``geometries`` they compute.
     """
     interpreter = get_backend("faithful")
     full_launch = active_plan() is not None
@@ -172,7 +173,7 @@ def evaluate_candidates(
                 break
             t0 = time.perf_counter()
             try:
-                fmt = fmt_cache.get(point)
+                fmt, cls = fmt_cache.entry(point)
             except ReproError as exc:
                 emit(
                     CandidateOutcome(
@@ -185,7 +186,8 @@ def evaluate_candidates(
                     )
                 )
                 continue
-            key = None if full_launch else _launch_key(fmt_cache, point, fmt)
+            shared = not full_launch and cls is not None
+            key = _launch_key(cls, point, fmt) if shared else None
             result = fmt_cache.by_class.get(key)
             if result is None:
                 result = launch(fmt, point)
@@ -224,16 +226,12 @@ def evaluate_candidates(
     return outcomes
 
 
-def _launch_key(fmt_cache: FormatCache, point: TuningPoint, fmt) -> tuple | None:
+def _launch_key(cls: int, point: TuningPoint, fmt) -> tuple:
     """The key under which ``point``'s profile-only launch equals every
-    other candidate's: its format's profile class, its kernel
+    other candidate's: its format's profile class ``cls``, its kernel
     configuration and the block count the launch pads to (a profile-only
     launch pads to whole workgroup tiles, as
-    :class:`~repro.kernels.yaspmv.ProfilePlan` does).  ``None`` for a
-    related-work format, whose launch is not shared."""
-    cls = fmt_cache.profile_class(point)
-    if cls is None:
-        return None
+    :class:`~repro.kernels.yaspmv.ProfilePlan` does)."""
     bccoo = getattr(fmt, "stacked", fmt)
     cfg = point.kernel
     return cls, cfg, round_up(max(bccoo.nblocks_padded, 1), cfg.workgroup_work)

@@ -22,6 +22,7 @@ restricted, since the full cross product is combinatorially large).
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Iterator
 
 from ..formats.footprint import bccoo_block_candidates
@@ -95,7 +96,17 @@ def base_format_points(
                 )
 
 
+@functools.cache
 def _kernel_configs(
+    workgroup_sizes: tuple[int, ...], pruned: bool
+) -> tuple[YaSpMVConfig, ...]:
+    """The kernel configurations of each block layout, in enumeration
+    order, built once per process for each argument pair: every layout
+    of every tune shares the same (frozen, pre-hashed) configs."""
+    return tuple(_enumerate_kernel_configs(workgroup_sizes, pruned))
+
+
+def _enumerate_kernel_configs(
     workgroup_sizes: Iterable[int],
     pruned: bool,
 ) -> Iterator[YaSpMVConfig]:
@@ -143,10 +154,12 @@ def pruned_space(
     """
     blocks = bccoo_block_candidates(matrix, keep=keep_block_dims)
     slices = candidate_slice_counts(matrix, device)
+    workgroup_sizes = tuple(workgroup_sizes)
+    configs = _kernel_configs(workgroup_sizes, pruned=True)
     for h, w, _bytes in blocks:
         for word in bit_words:
             for s in slices:
-                for cfg in _kernel_configs(workgroup_sizes, pruned=True):
+                for cfg in configs:
                     yield TuningPoint(
                         block_height=h,
                         block_width=w,

@@ -265,9 +265,10 @@ class AutoTuner:
     def tune(self, matrix) -> TuningResult:
         """Search; returns the ranked result."""
         obs = self.observer
-        # An observed tune counts the block layouts its walk extracts and
-        # the profile-only launches it runs on the active stage clock (an
-        # observed prepare's), or its own.
+        # An observed tune counts the block layouts its walk extracts,
+        # the profile-only launches it runs and the launch geometries
+        # those compute on the active stage clock (an observed
+        # prepare's), or its own.
         own_clock = (
             StageClock() if obs.enabled and active_stages() is None else None
         )
@@ -365,7 +366,7 @@ class AutoTuner:
             if clock is not None:
                 walked = {
                     name: clock.counts.get(name, 0) - counts0.get(name, 0)
-                    for name in ("layouts", "profiles")
+                    for name in ("layouts", "profiles", "geometries")
                 }
                 obs.counter(
                     "tuner.layouts", "block layouts the candidate walk extracted"
@@ -373,6 +374,10 @@ class AutoTuner:
                 obs.counter(
                     "tuner.profiles", "profile-only launches the candidate walk ran"
                 ).inc(walked["profiles"])
+                obs.counter(
+                    "tuner.geometries",
+                    "launch geometries the candidate walk's profiles computed",
+                ).inc(walked["geometries"])
             return result
 
 
@@ -430,6 +435,17 @@ def _check_winner(outcomes, csr, device, observer):
     return rejected, fmt
 
 
+def _candidate_span(observer, outcome: CandidateOutcome, **attrs) -> None:
+    """Record ``outcome``'s ``tuner.candidate`` span, carrying ``attrs``."""
+    with observer.span(
+        "tuner.candidate",
+        index=outcome.index,
+        point=str(outcome.point.format_key()),
+        wall_s=outcome.wall_s,
+    ) as span:
+        span.set(**attrs)
+
+
 def _fold(
     outcomes: list[CandidateOutcome],
     plan_cache: KernelPlanCache,
@@ -453,9 +469,10 @@ def _fold(
     The plan lookups are replayed here, in the same order (a candidate
     whose format failed to build never reaches its plan), so the shared
     cache ends in one state -- entries, hits and misses -- for every
-    checkpoint resume and tuner.  One ``tuner.candidate``
-    span is recorded per outcome, carrying the measured per-candidate
-    wall clock as ``wall_s``.
+    checkpoint resume and tuner.  An enabled ``observer`` records one
+    ``tuner.candidate`` span per outcome, carrying the measured
+    per-candidate wall clock as ``wall_s``; a disabled one costs the
+    walk no span.
     """
     rejected, checked_format = _check_winner(outcomes, csr, device, observer)
     hits0, misses0 = plan_cache.hits, plan_cache.misses
@@ -465,21 +482,16 @@ def _fold(
     skipped = 0
     skip_reasons: dict[str, int] = {}
 
+    traced = observer.enabled
     for outcome in outcomes:
         if not outcome.format_skipped:
             plan_cache.get(outcome.point)  # compile (or reuse) the plan
-        candidate = observer.span(
-            "tuner.candidate",
-            index=outcome.index,
-            point=str(outcome.point.format_key()),
-            wall_s=outcome.wall_s,
-        )
         if outcome.evaluation is None or outcome.index in rejected:
             skipped += 1
             reason = rejected.get(outcome.index) or outcome.skip_reason or "ReproError"
             skip_reasons[reason] = skip_reasons.get(reason, 0) + 1
-            with candidate as csp:
-                csp.set(skipped=True, skip_reason=reason)
+            if traced:
+                _candidate_span(observer, outcome, skipped=True, skip_reason=reason)
             continue
         ev: Evaluation = outcome.evaluation
         evaluated += 1
@@ -487,8 +499,10 @@ def _fold(
             history.append(ev)
         if best is None or ev.time_s < best.time_s:
             best = ev
-        with candidate as csp:
-            csp.set(sim_time_s=ev.time_s, sim_gflops=ev.gflops)
+        if traced:
+            _candidate_span(
+                observer, outcome, sim_time_s=ev.time_s, sim_gflops=ev.gflops
+            )
 
     if best is None:
         if rejected:

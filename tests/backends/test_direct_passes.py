@@ -153,6 +153,34 @@ class TestRefill:
         assert fresh.second is core.second
         assert np.array_equal(fresh.first.data, core.first.data * 2.0)
 
+    @pytest.mark.parametrize("fused", [True, False], ids=["scipy", "numpy"])
+    @pytest.mark.parametrize(
+        "point", [p for p in POINTS if p.id in ("1x1", "2x2", "merge_csr")]
+    )
+    def test_identity_slots_read_the_values_in_place(
+        self, monkeypatch, point, fused
+    ):
+        # A 1x1 core's slots are the identity, and so are a 2x2 core's
+        # when every gather slot is in range (110 columns, 55 block
+        # columns): a refreshed plan reads the refreshed format's values
+        # in place, and still answers like faithful.
+        if fused and not fast_backend._fused_matvec_exact():
+            pytest.skip("this SciPy build's CSR matvec is not exact")
+        monkeypatch.setattr(fast_backend, "_FUSED_EXACT", fused)
+        A = sparse.random(90, 110, density=0.06, random_state=3, format="csr")
+        engine = SpMVEngine(device=DEVICE, backend="fast")
+        x = np.random.default_rng(3).standard_normal(110)
+        prepared = engine.prepare(A, point=point)
+        engine.multiply(prepared, x)
+        refreshed = engine.update_values(prepared, A * 2.0)
+        y = engine.multiply(refreshed, x).y
+        (plan,) = get_backend("fast")._plans[refreshed.fmt].values()
+        core = plan.core
+        data = core.first.data if core.cols is None else core.data
+        assert np.shares_memory(data, refreshed.fmt.values)
+        faithful = SpMVEngine(device=DEVICE, backend="faithful")
+        assert np.array_equal(y, faithful.multiply(refreshed, x).y)
+
     @pytest.mark.parametrize("point", POINTS)
     def test_numpy_products_swap_the_values(self, monkeypatch, point):
         monkeypatch.setattr(fast_backend, "_FUSED_EXACT", False)

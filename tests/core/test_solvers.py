@@ -1,5 +1,7 @@
 """Tests for the iterative-solver layer."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -9,6 +11,7 @@ from repro import SpMVEngine
 from repro.errors import ReproError, ValidationError
 from repro.fault import Deadline, FaultPlan
 from repro.solvers import SolveResult, SolverSession, power_method, solve
+from repro.solvers.iterative import _run_bicgstab, _run_gmres
 from repro.tuning import TuningPoint
 
 
@@ -114,6 +117,57 @@ class TestBiCGSTAB:
         x_cg = solve(A, b, method="cg", tol=1e-12).x
         x_bi = solve(A, b, method="bicgstab", tol=1e-12).x
         np.testing.assert_allclose(x_bi, x_cg, atol=1e-8)
+
+
+def convection_system(n=400):
+    """A non-symmetric tridiagonal (1-D convection-diffusion)."""
+    A = sparse.diags(
+        [np.full(n - 1, -1.3), np.full(n, 2.5), np.full(n - 1, -0.7)], [-1, 0, 1]
+    ).tocsr()
+    return A, np.linspace(-1.0, 1.0, n)
+
+
+#: sha256 of each runner's residual history and final ``x`` bytes,
+#: recorded when the runners took inner products with ``a @ b``
+#: (x86-64, NumPy 2.4 with its bundled OpenBLAS): ``a.dot(b)`` runs the
+#: same BLAS dot, so every iterate keeps its bits.  GMRES restarts every
+#: 20 iterations, so the convection system exercises restarts.
+RUNNER_PINS = {
+    ("random", "bicgstab"): (
+        "1bd2e0bf2b949e9ee121f8fafd91ca7d6c2a5b38513d396855770c61099d0a4f",
+        "7e6dbfd5946d6a745169f535a4ed9a311f5b5b5d7c8695d66a5cf1e3b1e05f1e",
+    ),
+    ("random", "gmres"): (
+        "7719b1d07529766140270d2a91017ca63d07a6ccdf11d1b0bc7b9aa1583e0a6f",
+        "fc8738f4e97523ab4f809c34f17f4df253781cb3d84c08105ea71a3ad4733de1",
+    ),
+    ("convection", "bicgstab"): (
+        "32effded94c025ca6422344986d982fa2b88ee4bce9a0b290b9f9ce69113acb8",
+        "20caf0ce68a2d299838267b604eed32cdb1ca04dea4c0f992053b95925daa5df",
+    ),
+    ("convection", "gmres"): (
+        "d369850520e079435f952f739fc0521cf46b0d912604dc99f16124dd77dc0e80",
+        "085608235df198809e29e5754020eb6e4524a749019d14f8772b2b9292bdb3a0",
+    ),
+}
+
+
+@pytest.mark.parametrize("system", ["random", "convection"])
+@pytest.mark.parametrize(
+    "runner", [_run_bicgstab, _run_gmres], ids=["bicgstab", "gmres"]
+)
+def test_runner_bits_are_pinned(system, runner):
+    A, b = nonsymmetric_system() if system == "random" else convection_system()
+    x, converged, *_, history, _, _ = runner(
+        lambda v: A @ v, b, None, 1e-10, 300, 20, lambda: False, False
+    )
+    assert converged
+    digests = (
+        hashlib.sha256(np.asarray(history, dtype=np.float64).tobytes()).hexdigest(),
+        hashlib.sha256(x.tobytes()).hexdigest(),
+    )
+    name = runner.__name__.removeprefix("_run_")
+    assert digests == RUNNER_PINS[system, name]
 
 
 class TestJacobi:

@@ -181,7 +181,7 @@ class TestTunerQuarantine:
         A = random_matrix()
         tuner = AutoTuner(get_device("gtx680"))
         fails = {"n": 0}
-        original = FormatCache.get
+        original = FormatCache.entry
 
         def flaky(self, point):
             if point.slice_count > 1:
@@ -189,11 +189,11 @@ class TestTunerQuarantine:
                 raise ReproError("synthetic per-candidate failure")
             return original(self, point)
 
-        FormatCache.get = flaky
+        FormatCache.entry = flaky
         try:
             result = tuner.tune(A)
         finally:
-            FormatCache.get = original
+            FormatCache.entry = original
         if fails["n"]:
             assert result.skipped >= fails["n"]
             assert result.skip_reasons.get("ReproError") == fails["n"]
@@ -205,14 +205,14 @@ class TestTunerQuarantine:
         from repro.tuning.cache import FormatCache
 
         A = random_matrix()
-        original = FormatCache.get
+        original = FormatCache.entry
 
         def buggy(self, point):
             raise TypeError("a genuine bug")
 
-        FormatCache.get = buggy
+        FormatCache.entry = buggy
         try:
             with pytest.raises(TypeError):
                 AutoTuner(get_device("gtx680")).tune(A)
         finally:
-            FormatCache.get = original
+            FormatCache.entry = original

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.gpu import (
     chain_carries,
@@ -141,6 +142,57 @@ class TestPropagationDelay:
 
     def test_single_workgroup_no_chain(self):
         assert propagation_delay(np.array([3.0]), np.ones(1, dtype=bool), 0.5) == 0.0
+
+
+def numpy_scalar_delay(finish_times, has_stop, hop_latency_s) -> float:
+    """The recurrence :func:`propagation_delay` ran over NumPy scalars
+    before it moved to Python floats, kept as the bit-for-bit oracle."""
+    finish = np.asarray(finish_times, dtype=np.float64).ravel()
+    stops = np.asarray(has_stop, dtype=bool)
+    n = finish.shape[0]
+    if n == 0:
+        return 0.0
+    base_makespan = float(finish.max())
+    avail = np.empty(n, dtype=np.float64)
+    retire = finish.copy()
+    avail[0] = finish[0]
+    for x in range(1, n):
+        ready = avail[x - 1] + hop_latency_s
+        retire[x] = max(finish[x], ready)
+        avail[x] = finish[x] if stops[x] else max(finish[x], ready)
+    return max(float(retire.max()) - base_makespan, 0.0)
+
+
+#: Finish times and hop latencies are non-negative and finite, as the
+#: timing model's are (uniform stagger over a non-negative ``t_exec``);
+#: most are drawn on the hop's scale, where the chain matters.
+_TIMES = st.one_of(
+    st.floats(min_value=0.0, max_value=20.0, allow_nan=False),
+    st.floats(min_value=0.0, max_value=1e300, allow_nan=False),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    workgroups=st.lists(st.tuples(_TIMES, st.booleans()), max_size=80),
+    hop=st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+    stagger=st.booleans(),
+)
+@example(workgroups=[(1.0, False)] * 10, hop=0.5, stagger=False)
+@example(workgroups=[(5e-324, False), (0.0, True), (5e-324, False)], hop=0.0,
+         stagger=False)
+# A stop resets the chain although its predecessor's carry is late.
+@example(workgroups=[(0.0, False), (0.0, False), (0.0, True), (0.0, False)],
+         hop=1.0, stagger=False)
+def test_delay_keeps_the_numpy_loops_bits(workgroups, hop, stagger):
+    finish = np.array([t for t, _ in workgroups], dtype=np.float64)
+    if stagger:  # ascending, like the timing model's finish times
+        finish.sort()
+    stops = np.array([s for _, s in workgroups], dtype=bool)
+    got = propagation_delay(finish, stops, hop)
+    want = numpy_scalar_delay(finish, stops, hop)
+    assert type(got) is float
+    assert got.hex() == want.hex()
 
 
 class TestLogicalWorkgroupIds:

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.gpu import GTX480, GTX680, KernelStats, TimingModel
+from repro.gpu.timing import _linspace
+from tests.gpu.test_adjacent_sync import numpy_scalar_delay
 
 
 def _stats(**kw):
@@ -152,3 +155,54 @@ class TestKernelStatsEdges:
             _stats(workgroup_work=w, registers_per_thread=63)
         )
         assert hungry.imbalance_factor != lean.imbalance_factor
+
+
+def _numpy_stops_from_chains(chain_lengths, n_wg):
+    """The has-stop pattern ``TimingModel`` rebuilt as a NumPy array
+    before its sync recurrences moved to Python numbers (the oracle)."""
+    has_stop = np.ones(n_wg, dtype=bool)
+    pos = 0
+    for length in np.asarray(chain_lengths, dtype=np.int64):
+        run = int(length) - 1
+        if run > 0 and pos + run <= n_wg:
+            has_stop[pos : pos + run] = False
+        pos += max(int(length), 1)
+        if pos >= n_wg:
+            break
+    return has_stop
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    chains=st.lists(st.integers(1, 60), min_size=1, max_size=30),
+    n=st.integers(2, 400),
+    t_exec=st.one_of(
+        # Up to a few hops per workgroup, where the chain delays the
+        # launch, and longer launches, where it mostly does not.
+        st.floats(min_value=0.0, max_value=1e-4, allow_nan=False),
+        st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    ),
+)
+@example(chains=[3, 1, 5], n=7, t_exec=0.0)  # linspace's zero-step branch
+@example(chains=[40], n=300, t_exec=5e-324)  # subnormal: the step rounds to 0
+@example(chains=[50], n=50, t_exec=1e-6)  # one chain across the launch
+def test_sync_delay_keeps_the_numpy_bits(chains, n, t_exec):
+    """The adjacent-sync term of ``t_sync`` -- uniform finish times from
+    ``np.linspace``, a has-stop pattern rebuilt from the chains, the
+    propagation delay -- keeps its bits on Python numbers."""
+    stats = _stats(
+        n_workgroups=n,
+        barriers_per_workgroup=0.0,
+        sync_chain_lengths=np.array(chains, dtype=np.int64),
+    )
+    finish = np.linspace(t_exec / n, t_exec, n)
+    has_stop = _numpy_stops_from_chains(stats.sync_chain_lengths, n)
+    assert [t.hex() for t in _linspace(t_exec / n, t_exec, n)] == [
+        t.hex() for t in finish.tolist()
+    ]
+    assert TimingModel._stops_from_chains(stats.sync_chain_lengths, n) == (
+        has_stop.tolist()
+    )
+    want = numpy_scalar_delay(finish, has_stop, GTX680.dram_latency_s)
+    got = TimingModel(GTX680)._sync_overhead(stats, t_exec)
+    assert got.hex() == (0.0 + want).hex()

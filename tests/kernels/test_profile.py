@@ -5,6 +5,12 @@ computes no sums.  For every candidate the pruned search enumerates it
 must return the ``KernelStats`` of the full ``faithful`` launch, field
 for field, and a candidate that raises must raise the same error class
 with the same message on both paths.
+
+The profile-only launches share one format cache, so every format of a
+layout shares its memoized geometries (full workgroups, adjacent-sync
+chains, vector traffic); the full launch computes its own from its
+padded ``LaunchPlan``.  The timing model's estimate of the two must be
+equal field for field too, down to ``t_total.hex()``.
 """
 
 from __future__ import annotations
@@ -20,7 +26,10 @@ from repro.backends.base import kernel_for
 from repro.errors import KernelConfigError, ReproError, ValidationError
 from repro.formats import BCCOOMatrix
 from repro.gpu import GTX480, GTX680
-from repro.kernels import get_kernel
+from repro.gpu.timing import TimingModel
+from repro.kernels import YaSpMVConfig, get_kernel
+from repro.kernels.yaspmv import ProfilePlan
+from repro.kernels.yaspmv_common import FormatProfile
 from repro.tuning import FormatCache, pruned_space
 
 # The candidate-times golden's matrices, built once per process.  The
@@ -70,6 +79,7 @@ def test_profile_equals_full_launch(name, device, conversions):
     A, formats = conversions(name)
     x = np.ones(A.shape[1])
     faithful = get_backend("faithful")
+    timing = TimingModel(device)
     seen: set[str] = set()
     col_modes: set[str] = set()
     mismatches = []
@@ -91,6 +101,10 @@ def test_profile_equals_full_launch(name, device, conversions):
             continue
         seen.add(type(fmt).__name__)
         diff = _differing_fields(profile, full)
+        shared, own = timing.estimate(profile), timing.estimate(full)
+        diff += _differing_fields(shared, own)
+        if shared.t_total.hex() != own.t_total.hex():
+            diff.append("t_total.hex()")
         if diff:
             mismatches.append((point, diff))
     assert not mismatches, mismatches[:5]
@@ -128,3 +142,23 @@ def test_profile_rejects_a_foreign_config():
     fmt = BCCOOMatrix.from_scipy(A)
     with pytest.raises(KernelConfigError):
         get_kernel("yaspmv").profile(fmt, GTX680, config=object())
+
+
+def test_memoized_geometry_is_read_only():
+    """Every launch of a geometry gets the same arrays: none is writeable."""
+    A = sparse.random(2000, 2000, density=0.002, random_state=6, format="csr")
+    fmt = BCCOOMatrix.from_scipy(A)
+    cfg = YaSpMVConfig(workgroup_size=64, tile_size=8)
+    plan = ProfilePlan(fmt, cfg)
+    profile = FormatProfile.of(fmt)
+    chains = plan.sync_chains()
+    assert chains.size
+    assert ProfilePlan(fmt, cfg).sync_chains() is chains
+    for array in (
+        chains,
+        plan.workgroup_stops(),
+        profile.threads_with_stops(cfg.effective_tile),
+    ):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0

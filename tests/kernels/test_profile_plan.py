@@ -89,6 +89,7 @@ def test_profile_plan_equals_padded_counts(case):
     )
     full_wg = padded.thread_stops().any(axis=1).reshape(padded.n_workgroups, -1)
     assert plan.full_workgroups() == int(full_wg.all(axis=1).sum())
+    assert np.array_equal(plan.sync_chains(), full.sync_chains())
     for device in (GTX680, GTX480):
         assert plan.vector_traffic(device) == full.vector_traffic(device)
 
@@ -130,3 +131,24 @@ def test_profile_plan_allocates_no_padded_arrays():
     for name in ProfilePlan.__slots__:
         value = getattr(plan, name)
         assert not (isinstance(value, np.ndarray) and value.size >= plan.nb_padded)
+
+
+def test_shared_geometry_is_keyed_by_workgroup_count():
+    """Bit words that pad one layout to different workgroup counts share
+    stop positions but not geometries: with 16 blocks per workgroup, 1,960
+    diagonal blocks pad to 1,960 (uint8 words, 123 workgroups) or 1,984
+    (uint32, 124, the last one without a stop)."""
+    A = sparse.identity(1960, format="csr")
+    first = BCCOOMatrix.from_scipy(A, bit_word_dtype=np.uint8)
+    second = BCCOOMatrix.from_scipy(A, bit_word_dtype=np.uint32)
+    a = FormatProfile.of(first)
+    b = FormatProfile.of(second, share=a)
+    assert b.stop_pos is a.stop_pos
+    cfg = YaSpMVConfig(workgroup_size=8, tile_size=2)
+    plans = [ProfilePlan(fmt, cfg) for fmt in (first, second)]
+    assert [plan.n_workgroups for plan in plans] == [123, 124]
+    for fmt, plan in zip((first, second), plans):
+        full = LaunchPlan(fmt, cfg)
+        assert plan.full_workgroups() == full.full_workgroups()
+        assert np.array_equal(plan.sync_chains(), full.sync_chains())
+    assert not np.array_equal(plans[0].sync_chains(), plans[1].sync_chains())

@@ -8,12 +8,13 @@ from repro import SpMVEngine
 from repro.gpu import GTX680
 from repro.obs import (
     NULL_OBSERVER,
+    NullObserver,
     Observer,
     active_observer,
     dump_jsonl,
     load_jsonl,
 )
-from repro.tuning import AutoTuner
+from repro.tuning import AutoTuner, pruned_space
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +142,27 @@ class TestTunerObservability:
             obs.metrics.get("tuner.plan_cache.misses").value()
             == result.cache_misses
         )
+
+    def test_candidate_spans_only_when_observed(self, matrix):
+        class SpanSpy(NullObserver):
+            """A disabled observer that lists the spans asked of it."""
+
+            def __init__(self):
+                self.names = []
+
+            def span(self, name, **attrs):
+                self.names.append(name)
+                return super().span(name, **attrs)
+
+        spy = SpanSpy()
+        AutoTuner(GTX680, observer=spy).tune(matrix)
+        assert "tuner.tune" in spy.names
+        assert "tuner.candidate" not in spy.names
+
+        obs = Observer()
+        AutoTuner(GTX680, observer=obs).tune(matrix)
+        candidates = sum(1 for _ in pruned_space(matrix, GTX680))
+        assert len(obs.tracer.find_all("tuner.candidate")) == candidates
 
     def test_parallel_trace_round_trips(self, matrix, tmp_path):
         obs = Observer()

@@ -1,4 +1,4 @@
-"""The prepare stage clock and the layout counter."""
+"""The prepare stage clock and the layout and geometry counters."""
 
 from __future__ import annotations
 
@@ -95,6 +95,21 @@ class TestObservedPrepare:
         obs = Observer()
         AutoTuner(GTX680, observer=obs).tune(A)
         assert obs.metrics.counter("tuner.layouts").value() == _layouts(A)
+
+    def test_geometries_counted_once_each(self):
+        A = _matrix()
+        obs = Observer()
+        AutoTuner(GTX680, observer=obs).tune(A)
+        geometries = {
+            (p.block_height, p.block_width, p.slice_count,
+             p.kernel.workgroup_size, p.kernel.effective_tile)
+            for p in pruned_space(A, GTX680)
+            if p.base_format == "bccoo"
+        }
+        assert obs.metrics.counter("tuner.geometries").value() == len(geometries)
+        # Strategy 1 and both strategy-2 cache multiples share a
+        # (workgroup size, tile): fewer geometries than profile launches.
+        assert len(geometries) < obs.metrics.counter("tuner.profiles").value()
 
     def test_walk_extracts_each_layout_once(self, monkeypatch):
         import repro.formats.bccoo_plus as bccoo_plus

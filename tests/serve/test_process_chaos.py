@@ -14,6 +14,8 @@ import glob
 import json
 
 from repro.serve import chaos_plan, run_chaos_drill
+from repro.serve.chaos import MATRICES, VALUE_REFRESHES
+from repro.tuning import AutoTuner
 
 # Eight simultaneous requests, one per (matrix, value version): enough
 # that load-per-replica crosses the autoscale high-water mark (2.0) on
@@ -53,6 +55,21 @@ class TestProcessDrill:
         assert report.restarts + report.degraded >= 1
         assert report.leaked_segments == []
         assert "serve.worker_kill" in report.fault_events
+
+    def test_each_matrix_is_tuned_once(self, monkeypatch):
+        # One prepare per distinct (matrix, value version) serves the
+        # golden run and primes the fabric: 8 tunes, not 16.
+        tunes = []
+        tune = AutoTuner.tune
+
+        def counting(self, matrix):
+            tunes.append(matrix)
+            return tune(self, matrix)
+
+        monkeypatch.setattr(AutoTuner, "tune", counting)
+        report = run_chaos_drill(shards=3, seed=7, processes=True, **FAST)
+        assert report.passed, report.summary()
+        assert len(tunes) == len(MATRICES) * VALUE_REFRESHES == 8
 
     def test_autoscale_cycle_completes(self):
         report = run_chaos_drill(

@@ -16,7 +16,7 @@ would pass it and still move the ranking.  This file catches that:
 every candidate must keep its exact simulated time.
 
 The walk launches once per group of profile-equal candidates
-(:meth:`~repro.tuning.FormatCache.profile_class`);
+(:meth:`~repro.tuning.FormatCache.entry`);
 ``test_shared_launches_equal_own_launches`` checks, on the tridiagonal
 and the wide matrix, that every candidate's outcome equals the one it
 gets from its own format, launch and estimate.
