@@ -16,26 +16,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bench import (
-    harmonic_mean,
-    render_comparison,
-    render_speedups,
-    run_suite_comparison,
-)
+from repro.bench import harmonic_mean, render_comparison, render_speedups
 from repro.core import SpMVEngine, run_cusparse_best
 from repro.gpu import GTX680
 from repro.matrices import get_spec
 
-from conftest import bench_names, record_table
+from conftest import record_table
 
 DEVICE = GTX680
 
 
 @pytest.fixture(scope="module")
-def comparison(cap_nnz):
-    rows = run_suite_comparison(
-        DEVICE, cap_nnz=cap_nnz, names=bench_names(), fast_tuning=True
-    )
+def comparison(suite_comparison):
+    rows = suite_comparison(DEVICE)
     text = render_comparison(rows, DEVICE.name, "Figure 13")
     text += "\n\n" + render_speedups(rows)
     record_table("fig13_gtx680", text)

@@ -16,22 +16,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import (
-    harmonic_mean,
-    render_comparison,
-    render_speedups,
-    run_suite_comparison,
-)
+from repro.bench import harmonic_mean, render_comparison, render_speedups
 from repro.gpu import GTX480, GTX680
 
-from conftest import bench_names, record_table
+from conftest import record_table
 
 
 @pytest.fixture(scope="module")
-def comparison(cap_nnz):
-    rows = run_suite_comparison(
-        GTX480, cap_nnz=cap_nnz, names=bench_names(), fast_tuning=True
-    )
+def comparison(suite_comparison):
+    rows = suite_comparison(GTX480)
     text = render_comparison(rows, GTX480.name, "Figure 15")
     text += "\n\n" + render_speedups(rows)
     record_table("fig15_gtx480", text)
@@ -58,12 +51,12 @@ def test_fig15_yaspmv_beats_cocktail_on_average(comparison, benchmark):
     assert ya > ct
 
 
-def test_cross_device_advantage_shape(comparison, cap_nnz, benchmark):
-    """yaSpMV's edge over CUSPARSE grows (or holds) from Fermi to Kepler."""
-    names = [r.name for r in comparison]
-    rows680 = run_suite_comparison(
-        GTX680, cap_nnz=cap_nnz, names=names, fast_tuning=True
-    )
+def test_cross_device_advantage_shape(comparison, suite_comparison, benchmark):
+    """yaSpMV's edge over CUSPARSE grows (or holds) from Fermi to Kepler.
+
+    The GTX680 rows are Figure 13's when both figures run in one session.
+    """
+    rows680 = suite_comparison(GTX680)
 
     def advantage(rows):
         ya = harmonic_mean(r.scores["yaspmv"].gflops for r in rows)

@@ -21,6 +21,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench import run_suite_comparison
+
 _TABLES: list[str] = []
 _RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -56,3 +58,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture(scope="session")
 def cap_nnz() -> int:
     return bench_cap()
+
+
+@pytest.fixture(scope="session")
+def suite_comparison(cap_nnz):
+    """``rows(device)``: the Fig. 13/15 suite comparison on ``device``,
+    run once per device per session and shared by every module."""
+    rows: dict[str, list] = {}
+
+    def get(device):
+        if device.name not in rows:
+            rows[device.name] = run_suite_comparison(
+                device, cap_nnz=cap_nnz, names=bench_names()
+            )
+        return rows[device.name]
+
+    return get

@@ -32,6 +32,9 @@ __all__ = [
     "SYSTEMS",
 ]
 
+#: Seeds each suite matrix's generator and its multiplied vector.
+SUITE_SEED = 1234
+
 #: Column order of Figures 13 / 15.
 SYSTEMS: tuple[str, ...] = (
     "cusparse",
@@ -141,37 +144,23 @@ def run_suite_comparison(
     device: DeviceSpec | str,
     cap_nnz: int = 150_000,
     names: list[str] | None = None,
-    seed: int = 1234,
-    fast_tuning: bool = False,
 ) -> list[MatrixComparison]:
     """Figure 13/15: the full suite comparison on one device.
 
-    One engine tunes every matrix, so its kernel-plan cache amortizes
-    tuning cost across matrices exactly as in the paper's framework.
-    ``fast_tuning`` trims the pruned search (2 block-dimension
-    candidates, 2 workgroup sizes, 1 bit-word type) so a 20-matrix run
-    finishes in minutes; the quality loss is small because those axes
-    are shallow near the optimum.
+    One engine tunes every matrix with the section 4 pruned search, so
+    its kernel-plan cache amortizes tuning cost across matrices exactly
+    as in the paper's framework.
     """
     dev = get_device(device) if isinstance(device, str) else device
-    tuning_kwargs = {}
-    if fast_tuning:
-        tuning_kwargs = dict(
-            pruned_kwargs=dict(
-                keep_block_dims=2,
-                workgroup_sizes=(64, 256),
-                bit_words=("uint8",),
-            )
-        )
-    eng = SpMVEngine(dev, tuning_kwargs=tuning_kwargs)
+    eng = SpMVEngine(dev)
     wanted = names if names is not None else [s.name for s in SUITE]
 
     rows: list[MatrixComparison] = []
     for name in wanted:
         spec = get_spec(name)
         scale = spec.scale_for_nnz(cap_nnz)
-        A = spec.load(scale=scale, seed=seed)
-        rng = np.random.default_rng(seed)
+        A = spec.load(scale=scale, seed=SUITE_SEED)
+        rng = np.random.default_rng(SUITE_SEED)
         x = rng.standard_normal(A.shape[1])
         scores = compare_systems(A, dev, x=x, engine=eng)
         rows.append(

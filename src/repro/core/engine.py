@@ -391,7 +391,6 @@ class SpMVEngine:
         self,
         device: str | DeviceSpec = "gtx680",
         plan_store: TuningStore | None = None,
-        tuning_kwargs: dict | None = None,
         policy: str = "strict",
         fault_plan: FaultPlan | str | None = None,
         validate: bool | str = "auto",
@@ -412,9 +411,6 @@ class SpMVEngine:
         #: across matrices, paper section 4).
         self.plan_cache = KernelPlanCache()
         self.plan_store = plan_store
-        #: Extra AutoTuner constructor arguments (e.g. ``pruned_kwargs``
-        #: to trim the search for time-boxed runs).
-        self.tuning_kwargs = tuning_kwargs or {}
         self.policy = policy
         self.fault_plan = FaultPlan.coerce(fault_plan)
         self.validate = validate
@@ -500,7 +496,6 @@ class SpMVEngine:
                     plan_cache=self.plan_cache,
                     keep_history=False,
                     observer=obs,
-                    **self.tuning_kwargs,
                 )
                 tuning = tuner.tune(csr)
                 point = tuning.best_point

@@ -63,9 +63,10 @@ JITTER_SEED = 0
 class RetryPolicy:
     """Bounded retry with exponential backoff and seeded jitter.
 
-    A policy is data, not a loop: the fabric's failover and the
-    supervisor's restarts each read ``max_attempts`` and
-    :meth:`delay_s` in their own loop.  The delay before retry ``k`` is
+    A policy is data, not a loop: the shard supervisor's restarts read
+    ``max_attempts`` and :meth:`delay_s` in their own loop (the fabric's
+    failover replays at once and takes a plain ``max_attempts``).  The
+    delay before retry ``k`` is
     ``base_delay_s * BACKOFF_MULTIPLIER ** (k - 1)``, capped at
     :data:`MAX_DELAY_S` and scaled by a seeded :data:`JITTER` factor.
 
@@ -74,8 +75,8 @@ class RetryPolicy:
     max_attempts:
         Total attempts including the first one (``1`` = never retry).
     base_delay_s:
-        Backoff before the first retry; ``0`` disables sleeping
-        entirely (the common in-process/test configuration).
+        Backoff before the first retry; ``0`` restarts at once (the
+        chaos drill's and the tests' configuration).
     """
 
     max_attempts: int = 3

@@ -360,9 +360,7 @@ def run_chaos_drill(
         engine_factory=factory,
         serve_config=serve_config,
         health_policy=HealthPolicy(window=8, min_samples=2),
-        retry_policy=RetryPolicy(
-            max_attempts=max(2, min(shards, 4)), base_delay_s=0.0
-        ),
+        max_attempts=max(2, min(shards, 4)),
         observer=observer,
         start=False,
         processes=processes,

@@ -32,10 +32,9 @@ Failure containment:
 * a shard that dies mid-flight (the ``serve.shard_crash`` fault site, or
   :meth:`ServeFabric.kill_shard`) fails its queued futures with
   :class:`~repro.errors.ShardCrashError`; the fabric **replays** each on
-  the key's next preferred live shard under the request's remaining
-  :class:`~repro.fault.Deadline` and the fabric's
-  :class:`~repro.fault.RetryPolicy` attempt budget
-  (``fabric.failovers`` counts the replays);
+  the key's next preferred live shard, at once, under the request's
+  remaining :class:`~repro.fault.Deadline` and the fabric's
+  ``max_attempts`` budget (``fabric.failovers`` counts the replays);
 * a shard whose rolling window turns sick (too many errors) is ejected
   via :meth:`CircuitBreaker.trip` and readmitted through the breaker's
   half-open single-probe lifecycle;
@@ -203,10 +202,10 @@ class ServeFabric:
         :data:`~repro.fault.retry.FAILURE_THRESHOLD` consecutive dispatch
         failures trip a shard's circuit even before its window judges it
         sick.
-    retry_policy:
-        Failover budget: a request is attempted on at most
-        ``max_attempts`` shards (the backoff schedule applies between
-        replays when ``base_delay_s > 0``).
+    max_attempts:
+        Failover budget: a request is attempted on at most this many
+        shards.  A replay is forwarded at once; it waits only for the
+        successor shard's turn in the pump.
     observer:
         Receives ``fabric.*``, the shards' admission and lifecycle
         counters, and the ``serve.*`` telemetry of in-process shards.
@@ -244,7 +243,7 @@ class ServeFabric:
         engine_factory=None,
         serve_config: ServeConfig | None = None,
         health_policy: HealthPolicy | None = None,
-        retry_policy: RetryPolicy | None = None,
+        max_attempts: int = 3,
         observer=None,
         start: bool = True,
         clock=time.monotonic,
@@ -261,13 +260,12 @@ class ServeFabric:
         self.health_policy = (
             health_policy if health_policy is not None else HealthPolicy()
         )
-        self.retry_policy = (
-            retry_policy
-            if retry_policy is not None
-            else RetryPolicy(max_attempts=3, base_delay_s=0.0)
-        )
+        if max_attempts < 1:
+            raise ValidationError(
+                f"max_attempts must be >= 1, got {max_attempts}"
+            )
+        self.max_attempts = max_attempts
         self._clock = clock
-        self._sleep = time.sleep
 
         if engine_factory is None:
             engine_factory = (  # noqa: E731
@@ -854,7 +852,7 @@ class ServeFabric:
         if isinstance(error, DeadlineExceeded):
             self._complete(request, error, None)  # budget gone: no replay
             return
-        if request.attempts >= self.retry_policy.max_attempts:
+        if request.attempts >= self.max_attempts:
             self._complete(request, error, None)
             return
         if request.deadline is not None and request.deadline.expired():
@@ -871,9 +869,6 @@ class ServeFabric:
             "fabric.failovers",
             "requests replayed on a successor shard",
         ).inc(shard=shard.name, crash=str(crash).lower())
-        delay = self.retry_policy.delay_s(request.attempts)
-        if delay > 0:
-            self._sleep(delay)
         self._forward(request)
 
     def _eject(self, shard: Shard) -> None:

@@ -70,8 +70,7 @@ class ShardSupervisor:
         :class:`~repro.fault.RetryPolicy` governing respawns of one
         shard: ``max_attempts`` failed respawns in a row degrade the
         shard to in-process serving, ``delay_s(attempt)`` spaces the
-        attempts (deterministic seeded jitter, like every other backoff
-        in the repo).
+        attempts (deterministic seeded jitter).
     observer:
         Receives ``supervisor.*`` counters.
     clock:

@@ -74,10 +74,7 @@ def candidate_slice_counts(matrix, device: DeviceSpec) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def base_format_points(
-    workgroup_sizes: Iterable[int],
-    pruned: bool = True,
-) -> Iterator[TuningPoint]:
+def base_format_points(pruned: bool = True) -> Iterator[TuningPoint]:
     """Candidates for the related-work formats (merge-path CSR, RG-CSR).
 
     Neither format has blocking, bit-flag, column-compression or slicing
@@ -86,7 +83,7 @@ def base_format_points(
     """
     textures = (True,) if pruned else (True, False)
     for base in ("merge_csr", "rgcsr"):
-        for wg in workgroup_sizes:
+        for wg in WORKGROUP_SIZES:
             for texture in textures:
                 yield TuningPoint(
                     base_format=base,
@@ -97,24 +94,19 @@ def base_format_points(
 
 
 @functools.cache
-def _kernel_configs(
-    workgroup_sizes: tuple[int, ...], pruned: bool
-) -> tuple[YaSpMVConfig, ...]:
+def _kernel_configs(pruned: bool) -> tuple[YaSpMVConfig, ...]:
     """The kernel configurations of each block layout, in enumeration
-    order, built once per process for each argument pair: every layout
-    of every tune shares the same (frozen, pre-hashed) configs."""
-    return tuple(_enumerate_kernel_configs(workgroup_sizes, pruned))
+    order, built once per process for each space: every layout of every
+    tune shares the same (frozen, pre-hashed) configs."""
+    return tuple(_enumerate_kernel_configs(pruned))
 
 
-def _enumerate_kernel_configs(
-    workgroup_sizes: Iterable[int],
-    pruned: bool,
-) -> Iterator[YaSpMVConfig]:
+def _enumerate_kernel_configs(pruned: bool) -> Iterator[YaSpMVConfig]:
     transposes = ("offline",) if pruned else ("offline", "online")
     textures = (True,) if pruned else (True, False)
     shm_sizes = (0,) if pruned else (0, 8)
     caches = _CACHE_MULTIPLES if pruned else (1, 2, 4)
-    for wg in workgroup_sizes:
+    for wg in WORKGROUP_SIZES:
         for transpose in transposes:
             for texture in textures:
                 for reg in _REG_SIZES:
@@ -139,25 +131,16 @@ def _enumerate_kernel_configs(
                         )
 
 
-def pruned_space(
-    matrix,
-    device: DeviceSpec,
-    keep_block_dims: int = 4,
-    workgroup_sizes: Iterable[int] = WORKGROUP_SIZES,
-    bit_words: Iterable[str] = BIT_WORDS,
-) -> Iterator[TuningPoint]:
-    """The accelerated search of section 4.
-
-    ``workgroup_sizes`` / ``bit_words`` allow time-boxed callers (the
-    benchmark harness) to trim the remaining axes further; the defaults
-    are the full Table 1 values.
-    """
-    blocks = bccoo_block_candidates(matrix, keep=keep_block_dims)
+def pruned_space(matrix, device: DeviceSpec) -> Iterator[TuningPoint]:
+    """The accelerated search of section 4: each of the 4 block
+    dimensions with the smallest footprints, crossed with every bit
+    word, candidate slice count and pruned kernel configuration, then
+    the related-work formats' launch geometries."""
+    blocks = bccoo_block_candidates(matrix, keep=4)
     slices = candidate_slice_counts(matrix, device)
-    workgroup_sizes = tuple(workgroup_sizes)
-    configs = _kernel_configs(workgroup_sizes, pruned=True)
+    configs = _kernel_configs(pruned=True)
     for h, w, _bytes in blocks:
-        for word in bit_words:
+        for word in BIT_WORDS:
             for s in slices:
                 for cfg in configs:
                     yield TuningPoint(
@@ -168,7 +151,7 @@ def pruned_space(
                         slice_count=s,
                         kernel=cfg,
                     )
-    yield from base_format_points(workgroup_sizes, pruned=True)
+    yield from base_format_points(pruned=True)
 
 
 def exhaustive_space(
@@ -191,7 +174,7 @@ def exhaustive_space(
             for word in bit_words:
                 for compress in (True, False):
                     for s in slice_counts:
-                        for cfg in _kernel_configs(WORKGROUP_SIZES, pruned=False):
+                        for cfg in _kernel_configs(pruned=False):
                             yield TuningPoint(
                                 block_height=h,
                                 block_width=w,
@@ -200,4 +183,4 @@ def exhaustive_space(
                                 slice_count=s,
                                 kernel=cfg,
                             )
-    yield from base_format_points(WORKGROUP_SIZES, pruned=False)
+    yield from base_format_points(pruned=False)

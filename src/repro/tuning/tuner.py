@@ -241,7 +241,6 @@ class AutoTuner:
         plan_cache: KernelPlanCache | None = None,
         keep_history: bool = True,
         exhaustive_kwargs: dict | None = None,
-        pruned_kwargs: dict | None = None,
         observer=None,
         deadline: "Deadline | float | None" = None,
         checkpoint: "TuningCheckpoint | str | None" = None,
@@ -253,9 +252,6 @@ class AutoTuner:
         self.plan_cache = plan_cache if plan_cache is not None else KernelPlanCache()
         self.keep_history = keep_history
         self.exhaustive_kwargs = exhaustive_kwargs or {}
-        #: Extra arguments for :func:`pruned_space` (e.g. a smaller
-        #: ``keep_block_dims`` for time-boxed benchmark runs).
-        self.pruned_kwargs = pruned_kwargs or {}
         self.observer = observer if observer is not None else NULL_OBSERVER
         #: Raw deadline spec; coerced per :meth:`tune` call so a numeric
         #: budget restarts for every search.
@@ -284,7 +280,7 @@ class AutoTuner:
                 "tuner.enumerate", mode=self.mode
             ) as enum_span, stage("enumerate"):
                 if self.mode == "pruned":
-                    space = pruned_space(csr, self.device, **self.pruned_kwargs)
+                    space = pruned_space(csr, self.device)
                 else:
                     space = exhaustive_space(
                         csr, self.device, **self.exhaustive_kwargs

@@ -55,7 +55,7 @@ class TestSuiteComparison:
     @pytest.fixture(scope="class")
     def rows(self):
         return run_suite_comparison(
-            "gtx680", cap_nnz=20_000, names=["QCD", "Circuit"], fast_tuning=True
+            "gtx680", cap_nnz=20_000, names=["QCD", "Circuit"]
         )
 
     def test_rows_and_metadata(self, rows):

@@ -60,23 +60,6 @@ class TestEngine:
         x = rng.standard_normal(100)
         np.testing.assert_allclose(yaspmv(A, x), A @ x, atol=1e-9)
 
-    def test_tuning_kwargs_trim_search(self, random_matrix):
-        A = random_matrix(nrows=120, ncols=120, density=0.05)
-        full = SpMVEngine("gtx680")
-        trimmed = SpMVEngine(
-            "gtx680",
-            tuning_kwargs=dict(
-                pruned_kwargs=dict(
-                    keep_block_dims=1,
-                    workgroup_sizes=(64,),
-                    bit_words=("uint8",),
-                )
-            ),
-        )
-        full_prep = full.prepare(A)
-        trim_prep = trimmed.prepare(A)
-        assert trim_prep.tuning.evaluated < full_prep.tuning.evaluated / 3
-
     def test_stats_exposed(self, random_matrix, rng):
         A = random_matrix()
         eng = SpMVEngine("gtx680")

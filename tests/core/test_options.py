@@ -34,6 +34,10 @@ GUARDED = (
     "schedule_workgroups",
     "run_chaos_drill",
     "run_replay",
+    "AutoTuner",
+    "pruned_space",
+    "base_format_points",
+    "run_suite_comparison",
 )
 #: Injection points for tests, not options of the behaviour.
 EXEMPT = {"clock", "observer"}

@@ -184,7 +184,8 @@ class TestTunerQuarantine:
         original = FormatCache.entry
 
         def flaky(self, point):
-            if point.slice_count > 1:
+            # Some, not all, pruned candidates: one bit word of three.
+            if point.bit_word == "uint16":
                 fails["n"] += 1
                 raise ReproError("synthetic per-candidate failure")
             return original(self, point)
@@ -194,9 +195,11 @@ class TestTunerQuarantine:
             result = tuner.tune(A)
         finally:
             FormatCache.entry = original
-        if fails["n"]:
-            assert result.skipped >= fails["n"]
-            assert result.skip_reasons.get("ReproError") == fails["n"]
+        assert fails["n"] > 0
+        assert result.best is not None
+        assert result.best.point.bit_word != "uint16"
+        assert result.skipped >= fails["n"]
+        assert result.skip_reasons.get("ReproError") == fails["n"]
         assert sum(result.skip_reasons.values()) == result.skipped
 
     def test_non_repro_errors_propagate(self, random_matrix):

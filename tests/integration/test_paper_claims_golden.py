@@ -6,9 +6,10 @@ at a 300k-nnz cap in minutes, and nothing reads those tables back.
 This file pins, at a 30k-nnz cap, what the same benchmarks compute with
 their own calls:
 
-* Fig. 13 (GTX680) and Fig. 15 (GTX480): ``run_suite_comparison`` with
-  ``fast_tuning=True``; per matrix, each system's variant and simulated
-  GFLOPS and the winner; per system, the harmonic mean;
+* Fig. 13 (GTX680) and Fig. 15 (GTX480): ``run_suite_comparison``,
+  which tunes with the section 4 pruned search; per matrix, each
+  system's variant and simulated GFLOPS and the winner; per system, the
+  harmonic mean;
 * Table 3: ``footprint_report`` on the 20 suite matrices; each byte
   column, the best single format and the BCCOO block;
 * the accounting of ``bench_scan_strategies.py`` at n=8192: combine
@@ -50,7 +51,7 @@ SCAN_STRATEGIES = ("hillis-steele", "blelloch", "matrix-based")
 
 def figure_entry(device) -> dict:
     """One device's Fig. 13/15 table, as ``render_comparison`` reads it."""
-    rows = run_suite_comparison(device, cap_nnz=CAP_NNZ, fast_tuning=True)
+    rows = run_suite_comparison(device, cap_nnz=CAP_NNZ)
     matrices = {}
     for row in rows:
         gflops = {s: row.scores[s].gflops for s in SYSTEMS}

@@ -47,11 +47,6 @@ def test_tuned_execution_per_class(name):
     A = spec.load(scale=spec.scale_for_nnz(20_000), seed=5)
     rng = np.random.default_rng(3)
     x = rng.standard_normal(A.shape[1])
-    eng = SpMVEngine(
-        "gtx680",
-        tuning_kwargs=dict(
-            pruned_kwargs=dict(keep_block_dims=2, workgroup_sizes=(64,))
-        ),
-    )
+    eng = SpMVEngine("gtx680")
     res = eng.multiply(eng.prepare(A), x)
     np.testing.assert_allclose(res.y, A @ x, atol=1e-8, err_msg=name)

@@ -130,7 +130,7 @@ class TestAutoscaleTrajectory:
             engine_factory=lambda i: SpMVEngine(backend="fast"),
             serve_config=ServeConfig(batch_window_s=0.0),
             health_policy=HealthPolicy(window=8, min_samples=2),
-            retry_policy=RetryPolicy(max_attempts=3, base_delay_s=0.0),
+            max_attempts=3,
             start=False,
             restart_policy=RetryPolicy(max_attempts=3, base_delay_s=0.0),
             autoscale=True,

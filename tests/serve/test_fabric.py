@@ -24,7 +24,7 @@ from repro.errors import (
     ShardCrashError,
     ValidationError,
 )
-from repro.fault import BREAKER_CLOSED, BREAKER_OPEN, RetryPolicy
+from repro.fault import BREAKER_CLOSED, BREAKER_OPEN
 from repro.serve import (
     HealthPolicy,
     ServeConfig,
@@ -157,7 +157,7 @@ class TestShardRouter:
 
 
 class TestFabricConfig:
-    @pytest.mark.parametrize("kwargs", [{"shards": 0}])
+    @pytest.mark.parametrize("kwargs", [{"shards": 0}, {"max_attempts": 0}])
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValidationError):
             ServeFabric(**kwargs, start=False)
@@ -289,7 +289,7 @@ class TestQuotas:
 
 class TestFailover(OverTransport):
     def test_kill_shard_mid_flight_fails_over(self):
-        fabric = self.make(2, retry_policy=RetryPolicy(max_attempts=3))
+        fabric = self.make(2, max_attempts=3)
         try:
             victim = "shard-0"
             A = matrix_owned_by(fabric, victim)
@@ -370,7 +370,7 @@ class TestEjectionReadmission:
             2,
             engine_factory=factory,
             health_policy=HealthPolicy(window=8, min_samples=2),
-            retry_policy=RetryPolicy(max_attempts=3),
+            max_attempts=3,
             clock=clock,
         )
         return fabric, flaky

@@ -20,17 +20,13 @@ import scipy.sparse as sp
 
 from repro.gpu import GTX480, GTX680
 from repro.tuning import (
+    WORKGROUP_SIZES,
     AutoTuner,
     KernelPlanCache,
     TuningCheckpoint,
     base_format_points,
     pruned_space,
 )
-
-#: Trimmed axes for time-boxed runs -- the widened space stays in play
-#: (base-format candidates are enumerated regardless of the BCCOO axes).
-PRUNED = dict(keep_block_dims=2, workgroup_sizes=(128, 256), bit_words=("uint32",))
-
 
 @pytest.fixture(scope="module")
 def fardiag():
@@ -81,23 +77,23 @@ class TestSpaceEnumeration:
         assert {"bccoo", "merge_csr", "rgcsr"} <= formats
 
     def test_one_point_per_format_and_geometry(self):
-        pts = list(base_format_points((64, 128, 256)))
-        assert len(pts) == 6
+        pts = list(base_format_points())
+        assert len(pts) == 2 * len(WORKGROUP_SIZES)
         assert {(p.base_format, p.kernel.workgroup_size) for p in pts} == {
             (f, wg)
             for f in ("merge_csr", "rgcsr")
-            for wg in (64, 128, 256)
+            for wg in WORKGROUP_SIZES
         }
 
     def test_unpruned_adds_texture_toggle(self):
-        pts = list(base_format_points((128,), pruned=False))
-        assert len(pts) == 4
+        pts = list(base_format_points(pruned=False))
+        assert len(pts) == 4 * len(WORKGROUP_SIZES)
         assert {p.kernel.use_texture for p in pts} == {True, False}
 
 
 class TestFormatWins:
     def test_merge_csr_wins_far_diagonals(self, fardiag):
-        res = AutoTuner(GTX480, mode="pruned", pruned_kwargs=PRUNED).tune(fardiag)
+        res = AutoTuner(GTX480).tune(fardiag)
         assert res.best.point.base_format == "merge_csr"
         # The win is over a real contest, not a walkover: BCCOO was
         # evaluated and ranked.
@@ -105,7 +101,7 @@ class TestFormatWins:
         assert "bccoo" in contested
 
     def test_rgcsr_wins_uniform_dense_rows(self, dense_rows):
-        res = AutoTuner(GTX480, mode="pruned", pruned_kwargs=PRUNED).tune(dense_rows)
+        res = AutoTuner(GTX480).tune(dense_rows)
         assert res.best.point.base_format == "rgcsr"
         contested = {e.point.base_format for e in res.history}
         assert "bccoo" in contested
