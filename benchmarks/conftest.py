@@ -12,6 +12,11 @@ Environment knobs:
 * ``REPRO_BENCH_CAP``      -- per-matrix nnz cap (default 300000; larger
   is more faithful to the paper's matrix sizes but slower).
 * ``REPRO_BENCH_MATRICES`` -- comma-separated subset of Table 2 names.
+
+Only a run at the recorded configuration -- the default cap and every
+matrix -- writes the committed tables in ``benchmarks/results/``; any
+other run writes its tables to ``benchmarks/results/local/``, which git
+ignores, so a smoke run cannot overwrite the recorded figures.
 """
 
 from __future__ import annotations
@@ -25,10 +30,12 @@ from repro.bench import run_suite_comparison
 
 _TABLES: list[str] = []
 _RESULTS_DIR = Path(__file__).parent / "results"
+#: The cap the committed tables were recorded at.
+_RECORDED_CAP = 300_000
 
 
 def bench_cap() -> int:
-    return int(os.environ.get("REPRO_BENCH_CAP", "300000"))
+    return int(os.environ.get("REPRO_BENCH_CAP", str(_RECORDED_CAP)))
 
 
 def bench_names() -> list[str] | None:
@@ -39,10 +46,14 @@ def bench_names() -> list[str] | None:
 
 
 def record_table(name: str, text: str) -> None:
-    """Register a rendered table for the terminal summary + disk."""
+    """Register a rendered table for the terminal summary + disk: the
+    committed ``results/`` at the recorded configuration, else
+    ``results/local/``."""
     _TABLES.append(text)
-    _RESULTS_DIR.mkdir(exist_ok=True)
-    (_RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+    recorded = bench_cap() == _RECORDED_CAP and bench_names() is None
+    out = _RESULTS_DIR if recorded else _RESULTS_DIR / "local"
+    out.mkdir(parents=True, exist_ok=True)
+    (out / f"{name}.txt").write_text(text + "\n")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -42,7 +42,13 @@ from .bitflags import (
 from .blocking import BlockLayout, blocks_to_coo_arrays, extract_blocks
 from .delta import DeltaColumns, compress_columns, decompress_columns
 
-__all__ = ["BCCOOMatrix", "COL_STORAGE_MODES", "block_dots", "counted_footprint"]
+__all__ = [
+    "BCCOOMatrix",
+    "COL_STORAGE_MODES",
+    "auto_col_storage",
+    "block_dots",
+    "counted_footprint",
+]
 
 #: Valid column-index storage modes.
 COL_STORAGE_MODES = ("auto", "int32", "ushort", "delta")
@@ -75,6 +81,22 @@ def _auto_col_storage(
     p = compress_columns(probe, tile).fallback_fraction
     touched = 1.0 - (1.0 - min(p, 1.0)) ** 32
     return "delta" if 2.0 + 4.0 * touched < 4.0 else "int32"
+
+
+def auto_col_storage(
+    layout: BlockLayout,
+    delta_tile_size: int,
+    shape: tuple[int, int] | None = None,
+    col_override: np.ndarray | None = None,
+) -> str:
+    """The column storage :meth:`BCCOOMatrix.from_block_layout` picks
+    for ``col_storage="auto"`` with these arguments.  It depends on the
+    layout and the delta tile alone, not on the bit word, so a caller
+    building every bit word of a layout can probe it once per tile."""
+    logical_shape = layout.shape if shape is None else shape
+    w = layout.block_width
+    cols = layout.block_col if col_override is None else col_override
+    return _auto_col_storage(round_up(logical_shape[1], w) // w, cols, delta_tile_size)
 
 
 def block_dots(values: np.ndarray, xg: np.ndarray) -> np.ndarray:
@@ -150,7 +172,8 @@ def counted_footprint(
     from ``A``'s distinct block keys alone, building no format.
 
     ``keys`` are the ascending ``block_row * n_block_cols + block_col``
-    keys of ``A``'s non-zero blocks (:func:`~repro.formats.blocking.block_keys`).
+    keys of ``A``'s non-zero blocks
+    (:meth:`~repro.formats.blocking.BlockOrders.keys_by_dim`).
     At :meth:`~BCCOOMatrix.from_scipy`'s defaults -- ``uint32`` words,
     no extra padding, ``auto`` column storage, delta tile 16 -- the
     footprint reads only the block count, the non-empty block-row count
@@ -339,9 +362,7 @@ class BCCOOMatrix(SparseFormat):
         n_block_cols_limit = round_up(logical_shape[1], w) // w
         mode = col_storage
         if mode == "auto":
-            mode = _auto_col_storage(
-                n_block_cols_limit, source_cols, delta_tile_size
-            )
+            mode = auto_col_storage(layout, delta_tile_size, shape, col_override)
         if mode == "ushort" and n_block_cols_limit > USHORT_LIMIT:
             raise FormatError(
                 f"ushort column storage needs <= {USHORT_LIMIT} block columns, "

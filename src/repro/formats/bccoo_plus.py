@@ -24,7 +24,7 @@ from scipy import sparse as _sp
 from ..errors import FormatError, ValidationError
 from ..util import as_coo_sorted, as_csr, ceil_div
 from .base import FP32, ByteSizes, Footprint, SparseFormat, register_format
-from .bccoo import BCCOOMatrix
+from .bccoo import BCCOOMatrix, auto_col_storage
 from .blocking import BlockLayout, extract_blocks
 
 __all__ = ["BCCOOPlusMatrix", "StackedLayout"]
@@ -41,6 +41,15 @@ class StackedLayout:
     shape: tuple[int, int]
     slice_count: int
     slice_width: int
+
+
+def _stacked_view(layout: StackedLayout) -> dict:
+    """The stacked matrix as its BCCOO sees it: its own row count, the
+    original matrix's columns and the blocks' original column indices."""
+    return {
+        "shape": (layout.blocks.shape[0], layout.shape[1]),
+        "col_override": layout.col_override,
+    }
 
 
 @register_format
@@ -168,17 +177,21 @@ class BCCOOPlusMatrix(SparseFormat):
         delta_tile_size: int = 16,
     ) -> "BCCOOPlusMatrix":
         """Build BCCOO+ from a :meth:`stacked_layout`."""
-        ncols = layout.shape[1]
         stacked = BCCOOMatrix.from_block_layout(
             layout.blocks,
             bit_word_dtype=bit_word_dtype,
             pad_multiple=pad_multiple,
             col_storage=col_storage,
             delta_tile_size=delta_tile_size,
-            shape=(layout.blocks.shape[0], ncols),
-            col_override=layout.col_override,
+            **_stacked_view(layout),
         )
         return cls(layout.shape, stacked, layout.slice_count, layout.slice_width)
+
+    @staticmethod
+    def auto_col_storage(layout: "StackedLayout", delta_tile_size: int) -> str:
+        """The column storage :meth:`from_stacked_layout` picks for
+        ``col_storage="auto"`` (see :func:`~repro.formats.bccoo.auto_col_storage`)."""
+        return auto_col_storage(layout.blocks, delta_tile_size, **_stacked_view(layout))
 
     # ------------------------------------------------------------------ #
     # Incremental value refresh

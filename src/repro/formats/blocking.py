@@ -7,10 +7,11 @@ explicitly stored zeros.  The trade-off the paper's auto-tuner explores is
 exactly fill-in (more value bytes) against index compression (one
 row/column index per block instead of per non-zero).
 
-The extractor is fully vectorized: one pass of integer arithmetic over the
-COO triplets, one stable sort of the block keys for block discovery (none
-for one-row blocks, whose keys a row-major COO already orders), and one
-scatter for the dense payload.  The key pass alone (:func:`block_keys`)
+The extractor is fully vectorized: one stable sort of the entries per
+block height (:class:`BlockOrders`; none for one-row blocks, whose keys
+row-major order already sorts), shared by every block width, then one
+pass of integer arithmetic for block discovery and one scatter for the
+dense payload.  The key pass alone (:meth:`BlockOrders.keys_by_dim`)
 counts the blocks without building their payload.
 """
 
@@ -21,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import FormatError
+from ..obs.stages import active_stages
 from ..util import canonical_csr, ceil_div
 
-__all__ = ["BlockLayout", "block_keys", "block_keys_by_dim", "extract_blocks",
-           "blocks_to_coo_arrays"]
+__all__ = ["BlockLayout", "BlockOrders", "extract_blocks", "blocks_to_coo_arrays"]
 
 
 @dataclass
@@ -102,41 +103,128 @@ class BlockLayout:
                 raise FormatError("block_col out of range")
 
 
-def block_keys(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    n_block_cols: int,
-    block_height: int,
-    block_width: int,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """The key pass of :func:`extract_blocks`: which aligned block each
-    entry falls in, keyed ``block_row * n_block_cols + block_col``.
+class BlockOrders:
+    """A canonical CSR and, per block height ``h``, the stable order that
+    sorts its entries by ``(row // h, col)``.
 
-    ``rows`` and ``cols`` are the ``int64`` coordinates of a canonical
-    CSR's entries in row-major order.  Returns ``(keys, order, first)``:
-    the ascending distinct keys, one per non-zero block; the stable
-    permutation that sorts the entries' keys (``None`` for one-row
-    blocks, whose keys row-major order already sorts); and the mask of
-    each block's first entry in that sorted order.
+    ``col // w`` never decreases as ``col`` grows, so that one order also
+    sorts the block keys ``(row // h) * n_block_cols + col // w`` of
+    every block width ``w``: each height is sorted once, on first use,
+    and every width, the block-size ranking and every layout extraction
+    reuse it.  One-row blocks need no sort, since row-major order
+    already sorts their keys.  Only the orders are kept, in the
+    narrowest unsigned dtype that indexes the entries; each sort counts
+    as one ``key_sorts`` on the active stage clock.
+
+    Functions that take a matrix to block (:func:`extract_blocks`,
+    :func:`~repro.formats.footprint.bccoo_block_candidates`, the tuner's
+    search spaces and format cache) also take its :class:`BlockOrders`
+    (:meth:`coerce`), so a tune sorts each height once for all of them.
+    Within a block, the entries come in column order rather than in
+    row-major order; each (block, slot) is written once, so the
+    layouts do not depend on it.
     """
-    key = (rows // block_height) * n_block_cols + cols // block_width
-    order = None if block_height == 1 else np.argsort(key, kind="stable")
-    sorted_key = key if order is None else key[order]
+
+    def __init__(self, matrix):
+        self.csr = canonical_csr(matrix)
+        self._orders: dict[int, np.ndarray] = {}
+
+    @classmethod
+    def coerce(cls, matrix) -> "BlockOrders":
+        """``matrix`` itself when it is a :class:`BlockOrders`, else the
+        orders of its canonical CSR."""
+        return matrix if isinstance(matrix, cls) else cls(matrix)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.csr.shape
+
+    def order(self, block_height: int) -> np.ndarray | None:
+        """The stable permutation sorting the entries by ``(row //
+        block_height, col)``, or ``None`` for one-row blocks."""
+        if block_height == 1:
+            return None
+        order = self._orders.get(block_height)
+        if order is None:
+            rows, cols = self._coordinates()
+            key = (rows // block_height) * self.csr.shape[1] + cols
+            order = np.argsort(key, kind="stable").astype(
+                np.min_scalar_type(max(key.shape[0] - 1, 0))
+            )
+            self._orders[block_height] = order
+            clock = active_stages()
+            if clock is not None:
+                clock.count("key_sorts")
+        return order
+
+    def _coordinates(self) -> tuple[np.ndarray, np.ndarray]:
+        """The entries' ``int64`` rows and columns, in row-major order."""
+        indptr = self.csr.indptr
+        rows = np.repeat(
+            np.arange(self.csr.shape[0], dtype=np.int64), np.diff(indptr)
+        )
+        return rows, self.csr.indices.astype(np.int64)
+
+    def _sorted(self, block_height: int):
+        """``(rows, cols, order)``: the coordinates in :meth:`order`."""
+        rows, cols = self._coordinates()
+        order = self.order(block_height)
+        if order is not None:
+            rows, cols = rows[order], cols[order]
+        return rows, cols, order
+
+    def keys_by_dim(self, dims):
+        """``(h, w, keys)`` per ``(h, w)`` in ``dims``: the ascending
+        distinct block keys, one per block of ``extract_blocks(matrix,
+        h, w)``.  Consecutive dims of one height share its sorted
+        coordinates."""
+        height = None
+        for h, w in dims:
+            if h != height:
+                height = h
+                rows, cols, _ = self._sorted(h)
+                block_rows = rows // h
+            key = block_rows * ceil_div(self.csr.shape[1], w) + cols // w
+            yield h, w, _distinct(key)[0]
+
+    def layout(self, block_height: int, block_width: int) -> "BlockLayout":
+        """The :class:`BlockLayout` of :func:`extract_blocks`."""
+        if block_height < 1 or block_width < 1:
+            raise FormatError(
+                f"block dimensions must be >= 1, got {block_height}x{block_width}"
+            )
+        rows, cols, order = self._sorted(block_height)
+        data = self.csr.data if order is None else self.csr.data[order]
+        shape = self.csr.shape
+        n_block_cols = ceil_div(shape[1], block_width)
+        keys, first = _distinct(
+            (rows // block_height) * n_block_cols + cols // block_width
+        )
+        block_of = np.cumsum(first) - 1
+        values = np.zeros(
+            (keys.shape[0], block_height, block_width), dtype=np.float64
+        )
+        slot = (block_of * block_height + rows % block_height) * block_width
+        values.reshape(-1)[slot + cols % block_width] = data
+
+        layout = BlockLayout(
+            shape=(int(shape[0]), int(shape[1])),
+            block_height=int(block_height),
+            block_width=int(block_width),
+            block_row=(keys // n_block_cols).astype(np.int32),
+            block_col=(keys % n_block_cols).astype(np.int32),
+            values=values,
+        )
+        layout.validate()
+        return layout
+
+
+def _distinct(sorted_key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of an ascending key array and the mask of
+    each one's first occurrence."""
     first = np.ones(sorted_key.shape, dtype=bool)
     np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
-    return sorted_key[first], order, first
-
-
-def block_keys_by_dim(matrix, dims):
-    """``(h, w, keys)`` per ``(h, w)`` in ``dims``: :func:`block_keys`'
-    distinct keys of ``matrix``'s canonical CSR, one per block of
-    ``extract_blocks(matrix, h, w)``, from one read of its coordinates."""
-    coo = canonical_csr(matrix).tocoo()
-    rows = coo.row.astype(np.int64)
-    cols = coo.col.astype(np.int64)
-    for h, w in dims:
-        keys, _, _ = block_keys(rows, cols, ceil_div(coo.shape[1], w), h, w)
-        yield h, w, keys
+    return sorted_key[first], first
 
 
 def extract_blocks(matrix, block_height: int, block_width: int) -> BlockLayout:
@@ -145,7 +233,8 @@ def extract_blocks(matrix, block_height: int, block_width: int) -> BlockLayout:
     Parameters
     ----------
     matrix:
-        Anything :func:`repro.util.as_csr` accepts.
+        Anything :func:`repro.util.as_csr` accepts, or its
+        :class:`BlockOrders` (whose sort of ``block_height`` is reused).
     block_height, block_width:
         Tile dimensions; must be positive.
 
@@ -154,42 +243,7 @@ def extract_blocks(matrix, block_height: int, block_width: int) -> BlockLayout:
     BlockLayout
         Blocks in row-major order with dense fill-in payload.
     """
-    if block_height < 1 or block_width < 1:
-        raise FormatError(
-            f"block dimensions must be >= 1, got {block_height}x{block_width}"
-        )
-    # Canonical CSR (no duplicates, no stored zeros) read in row-major
-    # order: every (block, in-block position) below is written once.
-    coo = canonical_csr(matrix).tocoo()
-    rows = coo.row.astype(np.int64)
-    cols = coo.col.astype(np.int64)
-    data = coo.data.astype(np.float64)
-
-    n_block_cols = ceil_div(coo.shape[1], block_width)
-    unique_keys, order, first = block_keys(
-        rows, cols, n_block_cols, block_height, block_width
-    )
-    nblocks = unique_keys.shape[0]
-    block_of = np.cumsum(first) - 1
-    if order is not None:
-        inverse = np.empty_like(block_of)
-        inverse[order] = block_of
-        block_of = inverse
-
-    values = np.zeros((nblocks, block_height, block_width), dtype=np.float64)
-    slot = (block_of * block_height + rows % block_height) * block_width
-    values.reshape(-1)[slot + cols % block_width] = data
-
-    layout = BlockLayout(
-        shape=(int(coo.shape[0]), int(coo.shape[1])),
-        block_height=int(block_height),
-        block_width=int(block_width),
-        block_row=(unique_keys // n_block_cols).astype(np.int32),
-        block_col=(unique_keys % n_block_cols).astype(np.int32),
-        values=values,
-    )
-    layout.validate()
-    return layout
+    return BlockOrders.coerce(matrix).layout(block_height, block_width)
 
 
 def blocks_to_coo_arrays(

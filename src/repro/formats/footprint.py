@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import FormatNotApplicableError
-from ..util import as_csr, canonical_csr
+from ..util import as_csr
 from .base import FP32, ByteSizes
 from .bccoo import counted_footprint
-from .blocking import block_keys_by_dim
+from .blocking import BlockOrders
 from .bcsr import BCSRMatrix
 from .bell import BELLMatrix
 from .coo import COOMatrix
@@ -161,13 +161,15 @@ def bccoo_block_candidates(
     Each (h, w) is scored as ``BCCOOMatrix.from_scipy(matrix, h, w)``
     would be, from one pass over the block keys
     (:func:`~repro.formats.bccoo.counted_footprint`): no format is built.
-    Ties keep (h, w) order.
+    ``matrix`` may be a :class:`~repro.formats.blocking.BlockOrders`,
+    whose one sort per block height then also serves the layouts the
+    tuner extracts.  Ties keep (h, w) order.
     """
-    csr = canonical_csr(matrix)
+    orders = BlockOrders.coerce(matrix)
     dims = [(h, w) for h in BLOCK_HEIGHTS for w in BLOCK_WIDTHS]
     scored = [
-        (h, w, counted_footprint(keys, csr.shape, h, w, sizes).total)
-        for h, w, keys in block_keys_by_dim(csr, dims)
+        (h, w, counted_footprint(keys, orders.shape, h, w, sizes).total)
+        for h, w, keys in orders.keys_by_dim(dims)
     ]
     scored.sort(key=lambda t: t[2])
     return scored[:keep]

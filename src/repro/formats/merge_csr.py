@@ -34,7 +34,7 @@ import numpy as np
 from scipy import sparse as _sp
 
 from ..errors import FormatError, ValidationError
-from ..util import as_csr, ceil_div
+from ..util import as_csr, canonical_csr, ceil_div
 from .base import FP32, ByteSizes, Footprint, SparseFormat, register_format
 
 __all__ = ["MergeCSRMatrix", "cal_vectors", "DEFAULT_ITEMS_PER_THREAD"]
@@ -119,7 +119,9 @@ class MergeCSRMatrix(SparseFormat):
         items_per_thread:
             Sequential non-zeros per thread under the default sizing.
         """
-        csr = as_csr(matrix)
+        # The arrays are copied below (``astype``): a canonical input
+        # needs no copy of its own.
+        csr = canonical_csr(matrix)
         nrows = csr.shape[0]
         nnz = int(csr.nnz)
         avg = ceil_div(max(nnz, 1), max(nrows, 1))

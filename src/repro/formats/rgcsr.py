@@ -31,7 +31,7 @@ import numpy as np
 from scipy import sparse as _sp
 
 from ..errors import FormatError, ValidationError
-from ..util import as_csr
+from ..util import as_csr, canonical_csr
 from .base import FP32, ByteSizes, Footprint, SparseFormat, register_format
 
 __all__ = ["RGCSRMatrix", "group_of_length"]
@@ -46,6 +46,38 @@ def group_of_length(lengths: np.ndarray) -> np.ndarray:
     3..4 -> 2, 5..8 -> 3, ...).  Lengths must be >= 1."""
     lengths = np.asarray(lengths, dtype=np.int64)
     return np.ceil(np.log2(np.maximum(lengths, 1))).astype(np.int64)
+
+
+def _lane_slots(
+    row_lengths: np.ndarray,
+    group_row_offsets: np.ndarray,
+    group_data_offsets: np.ndarray,
+    group_widths: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The slot map of a row grouping: ``(lens, lane, slot)``.
+
+    ``lens`` is each packed row's lane count, its length capped to its
+    group's width.  ``lane`` and ``slot`` give, per stored element in
+    packed-row order (a row's lanes ascending), its lane and its flat
+    lane slot: lane ``j`` of the ``i``-th row of group ``g`` sits at
+    ``group_data_offsets[g] + j * n_g + i``, ``n_g`` the group's row
+    count.  Element ``e`` of packed row ``p`` is entry ``indptr[row_perm[p]]
+    + lane[e]`` of the source CSR, so ``np.repeat(indptr[row_perm], lens)
+    + lane`` maps every element to its source entry.
+    """
+    rows_per_group = np.diff(group_row_offsets)
+    group = np.repeat(np.arange(rows_per_group.shape[0]), rows_per_group)
+    lens = np.clip(row_lengths, 0, group_widths[group])
+    first = (
+        group_data_offsets[group]
+        + np.arange(group.shape[0], dtype=np.int64)
+        - group_row_offsets[group]
+    )
+    ends = np.cumsum(lens)
+    lane = np.arange(ends[-1] if ends.size else 0, dtype=np.int64)
+    lane -= np.repeat(ends - lens, lens)
+    slot = np.repeat(first, lens) + lane * np.repeat(rows_per_group[group], lens)
+    return lens, lane, slot
 
 
 @register_format
@@ -86,7 +118,7 @@ class RGCSRMatrix(SparseFormat):
     @classmethod
     def from_scipy(cls, matrix, **params) -> "RGCSRMatrix":
         """Convert any matrix to adaptive row-grouped CSR."""
-        csr = as_csr(matrix)
+        csr = canonical_csr(matrix)
         lengths = np.diff(csr.indptr).astype(np.int64)
         nonempty = np.flatnonzero(lengths > 0).astype(np.int64)
         gids = group_of_length(lengths[nonempty]) if nonempty.size else (
@@ -106,30 +138,21 @@ class RGCSRMatrix(SparseFormat):
         row_off = np.zeros(present.shape[0] + 1, dtype=np.int64)
         np.cumsum(counts, out=row_off[1:])
 
-        widths = np.zeros(present.shape[0], dtype=np.int64)
+        # Every group holds a row: pad each to its longest.
+        widths = (
+            np.maximum.reduceat(perm_lens, row_off[:-1])
+            if present.size
+            else np.empty(0, dtype=np.int64)
+        )
         data_off = np.zeros(present.shape[0] + 1, dtype=np.int64)
-        for g in range(present.shape[0]):
-            seg = perm_lens[row_off[g] : row_off[g + 1]]
-            widths[g] = int(seg.max()) if seg.size else 0
-            data_off[g + 1] = data_off[g] + widths[g] * seg.shape[0]
+        np.cumsum(widths * counts, out=data_off[1:])
 
+        lens, lane, slot = _lane_slots(perm_lens, row_off, data_off, widths)
+        src = np.repeat(csr.indptr[perm].astype(np.int64), lens) + lane
         cols = np.zeros(int(data_off[-1]), dtype=np.int64)
         vals = np.zeros(int(data_off[-1]), dtype=np.float64)
-        indptr = csr.indptr.astype(np.int64)
-        indices = csr.indices.astype(np.int64)
-        data = csr.data.astype(np.float64)
-        for g in range(present.shape[0]):
-            r0, r1 = int(row_off[g]), int(row_off[g + 1])
-            n, w = r1 - r0, int(widths[g])
-            base = int(data_off[g])
-            rows = perm[r0:r1]
-            lens = perm_lens[r0:r1]
-            for j in range(w):
-                valid = np.flatnonzero(lens > j)
-                src = indptr[rows[valid]] + j
-                dst = base + j * n + valid
-                cols[dst] = indices[src]
-                vals[dst] = data[src]
+        cols[slot] = csr.indices[src]
+        vals[slot] = csr.data[src]
         return cls(
             csr.shape, perm, perm_lens, row_off, data_off, widths, cols, vals
         )
@@ -159,30 +182,20 @@ class RGCSRMatrix(SparseFormat):
                 f"identical; zeros are eliminated during canonicalization)"
             )
         indptr = csr.indptr.astype(np.int64)
-        indices = csr.indices.astype(np.int64)
-        data = csr.data.astype(np.float64)
         if not np.array_equal(np.diff(indptr)[self.row_perm], self.row_lengths):
             raise ValidationError(
                 "with_values structure mismatch: row lengths differ from "
                 "the format's grouping"
             )
+        lens, lane, slot = self._lane_slots()
+        src = np.repeat(indptr[self.row_perm], lens) + lane
+        if not np.array_equal(csr.indices[src], self.col_index[slot]):
+            raise ValidationError(
+                "with_values structure mismatch: the new matrix's "
+                "column pattern differs from the stored lanes"
+            )
         vals = np.zeros_like(self.values)
-        for g in range(self.n_groups):
-            r0, r1 = int(self.group_row_offsets[g]), int(self.group_row_offsets[g + 1])
-            n, w = r1 - r0, int(self.group_widths[g])
-            base = int(self.group_data_offsets[g])
-            rows = self.row_perm[r0:r1]
-            lens = self.row_lengths[r0:r1]
-            for j in range(w):
-                valid = np.flatnonzero(lens > j)
-                src = indptr[rows[valid]] + j
-                dst = base + j * n + valid
-                if not np.array_equal(indices[src], self.col_index[dst]):
-                    raise ValidationError(
-                        "with_values structure mismatch: the new matrix's "
-                        "column pattern differs from the stored lanes"
-                    )
-                vals[dst] = data[src]
+        vals[slot] = csr.data[src]
         out = RGCSRMatrix.__new__(RGCSRMatrix)
         SparseFormat.__init__(out, self.shape)
         out.row_perm = self.row_perm
@@ -222,14 +235,17 @@ class RGCSRMatrix(SparseFormat):
     def lane_mask(self) -> np.ndarray:
         """Boolean validity flag per flat lane slot (the bit-flag analogue)."""
         mask = np.zeros(self.padded_slots, dtype=bool)
-        for g in range(self.n_groups):
-            r0, r1 = int(self.group_row_offsets[g]), int(self.group_row_offsets[g + 1])
-            n, w = r1 - r0, int(self.group_widths[g])
-            base = int(self.group_data_offsets[g])
-            lens = self.row_lengths[r0:r1]
-            for j in range(w):
-                mask[base + j * n : base + (j + 1) * n] = lens > j
+        mask[self._lane_slots()[2]] = True
         return mask
+
+    def _lane_slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """This format's slot map (:func:`_lane_slots`)."""
+        return _lane_slots(
+            self.row_lengths,
+            self.group_row_offsets,
+            self.group_data_offsets,
+            self.group_widths,
+        )
 
     def validate(self):
         """Run the runtime invariant checkers over this instance.
@@ -247,26 +263,15 @@ class RGCSRMatrix(SparseFormat):
     # ------------------------------------------------------------------ #
 
     def to_scipy(self) -> _sp.csr_matrix:
-        rows, cols, data = [], [], []
-        for g in range(self.n_groups):
-            r0, r1 = int(self.group_row_offsets[g]), int(self.group_row_offsets[g + 1])
-            n, w = r1 - r0, int(self.group_widths[g])
-            base = int(self.group_data_offsets[g])
-            grp_rows = self.row_perm[r0:r1]
-            lens = self.row_lengths[r0:r1]
-            for j in range(w):
-                valid = np.flatnonzero(lens > j)
-                slot = base + j * n + valid
-                rows.append(grp_rows[valid])
-                cols.append(self.col_index[slot])
-                data.append(self.values[slot])
-        if rows:
-            rows = np.concatenate(rows)
-            cols = np.concatenate(cols)
-            data = np.concatenate(data)
-        else:
-            rows = cols = np.empty(0, dtype=np.int64)
-            data = np.empty(0, dtype=np.float64)
+        lens, _, slot = self._lane_slots()
+        valid = np.zeros(self.padded_slots, dtype=bool)
+        valid[slot] = True
+        row_of = np.zeros(self.padded_slots, dtype=np.int64)
+        row_of[slot] = np.repeat(self.row_perm, lens)
+        # Entries in flat lane order: group by group, lane by lane.
+        rows = row_of[valid]
+        cols = self.col_index[valid]
+        data = self.values[valid]
         return _sp.coo_matrix((data, (rows, cols)), shape=self.shape).tocsr()
 
     def footprint(self, sizes: ByteSizes = FP32) -> Footprint:

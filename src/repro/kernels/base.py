@@ -40,6 +40,8 @@ from __future__ import annotations
 
 import abc
 import copy
+import threading
+import weakref
 from dataclasses import dataclass, replace
 from typing import Any, ClassVar
 
@@ -58,6 +60,7 @@ __all__ = [
     "KernelResult",
     "RowKernel",
     "SpMVKernel",
+    "StreamProfile",
     "register_kernel",
     "get_kernel",
     "available_kernels",
@@ -412,6 +415,45 @@ class RowKernel(SpMVKernel):
         for _ in range(1, k or 1):
             stats = stats.sequential(one)
         return RowLaunch(plan, sums, stats, fmt.ncols)
+
+
+class StreamProfile:
+    """What every launch of one merge-path CSR or RG-CSR format derives
+    alike, computed once per format and kept for its lifetime.
+
+    ``decoded`` is the stream the kernel decodes and checks (merge-path
+    CSR: each element's row; RG-CSR: the lane validity mask), set by the
+    kernel on the first launch that runs with no fault plan active, and
+    read-only.  ``traffic`` maps each read model -- value bytes, texture
+    cache size, line size and whether the texture path is used -- to the
+    cache-model traffic of the format's column stream, which every
+    workgroup size shares.  Under a fault plan each launch still decodes
+    its own perturbed copy.
+
+    Profiles are weak-keyed on their formats, so a profile dies with its
+    format, and a profile holds no reference to one.
+    """
+
+    __slots__ = ("decoded", "traffic")
+
+    def __init__(self):
+        self.decoded: np.ndarray | None = None
+        self.traffic: dict[tuple, tuple] = {}
+
+    @classmethod
+    def of(cls, fmt) -> "StreamProfile":
+        """``fmt``'s profile, made on first use."""
+        profile = _STREAM_PROFILES.get(fmt)
+        if profile is None:
+            with _STREAM_PROFILES_LOCK:
+                profile = _STREAM_PROFILES.setdefault(fmt, cls())
+        return profile
+
+
+_STREAM_PROFILES: "weakref.WeakKeyDictionary[SparseFormat, StreamProfile]" = (
+    weakref.WeakKeyDictionary()
+)
+_STREAM_PROFILES_LOCK = threading.Lock()
 
 
 _REGISTRY: dict[str, SpMVKernel] = {}

@@ -29,7 +29,7 @@ from ..gpu.counters import KernelStats
 from ..gpu.device import DeviceSpec
 from ..gpu.memory import stream_bytes
 from ..util import ceil_div
-from .base import RowKernel, register_kernel
+from .base import RowKernel, StreamProfile, register_kernel
 from .config import YaSpMVConfig
 
 __all__ = ["MergePathKernel", "MergePlan", "merge_path_stats"]
@@ -81,13 +81,7 @@ def merge_path_stats(
     read += stream_bytes(fmt.nrows + 1, _IDX_B, txn)
     read += stream_bytes(fmt.n_teams, _IDX_B, txn)
 
-    vec_dram, vec_cached = vector_read_traffic(
-        fmt.col_index,
-        val_b,
-        cache_bytes=device.tex_cache_bytes,
-        line_bytes=device.tex_line_bytes,
-        use_cache=cfg.use_texture,
-    )
+    vec_dram, vec_cached = _column_traffic(fmt, val_b, device, cfg.use_texture)
     read += vec_dram
 
     n_rows_out = fmt.row_map().shape[0]
@@ -123,6 +117,34 @@ def merge_path_stats(
     )
 
 
+def _column_traffic(
+    fmt: MergeCSRMatrix, val_b: int, device: DeviceSpec, use_cache: bool
+) -> tuple:
+    """The cache-model traffic of ``fmt``'s column stream under one read
+    model, computed once per format (:class:`~repro.kernels.base.StreamProfile`)."""
+    traffic = StreamProfile.of(fmt).traffic
+    key = (val_b, device.tex_cache_bytes, device.tex_line_bytes, use_cache)
+    if key not in traffic:
+        traffic[key] = vector_read_traffic(
+            fmt.col_index,
+            val_b,
+            cache_bytes=device.tex_cache_bytes,
+            line_bytes=device.tex_line_bytes,
+            use_cache=use_cache,
+        )
+    return traffic[key]
+
+
+def _decoded_rows(fmt: MergeCSRMatrix) -> np.ndarray:
+    """``fmt``'s element rows, decoded and checked once per format."""
+    profile = StreamProfile.of(fmt)
+    if profile.decoded is None:
+        rows = decode_rows(fmt, fmt.row_stops())
+        rows.flags.writeable = False
+        profile.decoded = rows
+    return profile.decoded
+
+
 def shared_mem(fmt: MergeCSRMatrix, cfg: YaSpMVConfig) -> int:
     """Per-workgroup shared memory: carry-scan buffer + team coordinates."""
     wg = cfg.workgroup_size
@@ -134,22 +156,24 @@ class MergePlan:
     """The x-independent state of one merge-path launch.
 
     The column stream and every element's row, decoded from the
-    end-of-row markers under the fault hooks (a fault plan perturbs this
-    launch's decoded copies exactly like corrupted device buffers
-    would), plus the cost profile.
+    end-of-row markers, plus the cost profile.  With no fault plan
+    active the rows are decoded once per format and shared, read-only;
+    under one, each launch decodes its own copies under the fault hooks
+    (a fault plan perturbs them exactly like corrupted device buffers
+    would).
     """
 
     __slots__ = ("cfg", "cols", "rows")
 
     def __init__(self, fmt: MergeCSRMatrix, cfg: YaSpMVConfig):
-        stops = fmt.row_stops()
-        cols = fmt.col_index
-        fault = active_plan()
-        if fault is not None:
-            stops = fault.perturb_stops(stops, n_valid=fmt.nnz)
-            cols = fault.perturb_columns(cols, n_valid=fmt.nnz)
         self.cfg = cfg
-        self.cols = cols
+        fault = active_plan()
+        if fault is None:
+            self.cols = fmt.col_index
+            self.rows = _decoded_rows(fmt)
+            return
+        stops = fault.perturb_stops(fmt.row_stops(), n_valid=fmt.nnz)
+        self.cols = fault.perturb_columns(fmt.col_index, n_valid=fmt.nnz)
         self.rows = decode_rows(fmt, stops)
 
     def stats(self, fmt: MergeCSRMatrix, device: DeviceSpec) -> KernelStats:

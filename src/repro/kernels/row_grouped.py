@@ -27,8 +27,7 @@ from ..gpu.caches import vector_read_traffic
 from ..gpu.counters import KernelStats
 from ..gpu.device import DeviceSpec
 from ..gpu.memory import stream_bytes
-from ..util import ceil_div
-from .base import RowKernel, register_kernel
+from .base import RowKernel, StreamProfile, register_kernel
 from .config import YaSpMVConfig
 
 __all__ = ["RowGroupPlan", "RowGroupedKernel", "row_grouped_stats"]
@@ -47,10 +46,44 @@ def _col_bytes(fmt: RGCSRMatrix) -> int:
     return _SHORT_B if fmt.ncols < _SHORT_COL_LIMIT else _IDX_B
 
 
-def gather_order(fmt: RGCSRMatrix) -> np.ndarray:
-    """Column indices in the order the launch gathers ``x`` (valid lanes,
-    flat lane-major order) -- the stream the texture model sees."""
-    return fmt.col_index[fmt.lane_mask()]
+def _lane_mask(fmt: RGCSRMatrix) -> np.ndarray:
+    """``fmt``'s lane validity mask, decoded and checked once per format."""
+    profile = StreamProfile.of(fmt)
+    if profile.decoded is None:
+        mask = fmt.lane_mask()
+        _check_lane_count(mask, fmt)
+        mask.flags.writeable = False
+        profile.decoded = mask
+    return profile.decoded
+
+
+def _check_lane_count(mask: np.ndarray, fmt: RGCSRMatrix) -> None:
+    n_valid = int(mask.sum())
+    if n_valid != fmt.nnz:
+        raise ValidationError(
+            f"lane validity mask encodes {n_valid} non-zeros but the "
+            f"row lengths hold {fmt.nnz}",
+            check="lane_mask_count",
+        )
+
+
+def _column_traffic(
+    fmt: RGCSRMatrix, val_b: int, device: DeviceSpec, use_cache: bool
+) -> tuple:
+    """The cache-model traffic of the columns the launch gathers ``x``
+    at (valid lanes, flat lane-major order) under one read model,
+    computed once per format (:class:`~repro.kernels.base.StreamProfile`)."""
+    traffic = StreamProfile.of(fmt).traffic
+    key = (val_b, device.tex_cache_bytes, device.tex_line_bytes, use_cache)
+    if key not in traffic:
+        traffic[key] = vector_read_traffic(
+            fmt.col_index[_lane_mask(fmt)],
+            val_b,
+            cache_bytes=device.tex_cache_bytes,
+            line_bytes=device.tex_line_bytes,
+            use_cache=use_cache,
+        )
+    return traffic[key]
 
 
 def row_grouped_stats(
@@ -72,13 +105,7 @@ def row_grouped_stats(
     read += stream_bytes(fmt.n_packed_rows, _IDX_B, txn)  # row_lengths
     read += stream_bytes(3 * fmt.n_groups + 2, _IDX_B, txn)  # descriptors
 
-    vec_dram, vec_cached = vector_read_traffic(
-        gather_order(fmt),
-        val_b,
-        cache_bytes=device.tex_cache_bytes,
-        line_bytes=device.tex_line_bytes,
-        use_cache=cfg.use_texture,
-    )
+    vec_dram, vec_cached = _column_traffic(fmt, val_b, device, cfg.use_texture)
     read += vec_dram
 
     write = stream_bytes(fmt.n_packed_rows, val_b, txn)
@@ -90,16 +117,14 @@ def row_grouped_stats(
     # One workgroup covers ``wg`` rows of a group; its work is the
     # group's padded width times its rows -- uneven across groups, which
     # is exactly where this format loses to the merge path.
-    work = []
-    for g in range(fmt.n_groups):
-        r0 = int(fmt.group_row_offsets[g])
-        r1 = int(fmt.group_row_offsets[g + 1])
-        w = int(fmt.group_widths[g])
-        n = r1 - r0
-        for chunk in range(ceil_div(n, wg)):
-            rows_here = min(wg, n - chunk * wg)
-            work.append(rows_here * w)
-    workgroup_work = np.asarray(work if work else [1], dtype=np.float64)
+    rows = np.diff(fmt.group_row_offsets)
+    chunks = -(-rows // wg)
+    group = np.repeat(np.arange(rows.shape[0]), chunks)
+    chunk = np.arange(group.shape[0]) - np.repeat(np.cumsum(chunks) - chunks, chunks)
+    work = np.minimum(rows[group] - chunk * wg, wg) * fmt.group_widths[group]
+    workgroup_work = (
+        work.astype(np.float64) if work.size else np.ones(1, dtype=np.float64)
+    )
 
     return KernelStats(
         flops=2.0 * nnz,
@@ -120,28 +145,25 @@ def row_grouped_stats(
 class RowGroupPlan:
     """The x-independent state of one row-grouped launch.
 
-    The lane validity mask and column stream, decoded under the fault
-    hooks (a fault plan perturbs this launch's decoded copies exactly
-    like corrupted device buffers would), plus the cost profile.
+    The lane validity mask and column stream, plus the cost profile.
+    With no fault plan active the mask is decoded and checked once per
+    format and shared, read-only; under one, each launch decodes its
+    own copies under the fault hooks (a fault plan perturbs them
+    exactly like corrupted device buffers would).
     """
 
     __slots__ = ("cfg", "cols", "mask")
 
     def __init__(self, fmt: RGCSRMatrix, cfg: YaSpMVConfig):
-        mask = fmt.lane_mask()
-        cols = fmt.col_index
-        fault = active_plan()
-        if fault is not None:
-            mask = fault.perturb_stops(mask, n_valid=fmt.padded_slots)
-            cols = fault.perturb_columns(cols, n_valid=fmt.padded_slots)
-        n_valid = int(mask.sum())
-        if n_valid != fmt.nnz:
-            raise ValidationError(
-                f"lane validity mask encodes {n_valid} non-zeros but the "
-                f"row lengths hold {fmt.nnz}",
-                check="lane_mask_count",
-            )
         self.cfg = cfg
+        fault = active_plan()
+        if fault is None:
+            self.cols = fmt.col_index
+            self.mask = _lane_mask(fmt)
+            return
+        mask = fault.perturb_stops(fmt.lane_mask(), n_valid=fmt.padded_slots)
+        cols = fault.perturb_columns(fmt.col_index, n_valid=fmt.padded_slots)
+        _check_lane_count(mask, fmt)
         self.cols = cols
         self.mask = mask
 

@@ -36,8 +36,9 @@ __all__ = ["StageClock", "stage", "stage_scope", "active_stages"]
 class StageClock:
     """Exclusive wall seconds per stage, plus event counts.
 
-    ``counts`` carries what the stages did (``layouts``: block layouts
-    the tuner's candidate walk extracted; ``profiles``: the profile-only
+    ``counts`` carries what the stages did (``key_sorts``: stable sorts
+    of a matrix's block keys, one per block height; ``layouts``: block
+    layouts the tuner's candidate walk extracted; ``profiles``: the profile-only
     launches it ran; ``geometries``: the launch geometries those
     launches computed, one per distinct (stop positions, tile,
     workgroup size, workgroup count)).

@@ -19,9 +19,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from ..formats.bccoo import BCCOOMatrix
+from ..formats.bccoo import BCCOOMatrix, auto_col_storage
 from ..formats.bccoo_plus import BCCOOPlusMatrix
-from ..formats.blocking import extract_blocks
+from ..formats.blocking import BlockOrders, extract_blocks
 from ..formats.merge_csr import MergeCSRMatrix
 from ..formats.rgcsr import RGCSRMatrix
 from ..kernels.yaspmv_common import FormatProfile
@@ -81,38 +81,68 @@ class KernelPlanCache:
         return len(self._plans)
 
 
-def build_format(csr, point: TuningPoint):
-    """Convert ``csr`` to the format ``point`` describes -- the one
-    point->format builder (the tuner's :class:`FormatCache` and
-    ``SpMVEngine.prepare`` both call it)."""
+def build_format(matrix, point: TuningPoint):
+    """Convert ``matrix`` -- a canonical CSR or its
+    :class:`~repro.formats.blocking.BlockOrders` -- to the format
+    ``point`` describes: the one point->format builder (the tuner's
+    :class:`FormatCache` and ``SpMVEngine.prepare`` both call it)."""
+    orders = BlockOrders.coerce(matrix)
     if point.base_format != "bccoo":
         fmt_cls = MergeCSRMatrix if point.base_format == "merge_csr" else RGCSRMatrix
         with stage("convert"):
-            return fmt_cls.from_scipy(csr)
-    return _from_layout(_block_layout(csr, point), point)
+            return fmt_cls.from_scipy(orders.csr)
+    layout = _block_layout(orders, point)
+    return _from_layout(layout, point, _col_storage(layout, point))
 
 
-def _block_layout(csr, point: TuningPoint):
+def _block_layout(orders: BlockOrders, point: TuningPoint):
     """The (h, w, slice) block layout ``point``'s BCCOO/BCCOO+ format is
     built from: every bit word, column storage and tile shares it."""
     h, w = point.block_height, point.block_width
     with stage("blocking"):
         if point.slice_count > 1:
-            return BCCOOPlusMatrix.stacked_layout(csr, point.slice_count, h, w)
-        return extract_blocks(csr, h, w)
+            return BCCOOPlusMatrix.stacked_layout(orders.csr, point.slice_count, h, w)
+        return extract_blocks(orders, h, w)
 
 
-def _from_layout(layout, point: TuningPoint):
-    """``point``'s BCCOO/BCCOO+ format, built from its block layout."""
+def _col_storage(layout, point: TuningPoint) -> str:
+    """``point``'s column storage on ``layout``: ``int32`` without column
+    compression, else what ``auto`` picks, which depends on the layout
+    and the delta tile alone."""
+    if not point.col_compress:
+        return "int32"
+    tile = point.kernel.effective_tile
+    with stage("convert"):
+        if point.slice_count > 1:
+            return BCCOOPlusMatrix.auto_col_storage(layout, tile)
+        return auto_col_storage(layout, tile)
+
+
+def _from_layout(layout, point: TuningPoint, col_storage: str):
+    """``point``'s BCCOO/BCCOO+ format, built from its block layout with
+    column storage ``col_storage`` (:func:`_col_storage`)."""
     kwargs = dict(
         bit_word_dtype=point.bit_word_dtype,
-        col_storage="auto" if point.col_compress else "int32",
+        col_storage=col_storage,
         delta_tile_size=point.kernel.effective_tile,
     )
     with stage("convert"):
         if point.slice_count > 1:
             return BCCOOPlusMatrix.from_stacked_layout(layout, **kwargs)
         return BCCOOMatrix.from_block_layout(layout, **kwargs)
+
+
+class _Layout:
+    """One held block layout: the last format profile built on it, that
+    profile's id, and its column storage per delta tile."""
+
+    __slots__ = ("layout", "profile", "profile_id", "col_storage")
+
+    def __init__(self, layout):
+        self.layout = layout
+        self.profile = None
+        self.profile_id = None
+        self.col_storage: dict[int, str] = {}
 
 
 class FormatCache:
@@ -122,7 +152,11 @@ class FormatCache:
     Each distinct format is built once (``conversions`` counts the
     builds) from its (h, w, slice) block layout, which is extracted once
     (``layouts`` counts the extractions) and shared by every bit word,
-    column storage and tile.  A format whose columns are stored as
+    column storage and tile.  ``matrix`` may be its
+    :class:`~repro.formats.blocking.BlockOrders`, whose one sort per
+    block height every layout of that height reuses.  The column storage
+    ``auto`` picks is probed once per layout and delta tile, for every
+    bit word.  A format whose columns are stored as
     ``ushort`` does not depend on the delta tile, so it serves every
     tile.  Each BCCOO format's
     :class:`~repro.kernels.yaspmv_common.FormatProfile` is decoded as it
@@ -153,14 +187,14 @@ class FormatCache:
     """
 
     def __init__(self, matrix):
-        self._matrix = matrix
+        #: The matrix with its per-height block-key orders.
+        self._orders = BlockOrders.coerce(matrix)
         #: The ``(base_format, h, w)`` whose formats are held.
         self._block: tuple | None = None
         #: Format key -> (format, profile class or ``None``).
         self._built: dict[tuple, tuple] = {}
-        #: The held block size's slice count -> [block layout, last
-        #: format profile built on it, that profile's id]
-        self._layouts: dict[int, list] = {}
+        #: The held block size's slice count -> its layout.
+        self._layouts: dict[int, _Layout] = {}
         #: Profile signature -> class.
         self._classes: dict[tuple, int] = {}
         #: Ids of the decoded profiles a signature names.
@@ -170,6 +204,11 @@ class FormatCache:
         self.by_class: dict[tuple, object] = {}
         self.conversions = 0
         self.layouts = 0
+
+    @property
+    def matrix(self):
+        """The canonical CSR the formats are built from."""
+        return self._orders.csr
 
     def get(self, point: TuningPoint):
         """``point``'s format."""
@@ -194,7 +233,7 @@ class FormatCache:
     def _build(self, point: TuningPoint, key: tuple) -> tuple:
         if point.base_format != "bccoo":
             self.conversions += 1
-            return build_format(self._matrix, point), None
+            return build_format(self._orders, point), None
         # A ushort-column format does not depend on the delta tile, the
         # key's last member: one format serves every tile.
         any_tile = key[:-1]
@@ -203,24 +242,30 @@ class FormatCache:
             return built
         entry = self._layouts.get(point.slice_count)
         if entry is None:
-            entry = [_block_layout(self._matrix, point), None, None]
+            entry = _Layout(_block_layout(self._orders, point))
             self._layouts[point.slice_count] = entry
             self.layouts += 1
-        fmt = _from_layout(entry[0], point)
+        # The key's last member: the delta tile, 0 without compression.
+        col_storage = entry.col_storage.get(key[-1])
+        if col_storage is None:
+            col_storage = entry.col_storage[key[-1]] = _col_storage(
+                entry.layout, point
+            )
+        fmt = _from_layout(entry.layout, point, col_storage)
         self.conversions += 1
         bccoo = fmt.stacked if isinstance(fmt, BCCOOPlusMatrix) else fmt
-        last = entry[1]
+        last = entry.profile
         with stage("convert"):
-            profile = entry[1] = FormatProfile.of(bccoo, share=last)
+            profile = entry.profile = FormatProfile.of(bccoo, share=last)
         if (
             last is None
             or profile.stop_pos is not last.stop_pos
             or profile.reads is not last.reads
         ):
-            entry[2] = next(self._profile_ids)
+            entry.profile_id = next(self._profile_ids)
         delta = bccoo.delta
         signature = (
-            entry[2],
+            entry.profile_id,
             bccoo.col_storage,
             None if delta is None else (delta.n_tiles, delta.fallback_fraction),
             bccoo.nonempty_block_rows.shape[0],

@@ -91,15 +91,22 @@ class CandidateOutcome:
 
 def evaluate_candidates(
     items: list[tuple[int, TuningPoint]],
-    csr,
+    matrix,
     device: DeviceSpec,
     deadline: Deadline | None = None,
     on_outcome=None,
-) -> list[CandidateOutcome]:
+) -> tuple[list[CandidateOutcome], dict[int, object]]:
     """Evaluate index-tagged candidates in order: the one evaluation path.
 
-    Each candidate's format is converted from ``csr`` (once per format
-    key) and timed by the simulated cost profile of its launch.  The
+    Returns the outcomes and, by enumeration index, the format of the
+    best evaluated candidate -- the least (simulated time, index), the
+    one the winner check checks first -- so the check can run on the
+    format the walk built instead of converting again (empty when no
+    candidate was evaluable).
+
+    Each candidate's format is converted from ``matrix`` -- a canonical
+    CSR or its :class:`~repro.formats.blocking.BlockOrders` -- (once per
+    format key) and timed by the simulated cost profile of its launch.  The
     ranking reads only that profile, so with no fault plan active the
     launch is profile-only (:meth:`~repro.kernels.SpMVKernel.profile`):
     every check runs and the plan is built per call, but no sums are
@@ -139,11 +146,15 @@ def evaluate_candidates(
     interpreter = get_backend("faithful")
     full_launch = active_plan() is not None
     timing = TimingModel(device)
-    fmt_cache = FormatCache(csr)
+    fmt_cache = FormatCache(matrix)
+    csr = fmt_cache.matrix
     x = np.ones(csr.shape[1], dtype=np.float64)
     nnz = int(csr.nnz)
     outcomes: list[CandidateOutcome] = []
     profiles = 0
+    #: (simulated time, index) and format of the best candidate so far.
+    best: tuple | None = None
+    best_fmt = None
 
     def emit(outcome: CandidateOutcome) -> None:
         outcomes.append(outcome)
@@ -206,6 +217,8 @@ def evaluate_candidates(
                     )
                 )
                 continue
+            if best is None or (result.t_total, index) < best:
+                best, best_fmt = (result.t_total, index), fmt
             emit(
                 CandidateOutcome(
                     index=index,
@@ -223,7 +236,7 @@ def evaluate_candidates(
     if clock is not None:
         clock.count("layouts", fmt_cache.layouts)
         clock.count("profiles", profiles)
-    return outcomes
+    return outcomes, ({} if best is None else {best[1]: best_fmt})
 
 
 def _launch_key(cls: int, point: TuningPoint, fmt) -> tuple:

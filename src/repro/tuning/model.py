@@ -30,9 +30,9 @@ import time
 from dataclasses import dataclass
 
 from ..errors import TuningError
-from ..formats.blocking import block_keys_by_dim
+from ..formats.blocking import BlockOrders
 from ..gpu.device import DeviceSpec
-from ..util import as_csr, canonical_csr, ceil_div
+from ..util import ceil_div
 from .cache import KernelPlanCache
 from .evaluate import evaluate_candidates
 from .parameters import TuningPoint
@@ -54,10 +54,12 @@ class MatrixSummary:
 
     @classmethod
     def measure(cls, matrix, dims: list[tuple[int, int]]) -> "MatrixSummary":
-        """Count each ``(h, w)``'s blocks from the key pass alone."""
-        csr = canonical_csr(matrix)
+        """Count each ``(h, w)``'s blocks from the key pass alone
+        (``matrix`` may be its :class:`BlockOrders`)."""
+        orders = BlockOrders.coerce(matrix)
+        csr = orders.csr
         blocks = {
-            (h, w): keys.shape[0] for h, w, keys in block_keys_by_dim(csr, dims)
+            (h, w): keys.shape[0] for h, w, keys in orders.keys_by_dim(dims)
         }
         return cls(
             nrows=csr.shape[0],
@@ -146,13 +148,13 @@ class ModelDrivenTuner:
         self.plan_cache = KernelPlanCache()
 
     def tune(self, matrix) -> TuningResult:
-        csr = as_csr(matrix)
+        orders = BlockOrders(matrix)
 
-        items = list(enumerate(pruned_space(csr, self.device)))
+        items = list(enumerate(pruned_space(orders, self.device)))
         if not items:
             raise TuningError("empty pruned space")
         dims = sorted({(p.block_height, p.block_width) for _, p in items})
-        summary = MatrixSummary.measure(csr, dims)
+        summary = MatrixSummary.measure(orders, dims)
         model = CostModel(self.device)
 
         t0 = time.perf_counter()
@@ -161,5 +163,5 @@ class ModelDrivenTuner:
         # Survivors run in enumeration order, so ties break exactly as
         # they do in the full search.
         survivors = sorted(ranked[:keep], key=lambda it: it[0])
-        outcomes = evaluate_candidates(survivors, csr, self.device)
-        return _fold(outcomes, self.plan_cache, t0, csr, self.device)
+        outcomes, built = evaluate_candidates(survivors, orders, self.device)
+        return _fold(outcomes, self.plan_cache, t0, orders, self.device, built=built)

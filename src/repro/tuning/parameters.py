@@ -77,6 +77,33 @@ class TuningPoint:
                     f"{self.base_format} is unblocked "
                     f"(got {self.block_height}x{self.block_width})"
                 )
+        # The tuner looks formats and plans up by these keys for every
+        # candidate, so each is computed once, here.  They are no fields:
+        # equality, repr, fields(), replace() and asdict() ignore them.
+        kernel = self.kernel
+        format_key = (
+            self.format_name,
+            self.block_height,
+            self.block_width,
+            self.bit_word,
+            self.col_compress,
+            self.slice_count,
+            kernel.effective_tile if self.col_compress else 0,
+        )
+        self.__dict__["_format_key"] = format_key
+        self.__dict__["_plan_key"] = format_key + (
+            kernel.workgroup_size,
+            kernel.strategy,
+            kernel.reg_size,
+            kernel.shm_size,
+            kernel.tile_size,
+            kernel.result_cache_multiple,
+            kernel.transpose,
+            kernel.use_texture,
+            kernel.scan_mode,
+            kernel.cross_wg,
+            kernel.fine_grain,
+        )
 
     @property
     def format_name(self) -> str:
@@ -92,15 +119,7 @@ class TuningPoint:
 
     def format_key(self) -> tuple:
         """Hashable key identifying the format build (conversion cache)."""
-        return (
-            self.format_name,
-            self.block_height,
-            self.block_width,
-            self.bit_word,
-            self.col_compress,
-            self.slice_count,
-            self.kernel.effective_tile if self.col_compress else 0,
-        )
+        return self._format_key
 
     def plan_key(self) -> tuple:
         """Hashable key identifying the compiled kernel specialization.
@@ -108,19 +127,7 @@ class TuningPoint:
         Mirrors what the paper's OpenCL code generator bakes into a
         kernel binary: everything except the matrix contents.
         """
-        return self.format_key() + (
-            self.kernel.workgroup_size,
-            self.kernel.strategy,
-            self.kernel.reg_size,
-            self.kernel.shm_size,
-            self.kernel.tile_size,
-            self.kernel.result_cache_multiple,
-            self.kernel.transpose,
-            self.kernel.use_texture,
-            self.kernel.scan_mode,
-            self.kernel.cross_wg,
-            self.kernel.fine_grain,
-        )
+        return self._plan_key
 
     def with_kernel(self, **kw) -> "TuningPoint":
         """Copy with kernel-config fields overridden."""

@@ -25,10 +25,10 @@ from __future__ import annotations
 import functools
 from typing import Iterable, Iterator
 
+from ..formats.blocking import BlockOrders
 from ..formats.footprint import bccoo_block_candidates
 from ..gpu.device import DeviceSpec
 from ..kernels.config import YaSpMVConfig
-from ..util import as_csr
 from .parameters import (
     BIT_WORDS,
     BLOCK_HEIGHTS,
@@ -56,12 +56,14 @@ _CACHE_MULTIPLES: tuple[int, ...] = (1, 2)
 def candidate_slice_counts(matrix, device: DeviceSpec) -> tuple[int, ...]:
     """Slice counts worth trying: (1,) unless the vector overflows cache.
 
+    ``matrix`` may be its :class:`~repro.formats.blocking.BlockOrders`.
+
     The vector occupies ``ncols * 4`` bytes; when one texture cache
     cannot hold it, vertical slicing can raise the hit rate, so BCCOO+
     joins the search with slice widths bringing each slice's vector
     window near the cache size.
     """
-    ncols = as_csr(matrix).shape[1]
+    ncols = BlockOrders.coerce(matrix).shape[1]
     vector_bytes = ncols * 4
     if vector_bytes <= device.tex_cache_bytes:
         return (1,)
@@ -74,23 +76,25 @@ def candidate_slice_counts(matrix, device: DeviceSpec) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def base_format_points(pruned: bool = True) -> Iterator[TuningPoint]:
+@functools.cache
+def base_format_points(pruned: bool = True) -> tuple[TuningPoint, ...]:
     """Candidates for the related-work formats (merge-path CSR, RG-CSR).
 
     Neither format has blocking, bit-flag, column-compression or slicing
     axes, so their sub-space is just the launch geometry: one point per
     (format, workgroup size) -- plus the texture toggle when unpruned.
+    Built once per process for each space.
     """
     textures = (True,) if pruned else (True, False)
-    for base in ("merge_csr", "rgcsr"):
-        for wg in WORKGROUP_SIZES:
-            for texture in textures:
-                yield TuningPoint(
-                    base_format=base,
-                    kernel=YaSpMVConfig(
-                        workgroup_size=wg, use_texture=texture
-                    ),
-                )
+    return tuple(
+        TuningPoint(
+            base_format=base,
+            kernel=YaSpMVConfig(workgroup_size=wg, use_texture=texture),
+        )
+        for base in ("merge_csr", "rgcsr")
+        for wg in WORKGROUP_SIZES
+        for texture in textures
+    )
 
 
 @functools.cache
@@ -131,26 +135,41 @@ def _enumerate_kernel_configs(pruned: bool) -> Iterator[YaSpMVConfig]:
                         )
 
 
+@functools.cache
+def _pruned_points(
+    block_height: int, block_width: int, bit_word: str, slice_count: int
+) -> tuple[TuningPoint, ...]:
+    """The pruned kernel configurations of one (h, w, bit word, slice
+    count), as points: built once per process, and at most 12 x 3 x 6
+    such tuples exist."""
+    return tuple(
+        TuningPoint(
+            block_height=block_height,
+            block_width=block_width,
+            bit_word=bit_word,
+            col_compress=True,
+            slice_count=slice_count,
+            kernel=cfg,
+        )
+        for cfg in _kernel_configs(pruned=True)
+    )
+
+
 def pruned_space(matrix, device: DeviceSpec) -> Iterator[TuningPoint]:
     """The accelerated search of section 4: each of the 4 block
     dimensions with the smallest footprints, crossed with every bit
     word, candidate slice count and pruned kernel configuration, then
-    the related-work formats' launch geometries."""
-    blocks = bccoo_block_candidates(matrix, keep=4)
-    slices = candidate_slice_counts(matrix, device)
-    configs = _kernel_configs(pruned=True)
+    the related-work formats' launch geometries.
+
+    ``matrix`` may be its :class:`~repro.formats.blocking.BlockOrders`,
+    so that the walk's layouts reuse the ranking's sorts."""
+    orders = BlockOrders.coerce(matrix)
+    blocks = bccoo_block_candidates(orders, keep=4)
+    slices = candidate_slice_counts(orders, device)
     for h, w, _bytes in blocks:
         for word in BIT_WORDS:
             for s in slices:
-                for cfg in configs:
-                    yield TuningPoint(
-                        block_height=h,
-                        block_width=w,
-                        bit_word=word,
-                        col_compress=True,
-                        slice_count=s,
-                        kernel=cfg,
-                    )
+                yield from _pruned_points(h, w, word, s)
     yield from base_format_points(pruned=True)
 
 

@@ -31,10 +31,11 @@ from ..errors import DeadlineExceeded, ReproError, TuningError
 from ..fault.injection import fault_scope
 from ..fault.retry import Deadline
 from ..fault.validation import verify_output
+from ..formats.blocking import BlockOrders
 from ..gpu.device import DeviceSpec
 from ..obs import NULL_OBSERVER, obs_scope
 from ..obs.stages import StageClock, active_stages, stage, stage_scope
-from ..util import as_csr
+from ..util import canonical_csr
 from .cache import KernelPlanCache, build_format
 from .checkpoint import TuningCheckpoint
 from .evaluate import CandidateOutcome, Evaluation, evaluate_candidates
@@ -274,16 +275,19 @@ class AutoTuner:
             device=self.device.name,
         ) as tune_span:
             counts0 = dict(clock.counts) if clock is not None else {}
-            csr = as_csr(matrix)
+            csr = canonical_csr(matrix)
+            # Sorted once per block height, for the ranking, the walk's
+            # layouts and the winner check alike.
+            orders = BlockOrders(csr)
 
             with obs.span(
                 "tuner.enumerate", mode=self.mode
             ) as enum_span, stage("enumerate"):
                 if self.mode == "pruned":
-                    space = pruned_space(csr, self.device)
+                    space = pruned_space(orders, self.device)
                 else:
                     space = exhaustive_space(
-                        csr, self.device, **self.exhaustive_kwargs
+                        orders, self.device, **self.exhaustive_kwargs
                     )
                 items = list(enumerate(space))
                 enum_span.set(candidates=len(items))
@@ -303,9 +307,9 @@ class AutoTuner:
                 on_outcome = checkpoint.append
             todo = [it for it in items if it[0] not in restored]
             try:
-                new = evaluate_candidates(
+                new, built = evaluate_candidates(
                     todo,
-                    csr,
+                    orders,
                     self.device,
                     deadline=deadline,
                     on_outcome=on_outcome,
@@ -322,12 +326,13 @@ class AutoTuner:
                     outcomes,
                     self.plan_cache,
                     t0,
-                    csr,
+                    orders,
                     self.device,
                     observer=obs,
                     keep_history=self.keep_history,
                     partial=len(outcomes) < len(items),
                     resumed=len(restored),
+                    built=built,
                 )
             tune_span.set(
                 evaluated=result.evaluated,
@@ -362,8 +367,12 @@ class AutoTuner:
             if clock is not None:
                 walked = {
                     name: clock.counts.get(name, 0) - counts0.get(name, 0)
-                    for name in ("layouts", "profiles", "geometries")
+                    for name in ("key_sorts", "layouts", "profiles", "geometries")
                 }
+                obs.counter(
+                    "tuner.key_sorts",
+                    "stable block-key sorts of the tune, one per block height",
+                ).inc(walked["key_sorts"])
                 obs.counter(
                     "tuner.layouts", "block layouts the candidate walk extracted"
                 ).inc(walked["layouts"])
@@ -377,22 +386,25 @@ class AutoTuner:
             return result
 
 
-def _verify(point: TuningPoint, csr, device: DeviceSpec):
+def _verify(point: TuningPoint, orders: BlockOrders, device: DeviceSpec, fmt=None):
     """Execute ``point`` in full and check it -> ``(reason, format)``.
 
-    Builds the point's format from ``csr`` and runs the full ``faithful``
-    launch against a seeded standard-normal vector (with an all-ones
-    vector a wrong column gather could still give every row the right
-    sum), then compares every row with ``csr @ x`` at the engine's
+    Runs ``fmt``, the point's format as the walk built it, or builds it
+    from ``orders`` when the walk did not (``None``), on the full
+    ``faithful`` launch against a seeded standard-normal vector (with an
+    all-ones vector a wrong column gather could still give every row the
+    right sum), then compares every row with ``csr @ x`` at the engine's
     default tolerances.  Runs with no fault plan, so the check consumes
     no fault draws, and under a muted observer.  A pass returns
     ``(None, format)``; a failure returns the error class name -- the
     skip reason the tuner quarantines it under -- and ``None``.
     """
+    csr = orders.csr
     x = np.random.default_rng(0).standard_normal(csr.shape[1])
     try:
         with fault_scope(None), obs_scope(NULL_OBSERVER):
-            fmt = build_format(csr, point)
+            if fmt is None:
+                fmt = build_format(orders, point)
             y = get_backend("faithful").execute(fmt, x, device, config=point.kernel).y
         verify_output(csr, x, y, n_samples=None).raise_if_failed()
     except ReproError as exc:
@@ -400,13 +412,17 @@ def _verify(point: TuningPoint, csr, device: DeviceSpec):
     return None, fmt
 
 
-def _check_winner(outcomes, csr, device, observer):
+def _check_winner(outcomes, orders, device, observer, built):
     """Check the best candidates in rank order until one passes.
 
     The rank is (simulated time, enumeration index), the order the
-    fold's "first strictly faster wins" walk picks by.  Returns the skip
-    reason of each rejected candidate, by enumeration index, and the
-    format of the one that passed (``None`` when none did).
+    fold's "first strictly faster wins" walk picks by.  A candidate
+    whose format the walk kept (``built``, by enumeration index) is
+    checked on that format; any other -- one restored from a checkpoint
+    journal, or a runner-up after a rejection -- is built first.
+    Returns the skip reason of each rejected candidate, by enumeration
+    index, and the format of the one that passed (``None`` when none
+    did).
     """
     ranked = sorted(
         (o for o in outcomes if o.evaluation is not None),
@@ -420,7 +436,9 @@ def _check_winner(outcomes, csr, device, observer):
             index=outcome.index,
             point=str(outcome.point.format_key()),
         ) as vsp, stage("verify"):
-            reason, fmt = _verify(outcome.point, csr, device)
+            reason, fmt = _verify(
+                outcome.point, orders, device, built.get(outcome.index)
+            )
             vsp.set(ok=reason is None, reason=reason)
         if reason is None:
             break
@@ -446,16 +464,21 @@ def _fold(
     outcomes: list[CandidateOutcome],
     plan_cache: KernelPlanCache,
     t0: float,
-    csr,
+    matrix,
     device: DeviceSpec,
     observer=NULL_OBSERVER,
     keep_history: bool = True,
     partial: bool = False,
     resumed: int = 0,
+    built: dict[int, object] | None = None,
 ) -> TuningResult:
     """Fold index-ordered outcomes into a :class:`TuningResult`.
 
-    Every tuner ends here.  First the winner is executed and checked
+    Every tuner ends here.  ``matrix`` is the tuned canonical CSR or its
+    :class:`~repro.formats.blocking.BlockOrders`, and ``built`` the
+    formats the walk kept, by enumeration index
+    (:func:`~repro.tuning.evaluate.evaluate_candidates`).  First the
+    winner is executed and checked
     (:func:`_check_winner`); a candidate that fails the check is
     quarantined under its reason like one that raised, and the next in
     rank is checked.  Walking the outcomes in enumeration order then
@@ -470,7 +493,9 @@ def _fold(
     per-candidate wall clock as ``wall_s``; a disabled one costs the
     walk no span.
     """
-    rejected, checked_format = _check_winner(outcomes, csr, device, observer)
+    rejected, checked_format = _check_winner(
+        outcomes, BlockOrders.coerce(matrix), device, observer, built or {}
+    )
     hits0, misses0 = plan_cache.hits, plan_cache.misses
     best: Evaluation | None = None
     history: list[Evaluation] = []

@@ -2,11 +2,20 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 
 from repro.errors import FormatError
-from repro.formats.blocking import BlockLayout, blocks_to_coo_arrays, extract_blocks
+from repro.formats import FP32, FP64
+from repro.formats.bccoo import counted_footprint
+from repro.formats.blocking import (
+    BlockLayout,
+    BlockOrders,
+    blocks_to_coo_arrays,
+    extract_blocks,
+)
+from repro.formats.footprint import BLOCK_HEIGHTS, BLOCK_WIDTHS
+from repro.obs.stages import StageClock, stage_scope
 
 
 class TestExtractBlocks:
@@ -145,3 +154,72 @@ def test_extraction_equals_unique_definition(nrows, ncols, n, h, w, seed):
     assert np.array_equal(layout.block_col, bcol)
     assert np.array_equal(layout.values, values)
     assert layout.block_row.dtype == layout.block_col.dtype == np.int32
+
+
+@st.composite
+def _blockable(draw):
+    """A raw COO matrix -- duplicates, explicit zeros, empty rows and
+    columns -- that is one row, one column, narrow, or wider than 65,535
+    block columns at some block width."""
+    kind = draw(st.sampled_from(["row", "column", "narrow", "wide"]))
+    nrows = 1 if kind == "row" else draw(st.integers(1, 40))
+    if kind == "column":
+        ncols = 1
+    elif kind == "wide":
+        ncols = draw(st.integers(65_536, 300_000))
+    else:
+        ncols = draw(st.integers(1, 60))
+    n = draw(st.integers(0, 200))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    # Wide draws cluster some entries, so blocks share columns.
+    span = min(ncols, draw(st.sampled_from([ncols, 40])))
+    base = int(rng.integers(0, ncols - span + 1))
+    data = rng.choice([0.0, 1.5, -2.0, 3.25], size=n)
+    rows = rng.integers(0, nrows, n)
+    cols = base + rng.integers(0, span, n)
+    return sparse.coo_matrix((data, (rows, cols)), shape=(nrows, ncols))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_blockable())
+@example(sparse.coo_matrix(np.ones((1, 9))))
+@example(sparse.coo_matrix(np.ones((9, 1))))
+@example(sparse.coo_matrix((np.ones(3), ([0, 2, 2], [0, 70_000, 299_999])), shape=(3, 300_000)))
+def test_shared_orders_equal_independent_extraction(A):
+    """One :class:`BlockOrders` -- one sort per block height -- serves the
+    layouts and counted footprints of all twelve (h, w), each equal to
+    an independent extraction of that (h, w)."""
+    clock = StageClock()
+    with stage_scope(clock):
+        orders = BlockOrders(A)
+        dims = [(h, w) for h in BLOCK_HEIGHTS for w in BLOCK_WIDTHS]
+        keys = {(h, w): k for h, w, k in orders.keys_by_dim(dims)}
+        layouts = {(h, w): extract_blocks(orders, h, w) for h, w in dims}
+    assert clock.counts == {"key_sorts": 3}
+    for (h, w), layout in layouts.items():
+        brow, bcol, values = _reference_blocks(A, h, w)
+        assert np.array_equal(layout.block_row, brow)
+        assert np.array_equal(layout.block_col, bcol)
+        assert np.array_equal(layout.values, values)
+        fresh = extract_blocks(A, h, w)
+        for name in ("block_row", "block_col", "values"):
+            assert np.array_equal(getattr(layout, name), getattr(fresh, name))
+        nbc = -(-A.shape[1] // w)
+        reference_keys = brow.astype(np.int64) * nbc + bcol
+        assert np.array_equal(keys[h, w], reference_keys)
+        for sizes in (FP32, FP64):
+            shared = counted_footprint(keys[h, w], A.shape, h, w, sizes)
+            own = counted_footprint(reference_keys, A.shape, h, w, sizes)
+            assert shared.arrays == own.arrays
+
+
+def test_orders_use_the_narrowest_index_dtype():
+    A = sparse.random(300, 300, density=0.03, random_state=0, format="csr")
+    orders = BlockOrders(A)
+    assert orders.order(1) is None
+    assert orders.order(2).dtype == np.uint16
+    assert orders.order(2) is orders.order(2)
+    assert BlockOrders.coerce(orders) is orders
+    # A canonical CSR is not copied.
+    assert orders.csr is A

@@ -131,7 +131,7 @@ def walked(items, A, device) -> tuple[list[tuple], int]:
     profile-only launches it ran."""
     clock = StageClock()
     with stage_scope(clock):
-        outcomes = evaluate_candidates(items, A, device)
+        outcomes, _ = evaluate_candidates(items, A, device)
     return [
         (
             o.index,

@@ -10,6 +10,7 @@ check runs outside the plan, so it consumes none of its draws.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.backends.faithful import FaithfulBackend
@@ -145,3 +146,61 @@ def test_fault_plan_tunes_on_full_launches(circuit, clean, spec, events):
     assert result.skip_reasons == {"KernelConfigError": 36}
     # One draw per full candidate launch, none for the winner check.
     assert len(plan.events) == events
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_cold_prepare_checks_the_walks_own_format(circuit, monkeypatch):
+    """One extraction per layout, and no build for a winner the walk
+    built: the check runs on the walk's format, which prepare keeps."""
+    import repro.core.engine as engine_module
+    import repro.tuning.cache as cache_module
+    import repro.tuning.tuner as tuner_module
+    from repro import SpMVEngine
+
+    extractions = _counting(monkeypatch, cache_module, "extract_blocks")
+    builds = _counting(monkeypatch, tuner_module, "build_format")
+    engine_builds = _counting(monkeypatch, engine_module, "build_format")
+    obs = Observer()
+    prepared = SpMVEngine("gtx680", observer=obs).prepare(circuit)
+    assert len(extractions) == obs.metrics.counter("tuner.layouts").value() == 4
+    assert obs.metrics.counter("tuner.key_sorts").value() == 3
+    assert builds == [] and engine_builds == []
+    x = np.random.default_rng(1).standard_normal(circuit.shape[1])
+    np.testing.assert_allclose(
+        SpMVEngine("gtx680").multiply(prepared, x).y, circuit @ x, atol=1e-9
+    )
+
+
+def test_resumed_best_is_checked_on_one_build(circuit, clean, tmp_path, monkeypatch):
+    """A best outcome restored from a checkpoint journal has no walk
+    format: the check builds it once and still checks it."""
+    import repro.tuning.tuner as tuner_module
+
+    ck = tmp_path / "ck.jsonl"
+    AutoTuner(GTX680, checkpoint=ck).tune(circuit)
+    builds = _counting(monkeypatch, tuner_module, "build_format")
+    executed = []
+    original = FaithfulBackend.execute
+
+    def execute(self, fmt, x, device, config=None):
+        executed.append(fmt)
+        return original(self, fmt, x, device, config)
+
+    monkeypatch.setattr(FaithfulBackend, "execute", execute)
+    resumed = AutoTuner(GTX680, checkpoint=ck).tune(circuit)
+    assert resumed.resumed == clean.evaluated + clean.skipped
+    assert builds == [(resumed.best.point,)]
+    assert executed == [resumed.checked_format]
+    assert resumed.best.point == clean.best.point
+    assert resumed.best.time_s.hex() == clean.best.time_s.hex()
